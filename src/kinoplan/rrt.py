@@ -10,6 +10,7 @@ path to speed up the connection, which is made by online curve fitting.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -64,8 +65,10 @@ class PlannerConfig:
 
     @classmethod
     def from_file(cls, path) -> "PlannerConfig":
+        """Read ``key = value`` lines; each value is cast to its field's type
+        (int, float, or a tuple of floats for ``world_bounds``)."""
         kwargs = {}
-        types = {f.name: f for f in fields(cls)}
+        types = typing.get_type_hints(cls)
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
@@ -78,12 +81,13 @@ class PlannerConfig:
                 val = val.strip()
                 if key not in types:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-                if key == "world_bounds":
-                    kwargs[key] = tuple(float(x) for x in val.split())
-                elif key in ("max_iterations", "rng_seed"):
-                    kwargs[key] = int(val)
-                else:
-                    kwargs[key] = float(val)
+                try:
+                    if types[key] in (int, float):
+                        kwargs[key] = types[key](val)
+                    else:
+                        kwargs[key] = tuple(float(x) for x in val.split())
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
         return cls(**kwargs)
 
 

@@ -2,11 +2,12 @@
 
 The control loop alternates between four states.  PLANNING builds a geometric
 path and times it against the current obstacle predictions; EXECUTING follows
-the timed trajectory and revalidates it at every perception tick; WAITING
-holds position when no safe timing exists, retrying each tick; once the wait
-timer expires the path itself is replanned (REPLANNING), treating obstacles
-that have stopped as static blockers.  Everything is a pure function of
-(scenario, configs, seed).
+the timed trajectory and revalidates it at every perception tick, re-timing
+the rest of the path when the fresh predictions make it unsafe; WAITING holds
+position when no safe timing exists and tries nothing until ``replan_timeout``
+has passed, when the path itself is replanned (REPLANNING), treating
+obstacles that have stopped as static blockers.  Everything is a pure
+function of (scenario, configs, seed).
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .collision import (FootprintSpec, ObstacleShape, clearance_to_obstacle,
-                        footprint_circles)
+                        footprint_circles, footprint_circles_batch)
 from .geometry import CurveLibrary, Pose, build_curve_library, normalize_angle
 from .rrt import Path, PlannerConfig, plan_path
 from .scenarios import Scenario, ScriptedObstacle
 from .temporal import (NodeIntervals, TemporalConfig, Trajectory,
-                       compute_safe_intervals, optimize_timestamps,
-                       select_interval_sequence, validate_trajectory)
+                       _predicted_obstacle_circles, compute_safe_intervals,
+                       optimize_timestamps, predicted_hits, select_interval_sequence,
+                       validate_trajectory)
 from .tracking import Observation, TrackerConfig, TrackStore, predict_pose
 
 PLANNING = "planning"
@@ -341,18 +343,10 @@ class _Runner:
         times = np.arange(rel, traj.duration + self.sc.sim_dt / 2.0, self.sc.sim_dt)
         if len(times) == 0:
             times = np.array([traj.duration])
-        svals = np.interp(times, traj.timestamps, traj.path.arc_lengths)
-        grid, dense = traj.path.dense_samples()
-        poses = np.stack([np.interp(svals, grid, dense[:, j]) for j in range(3)], axis=-1)
-        from .collision import footprint_circles_batch
-        from .temporal import _predicted_obstacle_circles
-        robot = footprint_circles_batch(self.sc.robot, poses)
-        for centers, radius, _v in _predicted_obstacle_circles(
-                tracks, times, exec_start):
-            d = np.linalg.norm(robot[:, :, None, :] - centers[:, None, :, :], axis=-1)
-            if np.any(d <= self.sc.robot.radius + radius + REVALIDATE_MARGIN):
-                return False
-        return True
+        robot = footprint_circles_batch(self.sc.robot, traj.poses_at(times))
+        obstacle_circles = _predicted_obstacle_circles(tracks, times, exec_start)
+        return not np.any(predicted_hits(robot, self.sc.robot.radius, obstacle_circles,
+                                         REVALIDATE_MARGIN))
 
     def _retime(self, traj, exec_start, t_now):
         """Re-run temporal optimization on the remaining path from here."""
@@ -360,8 +354,10 @@ class _Runner:
         rem = traj.path.subpath_from(s_now)
         if len(rem.poses) < 2:
             return None
+        t_wall = _time.perf_counter()
         new_traj, nis = self._time_path(rem, t_now)
-        self.trace.events.append(PlanningEvent(t_now, "retime", rem, new_traj, nis, 0.0,
+        latency = _time.perf_counter() - t_wall
+        self.trace.events.append(PlanningEvent(t_now, "retime", rem, new_traj, nis, latency,
                                                self.store.snapshot()))
         return new_traj
 

@@ -21,6 +21,9 @@ from .tracking import ObstacleTrack, predict_pose
 
 # Minimum timestamp gap; true stopping is a long dwell, never equal stamps.
 DT_MIN = 1e-3
+# Squared constraint violation (every constraint within ~1e-6) below which
+# feasibility restoration counts as converged and the objective is re-polished.
+RESTORED_VIOLATION = 1e-12
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,13 @@ class Trajectory:
     def pose_at(self, t: float):
         return self.path.pose_at(self.arc_length_at(t))
 
+    def poses_at(self, times: np.ndarray) -> np.ndarray:
+        """(T, 3) poses at ``times``: s(t) as in ``arc_length_at``, then linear
+        interpolation in the path's dense samples."""
+        svals = np.interp(times, self.timestamps, self.path.arc_lengths)
+        grid, dense = self.path.dense_samples()
+        return np.stack([np.interp(svals, grid, dense[:, j]) for j in range(3)], axis=-1)
+
     def to_csv(self, path) -> None:
         lines = ["i,x,y,theta,s,t,v,a"]
         for i, pose in enumerate(self.path.poses):
@@ -127,6 +137,42 @@ def _predicted_obstacle_circles(tracks, times: np.ndarray, t0: float):
     return out
 
 
+def predicted_hits(robot_circles: np.ndarray, robot_radius: float, obstacle_circles,
+                   clearance: float) -> np.ndarray:
+    """Whether the robot cover touches a predicted obstacle, per time sample.
+
+    ``obstacle_circles`` is the output of ``_predicted_obstacle_circles`` over
+    T samples.  ``robot_circles`` is (..., k, 2) and broadcasts against those
+    samples: (T, k, 2) holds one robot pose per sample, (n, 1, k, 2) holds n
+    poses present at every sample.  Returns a boolean array of shape (..., T),
+    or of the robot's leading shape when there is no obstacle.  A circle pair
+    hits when its center distance is at most the sum of the radii plus
+    ``clearance``.
+    """
+    rx = robot_circles[..., :, None, 0]  # (..., k, 1)
+    ry = robot_circles[..., :, None, 1]
+    hit = np.zeros(robot_circles.shape[:-2], dtype=bool)
+    for centers, radius, _vel in obstacle_circles:
+        dx = rx - centers[:, None, :, 0]  # (..., T, k, m)
+        dy = ry - centers[:, None, :, 1]
+        d = np.sqrt(dx * dx + dy * dy)  # the same bits as np.linalg.norm
+        hit = hit | np.any(d <= robot_radius + radius + clearance, axis=(-2, -1))
+    return hit
+
+
+def free_runs(free: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal runs of True in each row of a 2-D boolean array.
+
+    Returns (rows, firsts, lasts): run r covers columns firsts[r]..lasts[r]
+    (inclusive) of row rows[r].  Runs are ordered by row, then by column.
+    """
+    pad = np.zeros((free.shape[0], 1), dtype=np.int8)
+    change = np.diff(np.hstack([pad, free.astype(np.int8), pad]), axis=1)
+    rows, firsts = np.nonzero(change == 1)
+    _, ends = np.nonzero(change == -1)
+    return rows, firsts, ends - 1
+
+
 def compute_safe_intervals(path: Path, tracks, static_obstacles, config: TemporalConfig,
                            footprint: FootprintSpec, t0: float = 0.0) -> list[NodeIntervals]:
     """Safe intervals per node over [0, horizon], sampled every si_dt.
@@ -143,36 +189,19 @@ def compute_safe_intervals(path: Path, tracks, static_obstacles, config: Tempora
     # whole curve against them, so inflation would only erase narrow passages.
     static_hit = poses_in_collision(footprint, poses, static_obstacles)
     robot_circles = footprint_circles_batch(footprint, poses)  # (n, k, 2)
-    free = np.repeat(~static_hit[:, None], len(times), axis=1)  # (n, T)
     obstacle_circles = _predicted_obstacle_circles(tracks, times, t0)
-    for centers, radius, _vel in obstacle_circles:
-        # (n, k, 1, 1, 2) vs (1, 1, T, m, 2)
-        d = np.linalg.norm(robot_circles[:, :, None, None, :] - centers[None, None, :, :, :],
-                           axis=-1)
-        hit = np.any(d <= footprint.radius + radius + margin, axis=(1, 3))
-        free &= ~hit
-    result = []
-    for i in range(n):
-        intervals = []
-        row = free[i]
-        idx = 0
-        while idx < len(times):
-            if not row[idx]:
-                idx += 1
-                continue
-            j = idx
-            while j + 1 < len(times) and row[j + 1]:
-                j += 1
-            start = times[idx]
-            if j == len(times) - 1 and _open_horizon(i, robot_circles, footprint,
+    hit = predicted_hits(robot_circles[:, None], footprint.radius, obstacle_circles, margin)
+    free = np.broadcast_to(~static_hit[:, None] & ~hit, (n, len(times)))
+    result = [NodeIntervals(i, []) for i in range(n)]
+    for i, first, last in zip(*free_runs(free)):
+        start = times[first]
+        if last == len(times) - 1 and _open_horizon(i, robot_circles, footprint,
                                                     obstacle_circles, config, margin):
-                end = math.inf
-            else:
-                end = times[j]
-            if end > start:
-                intervals.append(SafeInterval(float(start), float(end)))
-            idx = j + 1
-        result.append(NodeIntervals(i, intervals))
+            end = math.inf
+        else:
+            end = times[last]
+        if end > start:
+            result[i].intervals.append(SafeInterval(float(start), float(end)))
     return result
 
 
@@ -293,6 +322,90 @@ def _feasible_init(path: Path, seq: IntervalSequence, config: TemporalConfig) ->
     return t
 
 
+class TimingProblem:
+    """The SQP of ``optimize_timestamps`` over x = (t_2, ..., t_n), t_1 = 0.
+
+    Objective: w_t * t_n^2 + w_a * sum a_i^2.  Constraints g(x) >= 0, in
+    order: dt - DT_MIN, v_max - v, a_max - a, a_max + a, t_i - start_i for
+    every node i >= 2, and end_i - t_i for every node i >= 2 whose interval
+    end is finite.  Each comes with its exact derivative: with edge durations
+    dt_i and speeds v_i = ds_i/dt_i, dv_i/d(dt_i) = -v_i/dt_i, which chains
+    into a_j = (v_{j+1} - v_j)/dt_{j+1}.
+    """
+
+    def __init__(self, path: Path, seq: IntervalSequence, config: TemporalConfig):
+        n = len(path.poses)
+        self.ds = np.diff(path.arc_lengths)
+        self.v_max = config.v_max
+        self.a_max = config.a_max
+        self.w_t = 1.0 / (path.total_length / config.v_max) ** 2
+        self.w_a = 1.0 / ((n - 2) * config.a_max**2) if n > 2 else 0.0
+        self.lo = np.array([si.start for si in seq.chosen[1:]])
+        hi = np.array([si.end for si in seq.chosen[1:]])
+        self.finite = np.flatnonzero(np.isfinite(hi))
+        self.hi = hi[self.finite]
+        eye = np.eye(n - 1)
+        self.bounds_jac = np.vstack([eye, -eye[self.finite]])
+
+    def profile(self, x):
+        """Edge durations, edge speeds and node accelerations at stamps x."""
+        dt = np.concatenate(([x[0]], x[1:] - x[:-1]))
+        v = self.ds / dt
+        return dt, v, (v[1:] - v[:-1]) / dt[1:]
+
+    def objective(self, x) -> float:
+        _dt, _v, a = self.profile(x)
+        return self.w_t * x[-1] ** 2 + self.w_a * float(a @ a)
+
+    def objective_grad(self, x) -> np.ndarray:
+        dt, v, a = self.profile(x)
+        grad_dt = np.zeros(len(dt))
+        da_prev, da_next = self._accel_partials(dt, v, a)
+        grad_dt[:-1] += 2.0 * self.w_a * a * da_prev
+        grad_dt[1:] += 2.0 * self.w_a * a * da_next
+        grad = _chain_stamps(grad_dt)
+        grad[-1] += 2.0 * self.w_t * x[-1]
+        return grad
+
+    def constraints(self, x) -> np.ndarray:
+        dt, v, a = self.profile(x)
+        return np.concatenate([dt - DT_MIN, self.v_max - v, self.a_max - a,
+                               self.a_max + a, x - self.lo, self.hi - x[self.finite]])
+
+    def constraints_jac(self, x) -> np.ndarray:
+        dt, v, a = self.profile(x)
+        m = len(dt)
+        j = np.arange(m - 1)
+        da = np.zeros((m - 1, m))
+        da[j, j], da[j, j + 1] = self._accel_partials(dt, v, a)
+        jac_dt = np.vstack([np.eye(m), np.diag(v / dt), -da, da])
+        return np.vstack([_chain_stamps(jac_dt), self.bounds_jac])
+
+    def violation(self, x) -> float:
+        """Squared constraint violation, for feasibility restoration."""
+        neg = np.minimum(self.constraints(x), 0.0)
+        return float(neg @ neg)
+
+    def violation_grad(self, x) -> np.ndarray:
+        return 2.0 * np.minimum(self.constraints(x), 0.0) @ self.constraints_jac(x)
+
+    def feasible(self, x) -> bool:
+        return bool(np.all(self.constraints(x) >= -1e-9))
+
+    @staticmethod
+    def _accel_partials(dt, v, a):
+        """da_j/d(dt_j) and da_j/d(dt_{j+1})."""
+        return v[:-1] / dt[:-1] / dt[1:], (-v[1:] / dt[1:] - a) / dt[1:]
+
+
+def _chain_stamps(d_dt: np.ndarray) -> np.ndarray:
+    """Turn derivatives by edge durations (last axis) into derivatives by
+    stamps: dt_i = x_i - x_{i-1}, so d/dx_i = d/d(dt_i) - d/d(dt_{i+1})."""
+    d_x = d_dt.copy()
+    d_x[..., :-1] -= d_dt[..., 1:]
+    return d_x
+
+
 def optimize_timestamps(path: Path, seq: IntervalSequence,
                         config: TemporalConfig) -> Trajectory | None:
     """SQP refinement of node timestamps within the chosen intervals.
@@ -307,68 +420,31 @@ def optimize_timestamps(path: Path, seq: IntervalSequence,
     init = _feasible_init(path, seq, config)
     if init is None:
         return None
-    ds = np.diff(path.arc_lengths)
-    t_min = path.total_length / config.v_max
-    w_t = 1.0 / t_min**2
-    w_a = 1.0 / ((n - 2) * config.a_max**2) if n > 2 else 0.0
-
-    def unpack(x):
-        return np.concatenate([[0.0], x])
-
-    def objective(x):
-        t = unpack(x)
-        dt = np.diff(t)
-        val = w_t * t[-1] ** 2
-        if n > 2:
-            v = ds / dt
-            a = np.diff(v) / dt[1:]
-            val += w_a * float(a @ a)
-        return val
-
-    cons = []
-
-    def ineq(x):
-        t = unpack(x)
-        dt = np.diff(t)
-        v = ds / dt
-        g = [dt - DT_MIN, config.v_max - v]
-        if n > 2:
-            a = np.diff(v) / dt[1:]
-            g.append(config.a_max - a)
-            g.append(config.a_max + a)
-        for i in range(1, n):
-            g.append(np.array([t[i] - seq.chosen[i].start]))
-            if math.isfinite(seq.chosen[i].end):
-                g.append(np.array([seq.chosen[i].end - t[i]]))
-        return np.concatenate(g)
-
-    cons.append({"type": "ineq", "fun": ineq})
-    res = minimize(objective, init[1:], method="SLSQP", constraints=cons,
-                   options={"maxiter": config.sqp_max_iters, "ftol": config.sqp_tolerance})
-    candidates = []
-    for x in (res.x, init[1:]):
-        if x is not None and np.all(ineq(x) >= -1e-9):
-            candidates.append(np.asarray(x, dtype=float))
+    problem = TimingProblem(path, seq, config)
+    cons = [{"type": "ineq", "fun": problem.constraints, "jac": problem.constraints_jac}]
+    options = {"maxiter": config.sqp_max_iters, "ftol": config.sqp_tolerance}
+    res = minimize(problem.objective, init[1:], jac=problem.objective_grad,
+                   method="SLSQP", constraints=cons, options=options)
+    candidates = [np.asarray(x, dtype=float) for x in (res.x, init[1:])
+                  if x is not None and problem.feasible(x)]
     if not candidates:
         # Feasibility restoration: drive the violation to zero, then re-polish.
-        def violation(x):
-            g = ineq(x)
-            neg = np.minimum(g, 0.0)
-            return float(neg @ neg)
-
-        rest = minimize(violation, init[1:], method="SLSQP",
+        # Restoration can stop just past the 1e-9 feasibility tolerance, so the
+        # re-polish starts from any nearly feasible point; only a feasible
+        # result is kept.
+        rest = minimize(problem.violation, init[1:], jac=problem.violation_grad,
+                        method="SLSQP",
                         options={"maxiter": config.sqp_max_iters, "ftol": 1e-14})
-        if rest.x is not None and np.all(ineq(rest.x) >= -1e-9):
-            res2 = minimize(objective, rest.x, method="SLSQP", constraints=cons,
-                            options={"maxiter": config.sqp_max_iters,
-                                     "ftol": config.sqp_tolerance})
+        if rest.x is not None and problem.violation(rest.x) <= RESTORED_VIOLATION:
+            res2 = minimize(problem.objective, rest.x, jac=problem.objective_grad,
+                            method="SLSQP", constraints=cons, options=options)
             for x in (res2.x, rest.x):
-                if x is not None and np.all(ineq(x) >= -1e-9):
+                if x is not None and problem.feasible(x):
                     candidates.append(np.asarray(x, dtype=float))
                     break
     if not candidates:
         return None
-    best = unpack(min(candidates, key=objective))
+    best = np.concatenate([[0.0], min(candidates, key=problem.objective)])
     v, a = velocity_profile(path, best)
     return Trajectory(path, best, v, a)
 
@@ -382,40 +458,10 @@ def validate_trajectory(traj: Trajectory, tracks, static_obstacles, dt: float,
     between node timestamps) and checks it against predicted obstacle poses.
     """
     times = np.arange(0.0, traj.duration + dt / 2.0, dt)
-    svals = np.interp(times, traj.timestamps, traj.path.arc_lengths)
-    grid, dense = traj.path.dense_samples()
-    poses = np.stack([
-        np.interp(svals, grid, dense[:, 0]),
-        np.interp(svals, grid, dense[:, 1]),
-        np.interp(svals, grid, dense[:, 2]),
-    ], axis=-1)
+    poses = traj.poses_at(times)
     if np.any(poses_in_collision(footprint, poses, static_obstacles, margin)):
         return False
     robot_circles = footprint_circles_batch(footprint, poses)  # (T, k, 2)
-    for centers, radius, _vel in _predicted_obstacle_circles(tracks, times, t0):
-        d = np.linalg.norm(robot_circles[:, :, None, :] - centers[:, None, :, :], axis=-1)
-        if np.any(d <= footprint.radius + radius + margin):
-            return False
-    return True
-
-
-def plan_timing(path: Path, tracks, static_obstacles, config: TemporalConfig,
-                footprint: FootprintSpec, t0: float = 0.0) -> Trajectory | None:
-    """Full temporal pipeline: SIs, layered selection, SQP."""
-    node_si = compute_safe_intervals(path, tracks, static_obstacles, config, footprint, t0)
-    seq = select_interval_sequence(node_si, config, np.diff(path.arc_lengths))
-    if seq is None:
-        return None
-    return optimize_timestamps(path, seq, config)
-
-
-def export_safe_intervals(node_intervals: list[NodeIntervals], path) -> None:
-    """Debug dump: CSV rows [i, j, start, end]."""
-    lines = ["i,j,start,end"]
-    for ni in node_intervals:
-        for j, si in enumerate(ni.intervals):
-            lines.append("%d,%d,%.17g,%s" % (
-                ni.node_index + 1, j + 1, si.start,
-                "inf" if math.isinf(si.end) else "%.17g" % si.end))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    obstacle_circles = _predicted_obstacle_circles(tracks, times, t0)
+    return not np.any(predicted_hits(robot_circles, footprint.radius, obstacle_circles,
+                                     margin))

@@ -1,6 +1,7 @@
 """Bidirectional RRT planning: sampling, extension, connection, determinism."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -198,7 +199,27 @@ class TestPlannerConfig:
                             world_bounds=(0.0, 0.0, 5.0, 5.0))
         path = tmp_path / "planner.cfg"
         cfg.to_file(path)
-        assert PlannerConfig.from_file(path) == cfg
+        loaded = PlannerConfig.from_file(path)
+        assert loaded == cfg
+        # == alone would accept 8.0 for 8.
+        for f in fields(cfg):
+            assert type(getattr(loaded, f.name)) is type(getattr(cfg, f.name)), f.name
+
+    def test_loaded_config_plans_past_candidate_count(self, library, tmp_path):
+        path = tmp_path / "planner.cfg"
+        PlannerConfig(rng_seed=2, world_bounds=(-10.0, -10.0, 25.0, 15.0)).to_file(path)
+        cfg = PlannerConfig.from_file(path)
+        obs = [ObstacleShape.disk(6.0, 0.0, 1.5), ObstacleShape.disk(12.0, 3.0, 1.5)]
+        result = plan_path(Pose(0.0, 0.0, 0.0), Pose(18.0, 0.0, 0.0), obs, cfg,
+                           library, FOOTPRINT)
+        assert result is not None
+        assert result.node_count > cfg.extend_candidates
+
+    def test_bad_value_reports_line(self, tmp_path):
+        path = tmp_path / "planner.cfg"
+        path.write_text("p_th = 0.5\nextend_candidates = 8.5\n")
+        with pytest.raises(ValueError, match=":2"):
+            PlannerConfig.from_file(path)
 
     def test_bad_file_reports_line(self, tmp_path):
         path = tmp_path / "planner.cfg"

@@ -157,6 +157,11 @@ class TestFullRuns:
         withcar = scenario_runs[("wait", 0)]
         assert free.times[-1] < withcar.times[-1]
 
+    def test_every_event_latency_measured(self, scenario_runs):
+        events = scenario_runs[("overtake", 0)].events
+        assert "retime" in {e.kind for e in events}
+        assert all(e.latency > 0.0 for e in events)
+
 
 class TestExportArtifacts:
     def test_files_and_reexport(self, tmp_path, scenario_runs):

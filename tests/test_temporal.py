@@ -3,15 +3,22 @@
 import itertools
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given
+from scipy.optimize._numdiff import approx_derivative
 
-from kinoplan.collision import FootprintSpec, ObstacleShape, default_robot_footprint
+from kinoplan import temporal
+from kinoplan.collision import (FootprintSpec, ObstacleShape, default_robot_footprint,
+                                footprint_circles_batch)
 from kinoplan.geometry import CurveParams, Pose
 from kinoplan.rrt import Path
-from kinoplan.temporal import (DT_MIN, NodeIntervals, SafeInterval,
-                               TemporalConfig, Trajectory, _effective_margin,
-                               compute_safe_intervals, optimize_timestamps,
+from kinoplan.temporal import (DT_MIN, IntervalSequence, NodeIntervals, SafeInterval,
+                               TemporalConfig, TimingProblem, Trajectory,
+                               _effective_margin, _open_horizon,
+                               _predicted_obstacle_circles, compute_safe_intervals,
+                               free_runs, optimize_timestamps, predicted_hits,
                                select_interval_sequence, validate_trajectory,
                                velocity_profile)
 from kinoplan.tracking import ObstacleTrack
@@ -24,6 +31,13 @@ def straight_path(n_nodes, spacing=1.0):
     poses = [Pose(i * spacing, 0.0, 0.0) for i in range(n_nodes)]
     curves = [CurveParams(0.0, 0.0, 0.0, 0.0, spacing) for _ in range(n_nodes - 1)]
     return Path(poses, curves)
+
+
+def edge_path(edges):
+    """A straight path along x with the given edge lengths."""
+    s = np.concatenate([[0.0], np.cumsum(edges)])
+    return Path([Pose(float(x), 0.0, 0.0) for x in s],
+                [CurveParams(0.0, 0.0, 0.0, 0.0, float(d)) for d in edges])
 
 
 def cv_track(x, y, vx, vy, footprint=CAR, t0=0.0):
@@ -130,6 +144,149 @@ class TestComputeSafeIntervals:
         away = cv_track(10.0, 0.0, 1.0, 0.0)
         nis = compute_safe_intervals(path, [away], [], cfg, ROBOT)
         assert nis[0].intervals[-1].end == math.inf
+
+
+def naive_runs(free):
+    """Reference for free_runs: scan each row sample by sample."""
+    runs = []
+    for i, row in enumerate(free):
+        idx = 0
+        while idx < len(row):
+            if not row[idx]:
+                idx += 1
+                continue
+            j = idx
+            while j + 1 < len(row) and row[j + 1]:
+                j += 1
+            runs.append((i, idx, j))
+            idx = j + 1
+    return runs
+
+
+def reference_safe_intervals(path, tracks, config, footprint, t0):
+    """compute_safe_intervals as a per-obstacle norm and a per-sample scan,
+    without static obstacles; the reference for the vectorized version."""
+    times = np.arange(0.0, config.horizon + config.si_dt / 2.0, config.si_dt)
+    margin = _effective_margin(path, config)
+    poses = np.array([[p.x, p.y, p.theta] for p in path.poses])
+    robot_circles = footprint_circles_batch(footprint, poses)
+    free = np.ones((len(poses), len(times)), dtype=bool)
+    obstacle_circles = _predicted_obstacle_circles(tracks, times, t0)
+    for centers, radius, _vel in obstacle_circles:
+        d = np.linalg.norm(robot_circles[:, :, None, None, :] - centers[None, None, :, :, :],
+                           axis=-1)
+        free &= ~np.any(d <= footprint.radius + radius + margin, axis=(1, 3))
+    result = [[] for _ in poses]
+    for i, first, last in naive_runs(free):
+        if last == len(times) - 1 and _open_horizon(i, robot_circles, footprint,
+                                                    obstacle_circles, config, margin):
+            end = math.inf
+        else:
+            end = times[last]
+        if end > times[first]:
+            result[i].append((float(times[first]), float(end)))
+    return result
+
+
+class TestVectorizedKernels:
+    @given(hnp.arrays(np.bool_, hnp.array_shapes(min_dims=2, max_dims=2, max_side=40)))
+    @example(np.ones((3, 301), dtype=bool))
+    @example(np.zeros((3, 301), dtype=bool))
+    @example(np.array([[False, True, True], [True, False, True], [True, True, False]]))
+    def test_free_runs_match_scan(self, free):
+        rows, firsts, lasts = free_runs(free)
+        assert list(zip(rows.tolist(), firsts.tolist(), lasts.tolist())) == naive_runs(free)
+
+    def test_safe_intervals_match_reference(self):
+        """Bit-identical to the per-obstacle norm and per-sample scan on
+        random crossing, following and parked cars, some open-ended."""
+        rng = np.random.default_rng(7)
+        for case in range(30):
+            n = int(rng.integers(2, 15))
+            path = straight_path(n, float(rng.uniform(0.5, 2.5)))
+            tracks = [cv_track(*rng.uniform([-20.0, -15.0, -2.0, -2.0], [30.0, 15.0, 2.0, 2.0]),
+                               footprint=CAR if k % 2 else ROBOT, t0=float(rng.uniform(0, 3)))
+                      for k in range(int(rng.integers(0, 4)))]
+            cfg = TemporalConfig(horizon=float(rng.uniform(5.0, 30.0)))
+            t0 = float(rng.uniform(0.0, 5.0))
+            nis = compute_safe_intervals(path, tracks, [], cfg, ROBOT, t0=t0)
+            got = [[(si.start, si.end) for si in ni.intervals] for ni in nis]
+            assert got == reference_safe_intervals(path, tracks, cfg, ROBOT, t0), case
+
+    @pytest.mark.parametrize("clearance", [0.0, 0.3])
+    def test_predicted_hits_per_sample_matches_norm(self, clearance):
+        rng = np.random.default_rng(3)
+        times = np.arange(0.0, 10.0, 0.05)
+        poses = np.stack([np.linspace(0.0, 20.0, len(times)), np.zeros(len(times)),
+                          np.zeros(len(times))], axis=-1)
+        robot = footprint_circles_batch(ROBOT, poses)
+        tracks = [cv_track(*rng.uniform([0.0, -8.0, -1.0, 0.5], [20.0, -4.0, 1.0, 1.5]))
+                  for _ in range(3)]
+        circles = _predicted_obstacle_circles(tracks, times, 0.0)
+        expected = np.zeros(len(times), dtype=bool)
+        for centers, radius, _vel in circles:
+            d = np.linalg.norm(robot[:, :, None, :] - centers[:, None, :, :], axis=-1)
+            expected |= np.any(d <= ROBOT.radius + radius + clearance, axis=(1, 2))
+        got = predicted_hits(robot, ROBOT.radius, circles, clearance)
+        assert expected.any() and not expected.all()
+        assert np.array_equal(got, expected)
+        assert not predicted_hits(robot, ROBOT.radius, [], clearance).any()
+
+
+def timing_problem_case(ends):
+    """A TimingProblem on a path with uneven edges and the given interval
+    ends (node 0 first), plus random stamps feasible for it."""
+    rng = np.random.default_rng(len(ends))
+    edges = rng.uniform(0.5, 3.0, len(ends) - 1)
+    path = edge_path(edges)
+    cfg = TemporalConfig(v_max=2.0, a_max=5.0)
+    seq = IntervalSequence([SafeInterval(0.0, end) for end in ends], [0] * len(ends))
+    problem = TimingProblem(path, seq, cfg)
+    x = np.cumsum(edges / cfg.v_max * rng.uniform(1.2, 2.0, len(edges)))
+    assert problem.feasible(x)
+    return problem, x
+
+
+class TestTimingProblem:
+    CASES = {
+        "n2": [math.inf, math.inf],
+        "n3": [math.inf, 100.0, 100.0],
+        "long": [math.inf] * 30,
+        "mixed_ends": [5.0, 100.0, math.inf, 100.0, math.inf, math.inf, 100.0],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_objective_gradient(self, case):
+        problem, x = timing_problem_case(self.CASES[case])
+        numeric = approx_derivative(problem.objective, x, method="3-point")
+        # Entries near a cancellation carry the difference quotient's absolute
+        # error, so the floor scales with the largest entry.
+        np.testing.assert_allclose(problem.objective_grad(x), numeric, rtol=1e-5,
+                                   atol=1e-7 * np.max(np.abs(numeric)))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_constraint_jacobian(self, case):
+        problem, x = timing_problem_case(self.CASES[case])
+        numeric = approx_derivative(problem.constraints, x, method="3-point")
+        jac = problem.constraints_jac(x)
+        assert jac.shape == numeric.shape
+        np.testing.assert_allclose(jac, numeric, rtol=1e-5, atol=1e-9)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_violation_gradient(self, case):
+        problem, x = timing_problem_case(self.CASES[case])
+        x = x * 0.6  # too fast for v_max: the speed rows are violated
+        assert problem.violation(x) > 0.0
+        numeric = approx_derivative(problem.violation, x, method="3-point")
+        np.testing.assert_allclose(problem.violation_grad(x), numeric, rtol=1e-5,
+                                   atol=1e-7 * np.max(np.abs(numeric)))
+
+    def test_constraint_rows(self):
+        problem, x = timing_problem_case(self.CASES["mixed_ends"])
+        n = len(x) + 1
+        # dt, v, +a, -a, the starts of nodes 2..n, and their three finite ends
+        # (node 1's end does not constrain x).
+        assert len(problem.constraints(x)) == 4 * (n - 1) - 2 + (n - 1) + 3
 
 
 class TestSelectSequence:
@@ -310,6 +467,34 @@ class TestOptimizeTimestamps:
                NodeIntervals(1, [SafeInterval(0.0, 1.0)])]
         seq = select_interval_sequence(nis, cfg, [5.0])
         assert seq is None or optimize_timestamps(path, seq, cfg) is None
+
+    def test_restoration_repolishes_near_feasible_point(self, monkeypatch):
+        """When the first solve diverges, feasibility restoration ends ~1e-9
+        past a constraint; the re-polish from there still finds the optimum."""
+        # A retime from overtake: the greedy start breaks a_max at node 6.
+        path = edge_path([3.109, 4.061, 4.129, 4.129, 3.775, 1.429, 4.129, 4.061, 4.061,
+                          4.129])
+        starts = [0.0, 1.554, 3.585, 5.649, 23.4, 28.9, 29.614, 31.679, 33.709, 35.739,
+                  37.804]
+        seq = IntervalSequence([SafeInterval(a, math.inf) for a in starts], [0] * len(starts))
+        cfg = TemporalConfig()
+        real = temporal.minimize
+        calls = []
+
+        def diverging_first_solve(fun, x0, **kwargs):
+            res = real(fun, x0, **kwargs)
+            calls.append(res)
+            if len(calls) == 1:
+                res.x = -np.asarray(x0)
+            return res
+
+        monkeypatch.setattr(temporal, "minimize", diverging_first_solve)
+        traj = optimize_timestamps(path, seq, cfg)
+        assert len(calls) == 3  # first solve, restoration, re-polish
+        problem = TimingProblem(path, seq, cfg)
+        assert not problem.feasible(calls[1].x)
+        assert traj is not None and problem.feasible(traj.timestamps[1:])
+        assert traj.timestamps[1] == pytest.approx(16.25, abs=0.01)
 
     def test_csv_export(self, tmp_path):
         path = straight_path(4)
