@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -96,35 +97,45 @@ class ObstacleShape:
         return cls(kind="footprint", footprint=spec, pose=pose)
 
 
-def _point_in_polygon(px, py, verts: np.ndarray) -> np.ndarray:
-    """Even-odd rule; px/py broadcastable arrays."""
-    inside = np.zeros(np.broadcast(px, py).shape, dtype=bool)
-    n = len(verts)
-    for i in range(n):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % n]
-        cond = (y1 > py) != (y2 > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-        inside ^= cond & (px < xint)
-    return inside
+@lru_cache(maxsize=1024)
+def polygon_edges(vertices: tuple[tuple[float, float], ...]) -> tuple[np.ndarray, ...]:
+    """Edge arrays (x1, y1, x2, y2, abx, aby, denom) of a closed polygon.
+
+    Edge i runs from vertex i to vertex i + 1 (mod n); (abx, aby) is its
+    direction b - a and denom its squared length ``ab @ ab`` floored at 1e-12,
+    computed per edge.  Cached on the vertex tuple, so each polygon is
+    converted once.
+    """
+    verts = np.asarray(vertices, dtype=float)
+    x1, y1 = verts[:, 0], verts[:, 1]
+    nxt = np.roll(verts, -1, axis=0)
+    x2, y2 = nxt[:, 0], nxt[:, 1]
+    ab = nxt - verts
+    denom = np.array([max(float(e @ e), 1e-12) for e in ab])
+    return x1, y1, x2, y2, ab[:, 0].copy(), ab[:, 1].copy(), denom
 
 
-def _dist_to_polygon(px, py, verts: np.ndarray) -> np.ndarray:
-    """Distance from points to the polygon boundary (0 if on it)."""
-    n = len(verts)
-    best = np.full(np.broadcast(px, py).shape, np.inf)
-    for i in range(n):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        ab = b - a
-        denom = float(ab @ ab)
-        t = ((px - a[0]) * ab[0] + (py - a[1]) * ab[1]) / max(denom, 1e-12)
-        t = np.clip(t, 0.0, 1.0)
-        dx = a[0] + t * ab[0] - px
-        dy = a[1] + t * ab[1] - py
-        best = np.minimum(best, np.hypot(dx, dy))
-    return best
+def _point_in_polygon(px, py, edges) -> np.ndarray:
+    """Even-odd rule over ``polygon_edges``; px/py broadcastable arrays."""
+    x1, y1, x2, y2, abx, aby, _ = edges
+    px = np.asarray(px)[..., None]
+    py = np.asarray(py)[..., None]
+    cond = (y1 > py) != (y2 > py)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        xint = x1 + (py - y1) * abx / aby
+    return np.logical_xor.reduce(cond & (px < xint), axis=-1)
+
+
+def _dist_to_polygon(px, py, edges) -> np.ndarray:
+    """Distance from points to the boundary given by ``polygon_edges`` (0 if on it)."""
+    x1, y1, _, _, abx, aby, denom = edges
+    px = np.asarray(px)[..., None]
+    py = np.asarray(py)[..., None]
+    t = ((px - x1) * abx + (py - y1) * aby) / denom
+    t = np.clip(t, 0.0, 1.0)
+    dx = x1 + t * abx - px
+    dy = y1 + t * aby - py
+    return np.min(np.hypot(dx, dy), axis=-1)
 
 
 def circles_hit_obstacle(centers: np.ndarray, radius: float, obstacle: ObstacleShape,
@@ -137,9 +148,9 @@ def circles_hit_obstacle(centers: np.ndarray, radius: float, obstacle: ObstacleS
         d = np.hypot(centers[..., 0] - obstacle.center[0], centers[..., 1] - obstacle.center[1])
         return np.any(d <= radius + obstacle.radius + margin, axis=-1)
     if obstacle.kind == "polygon":
-        verts = np.asarray(obstacle.vertices)
+        edges = polygon_edges(obstacle.vertices)
         px, py = centers[..., 0], centers[..., 1]
-        hit = _point_in_polygon(px, py, verts) | (_dist_to_polygon(px, py, verts) <= radius + margin)
+        hit = _point_in_polygon(px, py, edges) | (_dist_to_polygon(px, py, edges) <= radius + margin)
         return np.any(hit, axis=-1)
     if obstacle.kind == "footprint":
         oc = footprint_circles(obstacle.footprint, obstacle.pose)  # (m, 2)
@@ -154,10 +165,10 @@ def clearance_to_obstacle(centers: np.ndarray, radius: float, obstacle: Obstacle
         d = np.hypot(centers[..., 0] - obstacle.center[0], centers[..., 1] - obstacle.center[1])
         return float(np.min(d) - radius - obstacle.radius)
     if obstacle.kind == "polygon":
-        verts = np.asarray(obstacle.vertices)
+        edges = polygon_edges(obstacle.vertices)
         px, py = centers[..., 0], centers[..., 1]
-        d = _dist_to_polygon(px, py, verts)
-        d = np.where(_point_in_polygon(px, py, verts), -d, d)
+        d = _dist_to_polygon(px, py, edges)
+        d = np.where(_point_in_polygon(px, py, edges), -d, d)
         return float(np.min(d) - radius)
     if obstacle.kind == "footprint":
         oc = footprint_circles(obstacle.footprint, obstacle.pose)

@@ -265,30 +265,41 @@ class LibraryConfig:
     dtheta_factors: tuple[float, ...] = (1.0, 1.5, 2.0, 2.5)
 
 
+class _GridAxis:
+    """Nearest-point lookup on ``np.linspace(lo, hi, n)`` in O(1).
+
+    The uniform spacing gives the bracketing pair of grid points; of the two,
+    the one with the smaller ``abs(grid[k] - v)`` wins and the lower index
+    wins a tie, which is the choice ``np.argmin(np.abs(grid - v))`` makes.
+    """
+
+    def __init__(self, lo: float, hi: float, n: int):
+        self.grid = np.linspace(lo, hi, n).tolist()
+        self.lo = lo
+        self.inv_step = (n - 1) / (hi - lo) if n > 1 and hi != lo else 0.0
+
+    def nearest(self, v: float) -> int:
+        grid = self.grid
+        if len(grid) == 1:
+            return 0
+        k = min(max(int((v - self.lo) * self.inv_step), 0), len(grid) - 2)
+        return k if abs(grid[k] - v) <= abs(grid[k + 1] - v) else k + 1
+
+
 class CurveLibrary:
     """Grid of fitted curves indexed by endpoint polar coordinates (r, beta)."""
 
     def __init__(self, config: LibraryConfig, entries: dict[tuple[int, int], CurveEntry]):
         self.config = config
         self.entries = entries
-        self._r_grid = np.linspace(config.r_min, config.r_max, config.n_r)
-        self._b_grid = np.linspace(config.beta_min, config.beta_max, config.n_beta)
-
-    @property
-    def r_grid(self) -> np.ndarray:
-        return self._r_grid
-
-    @property
-    def beta_grid(self) -> np.ndarray:
-        return self._b_grid
+        self._r_axis = _GridAxis(config.r_min, config.r_max, config.n_r)
+        self._b_axis = _GridAxis(config.beta_min, config.beta_max, config.n_beta)
 
     def cell_index(self, r: float, beta: float) -> tuple[int, int]:
         """Clamp (r, beta) into range and return the nearest grid cell index."""
         r = min(max(r, self.config.r_min), self.config.r_max)
         beta = min(max(beta, self.config.beta_min), self.config.beta_max)
-        i = int(np.argmin(np.abs(self._r_grid - r)))
-        j = int(np.argmin(np.abs(self._b_grid - beta)))
-        return i, j
+        return self._r_axis.nearest(r), self._b_axis.nearest(beta)
 
     def lookup(self, r: float, beta: float) -> CurveEntry | None:
         return self.entries.get(self.cell_index(r, beta))

@@ -4,14 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kinoplan.collision import (FootprintSpec, ObstacleShape,
-                                clearance_to_obstacle, curve_in_collision,
-                                default_robot_footprint, disc_radius,
-                                footprint_circles, pose_in_collision,
-                                poses_in_collision)
+from kinoplan.collision import (FootprintSpec, ObstacleShape, _dist_to_polygon,
+                                _point_in_polygon, clearance_to_obstacle,
+                                curve_in_collision, default_robot_footprint,
+                                disc_radius, footprint_circles,
+                                pose_in_collision, poses_in_collision,
+                                polygon_edges)
 from kinoplan.geometry import CurveParams, Pose
 
 
@@ -215,3 +216,93 @@ class TestCurveInCollision:
             fine = curve_in_collision(self.spec, curve, base, obs, 0.05)
             # Finer sampling may find hits the coarse pass missed, never fewer.
             assert fine or not coarse
+
+
+def point_in_polygon_per_edge(px, py, verts):
+    """Reference even-odd rule, one polygon edge per loop pass."""
+    inside = np.zeros(np.broadcast(px, py).shape, dtype=bool)
+    n = len(verts)
+    for i in range(n):
+        x1, y1 = verts[i]
+        x2, y2 = verts[(i + 1) % n]
+        cond = (y1 > py) != (y2 > py)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            xint = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= cond & (px < xint)
+    return inside
+
+
+def dist_to_polygon_per_edge(px, py, verts):
+    """Reference boundary distance, one polygon edge per loop pass."""
+    n = len(verts)
+    best = np.full(np.broadcast(px, py).shape, np.inf)
+    for i in range(n):
+        a = verts[i]
+        b = verts[(i + 1) % n]
+        ab = b - a
+        denom = float(ab @ ab)
+        t = ((px - a[0]) * ab[0] + (py - a[1]) * ab[1]) / max(denom, 1e-12)
+        t = np.clip(t, 0.0, 1.0)
+        dx = a[0] + t * ab[0] - px
+        dy = a[1] + t * ab[1] - py
+        best = np.minimum(best, np.hypot(dx, dy))
+    return best
+
+
+coord = st.floats(-20.0, 20.0, allow_nan=False)
+# Coordinates on a coarse lattice make horizontal edges, repeated vertices and
+# points exactly on vertices and edges common.
+lattice = st.integers(-4, 4).map(float)
+vertex_lists = st.lists(st.tuples(st.one_of(coord, lattice), st.one_of(coord, lattice)),
+                        min_size=3, max_size=9)
+
+
+class TestPolygonKernels:
+    """The edge-vectorized kernels against the per-edge loops, bit for bit."""
+
+    @staticmethod
+    def assert_bit_equal(vertices, pts):
+        verts = np.asarray(ObstacleShape.polygon(vertices).vertices)
+        edges = polygon_edges(ObstacleShape.polygon(vertices).vertices)
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        px, py = pts[:, 0], pts[:, 1]
+        inside = _point_in_polygon(px, py, edges)
+        assert inside.shape == px.shape
+        np.testing.assert_array_equal(inside, point_in_polygon_per_edge(px, py, verts))
+        dist = _dist_to_polygon(px, py, edges)
+        ref = dist_to_polygon_per_edge(px, py, verts)
+        assert dist.shape == ref.shape
+        assert dist.tobytes() == ref.tobytes()
+
+    @given(vertex_lists, st.lists(st.tuples(st.one_of(coord, lattice),
+                                            st.one_of(coord, lattice)),
+                                  min_size=1, max_size=20))
+    @example([(0.0, 0.0), (4.0, 0.0), (4.0, 2.0), (0.0, 2.0)],
+             [(0.0, 0.0), (4.0, 2.0), (2.0, 0.0), (2.0, 2.0), (0.0, 1.0), (2.0, 1.0)])
+    @example([(0.0, 0.0), (0.0, 0.0), (1.0, 1.0)], [(0.0, 0.0), (0.5, 0.5), (3.0, 0.0)])
+    @settings(max_examples=300, deadline=None)
+    def test_random_polygons_and_points(self, vertices, pts):
+        self.assert_bit_equal(vertices, pts)
+
+    @given(vertex_lists, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_points_on_vertices_and_edges(self, vertices, data):
+        verts = np.asarray(vertices, dtype=float)
+        n = len(verts)
+        t = np.asarray(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        on_edges = verts + t[:, None] * (np.roll(verts, -1, axis=0) - verts)
+        self.assert_bit_equal(vertices, np.concatenate([verts, on_edges]))
+
+    def test_batched_shape(self):
+        vertices = ((0.0, 0.0), (3.0, 0.0), (3.0, 1.0), (0.0, 1.0))
+        edges = polygon_edges(vertices)
+        centers = np.random.default_rng(0).uniform(-1.0, 4.0, size=(7, 3, 2))
+        px, py = centers[..., 0], centers[..., 1]
+        verts = np.asarray(vertices)
+        assert _point_in_polygon(px, py, edges).shape == (7, 3)
+        assert _dist_to_polygon(px, py, edges).tobytes() == \
+            dist_to_polygon_per_edge(px, py, verts).tobytes()
+
+    def test_edges_cached_per_vertex_tuple(self):
+        vertices = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+        assert polygon_edges(vertices) is polygon_edges(tuple(vertices))

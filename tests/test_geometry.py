@@ -158,6 +158,18 @@ class TestFitCurve:
 
 
 class TestLibrary:
+    # Populated cells of the default library, as {beta column j: r rows i}.
+    DEFAULT_CELLS = {
+        3: [5, 6], 4: [4, 5, 6], 5: [2, 3, 4, 5, 6, 7], 6: [1, 2, 3, 4, 5, 6, 7],
+        7: list(range(8)), 8: list(range(8)), 9: list(range(8)),
+        10: [1, 2, 3, 4, 5, 6, 7], 11: [2, 3, 4, 5, 6, 7], 12: [4, 5, 6], 13: [5, 6],
+    }
+
+    def test_default_cells(self, library):
+        cells = {(i, j) for j, rows in self.DEFAULT_CELLS.items() for i in rows}
+        assert len(cells) == 60
+        assert set(library.entries) == cells
+
     def test_straight_cell(self, library):
         i, j = library.cell_index(2.0, 0.0)
         entry = library.entries[(i, j)]
@@ -191,6 +203,48 @@ class TestLibrary:
             library.cell_index(cfg.r_max, cfg.beta_max)
         # Clamping is idempotent and lookup is total.
         assert library.lookup(1e6, -1e6) is library.lookup(cfg.r_max, cfg.beta_min)
+
+    @staticmethod
+    def argmin_cell(lib, r, beta):
+        """The nearest cell by a full argmin scan over both grid axes."""
+        cfg = lib.config
+        r = min(max(r, cfg.r_min), cfg.r_max)
+        beta = min(max(beta, cfg.beta_min), cfg.beta_max)
+        r_grid = np.linspace(cfg.r_min, cfg.r_max, cfg.n_r)
+        b_grid = np.linspace(cfg.beta_min, cfg.beta_max, cfg.n_beta)
+        return (int(np.argmin(np.abs(r_grid - r))), int(np.argmin(np.abs(b_grid - beta))))
+
+    @given(st.floats(-1.0, 8.0), st.floats(-3.0, 3.0))
+    @settings(max_examples=500)
+    def test_cell_index_matches_argmin(self, library, r, beta):
+        assert library.cell_index(r, beta) == self.argmin_cell(library, r, beta)
+
+    @given(st.floats(-5.0, 5.0), st.floats(0.01, 10.0), st.integers(1, 40),
+           st.floats(-5.0, 5.0), st.floats(-1.0, 12.0), st.data())
+    @settings(max_examples=300)
+    def test_cell_index_matches_argmin_on_any_grid(self, r_min, r_span, n_r, r_lo, r_hi,
+                                                    data):
+        cfg = LibraryConfig(r_min=r_min, r_max=r_min + r_span, n_r=n_r)
+        lib = CurveLibrary(cfg, {})
+        grid = np.linspace(cfg.r_min, cfg.r_max, n_r)
+        k = data.draw(st.integers(0, max(n_r - 2, 0)))
+        upper = grid[min(k + 1, n_r - 1)]
+        # Random values, clamped ones beyond both ends, grid points, exact
+        # midpoints between neighbours and the floats next to them.
+        mid = 0.5 * (grid[k] + upper)
+        values = [r_lo, r_hi, r_min - 1.0, cfg.r_max + 1.0, grid[k], upper, mid,
+                  np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf),
+                  np.nextafter(grid[k], np.inf), np.nextafter(upper, -np.inf)]
+        for r in values:
+            for beta in (cfg.beta_min, 0.5 * (cfg.beta_min + cfg.beta_max), r_lo):
+                assert lib.cell_index(float(r), beta) == self.argmin_cell(lib, float(r), beta)
+
+    def test_cell_index_ties_go_to_the_lower_index(self):
+        cfg = LibraryConfig(r_min=0.0, r_max=4.0, n_r=5, beta_min=-1.0, beta_max=1.0,
+                            n_beta=3)
+        lib = CurveLibrary(cfg, {})
+        assert lib.cell_index(0.5, -0.5) == (0, 0)
+        assert lib.cell_index(2.5, 0.5) == (2, 1)
 
     def test_exact_grid_lookup(self, library):
         entry = next(iter(library.entries.values()))
