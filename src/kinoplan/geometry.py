@@ -123,10 +123,8 @@ def max_abs_curvature(params: CurveParams, step: float = SIMPSON_STEP) -> float:
     return float(np.max(np.abs(curvature_at(params, grid))))
 
 
-def _offset_at(params: CurveParams, s: float) -> tuple[float, float, float]:
-    """(dx, dy, dtheta) of the curve frame at arc length s, composite Simpson."""
-    if s <= 0.0:
-        return 0.0, 0.0, 0.0
+def _simpson_grid(params: CurveParams, s: float):
+    """Composite Simpson nodes on [0, s]: (grid, headings, weights, h/3)."""
     n = max(2, int(math.ceil(s / SIMPSON_STEP)))
     n += n % 2
     grid = np.linspace(0.0, min(s, params.s_f), n + 1)
@@ -134,10 +132,43 @@ def _offset_at(params: CurveParams, s: float) -> tuple[float, float, float]:
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    h3 = (s / n) / 3.0
+    return grid, th, w, (s / n) / 3.0
+
+
+def _offset_at(params: CurveParams, s: float) -> tuple[float, float, float]:
+    """(dx, dy, dtheta) of the curve frame at arc length s, composite Simpson."""
+    if s <= 0.0:
+        return 0.0, 0.0, 0.0
+    _, th, w, h3 = _simpson_grid(params, s)
     dx = h3 * float(w @ np.cos(th))
     dy = h3 * float(w @ np.sin(th))
     return dx, dy, float(th[-1])
+
+
+def endpoint_jacobian(params: CurveParams) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint (dx, dy, dtheta) and its 3x4 Jacobian in (a, b, c, s_f).
+
+    The endpoint is ``integrate_endpoint(params)`` to the bit.  The Jacobian
+    differentiates the same Simpson sum with its node count held fixed: node
+    i sits at s_i = s_f i/n, so d(theta_i)/d(a, b, c) = (s_i^2/2, s_i^3/3,
+    s_i^4/4) and d(theta_i)/d(s_f) = kappa(s_i) s_i/s_f, and the step h = s_f/n
+    adds x/s_f (y/s_f) to the s_f column of the position rows.
+    """
+    sf = params.s_f
+    grid, th, w, h3 = _simpson_grid(params, sf)
+    cos, sin = np.cos(th), np.sin(th)
+    dx = h3 * float(w @ cos)
+    dy = h3 * float(w @ sin)
+    s2 = grid * grid
+    kappa = params.kappa0 + grid * (params.a + grid * (params.b + grid * params.c))
+    dth = np.stack([s2 / 2.0, s2 * grid / 3.0, s2 * s2 / 4.0, kappa * grid / sf])
+    jac = np.empty((3, 4))
+    jac[0] = -h3 * (dth @ (w * sin))
+    jac[1] = h3 * (dth @ (w * cos))
+    jac[0, 3] += dx / sf
+    jac[1, 3] += dy / sf
+    jac[2] = (sf * sf / 2.0, sf**3 / 3.0, sf**4 / 4.0, kappa[-1])
+    return np.array([dx, dy, float(th[-1])]), jac
 
 
 def integrate_endpoint(params: CurveParams) -> tuple[float, float, float]:
@@ -175,7 +206,8 @@ def fit_curve(
 
     kappa0 is fixed to ``start_kappa`` (curvature continuity with the parent);
     the end curvature is left free.  Damped Gauss-Newton shooting with the
-    pseudo-inverse step (minimum-norm in the underdetermined direction).
+    pseudo-inverse step (minimum-norm in the underdetermined direction) on the
+    exact endpoint Jacobian of ``endpoint_jacobian`` (Kelly & Nagy, IJRR 2003).
     Returns None when the iteration fails to converge or the curvature bound
     is violated.
     """
@@ -187,27 +219,20 @@ def fit_curve(
         u = np.array([seed.a, seed.b, seed.c, seed.s_f])
     else:
         u = np.array([0.0, 0.0, 0.0, max(chord, 0.1)])
+    goal = np.array([gx, gy, gth])
 
     def residual(u):
         a, b, c, sf = u
         sf = max(sf, 1e-3)
         p = CurveParams(start_kappa, a, b, c, sf)
-        dx, dy, dth = integrate_endpoint(p)
-        return np.array([dx - gx, dy - gy, dth - gth]), p
+        end, jac = endpoint_jacobian(p)
+        return end - goal, jac, p
 
-    f, p = residual(u)
+    f, J, p = residual(u)
     cost = float(f @ f)
     for _ in range(max_iters):
         if cost < FIT_TOL**2:
             break
-        # Finite-difference Jacobian, forward differences.
-        J = np.empty((3, 4))
-        steps = np.array([1e-6, 1e-6, 1e-7, 1e-5])
-        for k in range(4):
-            du = np.zeros(4)
-            du[k] = steps[k]
-            fk, _ = residual(u + du)
-            J[:, k] = (fk - f) / steps[k]
         step = np.linalg.pinv(J, rcond=1e-10) @ f
         # Backtracking damping.
         lam = 1.0
@@ -215,13 +240,13 @@ def fit_curve(
             u_new = u - lam * step
             u_new[3] = max(u_new[3], 1e-3)
             try:
-                f_new, p_new = residual(u_new)
+                f_new, J_new, p_new = residual(u_new)
             except (ValueError, FloatingPointError):
                 lam *= 0.5
                 continue
             c_new = float(f_new @ f_new)
             if c_new < cost:
-                u, f, p, cost = u_new, f_new, p_new, c_new
+                u, f, J, p, cost = u_new, f_new, J_new, p_new, c_new
                 break
             lam *= 0.5
         else:

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize._numdiff import approx_derivative
 
 from kinoplan.geometry import (CurveLibrary, CurveParams, LibraryConfig, Pose,
-                               build_curve_library, curvature_at, fit_curve,
-                               heading_change, integrate_endpoint,
-                               max_abs_curvature, normalize_angle,
-                               sample_curve_poses)
+                               build_curve_library, curvature_at,
+                               endpoint_jacobian, fit_curve, heading_change,
+                               integrate_endpoint, max_abs_curvature,
+                               normalize_angle, sample_curve_poses)
 
 
 def straight(s_f):
@@ -155,6 +156,34 @@ class TestFitCurve:
 
     def test_degenerate_goal(self):
         assert fit_curve(0.0, (0.0, 0.0, 0.0), kappa_max=0.5) is None
+
+
+class TestEndpointJacobian:
+    CASES = [
+        (0.0, 0.0, 0.0, 0.0, 2.0),
+        (0.3, -0.2, 0.05, -0.01, 3.7),
+        (-0.5, 0.4, -0.1, 0.02, 1.3),
+        (0.1, 0.3, -0.2, 0.04, 4.1),
+        (0.0, 1.2, -0.9, 0.15, 2.5),
+        (0.7, -0.6, 0.0, 0.0, 0.37),
+    ]
+
+    @pytest.mark.parametrize("k0,a,b,c,sf", CASES)
+    def test_endpoint_is_integrate_endpoint(self, k0, a, b, c, sf):
+        p = CurveParams(k0, a, b, c, sf)
+        end, _ = endpoint_jacobian(p)
+        assert tuple(end) == integrate_endpoint(p)
+
+    @pytest.mark.parametrize("k0,a,b,c,sf", CASES)
+    def test_matches_central_differences(self, k0, a, b, c, sf):
+        _, jac = endpoint_jacobian(CurveParams(k0, a, b, c, sf))
+
+        def endpoint(u):
+            return np.array(integrate_endpoint(CurveParams(k0, *u)))
+
+        numeric = approx_derivative(endpoint, np.array([a, b, c, sf]), method="3-point")
+        np.testing.assert_allclose(jac, numeric, rtol=1e-5,
+                                   atol=1e-7 * np.max(np.abs(numeric)))
 
 
 class TestLibrary:
