@@ -25,7 +25,8 @@ from .geometry import CurveLibrary, LibraryConfig, Pose, build_curve_library
 from .rrt import PlannerConfig, plan_path
 from .scenarios import (Scenario, builtin_scenarios, get_scenario,
                         load_scenario, random_disk_world)
-from .simulator import TraceLog, export_artifacts, metrics, run_scenario
+from .simulator import (TraceLog, draw_obstacles, export_artifacts, metrics,
+                        run_scenario)
 from .svg import SvgCanvas, plot_errorbars
 
 EXIT_OK = 0
@@ -145,11 +146,7 @@ def cmd_plan(args) -> int:
 
 def _plot_path(path, obstacles, bounds, out) -> None:
     cv = SvgCanvas(bounds)
-    for obs in obstacles:
-        if obs.kind == "disk":
-            cv.circle(obs.center[0], obs.center[1], obs.radius, fill="#888888")
-        elif obs.kind == "polygon":
-            cv.polygon(obs.vertices, fill="#888888")
+    draw_obstacles(cv, obstacles)
     grid, dense = path.dense_samples()
     cv.polyline([(p[0], p[1]) for p in dense], stroke="#1f4fd0")
     for pose in path.poses:

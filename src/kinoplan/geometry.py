@@ -290,6 +290,9 @@ class LibraryConfig:
     dtheta_factors: tuple[float, ...] = (1.0, 1.5, 2.0, 2.5)
 
 
+_LIBRARY_VERSION = "# kinoplan curve library v1"
+
+
 class _GridAxis:
     """Nearest-point lookup on ``np.linspace(lo, hi, n)`` in O(1).
 
@@ -331,7 +334,7 @@ class CurveLibrary:
 
     def save_csv(self, path) -> None:
         lines = [
-            "# kinoplan curve library v1",
+            _LIBRARY_VERSION,
             "# r_min,r_max,beta_min,beta_max,kappa_max,n_r,n_beta,max_arc_length",
             "%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d,%.17g"
             % (
@@ -370,26 +373,52 @@ class CurveLibrary:
 
     @classmethod
     def load_csv(cls, path) -> "CurveLibrary":
+        """Read a library written by ``save_csv``.
+
+        A wrong version line, a missing header, a header or row with the wrong
+        number of fields, a value that does not parse or a cell outside the
+        grid raises ValueError naming ``file:line``.
+        """
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        header = lines[2].split(",")
-        config = LibraryConfig(
-            r_min=float(header[0]),
-            r_max=float(header[1]),
-            beta_min=float(header[2]),
-            beta_max=float(header[3]),
-            kappa_max=float(header[4]),
-            n_r=int(header[5]),
-            n_beta=int(header[6]),
-            max_arc_length=float(header[7]),
-        )
+            lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
+        if not lines or lines[0][1] != _LIBRARY_VERSION:
+            raise ValueError(f"{path}:{lines[0][0] if lines else 1}: expected "
+                             f"{_LIBRARY_VERSION!r}")
+        data = [(no, ln.split(",")) for no, ln in lines[1:] if not ln.startswith("#")]
+        if not data:
+            raise ValueError(f"{path}:{lines[-1][0]}: missing header")
+        for k, (no, parts) in enumerate(data):
+            expected = 11 if k else 8
+            if len(parts) != expected:
+                raise ValueError(f"{path}:{no}: {len(parts)} fields, expected {expected}")
+        no, header = data[0]
+        try:
+            config = LibraryConfig(
+                r_min=float(header[0]),
+                r_max=float(header[1]),
+                beta_min=float(header[2]),
+                beta_max=float(header[3]),
+                kappa_max=float(header[4]),
+                n_r=int(header[5]),
+                n_beta=int(header[6]),
+                max_arc_length=float(header[7]),
+            )
+            if config.n_r < 1 or config.n_beta < 1:
+                raise ValueError("grid sizes must be positive")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{no}: bad header: {exc}") from None
         entries = {}
-        for ln in lines[4:]:
-            parts = ln.split(",")
-            i, j = int(parts[0]), int(parts[1])
-            r, a, b, c, sf, dx, dy, dth, beta = (float(v) for v in parts[2:])
+        for no, parts in data[1:]:
+            try:
+                i, j = int(parts[0]), int(parts[1])
+                if not (0 <= i < config.n_r and 0 <= j < config.n_beta):
+                    raise ValueError(f"cell ({i}, {j}) is outside the grid")
+                r, a, b, c, sf, dx, dy, dth, beta = (float(v) for v in parts[2:])
+                params = CurveParams(0.0, a, b, c, sf)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{no}: bad row: {exc}") from None
             entries[(i, j)] = CurveEntry(
-                r=r, beta=beta, params=CurveParams(0.0, a, b, c, sf), dx=dx, dy=dy, dtheta=dth
+                r=r, beta=beta, params=params, dx=dx, dy=dy, dtheta=dth
             )
         return cls(config, entries)
 

@@ -138,14 +138,6 @@ class Tree:
         return chain
 
 
-def find_nearest_node(tree: Tree, point) -> int:
-    """Index of the node closest to ``point`` in Euclidean (x, y) distance."""
-    if len(tree) == 0:
-        raise ValueError("tree is empty")
-    d = tree.positions - np.asarray(point, dtype=float)
-    return int(np.argmin(np.einsum("ij,ij->i", d, d)))
-
-
 def _nearest_indices(tree: Tree, point, k: int) -> np.ndarray:
     d = tree.positions - np.asarray(point, dtype=float)
     dist2 = np.einsum("ij,ij->i", d, d)
@@ -404,9 +396,8 @@ def _bridge_nodes(t_f: Tree, t_b: Tree, pair: _NearestPair) -> list[tuple[float,
     return nodes
 
 
-def sample(iteration: int, t_f: Tree, t_b: Tree, pair: _NearestPair, start: Pose,
-           goal: Pose, config: PlannerConfig, rng: np.random.Generator,
-           target_root: Pose) -> np.ndarray:
+def sample(t_f: Tree, t_b: Tree, pair: _NearestPair, start: Pose, goal: Pose,
+           config: PlannerConfig, rng: np.random.Generator, target_root: Pose) -> np.ndarray:
     """One Alg.-2 draw: GMM near connection, informed-ellipse sample otherwise."""
     p = rng.random()
     if pair.dist < config.d_th and p < config.p_th:
@@ -443,7 +434,7 @@ def plan_path(start: Pose, goal: Pose, static_obstacles, config: PlannerConfig,
     active, other = t_f, t_b
     for it in range(config.max_iterations):
         target_root = other.nodes[0].pose
-        x_rand = sample(it, t_f, t_b, pair, start, goal, config, rng, target_root)
+        x_rand = sample(t_f, t_b, pair, start, goal, config, rng, target_root)
         # Fall back to the next-nearest nodes when the nearest one has already
         # visited (or lacks) the sample's lookup cell; without this the tree
         # stalls once the nodes around a sampling hotspot saturate.

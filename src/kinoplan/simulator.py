@@ -400,6 +400,18 @@ def run_scenario(scenario: Scenario, planner_config: PlannerConfig | None = None
     return runner.run()
 
 
+def draw_obstacles(cv, obstacles) -> None:
+    """Draw static obstacles on an ``SvgCanvas``; a footprint as its cover circles."""
+    for obs in obstacles:
+        if obs.kind == "disk":
+            cv.circle(obs.center[0], obs.center[1], obs.radius, fill="#888888")
+        elif obs.kind == "polygon":
+            cv.polygon(obs.vertices, fill="#888888")
+        elif obs.kind == "footprint":
+            for cx, cy in footprint_circles(obs.footprint, obs.pose):
+                cv.circle(cx, cy, obs.footprint.radius, fill="#888888")
+
+
 def export_artifacts(trace: TraceLog, out_dir, scenario: Scenario | None = None) -> None:
     """Write trace CSV, metrics summary, trace SVG, and per-plan SI charts."""
     import os
@@ -422,14 +434,7 @@ def export_artifacts(trace: TraceLog, out_dir, scenario: Scenario | None = None)
         box = (min(xs) - 5, min(ys) - 5, max(xs) + 5, max(ys) + 5)
     cv = SvgCanvas(box)
     if scenario is not None:
-        for obs in scenario.static_obstacles:
-            if obs.kind == "disk":
-                cv.circle(obs.center[0], obs.center[1], obs.radius, fill="#888888")
-            elif obs.kind == "polygon":
-                cv.polygon(obs.vertices, fill="#888888")
-            elif obs.kind == "footprint":
-                for cx, cy in footprint_circles(obs.footprint, obs.pose):
-                    cv.circle(cx, cy, obs.footprint.radius, fill="#888888")
+        draw_obstacles(cv, scenario.static_obstacles)
     v_max = scenario.v_max if scenario is not None else 2.0
     stride = max(1, len(pts) // 200)
     for i in range(0, len(pts), stride):

@@ -6,7 +6,10 @@ import pytest
 
 from kinoplan import cli
 from kinoplan.cli import EXIT_ERROR, EXIT_NO_PATH, EXIT_OK
+from kinoplan.collision import footprint_circles
 from kinoplan.geometry import CurveLibrary
+from kinoplan.scenarios import get_scenario
+from kinoplan.svg import SvgCanvas
 
 TINY_CONFIG = """\
 # single straight cell
@@ -68,6 +71,34 @@ class TestPlan:
                          "--library", str(library_csv),
                          "--out", str(tmp_path / "o")])
         assert code == EXIT_NO_PATH
+
+    def test_svg_draws_footprint_obstacles(self, tmp_path, library_csv):
+        out = tmp_path / "bypass"
+        assert cli.main(["plan", "--scenario", "bypass", "--library", library_csv,
+                         "--out", str(out)]) == EXIT_OK
+        svg = (out / "path.svg").read_text()
+        scenario = get_scenario("bypass")
+        cars = [o for o in scenario.static_obstacles if o.kind == "footprint"]
+        assert cars
+        expected = SvgCanvas(scenario.bounds)
+        for car in cars:
+            for cx, cy in footprint_circles(car.footprint, car.pose):
+                expected.circle(cx, cy, car.footprint.radius, fill="#888888")
+        for element in expected.elements:
+            assert element in svg
+
+    @pytest.mark.parametrize("command", [["plan", "--start", "0,0,0", "--goal", "10,0,0"],
+                                         ["simulate", "--scenario", "cross"]])
+    def test_bad_library_file(self, tmp_path, library_csv, capsys, command):
+        bad = tmp_path / "bad.csv"
+        lines = open(library_csv).read().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0]
+        bad.write_text("\n".join(lines) + "\n")
+        code = cli.main(command + ["--library", str(bad), "--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "bad.csv:6: 10 fields, expected 11" in err
+        assert "Traceback" not in err
 
     def test_bad_pose_argument(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -290,6 +290,47 @@ class TestLibrary:
             assert (other.dx, other.dy, other.dtheta) == \
                 (entry.dx, entry.dy, entry.dtheta)
 
+    @staticmethod
+    def saved_lines(library, tmp_path):
+        path = tmp_path / "lib.csv"
+        library.save_csv(path)
+        return path, path.read_text().splitlines()
+
+    def test_load_rejects_truncated_row(self, library, tmp_path):
+        path, lines = self.saved_lines(library, tmp_path)
+        lines[7] = ",".join(lines[7].split(",")[:6])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"lib\.csv:8: 6 fields, expected 11"):
+            CurveLibrary.load_csv(path)
+
+    def test_load_rejects_wrong_version(self, library, tmp_path):
+        path, lines = self.saved_lines(library, tmp_path)
+        lines[0] = "# kinoplan curve library v9"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"lib\.csv:1: expected"):
+            CurveLibrary.load_csv(path)
+
+    @pytest.mark.parametrize("line,text,message", [
+        (3, "1.0,4.0,-1.0,1.0,0.7,8,17", r":3: 7 fields, expected 8"),
+        (3, "1.0,4.0,-1.0,1.0,0.7,8,x,4.14", r":3: bad header"),
+        (3, "1.0,4.0,-1.0,1.0,0.7,0,17,4.14", r":3: bad header"),
+        (5, "0,99,1,0,0,0,1,1,0,0,0", r":5: bad row: cell \(0, 99\)"),
+        (5, "0,0,1,0,0,0,-1,1,0,0,0", r":5: bad row: invalid curve"),
+        (5, "0,0,1,0,0,0,nope,1,0,0,0", r":5: bad row"),
+    ])
+    def test_load_reports_file_and_line(self, library, tmp_path, line, text, message):
+        path, lines = self.saved_lines(library, tmp_path)
+        lines[line - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message):
+            CurveLibrary.load_csv(path)
+
+    def test_load_rejects_missing_header(self, tmp_path):
+        path = tmp_path / "lib.csv"
+        path.write_text("# kinoplan curve library v1\n# only comments\n")
+        with pytest.raises(ValueError, match=r"lib\.csv:2: missing header"):
+            CurveLibrary.load_csv(path)
+
     def test_single_cell_config(self):
         cfg = LibraryConfig(r_min=2.0, r_max=2.0, n_r=1, beta_min=0.0,
                             beta_max=0.0, n_beta=1)
