@@ -99,25 +99,22 @@ class ObstacleShape:
 
 @lru_cache(maxsize=1024)
 def polygon_edges(vertices: tuple[tuple[float, float], ...]) -> tuple[np.ndarray, ...]:
-    """Edge arrays (x1, y1, x2, y2, abx, aby, denom) of a closed polygon.
+    """Edge arrays (x1, y1, y2, abx, aby, denom) of a closed polygon.
 
-    Edge i runs from vertex i to vertex i + 1 (mod n); (abx, aby) is its
-    direction b - a and denom its squared length ``ab @ ab`` floored at 1e-12,
-    computed per edge.  Cached on the vertex tuple, so each polygon is
-    converted once.
+    Edge i runs from a = vertex i to b = vertex i + 1 (mod n); (abx, aby) is
+    b - a and denom is ``ab @ ab`` floored at 1e-12, computed per edge.
+    Cached on the vertex tuple, so each polygon is converted once.
     """
-    verts = np.asarray(vertices, dtype=float)
-    x1, y1 = verts[:, 0], verts[:, 1]
-    nxt = np.roll(verts, -1, axis=0)
-    x2, y2 = nxt[:, 0], nxt[:, 1]
-    ab = nxt - verts
+    a = np.asarray(vertices, dtype=float)
+    b = np.roll(a, -1, axis=0)
+    ab = b - a
     denom = np.array([max(float(e @ e), 1e-12) for e in ab])
-    return x1, y1, x2, y2, ab[:, 0].copy(), ab[:, 1].copy(), denom
+    return a[:, 0], a[:, 1], b[:, 1], ab[:, 0], ab[:, 1], denom
 
 
 def _point_in_polygon(px, py, edges) -> np.ndarray:
     """Even-odd rule over ``polygon_edges``; px/py broadcastable arrays."""
-    x1, y1, x2, y2, abx, aby, _ = edges
+    x1, y1, y2, abx, aby, _ = edges
     px = np.asarray(px)[..., None]
     py = np.asarray(py)[..., None]
     cond = (y1 > py) != (y2 > py)
@@ -128,7 +125,7 @@ def _point_in_polygon(px, py, edges) -> np.ndarray:
 
 def _dist_to_polygon(px, py, edges) -> np.ndarray:
     """Distance from points to the boundary given by ``polygon_edges`` (0 if on it)."""
-    x1, y1, _, _, abx, aby, denom = edges
+    x1, y1, _, abx, aby, denom = edges
     px = np.asarray(px)[..., None]
     py = np.asarray(py)[..., None]
     t = ((px - x1) * abx + (py - y1) * aby) / denom

@@ -160,7 +160,7 @@ def endpoint_jacobian(params: CurveParams) -> tuple[np.ndarray, np.ndarray]:
     dx = h3 * float(w @ cos)
     dy = h3 * float(w @ sin)
     s2 = grid * grid
-    kappa = params.kappa0 + grid * (params.a + grid * (params.b + grid * params.c))
+    kappa = curvature_at(params, grid)
     dth = np.stack([s2 / 2.0, s2 * grid / 3.0, s2 * s2 / 4.0, kappa * grid / sf])
     jac = np.empty((3, 4))
     jac[0] = -h3 * (dth @ (w * sin))
