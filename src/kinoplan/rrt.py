@@ -197,6 +197,7 @@ class Path:
             [[0.0], np.cumsum([c.s_f for c in self.curves])]
         )
         self._dense: tuple[np.ndarray, np.ndarray] | None = None
+        self._dense_ds = math.inf  # the ds the cached table was sampled at
 
     @property
     def total_length(self) -> float:
@@ -207,8 +208,7 @@ class Path:
 
     def dense_samples(self, ds: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
         """(s_grid, poses) arrays sampled every <= ds along the whole path."""
-        if self._dense is not None and self._dense[0].shape[0] > 1 and \
-                (self._dense[0][1] - self._dense[0][0]) <= ds + 1e-12:
+        if self._dense_ds <= ds:
             return self._dense
         s_list = [0.0]
         p_list = [self.poses[0].as_array()]
@@ -223,6 +223,7 @@ class Path:
             s_list.extend(svals.tolist())
             p_list.extend(np.stack([xs, ys, ths], axis=-1).tolist())
         self._dense = (np.asarray(s_list), np.asarray(p_list))
+        self._dense_ds = ds
         return self._dense
 
     def pose_at(self, s: float, ds: float = 0.1) -> Pose:

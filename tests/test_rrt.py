@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kinoplan.collision import ObstacleShape, default_robot_footprint
-from kinoplan.geometry import Pose, normalize_angle
+from kinoplan.geometry import CurveParams, Pose, normalize_angle
 from kinoplan.rrt import (Path, PlannerConfig, Tree, TreeNode, extend,
                           gmm_sample, plan_path, random_sample)
 
@@ -167,6 +167,19 @@ class TestPath:
         pn = path.pose_at(path.total_length)
         assert (p0.x, p0.y) == pytest.approx((path.poses[0].x, path.poses[0].y), abs=1e-6)
         assert (pn.x, pn.y) == pytest.approx((path.poses[-1].x, path.poses[-1].y), abs=1e-2)
+
+    @pytest.mark.parametrize("s_f", [4.0, 4.000000000054563, 2.05, 0.37])
+    def test_dense_samples_cached(self, s_f):
+        # 4.000000000054563 is a fitted straight curve whose last sample, 5e-11
+        # past 4.0, merges with the 4.0 one: its samples are spaced wider than
+        # ds, and the cache must hit all the same.
+        curve = CurveParams(0.0, 0.0, 0.0, 0.0, s_f)
+        path = Path([Pose(0.0, 0.0, 0.0), Pose(s_f, 0.0, 0.0)], [curve])
+        table = path.dense_samples()
+        assert path.dense_samples() is table
+        assert path.dense_samples(0.2) is table
+        finer = path.dense_samples(0.05)
+        assert finer is not table and len(finer[0]) > len(table[0])
 
     def test_subpath_from(self, library):
         path = plan_empty(library, 1).path
