@@ -103,13 +103,17 @@ def polygon_edges(vertices: tuple[tuple[float, float], ...]) -> tuple[np.ndarray
 
     Edge i runs from a = vertex i to b = vertex i + 1 (mod n); (abx, aby) is
     b - a and denom is ``ab @ ab`` floored at 1e-12, computed per edge.
-    Cached on the vertex tuple, so each polygon is converted once.
+    Cached on the vertex tuple, so each polygon is converted once; the shared
+    arrays are read-only.
     """
     a = np.asarray(vertices, dtype=float)
     b = np.roll(a, -1, axis=0)
     ab = b - a
     denom = np.array([max(float(e @ e), 1e-12) for e in ab])
-    return a[:, 0], a[:, 1], b[:, 1], ab[:, 0], ab[:, 1], denom
+    edges = (a[:, 0], a[:, 1], b[:, 1], ab[:, 0], ab[:, 1], denom)
+    for arr in edges:
+        arr.flags.writeable = False
+    return edges
 
 
 def _point_in_polygon(px, py, edges) -> np.ndarray:

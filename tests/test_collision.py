@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from kinoplan.collision import (FootprintSpec, ObstacleShape, _dist_to_polygon,
                                 _point_in_polygon, clearance_to_obstacle,
                                 curve_in_collision, default_robot_footprint,
-                                disc_radius, footprint_circles,
-                                pose_in_collision, poses_in_collision,
-                                polygon_edges)
+                                disc_radius, footprint_circles, polygon_edges,
+                                pose_in_collision, poses_in_collision)
 from kinoplan.geometry import CurveParams, Pose
 
 
