@@ -145,30 +145,59 @@ def _offset_at(params: CurveParams, s: float) -> tuple[float, float, float]:
     return dx, dy, float(th[-1])
 
 
-def endpoint_jacobian(params: CurveParams) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint (dx, dy, dtheta) and its 3x4 Jacobian in (a, b, c, s_f).
+def _shoot(params: CurveParams) -> tuple[np.ndarray, tuple]:
+    """Simpson endpoint (dx, dy, dtheta) of the full curve and its node arrays.
 
-    The endpoint is ``integrate_endpoint(params)`` to the bit.  The Jacobian
-    differentiates the same Simpson sum with its node count held fixed: node
-    i sits at s_i = s_f i/n, so d(theta_i)/d(a, b, c) = (s_i^2/2, s_i^3/3,
+    The endpoint is ``integrate_endpoint(params)`` to the bit: the grid is
+    what ``np.linspace(0, s_f, n + 1)`` computes, and the heading polynomial
+    is ``heading_change``'s, in the same operation order and without its range
+    check.  The node arrays are what ``_shot_jacobian`` differentiates.
+    """
+    k0, a, b, c, sf = params.kappa0, params.a, params.b, params.c, params.s_f
+    n = max(2, int(math.ceil(sf / SIMPSON_STEP)))
+    n += n % 2
+    grid = np.arange(n + 1) * (sf / n)
+    grid[-1] = sf
+    th = grid * (k0 + grid * (a / 2.0 + grid * (b / 3.0 + grid * c / 4.0)))
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    h3 = (sf / n) / 3.0
+    cos, sin = np.cos(th), np.sin(th)
+    end = np.array([h3 * float(w @ cos), h3 * float(w @ sin), float(th[-1])])
+    return end, (grid, w, h3, cos, sin)
+
+
+def _shot_jacobian(params: CurveParams, end: np.ndarray, nodes: tuple) -> np.ndarray:
+    """3x4 Jacobian in (a, b, c, s_f) of the shot ``end, nodes = _shoot(params)``.
+
+    The Simpson sum is differentiated with its node count held fixed: node i
+    sits at s_i = s_f i/n, so d(theta_i)/d(a, b, c) = (s_i^2/2, s_i^3/3,
     s_i^4/4) and d(theta_i)/d(s_f) = kappa(s_i) s_i/s_f, and the step h = s_f/n
     adds x/s_f (y/s_f) to the s_f column of the position rows.
     """
+    grid, w, h3, cos, sin = nodes
     sf = params.s_f
-    grid, th, w, h3 = _simpson_grid(params, sf)
-    cos, sin = np.cos(th), np.sin(th)
-    dx = h3 * float(w @ cos)
-    dy = h3 * float(w @ sin)
     s2 = grid * grid
-    kappa = curvature_at(params, grid)
+    kappa = params.kappa0 + grid * (params.a + grid * (params.b + grid * params.c))
     dth = np.stack([s2 / 2.0, s2 * grid / 3.0, s2 * s2 / 4.0, kappa * grid / sf])
     jac = np.empty((3, 4))
     jac[0] = -h3 * (dth @ (w * sin))
     jac[1] = h3 * (dth @ (w * cos))
-    jac[0, 3] += dx / sf
-    jac[1, 3] += dy / sf
+    jac[0, 3] += end[0] / sf
+    jac[1, 3] += end[1] / sf
     jac[2] = (sf * sf / 2.0, sf**3 / 3.0, sf**4 / 4.0, kappa[-1])
-    return np.array([dx, dy, float(th[-1])]), jac
+    return jac
+
+
+def endpoint_jacobian(params: CurveParams) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint (dx, dy, dtheta) and its exact 3x4 Jacobian in (a, b, c, s_f).
+
+    The endpoint is ``integrate_endpoint(params)`` to the bit; see
+    ``_shot_jacobian`` for the derivative (Kelly & Nagy, IJRR 2003).
+    """
+    end, nodes = _shoot(params)
+    return end, _shot_jacobian(params, end, nodes)
 
 
 def integrate_endpoint(params: CurveParams) -> tuple[float, float, float]:
@@ -208,7 +237,8 @@ def fit_curve(
     the end curvature is left free.  Damped Gauss-Newton shooting with the
     pseudo-inverse step (minimum-norm in the underdetermined direction) on the
     exact endpoint Jacobian of ``endpoint_jacobian`` (Kelly & Nagy, IJRR 2003).
-    Returns None when the iteration fails to converge or the curvature bound
+    The line search compares endpoints only; the Jacobian is formed once per
+    accepted step.  Returns None when the iteration fails to converge or the curvature bound
     is violated.
     """
     gx, gy, gth = goal_offset
@@ -221,32 +251,35 @@ def fit_curve(
         u = np.array([0.0, 0.0, 0.0, max(chord, 0.1)])
     goal = np.array([gx, gy, gth])
 
-    def residual(u):
+    def shoot(u):
         a, b, c, sf = u
-        sf = max(sf, 1e-3)
-        p = CurveParams(start_kappa, a, b, c, sf)
-        end, jac = endpoint_jacobian(p)
-        return end - goal, jac, p
+        p = CurveParams(start_kappa, a, b, c, max(sf, 1e-3))
+        return (p, *_shoot(p))
 
-    f, J, p = residual(u)
+    p, end, nodes = shoot(u)
+    f = end - goal
+    J = _shot_jacobian(p, end, nodes)
     cost = float(f @ f)
     for _ in range(max_iters):
         if cost < FIT_TOL**2:
             break
         step = np.linalg.pinv(J, rcond=1e-10) @ f
-        # Backtracking damping.
+        # Backtracking damping: a trial costs one shot, and only the accepted
+        # trial's Jacobian is computed, from that shot's node arrays.
         lam = 1.0
         for _ in range(20):
             u_new = u - lam * step
             u_new[3] = max(u_new[3], 1e-3)
             try:
-                f_new, J_new, p_new = residual(u_new)
+                p_new, end, nodes = shoot(u_new)
             except (ValueError, FloatingPointError):
                 lam *= 0.5
                 continue
+            f_new = end - goal
             c_new = float(f_new @ f_new)
             if c_new < cost:
-                u, f, J, p, cost = u_new, f_new, J_new, p_new, c_new
+                u, f, p, cost = u_new, f_new, p_new, c_new
+                J = _shot_jacobian(p, end, nodes)
                 break
             lam *= 0.5
         else:
