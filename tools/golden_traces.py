@@ -6,8 +6,9 @@
 Run from anywhere; kinoplan is imported from this checkout's ``src/``.  The
 tool builds the default curve library once, runs the six worlds (the five
 built-in scenarios and ``blocked``) at seeds 0-2, and takes the sha1 of each
-run's ``trace.csv`` and of the saved library CSV.  ``--check`` exits 1 and
-names every file whose hash differs.
+run's ``trace.csv``, of its per-tick clearances (which ``trace.csv`` does not
+hold) written with ``%.17g``, and of the saved library CSV.  ``--check``
+exits 1 and names every hash that differs.
 
 The BLAS and OpenMP pools are pinned to one thread before numpy is imported,
 as the benchmark does, because SLSQP's results (and so the traces) move with
@@ -40,7 +41,7 @@ def _sha1(path) -> str:
 
 
 def compute_hashes() -> dict[str, str]:
-    """sha1 of the library CSV and of every world/seed ``trace.csv``."""
+    """sha1 of the library CSV and of every world/seed ``trace.csv`` and clearance log."""
     sys.path.insert(0, SRC)
     from kinoplan import build_curve_library, get_scenario, run_scenario
 
@@ -56,8 +57,9 @@ def compute_hashes() -> dict[str, str]:
                 path = os.path.join(tmp, f"{name}-{seed}.csv")
                 trace.to_csv(path)
                 hashes[f"{name}/{seed}/trace.csv"] = _sha1(path)
-                print(f"{name} seed {seed}: {hashes[f'{name}/{seed}/trace.csv']}",
-                      flush=True)
+                clear = "".join("%.17g\n" % c for c in trace.clearances)
+                hashes[f"{name}/{seed}/clearances"] = hashlib.sha1(clear.encode()).hexdigest()
+                print(f"{name} seed {seed}", flush=True)
     return hashes
 
 
