@@ -178,6 +178,56 @@ def clearance_to_obstacle(centers: np.ndarray, radius: float, obstacle: Obstacle
     raise ValueError(f"unknown obstacle kind {obstacle.kind!r}")
 
 
+@lru_cache(maxsize=64)
+def _polygon_stack(obstacles: tuple[ObstacleShape, ...]):
+    """The polygons of ``obstacles`` as one edge set, and the other obstacles.
+
+    Returns (edges, starts, others): the ``polygon_edges`` arrays of every
+    polygon concatenated in order, the index of each polygon's first edge, and
+    the tuple of non-polygon obstacles.  Cached on the obstacle tuple; the
+    shared arrays are read-only.
+    """
+    per = [polygon_edges(o.vertices) for o in obstacles if o.kind == "polygon"]
+    others = tuple(o for o in obstacles if o.kind != "polygon")
+    if not per:
+        return None, None, others
+    edges = tuple(np.concatenate(col) for col in zip(*per))
+    starts = np.cumsum([0] + [len(e[0]) for e in per[:-1]])
+    for arr in edges + (starts,):
+        arr.flags.writeable = False
+    return edges, starts, others
+
+
+def min_clearance(centers: np.ndarray, radius: float,
+                  obstacles: tuple[ObstacleShape, ...]) -> float:
+    """``min(clearance_to_obstacle(centers, radius, o) for o in obstacles)``, bit for bit.
+
+    ``centers`` has shape (k, 2); an empty tuple gives math.inf.  All polygons
+    are evaluated in one pass over their stacked edges with the per-edge
+    arithmetic of ``_dist_to_polygon``/``_point_in_polygon``, reduced per
+    polygon with ``reduceat``.  Since fl(x - r) is monotone in x, the minimum
+    over polygons of (min d - r) is (min d) - r.  Disks and footprints go
+    through ``clearance_to_obstacle`` one by one.
+    """
+    edges, starts, others = _polygon_stack(obstacles)
+    clear = math.inf
+    if edges is not None:
+        x1, y1, y2, abx, aby, denom = edges
+        px = centers[:, 0, None]
+        py = centers[:, 1, None]
+        t = np.clip(((px - x1) * abx + (py - y1) * aby) / denom, 0.0, 1.0)
+        d = np.minimum.reduceat(np.hypot(x1 + t * abx - px, y1 + t * aby - py), starts,
+                                axis=-1)
+        cond = (y1 > py) != (y2 > py)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            xint = x1 + (py - y1) * abx / aby
+        inside = np.logical_xor.reduceat(cond & (px < xint), starts, axis=-1)
+        clear = float(np.min(np.where(inside, -d, d)) - radius)
+    for obs in others:
+        clear = min(clear, clearance_to_obstacle(centers, radius, obs))
+    return clear
+
+
 def pose_in_collision(spec: FootprintSpec, pose: Pose, obstacles, margin: float = 0.0) -> bool:
     """True iff any footprint circle intersects any obstacle in the snapshot."""
     centers = footprint_circles(spec, pose)[None, :, :]

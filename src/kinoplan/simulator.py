@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .collision import (FootprintSpec, ObstacleShape, clearance_to_obstacle,
-                        footprint_circles, footprint_circles_batch)
+                        footprint_circles, footprint_circles_batch, min_clearance)
 from .geometry import CurveLibrary, Pose, build_curve_library, normalize_angle
 from .rrt import Path, PlannerConfig, plan_path
 from .scenarios import Scenario, ScriptedObstacle
@@ -180,6 +180,7 @@ class _Runner:
                  library: CurveLibrary | None, ground_truth_tracks: bool,
                  replan_timeout: float):
         self.sc = scenario
+        self.static_obstacles = tuple(scenario.static_obstacles)
         self.lib = library if library is not None else build_curve_library()
         self.seed = seed
         self.noise_rng = np.random.default_rng(seed)
@@ -372,21 +373,18 @@ class _Runner:
             if self.trace.times else 0.0
         a = (v - prev_v) / sc.sim_dt if self.trace.times else 0.0
         robot_circles = footprint_circles(sc.robot, pose)
-        clear = math.inf
-        for obs in sc.static_obstacles:
-            clear = min(clear, clearance_to_obstacle(robot_circles, sc.robot.radius, obs))
+        clear = min_clearance(robot_circles, sc.robot.radius, self.static_obstacles)
         for mob in sc.moving:
+            p = mob.pose_at(t)
             clear = min(clear, clearance_to_obstacle(
-                robot_circles, sc.robot.radius, mob.shape_at(t)))
+                robot_circles, sc.robot.radius, ObstacleShape.footprint_at(mob.footprint, p)))
+            self.trace.obstacle_poses[mob.id].append((p.x, p.y, p.theta))
         self.trace.times.append(t)
         self.trace.poses.append((pose.x, pose.y, pose.theta))
         self.trace.velocities.append(v)
         self.trace.accelerations.append(a)
         self.trace.flags.append(flag)
         self.trace.clearances.append(clear)
-        for mob in sc.moving:
-            p = mob.pose_at(t)
-            self.trace.obstacle_poses[mob.id].append((p.x, p.y, p.theta))
 
 
 def run_scenario(scenario: Scenario, planner_config: PlannerConfig | None = None,
