@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -56,29 +56,6 @@ def _parse_pose(text: str) -> Pose:
     return Pose(x, y, th)
 
 
-def _load_library_config(path) -> LibraryConfig:
-    kwargs = {}
-    names = {f.name: f for f in fields(LibraryConfig)}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in names:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in ("n_r", "n_beta"):
-                kwargs[key] = int(val)
-            elif key == "dtheta_factors":
-                kwargs[key] = tuple(float(v) for v in val.split())
-            else:
-                kwargs[key] = float(val)
-    return LibraryConfig(**kwargs)
-
-
 def _resolve_scenario(name_or_path: str) -> Scenario:
     if os.path.exists(name_or_path):
         return load_scenario(name_or_path)
@@ -94,7 +71,7 @@ def _print_config(args, extra: dict | None = None) -> None:
 
 
 def cmd_gen_library(args) -> int:
-    config = _load_library_config(args.config) if args.config else LibraryConfig()
+    config = LibraryConfig.from_file(args.config) if args.config else LibraryConfig()
     _print_config(args, {"library_config": config})
     library = build_curve_library(config)
     total = config.n_r * config.n_beta

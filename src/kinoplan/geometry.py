@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .configfile import load_config
+
 # Quadrature step for position integrals (m).
 SIMPSON_STEP = 0.01
 
@@ -322,6 +324,26 @@ class LibraryConfig:
     # factors give under-steer endings, larger over-steer.
     dtheta_factors: tuple[float, ...] = (1.0, 1.5, 2.0, 2.5)
 
+    def __post_init__(self):
+        if self.n_r < 1 or self.n_beta < 1:
+            raise ValueError(f"n_r ({self.n_r}) and n_beta ({self.n_beta}) must be at least 1")
+        # A one-point axis may have equal bounds; a longer one must rise.
+        if not (self.r_min < self.r_max or self.n_r == 1 and self.r_min == self.r_max):
+            raise ValueError(f"r_min ({self.r_min}) must be below r_max ({self.r_max})")
+        if not (self.beta_min < self.beta_max
+                or self.n_beta == 1 and self.beta_min == self.beta_max):
+            raise ValueError(f"beta_min ({self.beta_min}) must be below "
+                             f"beta_max ({self.beta_max})")
+        if not (self.kappa_max > 0.0 and self.max_arc_length > 0.0):
+            raise ValueError(f"kappa_max ({self.kappa_max}) and max_arc_length "
+                             f"({self.max_arc_length}) must be positive")
+
+    @classmethod
+    def from_file(cls, path) -> "LibraryConfig":
+        """Read ``key = value`` lines, each cast by its field's type
+        (``configfile.load_config``)."""
+        return load_config(cls, path)
+
 
 _LIBRARY_VERSION = "# kinoplan curve library v1"
 
@@ -436,8 +458,6 @@ class CurveLibrary:
                 n_beta=int(header[6]),
                 max_arc_length=float(header[7]),
             )
-            if config.n_r < 1 or config.n_beta < 1:
-                raise ValueError("grid sizes must be positive")
         except ValueError as exc:
             raise ValueError(f"{path}:{no}: bad header: {exc}") from None
         entries = {}

@@ -10,12 +10,12 @@ path to speed up the connection, which is made by online curve fitting.
 from __future__ import annotations
 
 import math
-import typing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .collision import FootprintSpec, curve_in_collision, pose_in_collision
+from .configfile import load_config
 from .geometry import (
     CurveLibrary,
     CurveParams,
@@ -65,30 +65,9 @@ class PlannerConfig:
 
     @classmethod
     def from_file(cls, path) -> "PlannerConfig":
-        """Read ``key = value`` lines; each value is cast to its field's type
-        (int, float, or a tuple of floats for ``world_bounds``)."""
-        kwargs = {}
-        types = typing.get_type_hints(cls)
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, val = line.partition("=")
-                key = key.strip()
-                val = val.strip()
-                if key not in types:
-                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-                try:
-                    if types[key] in (int, float):
-                        kwargs[key] = types[key](val)
-                    else:
-                        kwargs[key] = tuple(float(x) for x in val.split())
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
-        return cls(**kwargs)
+        """Read ``key = value`` lines, each cast by its field's type
+        (``configfile.load_config``)."""
+        return load_config(cls, path)
 
 
 @dataclass

@@ -62,9 +62,6 @@ class ScriptedObstacle:
         p = self.position_at(t)
         return Pose(float(p[0]), float(p[1]), self.heading_at(t))
 
-    def shape_at(self, t: float) -> ObstacleShape:
-        return ObstacleShape.footprint_at(self.footprint, self.pose_at(t))
-
 
 @dataclass
 class Scenario:

@@ -1,4 +1,4 @@
-"""Deterministic scenario execution: world stepping and the replan loop.
+"""Deterministic scenario execution: the tick loop and the replan loop.
 
 The control loop alternates between four states.  PLANNING builds a geometric
 path and times it against the current obstacle predictions; EXECUTING follows
@@ -38,35 +38,6 @@ STOP_SPEED = 0.1  # below this a track counts as stopped, m/s
 BLOCKER_INFLATION = 1.5  # extra radius for tracks frozen into the static map, m
 SLOW_FACTOR = 2.5  # accept a timing only if within this multiple of free flow
 REVALIDATE_MARGIN = 0.3  # predicted gap below this triggers a re-timing, m
-
-
-@dataclass
-class WorldState:
-    """Snapshot used by the stepping primitive."""
-
-    scenario: Scenario
-    time: float = 0.0
-    robot_pose: Pose | None = None
-    trajectory: Trajectory | None = None
-    exec_start: float = 0.0
-
-    def __post_init__(self):
-        if self.robot_pose is None:
-            self.robot_pose = self.scenario.start
-
-    def obstacle_poses(self) -> list[Pose]:
-        return [mob.pose_at(self.time) for mob in self.scenario.moving]
-
-
-def step(state: WorldState, dt: float) -> WorldState:
-    """Advance scripted obstacles and the robot by dt of simulated time."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    t = state.time + dt
-    pose = state.robot_pose
-    if state.trajectory is not None:
-        pose = state.trajectory.pose_at(t - state.exec_start)
-    return replace(state, time=t, robot_pose=pose)
 
 
 @dataclass

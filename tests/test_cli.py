@@ -45,6 +45,20 @@ class TestGenLibrary:
                          "--out", str(tmp_path / "x.csv")]) == EXIT_ERROR
         assert ":2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        ("r_min = 1.0\nn_r = 2.5\n", "lib.cfg:2: n_r: invalid literal for int()"),
+        ("r_min = 3\nr_max = 1\n", "lib.cfg: r_min (3.0) must be below r_max (1.0)"),
+    ])
+    def test_bad_config_value(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "lib.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "x.csv"
+        assert cli.main(["gen-library", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestPlan:
     def test_deterministic_output(self, tmp_path, library_csv):

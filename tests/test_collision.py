@@ -8,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinoplan.collision import (FootprintSpec, ObstacleShape, _dist_to_polygon,
-                                _point_in_polygon, clearance_to_obstacle,
-                                curve_in_collision, default_robot_footprint,
-                                disc_radius, footprint_circles, polygon_edges,
+                                _point_in_polygon, _polygon_stack,
+                                clearance_to_obstacle, curve_in_collision,
+                                default_robot_footprint, disc_radius,
+                                footprint_circles, min_clearance, polygon_edges,
                                 pose_in_collision, poses_in_collision)
 from kinoplan.geometry import CurveParams, Pose
 
@@ -305,3 +306,58 @@ class TestPolygonKernels:
     def test_edges_cached_per_vertex_tuple(self):
         vertices = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
         assert polygon_edges(vertices) is polygon_edges(tuple(vertices))
+
+
+def obstacle_sets():
+    disk = st.builds(ObstacleShape.disk, coord, coord, st.floats(0.1, 5.0))
+    footprint = st.builds(
+        lambda l, w, x, y, th: ObstacleShape.footprint_at(
+            FootprintSpec.from_dimensions(l, w), Pose(x, y, th)),
+        st.floats(0.5, 5.0), st.floats(0.5, 2.5), coord, coord, st.floats(-4.0, 4.0))
+    polygon = vertex_lists.map(ObstacleShape.polygon)
+    return st.lists(st.one_of(polygon, polygon, disk, footprint), max_size=6).map(tuple)
+
+
+class TestMinClearance:
+    """The batched clearance against the per-obstacle minimum, bit for bit."""
+
+    @staticmethod
+    def assert_bit_equal(centers, radius, obstacles):
+        centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+        want = min((clearance_to_obstacle(centers, radius, o) for o in obstacles),
+                   default=math.inf)
+        got = min_clearance(centers, radius, obstacles)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @given(obstacle_sets(), st.lists(st.tuples(st.one_of(coord, lattice),
+                                               st.one_of(coord, lattice)),
+                                     min_size=1, max_size=3),
+           st.floats(0.05, 3.0))
+    @example((ObstacleShape.polygon([(0.0, 0.0), (4.0, 0.0), (4.0, 2.0), (0.0, 2.0)]),
+              ObstacleShape.polygon([(5.0, 0.0), (6.0, 0.0), (5.0, 1.0)])),
+             [(2.0, 1.0), (4.0, 2.0), (5.5, 0.0)], 0.5)
+    @settings(max_examples=300, deadline=None)
+    def test_random_sets(self, obstacles, centers, radius):
+        self.assert_bit_equal(centers, radius, obstacles)
+
+    @given(obstacle_sets(), st.data(), st.floats(0.05, 3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_circles_inside_on_edges_and_on_vertices(self, obstacles, data, radius):
+        polygons = [o for o in obstacles if o.kind == "polygon"]
+        if not polygons:
+            return
+        verts = np.asarray(data.draw(st.sampled_from(polygons)).vertices)
+        i = data.draw(st.integers(0, len(verts) - 1))
+        t = data.draw(st.floats(0.0, 1.0))
+        on_edge = verts[i] + t * (verts[(i + 1) % len(verts)] - verts[i])
+        mean = verts.mean(axis=0)  # inside whenever the polygon is convex
+        self.assert_bit_equal([verts[i], on_edge, mean], radius, obstacles)
+
+    def test_empty_set_is_infinite(self):
+        assert min_clearance(np.zeros((3, 2)), 1.0, ()) == math.inf
+
+    def test_stack_cached_per_obstacle_tuple(self):
+        obstacles = (ObstacleShape.polygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]),
+                     ObstacleShape.disk(3.0, 0.0, 1.0))
+        assert _polygon_stack(obstacles) is _polygon_stack(tuple(list(obstacles)))

@@ -1,6 +1,7 @@
 """Curve primitives, curve fitting, and the lookup-table library."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize._numdiff import approx_derivative
 
-from kinoplan.geometry import (CurveLibrary, CurveParams, LibraryConfig, Pose,
+from kinoplan.geometry import (FIT_TOL, SIMPSON_STEP, CurveLibrary, CurveParams,
+                               LibraryConfig, Pose, _shoot, _shot_jacobian,
                                build_curve_library, curvature_at,
                                endpoint_jacobian, fit_curve, heading_change,
                                integrate_endpoint, max_abs_curvature,
@@ -186,6 +188,133 @@ class TestEndpointJacobian:
                                    atol=1e-7 * np.max(np.abs(numeric)))
 
 
+def endpoint_jacobian_reference(params):
+    """The endpoint Jacobian as first written: public heading/curvature helpers
+    on an ``np.linspace`` grid, endpoint and Jacobian in one pass."""
+    sf = params.s_f
+    n = max(2, int(math.ceil(sf / SIMPSON_STEP)))
+    n += n % 2
+    grid = np.linspace(0.0, sf, n + 1)
+    th = heading_change(params, grid)
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    h3 = (sf / n) / 3.0
+    cos, sin = np.cos(th), np.sin(th)
+    dx = h3 * float(w @ cos)
+    dy = h3 * float(w @ sin)
+    s2 = grid * grid
+    kappa = curvature_at(params, grid)
+    dth = np.stack([s2 / 2.0, s2 * grid / 3.0, s2 * s2 / 4.0, kappa * grid / sf])
+    jac = np.empty((3, 4))
+    jac[0] = -h3 * (dth @ (w * sin))
+    jac[1] = h3 * (dth @ (w * cos))
+    jac[0, 3] += dx / sf
+    jac[1, 3] += dy / sf
+    jac[2] = (sf * sf / 2.0, sf**3 / 3.0, sf**4 / 4.0, kappa[-1])
+    return np.array([dx, dy, float(th[-1])]), jac
+
+
+def fit_curve_reference(start_kappa, goal_offset, kappa_max, seed=None, max_iters=80):
+    """``fit_curve`` with a Jacobian for every backtracking trial, as first
+    written; returns (result, how the fit ended)."""
+    gx, gy, gth = goal_offset
+    chord = math.hypot(gx, gy)
+    if chord < 1e-6:
+        return None, "degenerate"
+    if seed is not None:
+        u = np.array([seed.a, seed.b, seed.c, seed.s_f])
+    else:
+        u = np.array([0.0, 0.0, 0.0, max(chord, 0.1)])
+    goal = np.array([gx, gy, gth])
+
+    def residual(u):
+        a, b, c, sf = u
+        sf = max(sf, 1e-3)
+        p = CurveParams(start_kappa, a, b, c, sf)
+        end, jac = endpoint_jacobian_reference(p)
+        return end - goal, jac, p
+
+    f, J, p = residual(u)
+    cost = float(f @ f)
+    for _ in range(max_iters):
+        if cost < FIT_TOL**2:
+            break
+        step = np.linalg.pinv(J, rcond=1e-10) @ f
+        lam = 1.0
+        for _ in range(20):
+            u_new = u - lam * step
+            u_new[3] = max(u_new[3], 1e-3)
+            try:
+                f_new, J_new, p_new = residual(u_new)
+            except (ValueError, FloatingPointError):
+                lam *= 0.5
+                continue
+            c_new = float(f_new @ f_new)
+            if c_new < cost:
+                u, f, J, p, cost = u_new, f_new, J_new, p_new, c_new
+                break
+            lam *= 0.5
+        else:
+            return None, "line search"
+    if cost >= 1e-8:
+        return None, "iterations"
+    if max_abs_curvature(p) > kappa_max + 1e-9:
+        return None, "curvature"
+    return p, "converged"
+
+
+def same_fit(got, want):
+    if want is None:
+        return got is None
+    return got is not None and np.array(astuple(got)).tobytes() == \
+        np.array(astuple(want)).tobytes()
+
+
+curve_coefs = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-0.5, 0.5),
+                        st.floats(-0.2, 0.2), st.floats(1e-3, 6.0))
+
+
+class TestShot:
+    """The split shot/Jacobian against the one-pass reference, bit for bit."""
+
+    @given(curve_coefs)
+    @settings(max_examples=300, deadline=None)
+    def test_shot_and_jacobian_match_reference(self, coefs):
+        p = CurveParams(*coefs)
+        end, nodes = _shoot(p)
+        ref_end, ref_jac = endpoint_jacobian_reference(p)
+        assert tuple(end) == integrate_endpoint(p)
+        assert end.tobytes() == ref_end.tobytes()
+        assert _shot_jacobian(p, end, nodes).tobytes() == ref_jac.tobytes()
+        assert endpoint_jacobian(p)[1].tobytes() == ref_jac.tobytes()
+
+    @pytest.mark.parametrize("k0,goal,kappa_max,max_iters,ending", [
+        (0.5, (2.0, 2.0, math.pi / 2.0), 0.7, 80, "converged"),
+        (0.0, (1.0, 0.0, math.pi), 0.7, 80, "curvature"),
+        (0.0, (0.001, 2.0, math.pi), 0.2, 80, "line search"),
+        (0.0, (0.5, 3.0, 0.0), 0.7, 80, "iterations"),
+        (0.0, (3.0, 1.0, 0.5), 1.0, 1, "iterations"),
+        (0.0, (-2.0, 0.5, 0.0), 0.7, 80, "line search"),
+        (0.5, (-3.0, 0.0, math.pi), 0.7, 80, "line search"),
+        (0.0, (0.0, 0.0, 0.0), 0.7, 80, "degenerate"),
+    ])
+    def test_fit_curve_matches_reference_on_each_ending(self, k0, goal, kappa_max,
+                                                       max_iters, ending):
+        want, how = fit_curve_reference(k0, goal, kappa_max, max_iters=max_iters)
+        assert how == ending
+        assert same_fit(fit_curve(k0, goal, kappa_max, max_iters=max_iters), want)
+
+    @given(st.floats(-0.7, 0.7), st.floats(0.05, 6.0), st.floats(-math.pi, math.pi),
+           st.floats(-3.0, 3.0), st.floats(0.2, 2.0),
+           st.one_of(st.none(), curve_coefs.map(lambda c: CurveParams(0.0, *c[1:]))))
+    @settings(max_examples=80, deadline=None)
+    def test_fit_curve_matches_reference(self, k0, r, bearing, dtheta, kappa_max, seed):
+        goal = (r * math.cos(bearing), r * math.sin(bearing), dtheta)
+        want, _ = fit_curve_reference(k0, goal, kappa_max, seed=seed)
+        assert same_fit(fit_curve(k0, goal, kappa_max, seed=seed), want)
+
+
 class TestLibrary:
     # Populated cells of the default library, as {beta column j: r rows i}.
     DEFAULT_CELLS = {
@@ -339,6 +468,22 @@ class TestLibrary:
         entry = lib.entries[(0, 0)]
         assert entry.params.s_f == pytest.approx(2.0, abs=1e-3)
         assert max_abs_curvature(entry.params) < 1e-4
+
+    @pytest.mark.parametrize("bad", [
+        dict(r_min=3.0, r_max=1.0), dict(r_min=2.0, r_max=2.0),
+        dict(beta_min=0.5, beta_max=-0.5), dict(n_r=0), dict(n_beta=-1),
+        dict(kappa_max=0.0), dict(max_arc_length=-1.0), dict(kappa_max=math.nan),
+    ])
+    def test_config_rejects_bad_grid(self, bad):
+        with pytest.raises(ValueError):
+            LibraryConfig(**bad)
+
+    def test_config_file_casts_by_field_type(self, tmp_path):
+        path = tmp_path / "lib.cfg"
+        path.write_text("n_r = 3  # rows\nr_max = 3\ndtheta_factors = 1 2\n")
+        cfg = LibraryConfig.from_file(path)
+        assert cfg == LibraryConfig(n_r=3, r_max=3.0, dtheta_factors=(1.0, 2.0))
+        assert type(cfg.n_r) is int and type(cfg.r_max) is float
 
     def test_build_is_deterministic(self):
         cfg = LibraryConfig(n_r=3, n_beta=5)

@@ -1,4 +1,4 @@
-"""World stepping, trace logs, metrics, artifact export, and full runs."""
+"""Trace logs, metrics, artifact export, and full runs."""
 
 import math
 import xml.etree.ElementTree as ET
@@ -7,16 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kinoplan.collision import FootprintSpec
-from kinoplan.geometry import CurveParams, Pose
-from kinoplan.rrt import Path
-from kinoplan.scenarios import Scenario, ScriptedObstacle, get_scenario
+from kinoplan.geometry import Pose
+from kinoplan.scenarios import Scenario, get_scenario
 from kinoplan.simulator import (EXECUTING, PLANNING, REPLANNING, WAITING,
-                                TraceLog, WorldState, export_artifacts,
-                                metrics, run_scenario, step)
-from kinoplan.temporal import Trajectory
+                                TraceLog, export_artifacts, metrics,
+                                run_scenario)
 
-CAR = FootprintSpec.from_dimensions(4.0, 2.0)
 FLAGS = {PLANNING, EXECUTING, WAITING, REPLANNING}
 
 
@@ -24,45 +20,6 @@ def empty_scenario():
     return Scenario(name="open", start=Pose(0.0, 0.0, 0.0),
                     goal=Pose(12.0, 0.0, 0.0),
                     bounds=(-6.0, -8.0, 18.0, 8.0), time_limit=40.0)
-
-
-def straight_trajectory(length, duration, n=5):
-    poses = [Pose(length * i / (n - 1), 0.0, 0.0) for i in range(n)]
-    curves = [CurveParams(0.0, 0.0, 0.0, 0.0, length / (n - 1))
-              for _ in range(n - 1)]
-    t = np.linspace(0.0, duration, n)
-    v = np.full(n, length / duration)
-    v[0] = 0.0
-    return Trajectory(Path(poses, curves), t, v, np.zeros(n))
-
-
-class TestStep:
-    def test_holds_without_trajectory(self):
-        st = WorldState(empty_scenario())
-        st2 = step(st, 1.0)
-        assert st2.time == 1.0
-        assert st2.robot_pose == st.robot_pose
-
-    def test_scripted_obstacle_advances(self):
-        sc = empty_scenario()
-        sc.moving.append(ScriptedObstacle(0, CAR, [(0.0, 0.0, 0.0),
-                                                   (10.0, 10.0, 0.0)]))
-        st = WorldState(sc)
-        for _ in range(5):
-            st = step(st, 1.0)
-        assert st.obstacle_poses()[0].x == pytest.approx(5.0)  # 1 m/s for 5 s
-
-    def test_composition(self):
-        sc = empty_scenario()
-        traj = straight_trajectory(10.0, 10.0)
-        whole = step(WorldState(sc, trajectory=traj), 1.0)
-        halves = step(step(WorldState(sc, trajectory=traj), 0.5), 0.5)
-        assert halves.time == pytest.approx(whole.time)
-        assert halves.robot_pose.x == pytest.approx(whole.robot_pose.x)
-
-    def test_bad_dt(self):
-        with pytest.raises(ValueError):
-            step(WorldState(empty_scenario()), 0.0)
 
 
 class TestMetrics:
