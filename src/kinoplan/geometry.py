@@ -240,8 +240,8 @@ def fit_curve(
     pseudo-inverse step (minimum-norm in the underdetermined direction) on the
     exact endpoint Jacobian of ``endpoint_jacobian`` (Kelly & Nagy, IJRR 2003).
     The line search compares endpoints only; the Jacobian is formed once per
-    accepted step.  Returns None when the iteration fails to converge or the curvature bound
-    is violated.
+    accepted step.  Returns None when the iteration fails to converge or the
+    curvature bound is violated.
     """
     gx, gy, gth = goal_offset
     chord = math.hypot(gx, gy)
