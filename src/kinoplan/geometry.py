@@ -337,6 +337,8 @@ class LibraryConfig:
         if not (self.kappa_max > 0.0 and self.max_arc_length > 0.0):
             raise ValueError(f"kappa_max ({self.kappa_max}) and max_arc_length "
                              f"({self.max_arc_length}) must be positive")
+        if not self.dtheta_factors:
+            raise ValueError("dtheta_factors needs at least one value")
 
     @classmethod
     def from_file(cls, path) -> "LibraryConfig":

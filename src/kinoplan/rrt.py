@@ -52,6 +52,9 @@ class PlannerConfig:
             raise ValueError("p_th must lie in [0, 1]")
         if self.d_th <= 0.0:
             raise ValueError("d_th must be positive")
+        if self.world_bounds is not None and len(self.world_bounds) != 4:
+            raise ValueError(f"world_bounds needs 4 values (xmin ymin xmax ymax), "
+                             f"got {len(self.world_bounds)}")
 
     def to_file(self, path) -> None:
         with open(path, "w") as fh:

@@ -473,6 +473,7 @@ class TestLibrary:
         dict(r_min=3.0, r_max=1.0), dict(r_min=2.0, r_max=2.0),
         dict(beta_min=0.5, beta_max=-0.5), dict(n_r=0), dict(n_beta=-1),
         dict(kappa_max=0.0), dict(max_arc_length=-1.0), dict(kappa_max=math.nan),
+        dict(dtheta_factors=()),
     ])
     def test_config_rejects_bad_grid(self, bad):
         with pytest.raises(ValueError):

@@ -234,6 +234,12 @@ class TestPlannerConfig:
         with pytest.raises(ValueError, match=":2"):
             PlannerConfig.from_file(path)
 
+    def test_bounds_need_four_values(self, tmp_path):
+        path = tmp_path / "planner.cfg"
+        path.write_text("world_bounds = 0 0 5\n")
+        with pytest.raises(ValueError, match="planner.cfg: world_bounds needs 4 values"):
+            PlannerConfig.from_file(path)
+
     def test_bad_file_reports_line(self, tmp_path):
         path = tmp_path / "planner.cfg"
         path.write_text("p_th = 0.5\nnot a config line\n")
