@@ -116,19 +116,20 @@ def polygon_edges(vertices: tuple[tuple[float, float], ...]) -> tuple[np.ndarray
     return edges
 
 
-def _point_in_polygon(px, py, edges) -> np.ndarray:
-    """Even-odd rule over ``polygon_edges``; px/py broadcastable arrays."""
+def _edge_crossings(px, py, edges) -> np.ndarray:
+    """Whether the rightward ray from each point crosses each edge of
+    ``polygon_edges``; px/py broadcastable arrays, result shape (..., E)."""
     x1, y1, y2, abx, aby, _ = edges
     px = np.asarray(px)[..., None]
     py = np.asarray(py)[..., None]
     cond = (y1 > py) != (y2 > py)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         xint = x1 + (py - y1) * abx / aby
-    return np.logical_xor.reduce(cond & (px < xint), axis=-1)
+    return cond & (px < xint)
 
 
-def _dist_to_polygon(px, py, edges) -> np.ndarray:
-    """Distance from points to the boundary given by ``polygon_edges`` (0 if on it)."""
+def _edge_distances(px, py, edges) -> np.ndarray:
+    """Distance from each point to each edge of ``polygon_edges``; shape (..., E)."""
     x1, y1, _, abx, aby, denom = edges
     px = np.asarray(px)[..., None]
     py = np.asarray(py)[..., None]
@@ -136,7 +137,17 @@ def _dist_to_polygon(px, py, edges) -> np.ndarray:
     t = np.clip(t, 0.0, 1.0)
     dx = x1 + t * abx - px
     dy = y1 + t * aby - py
-    return np.min(np.hypot(dx, dy), axis=-1)
+    return np.hypot(dx, dy)
+
+
+def _point_in_polygon(px, py, edges) -> np.ndarray:
+    """Even-odd rule over ``polygon_edges``; px/py broadcastable arrays."""
+    return np.logical_xor.reduce(_edge_crossings(px, py, edges), axis=-1)
+
+
+def _dist_to_polygon(px, py, edges) -> np.ndarray:
+    """Distance from points to the boundary given by ``polygon_edges`` (0 if on it)."""
+    return np.min(_edge_distances(px, py, edges), axis=-1)
 
 
 def circles_hit_obstacle(centers: np.ndarray, radius: float, obstacle: ObstacleShape,
@@ -203,25 +214,18 @@ def min_clearance(centers: np.ndarray, radius: float,
     """``min(clearance_to_obstacle(centers, radius, o) for o in obstacles)``, bit for bit.
 
     ``centers`` has shape (k, 2); an empty tuple gives math.inf.  All polygons
-    are evaluated in one pass over their stacked edges with the per-edge
-    arithmetic of ``_dist_to_polygon``/``_point_in_polygon``, reduced per
-    polygon with ``reduceat``.  Since fl(x - r) is monotone in x, the minimum
-    over polygons of (min d - r) is (min d) - r.  Disks and footprints go
-    through ``clearance_to_obstacle`` one by one.
+    are evaluated in one pass over their stacked edges with the polygon
+    kernels' ``_edge_distances``/``_edge_crossings``, reduced per polygon with
+    ``reduceat``.  Since fl(x - r) is monotone in x, the minimum over polygons
+    of (min d - r) is (min d) - r.  Disks and footprints go through
+    ``clearance_to_obstacle`` one by one.
     """
     edges, starts, others = _polygon_stack(obstacles)
     clear = math.inf
     if edges is not None:
-        x1, y1, y2, abx, aby, denom = edges
-        px = centers[:, 0, None]
-        py = centers[:, 1, None]
-        t = np.clip(((px - x1) * abx + (py - y1) * aby) / denom, 0.0, 1.0)
-        d = np.minimum.reduceat(np.hypot(x1 + t * abx - px, y1 + t * aby - py), starts,
-                                axis=-1)
-        cond = (y1 > py) != (y2 > py)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            xint = x1 + (py - y1) * abx / aby
-        inside = np.logical_xor.reduceat(cond & (px < xint), starts, axis=-1)
+        px, py = centers[:, 0], centers[:, 1]
+        d = np.minimum.reduceat(_edge_distances(px, py, edges), starts, axis=-1)
+        inside = np.logical_xor.reduceat(_edge_crossings(px, py, edges), starts, axis=-1)
         clear = float(np.min(np.where(inside, -d, d)) - radius)
     for obs in others:
         clear = min(clear, clearance_to_obstacle(centers, radius, obs))

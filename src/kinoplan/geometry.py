@@ -100,21 +100,34 @@ class CurveParams:
         )
 
 
+def _curvature(params: CurveParams, s):
+    """kappa0 + a s + b s^2 + c s^3 without a range check; s a float or an array."""
+    return params.kappa0 + s * (params.a + s * (params.b + s * params.c))
+
+
+def _heading(params: CurveParams, s):
+    """kappa0 s + a s^2/2 + b s^3/3 + c s^4/4 without a range check."""
+    return s * (params.kappa0 + s * (params.a / 2.0 + s * (params.b / 3.0 + s * params.c / 4.0)))
+
+
+def _check_range(params: CurveParams, s: np.ndarray) -> None:
+    if np.any(s < -1e-12) or np.any(s > params.s_f + 1e-12):
+        raise ValueError(f"arc length outside [0, {params.s_f}]")
+
+
 def curvature_at(params: CurveParams, s) -> float:
     """Curvature kappa(s) = kappa0 + a s + b s^2 + c s^3; s may be an array."""
     s = np.asarray(s, dtype=float)
-    if np.any(s < -1e-12) or np.any(s > params.s_f + 1e-12):
-        raise ValueError(f"arc length outside [0, {params.s_f}]")
-    out = params.kappa0 + s * (params.a + s * (params.b + s * params.c))
+    _check_range(params, s)
+    out = _curvature(params, s)
     return float(out) if out.ndim == 0 else out
 
 
 def heading_change(params: CurveParams, s) -> float:
     """Closed-form integral of curvature: kappa0 s + a s^2/2 + b s^3/3 + c s^4/4."""
     s = np.asarray(s, dtype=float)
-    if np.any(s < -1e-12) or np.any(s > params.s_f + 1e-12):
-        raise ValueError(f"arc length outside [0, {params.s_f}]")
-    out = s * (params.kappa0 + s * (params.a / 2.0 + s * (params.b / 3.0 + s * params.c / 4.0)))
+    _check_range(params, s)
+    out = _heading(params, s)
     return float(out) if out.ndim == 0 else out
 
 
@@ -126,11 +139,18 @@ def max_abs_curvature(params: CurveParams, step: float = SIMPSON_STEP) -> float:
 
 
 def _simpson_grid(params: CurveParams, s: float):
-    """Composite Simpson nodes on [0, s]: (grid, headings, weights, h/3)."""
+    """Composite Simpson nodes on [0, s]: (grid, headings, weights, h/3).
+
+    The grid is ``np.linspace(0, min(s, s_f), n + 1)`` to the bit, written the
+    way numpy computes it, and lies in [0, s_f], so the headings skip
+    ``heading_change``'s range check.
+    """
     n = max(2, int(math.ceil(s / SIMPSON_STEP)))
     n += n % 2
-    grid = np.linspace(0.0, min(s, params.s_f), n + 1)
-    th = heading_change(params, grid)
+    stop = min(s, params.s_f)
+    grid = np.arange(n + 1) * (stop / n)
+    grid[-1] = stop
+    th = _heading(params, grid)
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -150,21 +170,10 @@ def _offset_at(params: CurveParams, s: float) -> tuple[float, float, float]:
 def _shoot(params: CurveParams) -> tuple[np.ndarray, tuple]:
     """Simpson endpoint (dx, dy, dtheta) of the full curve and its node arrays.
 
-    The endpoint is ``integrate_endpoint(params)`` to the bit: the grid is
-    what ``np.linspace(0, s_f, n + 1)`` computes, and the heading polynomial
-    is ``heading_change``'s, in the same operation order and without its range
-    check.  The node arrays are what ``_shot_jacobian`` differentiates.
+    The endpoint is ``integrate_endpoint(params)`` to the bit; the node arrays
+    are what ``_shot_jacobian`` differentiates.
     """
-    k0, a, b, c, sf = params.kappa0, params.a, params.b, params.c, params.s_f
-    n = max(2, int(math.ceil(sf / SIMPSON_STEP)))
-    n += n % 2
-    grid = np.arange(n + 1) * (sf / n)
-    grid[-1] = sf
-    th = grid * (k0 + grid * (a / 2.0 + grid * (b / 3.0 + grid * c / 4.0)))
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    h3 = (sf / n) / 3.0
+    grid, th, w, h3 = _simpson_grid(params, params.s_f)
     cos, sin = np.cos(th), np.sin(th)
     end = np.array([h3 * float(w @ cos), h3 * float(w @ sin), float(th[-1])])
     return end, (grid, w, h3, cos, sin)
@@ -181,7 +190,7 @@ def _shot_jacobian(params: CurveParams, end: np.ndarray, nodes: tuple) -> np.nda
     grid, w, h3, cos, sin = nodes
     sf = params.s_f
     s2 = grid * grid
-    kappa = params.kappa0 + grid * (params.a + grid * (params.b + grid * params.c))
+    kappa = _curvature(params, grid)
     dth = np.stack([s2 / 2.0, s2 * grid / 3.0, s2 * s2 / 4.0, kappa * grid / sf])
     jac = np.empty((3, 4))
     jac[0] = -h3 * (dth @ (w * sin))

@@ -11,7 +11,8 @@ from scipy.integrate import quad
 from scipy.optimize._numdiff import approx_derivative
 
 from kinoplan.geometry import (FIT_TOL, SIMPSON_STEP, CurveLibrary, CurveParams,
-                               LibraryConfig, Pose, _shoot, _shot_jacobian,
+                               LibraryConfig, Pose, _offset_at, _shoot,
+                               _shot_jacobian,
                                build_curve_library, curvature_at,
                                endpoint_jacobian, fit_curve, heading_change,
                                integrate_endpoint, max_abs_curvature,
@@ -288,6 +289,23 @@ class TestShot:
         assert end.tobytes() == ref_end.tobytes()
         assert _shot_jacobian(p, end, nodes).tobytes() == ref_jac.tobytes()
         assert endpoint_jacobian(p)[1].tobytes() == ref_jac.tobytes()
+
+    @given(curve_coefs, st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_partial_offset_matches_linspace_reference(self, coefs, frac):
+        p = CurveParams(*coefs)
+        s = frac * p.s_f
+        if s <= 0.0:
+            return
+        n = max(2, int(math.ceil(s / SIMPSON_STEP)))
+        n += n % 2
+        th = heading_change(p, np.linspace(0.0, s, n + 1))
+        w = np.ones(n + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        h3 = (s / n) / 3.0
+        want = (h3 * float(w @ np.cos(th)), h3 * float(w @ np.sin(th)), float(th[-1]))
+        assert np.array(_offset_at(p, s)).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("k0,goal,kappa_max,max_iters,ending", [
         (0.5, (2.0, 2.0, math.pi / 2.0), 0.7, 80, "converged"),
