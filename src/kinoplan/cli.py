@@ -21,6 +21,8 @@ from dataclasses import replace
 
 import numpy as np
 
+from .collision import default_robot_footprint
+from .configfile import write_lines
 from .geometry import CurveLibrary, LibraryConfig, Pose, build_curve_library
 from .rrt import PlannerConfig, plan_path
 from .scenarios import (Scenario, builtin_scenarios, get_scenario,
@@ -33,16 +35,21 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_PATH = 2
 EXIT_SCENARIO_FAILED = 3
+SAMPLING_MODES = ("gmm", "random", "both")
 
 
-def _env_default(name: str, fallback, cast=str):
-    raw = os.environ.get("KINOPLAN_" + name.upper().replace("-", "_"))
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        return fallback
+def _env_default(name: str, fallback):
+    """``$KINOPLAN_<NAME>`` if set, else ``fallback``.  argparse casts a string
+    default with the flag's ``type``, so a bad value fails as a bad flag does."""
+    return os.environ.get("KINOPLAN_" + name.upper().replace("-", "_"), fallback)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_ERROR: argparse's own code 2 is EXIT_NO_PATH."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _parse_pose(text: str) -> Pose:
@@ -59,7 +66,10 @@ def _parse_pose(text: str) -> Pose:
 def _resolve_scenario(name_or_path: str) -> Scenario:
     if os.path.exists(name_or_path):
         return load_scenario(name_or_path)
-    return get_scenario(name_or_path)
+    try:
+        return get_scenario(name_or_path)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
 
 
 def _print_config(args, extra: dict | None = None) -> None:
@@ -92,10 +102,7 @@ def cmd_plan(args) -> int:
         footprint = scenario.robot
     else:
         if args.start is None or args.goal is None:
-            print("plan: --start and --goal are required without --scenario",
-                  file=sys.stderr)
-            return EXIT_ERROR
-        from .collision import default_robot_footprint
+            raise ValueError("--start and --goal are required without --scenario")
         obstacles = []
         start, goal = args.start, args.goal
         pad = 10.0
@@ -132,11 +139,7 @@ def _plot_path(path, obstacles, bounds, out) -> None:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        scenario = _resolve_scenario(args.scenario)
-    except (KeyError, ValueError) as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    scenario = _resolve_scenario(args.scenario)
     _print_config(args)
     pcfg = PlannerConfig.from_file(args.config) if args.config else None
     library = CurveLibrary.load_csv(args.library) if args.library else None
@@ -159,7 +162,6 @@ def cmd_simulate(args) -> int:
 def cmd_bench_sampling(args) -> int:
     _print_config(args)
     library = CurveLibrary.load_csv(args.library) if args.library else build_curve_library()
-    from .collision import default_robot_footprint
     footprint = default_robot_footprint()
     headings = list(range(0, 91, 10))
     modes = ["gmm", "random"] if args.mode == "both" else [args.mode]
@@ -207,12 +209,9 @@ def cmd_bench_sampling(args) -> int:
     cols = ["heading", "mode", "runs", "nodes_mean", "nodes_ci95", "time_mean",
             "time_ci95", "length_mean", "length_ci95"]
     rows.sort(key=lambda r: (r["heading"], r["mode"]))
-    with open(os.path.join(args.out, "stats.csv"), "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                str(row[c]) if c in ("heading", "mode", "runs") else "%.17g" % row[c]
-                for c in cols) + "\n")
+    write_lines(os.path.join(args.out, "stats.csv"), [",".join(cols)] + [",".join(
+        str(row[c]) if c in ("heading", "mode", "runs") else "%.17g" % row[c] for c in cols)
+        for row in rows])
     for key, title in (("length", "mean path length vs heading"),
                        ("nodes", "mean node count vs heading")):
         series = {}
@@ -232,18 +231,14 @@ def cmd_bench_sampling(args) -> int:
 def cmd_export_plots(args) -> int:
     _print_config(args)
     scenario = _resolve_scenario(args.scenario) if args.scenario else None
-    try:
-        trace = TraceLog.from_csv(args.trace)
-    except (OSError, ValueError) as exc:
-        print(f"export-plots: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    trace = TraceLog.from_csv(args.trace)
     export_artifacts(trace, args.out, scenario)
     print(f"wrote plots to {args.out}")
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kinoplan",
         description="Kinodynamic planning toolkit: curve-library bi-RRT plus "
                     "safe-interval temporal optimization.",
@@ -251,23 +246,20 @@ def build_parser() -> argparse.ArgumentParser:
                "supplies a default for the matching flag.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_library=True):
-        p.add_argument("--seed", type=int,
-                       default=_env_default("seed", 0, int),
+    def add_common(p):
+        p.add_argument("--seed", type=int, default=_env_default("seed", 0),
                        help="RNG seed (default 0)")
         p.add_argument("--out", default=_env_default("out", "out"),
                        help="output directory (default ./out)")
-        if with_library:
-            p.add_argument("--library",
-                           default=_env_default("library", None),
-                           help="curve library CSV; regenerated in-process when omitted")
+        p.add_argument("--library", default=_env_default("library", None),
+                       help="curve library CSV; regenerated in-process when omitted")
 
     p = sub.add_parser("gen-library", help="fit the offline curve library")
     p.add_argument("--config", default=_env_default("config", None),
                    help="library config file (key = value lines)")
     p.add_argument("--out", default=_env_default("out", "library.csv"),
                    help="output CSV path (default library.csv)")
-    p.add_argument("--seed", type=int, default=_env_default("seed", 0, int),
+    p.add_argument("--seed", type=int, default=_env_default("seed", 0),
                    help="unused; accepted for interface uniformity")
     p.set_defaults(func=cmd_gen_library)
 
@@ -294,16 +286,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ground-truth-tracks", action="store_true",
                    help="feed the tracker noise-free observations")
     p.add_argument("--replan-timeout", type=float,
-                   default=_env_default("replan_timeout", 3.0, float),
+                   default=_env_default("replan_timeout", 3.0),
                    help="seconds to wait before replanning the path (default 3)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bench-sampling",
                        help="GMM vs random sampling benchmark over start headings")
     add_common(p)
-    p.add_argument("--runs", type=int, default=_env_default("runs", 30, int),
+    p.add_argument("--runs", type=int, default=_env_default("runs", 30),
                    help="runs per heading (default 30)")
-    p.add_argument("--mode", choices=["gmm", "random", "both"],
+    p.add_argument("--mode", choices=SAMPLING_MODES,
                    default=_env_default("mode", "both"),
                    help="sampling mode(s) to benchmark (default both)")
     p.set_defaults(func=cmd_bench_sampling)
@@ -313,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", default=_env_default("scenario", None),
                    help="scenario name or file, for world geometry in the plot")
     p.add_argument("--out", default=_env_default("out", "out"))
-    p.add_argument("--seed", type=int, default=_env_default("seed", 0, int),
+    p.add_argument("--seed", type=int, default=_env_default("seed", 0),
                    help="unused; accepted for interface uniformity")
     p.set_defaults(func=cmd_export_plots)
     return parser
@@ -324,6 +316,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "simulate" and not args.scenario:
         parser.error("simulate requires --scenario")
+    if args.command == "bench-sampling" and args.mode not in SAMPLING_MODES:
+        # argparse checks choices on flags only, not on a KINOPLAN_MODE default.
+        parser.error(f"--mode must be one of {', '.join(SAMPLING_MODES)}, got {args.mode!r}")
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

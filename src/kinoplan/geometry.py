@@ -10,12 +10,13 @@ the start frame, for O(1) lookup during tree extension.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .configfile import load_config
+from .configfile import at_line, cast, load_config, read_lines, write_lines
 
 # Quadrature step for position integrals (m).
 SIMPSON_STEP = 0.01
@@ -349,14 +350,14 @@ class LibraryConfig:
         if not self.dtheta_factors:
             raise ValueError("dtheta_factors needs at least one value")
 
-    @classmethod
-    def from_file(cls, path) -> "LibraryConfig":
-        """Read ``key = value`` lines, each cast by its field's type
-        (``configfile.load_config``)."""
-        return load_config(cls, path)
+    from_file = classmethod(load_config)  # key = value lines, each cast by its field's type
 
 
 _LIBRARY_VERSION = "# kinoplan curve library v1"
+# The library CSV's columns: a header row of LibraryConfig fields, a row per cell.
+_LIBRARY_HEADER = ("r_min", "r_max", "beta_min", "beta_max", "kappa_max", "n_r", "n_beta",
+                   "max_arc_length")
+_LIBRARY_ROW = ("i", "j", "r", "a", "b", "c", "s_f", "dx", "dy", "dtheta", "beta")
 
 
 class _GridAxis:
@@ -401,41 +402,15 @@ class CurveLibrary:
     def save_csv(self, path) -> None:
         lines = [
             _LIBRARY_VERSION,
-            "# r_min,r_max,beta_min,beta_max,kappa_max,n_r,n_beta,max_arc_length",
-            "%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d,%.17g"
-            % (
-                self.config.r_min,
-                self.config.r_max,
-                self.config.beta_min,
-                self.config.beta_max,
-                self.config.kappa_max,
-                self.config.n_r,
-                self.config.n_beta,
-                self.config.max_arc_length,
-            ),
-            "# i,j,r,a,b,c,s_f,dx,dy,dtheta,beta",
+            "# " + ",".join(_LIBRARY_HEADER),
+            ",".join("%.17g" % getattr(self.config, k) for k in _LIBRARY_HEADER),
+            "# " + ",".join(_LIBRARY_ROW),
         ]
-        for (i, j) in sorted(self.entries):
-            e = self.entries[(i, j)]
-            lines.append(
-                "%d,%d," % (i, j)
-                + ",".join(
-                    "%.17g" % v
-                    for v in (
-                        e.r,
-                        e.params.a,
-                        e.params.b,
-                        e.params.c,
-                        e.params.s_f,
-                        e.dx,
-                        e.dy,
-                        e.dtheta,
-                        e.beta,
-                    )
-                )
-            )
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        for (i, j), e in sorted(self.entries.items()):
+            p = e.params
+            lines.append("%d,%d," % (i, j) + ",".join("%.17g" % v for v in (
+                e.r, p.a, p.b, p.c, p.s_f, e.dx, e.dy, e.dtheta, e.beta)))
+        write_lines(path, lines)
 
     @classmethod
     def load_csv(cls, path) -> "CurveLibrary":
@@ -445,45 +420,36 @@ class CurveLibrary:
         number of fields, a value that does not parse or a cell outside the
         grid raises ValueError naming ``file:line``.
         """
-        with open(path) as fh:
-            lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
-        if not lines or lines[0][1] != _LIBRARY_VERSION:
-            raise ValueError(f"{path}:{lines[0][0] if lines else 1}: expected "
-                             f"{_LIBRARY_VERSION!r}")
-        data = [(no, ln.split(",")) for no, ln in lines[1:] if not ln.startswith("#")]
-        if not data:
-            raise ValueError(f"{path}:{lines[-1][0]}: missing header")
-        for k, (no, parts) in enumerate(data):
-            expected = 11 if k else 8
-            if len(parts) != expected:
-                raise ValueError(f"{path}:{no}: {len(parts)} fields, expected {expected}")
-        no, header = data[0]
-        try:
-            config = LibraryConfig(
-                r_min=float(header[0]),
-                r_max=float(header[1]),
-                beta_min=float(header[2]),
-                beta_max=float(header[3]),
-                kappa_max=float(header[4]),
-                n_r=int(header[5]),
-                n_beta=int(header[6]),
-                max_arc_length=float(header[7]),
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}:{no}: bad header: {exc}") from None
-        entries = {}
-        for no, parts in data[1:]:
-            try:
-                i, j = int(parts[0]), int(parts[1])
-                if not (0 <= i < config.n_r and 0 <= j < config.n_beta):
-                    raise ValueError(f"cell ({i}, {j}) is outside the grid")
-                r, a, b, c, sf, dx, dy, dth, beta = (float(v) for v in parts[2:])
-                params = CurveParams(0.0, a, b, c, sf)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{no}: bad row: {exc}") from None
-            entries[(i, j)] = CurveEntry(
-                r=r, beta=beta, params=params, dx=dx, dy=dy, dtheta=dth
-            )
+        lines = read_lines(path, sep=",", comment=None)
+        lineno, first = next(lines, (1, None))
+        with at_line(path, lineno):
+            if first != [_LIBRARY_VERSION]:
+                raise ValueError(f"expected {_LIBRARY_VERSION!r}")
+        config, entries = None, {}
+        for lineno, fields in lines:
+            if fields[0].startswith("#"):
+                continue
+            with at_line(path, lineno):
+                expected = len(_LIBRARY_ROW if config else _LIBRARY_HEADER)
+                if len(fields) != expected:
+                    raise ValueError(f"{len(fields)} fields, expected {expected}")
+                try:
+                    if config is None:
+                        types = typing.get_type_hints(LibraryConfig)
+                        config = LibraryConfig(**{k: cast(types[k], [v])
+                                                  for k, v in zip(_LIBRARY_HEADER, fields)})
+                        continue
+                    i, j = int(fields[0]), int(fields[1])
+                    if not (0 <= i < config.n_r and 0 <= j < config.n_beta):
+                        raise ValueError(f"cell ({i}, {j}) is outside the grid")
+                    r, a, b, c, sf, dx, dy, dth, beta = (float(v) for v in fields[2:])
+                    params = CurveParams(0.0, a, b, c, sf)
+                except ValueError as exc:
+                    raise ValueError(f"{'bad row' if config else 'bad header'}: {exc}") from None
+            entries[(i, j)] = CurveEntry(r=r, beta=beta, params=params, dx=dx, dy=dy,
+                                         dtheta=dth)
+        if config is None:
+            raise ValueError(f"{path}:{lineno}: missing header")
         return cls(config, entries)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .collision import FootprintSpec, curve_in_collision, pose_in_collision
-from .configfile import load_config
+from .configfile import load_config, write_lines
 from .geometry import (
     CurveLibrary,
     CurveParams,
@@ -57,20 +57,11 @@ class PlannerConfig:
                              f"got {len(self.world_bounds)}")
 
     def to_file(self, path) -> None:
-        with open(path, "w") as fh:
-            for f in fields(self):
-                v = getattr(self, f.name)
-                if v is None:
-                    continue
-                if isinstance(v, tuple):
-                    v = " ".join(str(x) for x in v)
-                fh.write(f"{f.name} = {v}\n")
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        write_lines(path, [f"{k} = {' '.join(map(str, v)) if isinstance(v, tuple) else v}"
+                           for k, v in values.items() if v is not None])
 
-    @classmethod
-    def from_file(cls, path) -> "PlannerConfig":
-        """Read ``key = value`` lines, each cast by its field's type
-        (``configfile.load_config``)."""
-        return load_config(cls, path)
+    from_file = classmethod(load_config)  # key = value lines, each cast by its field's type
 
 
 @dataclass
@@ -251,8 +242,7 @@ class Path:
                 tail = "0,0,0,0"
             lines.append("%d,%s,%s" % (
                 i + 1, ",".join("%.17g" % v for v in (pose.x, pose.y, pose.theta)), tail))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_lines(path, lines)
 
 
 def _flip(pose: Pose) -> Pose:

@@ -10,10 +10,13 @@ documented inline; the interactions themselves are qualitative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
+from . import configfile
 from .collision import FootprintSpec, ObstacleShape, default_robot_footprint
 from .geometry import Pose
 
@@ -83,6 +86,20 @@ class Scenario:
     time_limit: float = 90.0
     goal_pos_tol: float = 0.5
     goal_heading_tol: float = 0.2
+
+    def __post_init__(self):
+        for name in _POSITIVE:
+            _check_positive(name, getattr(self, name))
+
+
+_POSITIVE = ("v_max", "a_max", "horizon", "sim_dt", "perception_dt", "time_limit",
+             "goal_pos_tol", "goal_heading_tol")
+
+
+def _check_positive(name: str, value) -> None:
+    """The fields the runner divides or loops by must be positive and finite."""
+    if name in _POSITIVE and not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _wall(x0: float, y0: float, x1: float, y1: float) -> ObstacleShape:
@@ -252,103 +269,106 @@ def random_disk_world(seed: int, start_heading: float = 0.0):
     return disks, start, goal, bounds
 
 
+def _floats(args, n: int) -> list[float]:
+    if len(args) != n:
+        raise ValueError(f"expected {n} numbers, got {len(args)}")
+    return [float(a) for a in args]
+
+
+def _read_footprint(args) -> FootprintSpec:
+    length, width, *rest = args
+    [single] = rest or ["0"]
+    return FootprintSpec.from_dimensions(float(length), float(width),
+                                         single_circle=bool(int(single)))
+
+
+def _footprint_args(fp: FootprintSpec) -> tuple:
+    """Length and width, plus 1 where the cover is forced to one circle."""
+    args = (fp.length, fp.width)
+    return args if fp == FootprintSpec.from_dimensions(*args) else (*args, 1)
+
+
+def _parked_args(obs: ObstacleShape) -> tuple:
+    length, width, *single = _footprint_args(obs.footprint)
+    return (length, width, obs.pose.x, obs.pose.y, obs.pose.theta, *single)
+
+
+_POSE = (lambda args: Pose(*_floats(args, 3)), lambda pose: (pose.x, pose.y, pose.theta))
+# The scenario file schema, keyword -> (read its arguments, write them back).
+# One "keyword args..." line each; '#' starts a comment.  A str or float field
+# of Scenario is written under its own name ("name cross", "v_max 2"); then
+# bounds XMIN YMIN XMAX YMAX, start/goal X Y THETA, robot L W [1]; one static
+# obstacle per disk X Y R, polygon X1 Y1 X2 Y2 X3 Y3 ... or parked L W X Y THETA [1]
+# line; obstacle ID L W [1], then waypoint ID T X Y per point of its script.
+# The optional 1 forces the footprint's one-circle cover.
+_KEYWORDS = {
+    **{name: (partial(configfile.cast, tp), lambda v: (v,))
+       for name, tp in typing.get_type_hints(Scenario).items() if tp in (float, str)},
+    "bounds": (lambda args: tuple(_floats(args, 4)), tuple),
+    "start": _POSE,
+    "goal": _POSE,
+    "robot": (_read_footprint, _footprint_args),
+    "disk": (lambda args: ObstacleShape.disk(*_floats(args, 3)),
+             lambda obs: (*obs.center, obs.radius)),
+    "polygon": (lambda args: ObstacleShape.polygon(np.reshape([float(a) for a in args], (-1, 2))),
+                lambda obs: [v for xy in obs.vertices for v in xy]),
+    "parked": (lambda args: ObstacleShape.footprint_at(_read_footprint(args[:2] + args[5:]),
+                                                       _POSE[0](args[2:5])), _parked_args),
+    "obstacle": (lambda args: (int(args[0]), _read_footprint(args[1:])),
+                 lambda mob: (mob.id, *_footprint_args(mob.footprint))),
+    "waypoint": (lambda args: (int(args[0]), tuple(_floats(args[1:], 3))), lambda row: row),
+}
+_READERS = {key: read for key, (read, _) in _KEYWORDS.items()}
+
+
+def _line(key: str, value) -> str:
+    args = _KEYWORDS[key][1](value)
+    return " ".join([key, *(a if isinstance(a, str) else "%.17g" % a for a in args)])
+
+
 def save_scenario(scenario: Scenario, path) -> None:
-    """Flat text form; see load_scenario for the schema."""
-    lines = [
-        f"name {scenario.name}",
-        "bounds %g %g %g %g" % scenario.bounds,
-        "start %.17g %.17g %.17g" % (scenario.start.x, scenario.start.y, scenario.start.theta),
-        "goal %.17g %.17g %.17g" % (scenario.goal.x, scenario.goal.y, scenario.goal.theta),
-        "robot %.17g %.17g" % (scenario.robot.length, scenario.robot.width),
-    ]
-    for key in ("v_max", "a_max", "horizon", "sim_dt", "perception_dt",
-                "obs_noise", "time_limit", "goal_pos_tol", "goal_heading_tol"):
-        lines.append("%s %.17g" % (key, getattr(scenario, key)))
+    """One line per ``_KEYWORDS`` entry used, numbers to 17 significant digits."""
+    lines = [_line(f.name, getattr(scenario, f.name))
+             for f in fields(Scenario) if f.name in _KEYWORDS]
     for obs in scenario.static_obstacles:
-        if obs.kind == "disk":
-            lines.append("disk %.17g %.17g %.17g" % (obs.center[0], obs.center[1], obs.radius))
-        elif obs.kind == "polygon":
-            flat = " ".join("%.17g" % v for xy in obs.vertices for v in xy)
-            lines.append("polygon " + flat)
-        elif obs.kind == "footprint":
-            lines.append("parked %.17g %.17g %.17g %.17g %.17g" % (
-                obs.footprint.length, obs.footprint.width,
-                obs.pose.x, obs.pose.y, obs.pose.theta))
+        lines.append(_line("parked" if obs.kind == "footprint" else obs.kind, obs))
     for mob in scenario.moving:
-        single = 1 if mob.footprint.mode == "one-circle" and \
-            mob.footprint.length / mob.footprint.width < 1.3 else 0
-        lines.append("obstacle %d %.17g %.17g %d" % (
-            mob.id, mob.footprint.length, mob.footprint.width, single))
-        for t, x, y in mob.waypoints:
-            lines.append("waypoint %d %.17g %.17g %.17g" % (mob.id, t, x, y))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        lines.append(_line("obstacle", mob))
+        lines += [_line("waypoint", (mob.id, *row)) for row in mob.waypoints]
+    configfile.write_lines(path, lines)
 
 
 def load_scenario(path) -> Scenario:
-    """Parse the flat text schema written by save_scenario.
-
-    Lines are "keyword args..."; '#' starts a comment.  Parse errors carry the
-    file name and line number.
-    """
+    """Parse the schema written by save_scenario.  Errors name the file and,
+    where one line is at fault, its number (a moving obstacle's ``obstacle``
+    line for an error in its script)."""
     kwargs: dict = {"static_obstacles": [], "moving": []}
-    obstacles: dict[int, tuple[FootprintSpec, list]] = {}
-    floats = {"v_max", "a_max", "horizon", "sim_dt", "perception_dt",
-              "obs_noise", "time_limit", "goal_pos_tol", "goal_heading_tol"}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, *args = line.split()
-            try:
-                if key == "name":
-                    kwargs["name"] = args[0]
-                elif key == "bounds":
-                    kwargs["bounds"] = tuple(float(a) for a in args)
-                    if len(kwargs["bounds"]) != 4:
-                        raise ValueError("bounds needs 4 numbers")
-                elif key in ("start", "goal"):
-                    x, y, th = (float(a) for a in args)
-                    kwargs[key] = Pose(x, y, th)
-                elif key == "robot":
-                    l, w = (float(a) for a in args)
-                    kwargs["robot"] = FootprintSpec.from_dimensions(l, w)
-                elif key in floats:
-                    kwargs[key] = float(args[0])
-                elif key == "disk":
-                    x, y, r = (float(a) for a in args)
-                    kwargs["static_obstacles"].append(ObstacleShape.disk(x, y, r))
-                elif key == "polygon":
-                    vals = [float(a) for a in args]
-                    if len(vals) % 2 or len(vals) < 6:
-                        raise ValueError("polygon needs >= 3 x,y pairs")
-                    verts = list(zip(vals[0::2], vals[1::2]))
-                    kwargs["static_obstacles"].append(ObstacleShape.polygon(verts))
-                elif key == "parked":
-                    l, w, x, y, th = (float(a) for a in args)
-                    kwargs["static_obstacles"].append(ObstacleShape.footprint_at(
-                        FootprintSpec.from_dimensions(l, w), Pose(x, y, th)))
-                elif key == "obstacle":
-                    oid = int(args[0])
-                    l, w = float(args[1]), float(args[2])
-                    single = bool(int(args[3])) if len(args) > 3 else False
-                    fp = FootprintSpec.from_dimensions(l, w, single_circle=single)
-                    obstacles[oid] = (fp, [])
-                elif key == "waypoint":
-                    oid = int(args[0])
-                    if oid not in obstacles:
-                        raise ValueError(f"waypoint before obstacle {oid}")
-                    t, x, y = (float(a) for a in args[1:4])
-                    obstacles[oid][1].append((t, x, y))
-                else:
-                    raise ValueError(f"unknown keyword {key!r}")
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    obstacles: dict[int, tuple[int, FootprintSpec, list]] = {}
+    for lineno, (key, *args) in configfile.read_lines(path):
+        with configfile.at_line(path, lineno):
+            value = configfile.parse_field(_READERS, key, args)
+            if isinstance(value, ObstacleShape):
+                kwargs["static_obstacles"].append(value)
+            elif key == "obstacle":
+                oid, footprint = value
+                if oid in obstacles:
+                    raise ValueError(f"obstacle {oid} already defined on line {obstacles[oid][0]}")
+                obstacles[oid] = (lineno, footprint, [])
+            elif key == "waypoint":
+                oid, row = value
+                if oid not in obstacles:
+                    raise ValueError(f"waypoint before obstacle {oid}")
+                obstacles[oid][2].append(row)
+            else:
+                _check_positive(key, value)
+                kwargs[key] = value
     for oid in sorted(obstacles):
-        fp, wps = obstacles[oid]
-        kwargs["moving"].append(ScriptedObstacle(oid, fp, wps))
-    missing = {"name", "bounds", "start", "goal"} - set(kwargs)
-    if missing:
-        raise ValueError(f"{path}: missing required keys {sorted(missing)}")
-    return Scenario(**kwargs)
+        lineno, footprint, rows = obstacles[oid]
+        with configfile.at_line(path, lineno):
+            kwargs["moving"].append(ScriptedObstacle(oid, footprint, rows))
+    with configfile.at_line(path):
+        missing = [f.name for f in fields(Scenario) if f.name not in kwargs
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ValueError(f"missing required keys {missing}")
+        return Scenario(**kwargs)

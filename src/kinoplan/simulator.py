@@ -20,6 +20,7 @@ import numpy as np
 
 from .collision import (FootprintSpec, ObstacleShape, clearance_to_obstacle,
                         footprint_circles, footprint_circles_batch, min_clearance)
+from .configfile import at_line, read_lines, write_lines
 from .geometry import CurveLibrary, Pose, build_curve_library, normalize_angle
 from .rrt import Path, PlannerConfig, plan_path
 from .scenarios import Scenario, ScriptedObstacle
@@ -53,6 +54,10 @@ class PlanningEvent:
     tracks: list = None  # ObstacleTrack snapshot the plan was made against
 
 
+def _trace_header(n_obs: int) -> list[str]:
+    return ["t", "x", "y", "theta", "v", "a", "flag"] + ["obs_id", "obs_x", "obs_y"] * n_obs
+
+
 @dataclass
 class TraceLog:
     """Per-tick record of one scenario run."""
@@ -73,49 +78,41 @@ class TraceLog:
     failure_reason: str = ""
 
     def to_csv(self, path) -> None:
-        header = ["t", "x", "y", "theta", "v", "a", "flag"]
-        for oid in self.obstacle_ids:
-            header += ["obs_id", "obs_x", "obs_y"]
-        lines = [",".join(header)]
-        for i in range(len(self.times)):
-            row = ["%.17g" % self.times[i]]
-            row += ["%.17g" % v for v in self.poses[i]]
-            row += ["%.17g" % self.velocities[i], "%.17g" % self.accelerations[i]]
-            row.append(self.flags[i])
+        lines = [",".join(_trace_header(len(self.obstacle_ids)))]
+        for i, t in enumerate(self.times):
+            nums = (t, *self.poses[i], self.velocities[i], self.accelerations[i])
+            row = ["%.17g" % v for v in nums] + [self.flags[i]]
             for oid in self.obstacle_ids:
-                ox, oy, _ = self.obstacle_poses[oid][i]
-                row += [str(oid), "%.17g" % ox, "%.17g" % oy]
+                row += [str(oid), *("%.17g" % v for v in self.obstacle_poses[oid][i][:2])]
             lines.append(",".join(row))
-        try:
-            with open(path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-        except OSError as exc:
-            raise OSError(f"writing {path}: {exc}") from exc
+        write_lines(path, lines)
 
     @classmethod
     def from_csv(cls, path) -> "TraceLog":
-        """Rebuild the tick record (not the planning events) from a trace CSV."""
-        with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-        header = lines[0].split(",")
-        n_obs = header.count("obs_id")
+        """Rebuild the tick record (not the planning events) from a trace CSV;
+        a bad header or row raises ValueError naming ``file:line``."""
+        lines = read_lines(path, sep=",", comment=None)
+        lineno, header = next(lines, (1, []))
+        with at_line(path, lineno):
+            if header != _trace_header((len(header) - 7) // 3):
+                raise ValueError(f"expected the header {','.join(_trace_header(1))},...")
         trace = cls(scenario_name="", seed=0, sim_dt=0.0)
-        for lineno, ln in enumerate(lines[1:], 2):
-            parts = ln.split(",")
-            if len(parts) != 7 + 3 * n_obs:
-                raise ValueError(f"{path}:{lineno}: expected {7 + 3 * n_obs} fields")
-            trace.times.append(float(parts[0]))
-            trace.poses.append((float(parts[1]), float(parts[2]), float(parts[3])))
-            trace.velocities.append(float(parts[4]))
-            trace.accelerations.append(float(parts[5]))
-            trace.flags.append(parts[6])
-            for k in range(n_obs):
-                oid = int(parts[7 + 3 * k])
-                if oid not in trace.obstacle_poses:
-                    trace.obstacle_ids.append(oid)
-                    trace.obstacle_poses[oid] = []
-                trace.obstacle_poses[oid].append(
-                    (float(parts[8 + 3 * k]), float(parts[9 + 3 * k]), 0.0))
+        for lineno, parts in lines:
+            with at_line(path, lineno):
+                if len(parts) != len(header):
+                    raise ValueError(f"{len(parts)} fields, expected {len(header)}")
+                ids = [int(p) for p in parts[7::3]]
+                if not trace.times:
+                    trace.obstacle_ids, trace.obstacle_poses = ids, {oid: [] for oid in ids}
+                elif ids != trace.obstacle_ids:
+                    raise ValueError(f"obstacle ids {ids}, expected {trace.obstacle_ids}")
+                trace.times.append(float(parts[0]))
+                trace.poses.append((float(parts[1]), float(parts[2]), float(parts[3])))
+                trace.velocities.append(float(parts[4]))
+                trace.accelerations.append(float(parts[5]))
+                trace.flags.append(parts[6])
+                for oid, ox, oy in zip(ids, parts[8::3], parts[9::3]):
+                    trace.obstacle_poses[oid].append((float(ox), float(oy), 0.0))
         if len(trace.times) > 1:
             trace.sim_dt = trace.times[1] - trace.times[0]
         return trace
@@ -146,8 +143,7 @@ def _track_blockers(tracks, t_now: float, only_stopped: bool, inflation: float):
 
 
 class _Runner:
-    def __init__(self, scenario: Scenario, planner_config: PlannerConfig | None,
-                 temporal_config: TemporalConfig | None, seed: int,
+    def __init__(self, scenario: Scenario, planner_config: PlannerConfig | None, seed: int,
                  library: CurveLibrary | None, ground_truth_tracks: bool,
                  replan_timeout: float):
         self.sc = scenario
@@ -158,8 +154,8 @@ class _Runner:
         self.ground_truth = ground_truth_tracks
         self.replan_timeout = replan_timeout
         self.pcfg = planner_config or PlannerConfig()
-        self.tcfg = temporal_config or TemporalConfig(
-            v_max=scenario.v_max, a_max=scenario.a_max, horizon=scenario.horizon)
+        self.tcfg = TemporalConfig(v_max=scenario.v_max, a_max=scenario.a_max,
+                                   horizon=scenario.horizon)
         biggest = max((m.footprint for m in scenario.moving),
                       key=lambda f: f.radius, default=None)
         self.store = TrackStore(TrackerConfig(default_footprint=biggest))
@@ -359,12 +355,12 @@ class _Runner:
 
 
 def run_scenario(scenario: Scenario, planner_config: PlannerConfig | None = None,
-                 temporal_config: TemporalConfig | None = None, seed: int = 0,
+                 seed: int = 0,
                  library: CurveLibrary | None = None,
                  ground_truth_tracks: bool = False,
                  replan_timeout: float = 3.0) -> TraceLog:
     """Execute one scenario to completion; deterministic in (scenario, seed)."""
-    runner = _Runner(scenario, planner_config, temporal_config, seed, library,
+    runner = _Runner(scenario, planner_config, seed, library,
                      ground_truth_tracks, replan_timeout)
     return runner.run()
 
@@ -390,10 +386,8 @@ def export_artifacts(trace: TraceLog, out_dir, scenario: Scenario | None = None)
     os.makedirs(out_dir, exist_ok=True)
     trace.to_csv(os.path.join(out_dir, "trace.csv"))
     m = metrics(trace)
-    with open(os.path.join(out_dir, "metrics.txt"), "w") as fh:
-        for key in sorted(m):
-            val = m[key]
-            fh.write("%s %s\n" % (key, val if isinstance(val, bool) else "%.17g" % val))
+    write_lines(os.path.join(out_dir, "metrics.txt"), ["%s %s" % (
+        k, m[k] if isinstance(m[k], bool) else "%.17g" % m[k]) for k in sorted(m)])
     pts = trace.poses
     if scenario is not None:
         box = scenario.bounds

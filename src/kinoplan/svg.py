@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+from .configfile import write_lines
+
 
 def _fmt(v: float) -> str:
     return "%.2f" % v
@@ -63,17 +65,10 @@ class SvgCanvas:
         self.elements.append(f'<text x="{_fmt(px)}" y="{_fmt(py)}" '
                              f'font-size="{size}" fill="{fill}">{s}</text>')
 
-    def render(self) -> str:
+    def write(self, path) -> None:
         head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
                 f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">')
-        return "\n".join([head, *self.elements, "</svg>"]) + "\n"
-
-    def write(self, path) -> None:
-        try:
-            with open(path, "w") as fh:
-                fh.write(self.render())
-        except OSError as exc:
-            raise OSError(f"writing {path}: {exc}") from exc
+        write_lines(path, [head, *self.elements, "</svg>"])
 
 
 def speed_color(v: float, v_max: float) -> str:

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .collision import FootprintSpec, footprint_circles_batch, poses_in_collision
+from .configfile import write_lines
 from .rrt import Path
 from .tracking import ObstacleTrack, predict_pose
 
@@ -24,6 +25,12 @@ DT_MIN = 1e-3
 # Squared constraint violation (every constraint within ~1e-6) below which
 # feasibility restoration counts as converged and the objective is re-polished.
 RESTORED_VIOLATION = 1e-12
+# SLSQP's stopping tolerance and iteration cap.
+SQP_TOLERANCE = 1e-8
+SQP_MAX_ITERS = 200
+# Slack added to a node's influence radius when deciding whether an obstacle
+# has left it for good (an open-ended last interval), m.
+INFLUENCE_EXTRA = 0.5
 
 
 @dataclass(frozen=True)
@@ -57,13 +64,10 @@ class TemporalConfig:
     horizon: float = 30.0
     si_dt: float = 0.1
     overlap_min: float = 2.0 * (4.6 / 2.0)  # 2 x vehicle length / v_max
-    sqp_tolerance: float = 1e-8
-    sqp_max_iters: int = 200
     si_margin: float | None = None  # obstacle inflation during SI estimation; None = half the longest edge
-    influence_extra: float = 0.5  # slack added to the node influence radius
 
     def __post_init__(self):
-        for name in ("v_max", "a_max", "horizon", "si_dt", "sqp_tolerance"):
+        for name in ("v_max", "a_max", "horizon", "si_dt"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.si_dt > 0.2:
@@ -103,8 +107,7 @@ class Trajectory:
             lines.append("%d,%s" % (i + 1, ",".join("%.17g" % v for v in (
                 pose.x, pose.y, pose.theta, self.path.arc_lengths[i],
                 self.timestamps[i], self.velocities[i], self.accelerations[i]))))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_lines(path, lines)
 
 
 def _effective_margin(path: Path, config: TemporalConfig) -> float:
@@ -212,7 +215,7 @@ def _open_horizon(i: int, robot_circles, footprint, obstacle_circles, config,
     node_center = robot_circles[i].mean(axis=0)
     for centers, radius, vel in obstacle_circles:
         last = centers[-1].mean(axis=0)  # (2,)
-        influence = footprint.radius + radius + margin + config.influence_extra
+        influence = footprint.radius + radius + margin + INFLUENCE_EXTRA
         away = last - node_center
         dist = float(np.linalg.norm(away))
         if dist <= influence:
@@ -422,7 +425,7 @@ def optimize_timestamps(path: Path, seq: IntervalSequence,
         return None
     problem = TimingProblem(path, seq, config)
     cons = [{"type": "ineq", "fun": problem.constraints, "jac": problem.constraints_jac}]
-    options = {"maxiter": config.sqp_max_iters, "ftol": config.sqp_tolerance}
+    options = {"maxiter": SQP_MAX_ITERS, "ftol": SQP_TOLERANCE}
     res = minimize(problem.objective, init[1:], jac=problem.objective_grad,
                    method="SLSQP", constraints=cons, options=options)
     candidates = [np.asarray(x, dtype=float) for x in (res.x, init[1:])
@@ -434,7 +437,7 @@ def optimize_timestamps(path: Path, seq: IntervalSequence,
         # result is kept.
         rest = minimize(problem.violation, init[1:], jac=problem.violation_grad,
                         method="SLSQP",
-                        options={"maxiter": config.sqp_max_iters, "ftol": 1e-14})
+                        options={"maxiter": SQP_MAX_ITERS, "ftol": 1e-14})
         if rest.x is not None and problem.violation(rest.x) <= RESTORED_VIOLATION:
             res2 = minimize(problem.objective, rest.x, jac=problem.objective_grad,
                             method="SLSQP", constraints=cons, options=options)

@@ -114,16 +114,19 @@ class TestPlan:
         assert "bad.csv:6: 10 fields, expected 11" in err
         assert "Traceback" not in err
 
-    def test_bad_pose_argument(self, tmp_path):
-        with pytest.raises(SystemExit):
+    def test_bad_pose_argument(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
             cli.main(["plan", "--start", "1,2", "--goal", "3,4,0",
                       "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_ERROR
+        assert "pose must be 'x,y,theta'" in capsys.readouterr().err
 
 
 class TestSimulate:
     def test_requires_scenario(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             cli.main(["simulate"])
+        assert exc.value.code == EXIT_ERROR
 
     def test_unknown_scenario(self, capsys):
         assert cli.main(["simulate", "--scenario", "nonesuch"]) == EXIT_ERROR
@@ -134,6 +137,20 @@ class TestSimulate:
         sc.write_text("name x\ndisk 1 2\n")
         assert cli.main(["simulate", "--scenario", str(sc)]) == EXIT_ERROR
         assert ":2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines,where", [
+        (["sim_dt 0"], "bad.txt:5: sim_dt"),
+        (["obstacle 0 4 2", "waypoint 0 2 0 0", "waypoint 0 1 1 0"], "bad.txt:5: waypoint times"),
+        (["obstacle 0 4 2"], "bad.txt:5: waypoints"),
+    ])
+    def test_bad_scenario_value(self, tmp_path, capsys, lines, where):
+        sc = tmp_path / "bad.txt"
+        sc.write_text("name x\nbounds -5 -5 15 5\nstart 0 0 0\ngoal 10 0 0\n"
+                      + "\n".join(lines) + "\n")
+        assert cli.main(["simulate", "--scenario", str(sc)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert where in err
+        assert "Traceback" not in err
 
     def test_cross_run_exports(self, tmp_path, library_csv):
         out = tmp_path / "run"
@@ -174,6 +191,20 @@ class TestExportPlots:
         assert cli.main(["export-plots", "--trace", str(tmp_path / "no.csv"),
                          "--out", str(tmp_path / "p")]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("text,where", [
+        ("", "t.csv:1: expected the header"),
+        ("t,x,y,theta,v,a,flag\n0,0,0,0,0,0,planning\n0.1,0,zero,0,0,0,planning\n",
+         "t.csv:3: could not convert"),
+    ])
+    def test_bad_trace(self, tmp_path, capsys, text, where):
+        trace = tmp_path / "t.csv"
+        trace.write_text(text)
+        assert cli.main(["export-plots", "--trace", str(trace),
+                         "--out", str(tmp_path / "p")]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert where in err
+        assert "Traceback" not in err
+
 
 class TestEnvironmentDefaults:
     def test_seed_env_override(self, tmp_path, library_csv, monkeypatch, capsys):
@@ -192,3 +223,16 @@ class TestEnvironmentDefaults:
                          "--seed", "3", "--library", str(library_csv),
                          "--out", str(out)]) == EXIT_OK
         assert "seed = 3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("var,value,message", [
+        ("KINOPLAN_SEED", "abc", "argument --seed: invalid int value: 'abc'"),
+        ("KINOPLAN_RUNS", "2.5", "argument --runs: invalid int value: '2.5'"),
+        ("KINOPLAN_MODE", "gauss", "--mode must be one of gmm, random, both"),
+    ])
+    def test_bad_env_value(self, tmp_path, monkeypatch, capsys, var, value, message):
+        monkeypatch.setenv(var, value)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench-sampling", "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_ERROR
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())

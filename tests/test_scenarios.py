@@ -1,11 +1,13 @@
 """Scenario definitions, scripted obstacles, and the scenario file format."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from kinoplan.collision import FootprintSpec, disc_radius
+from kinoplan.collision import FootprintSpec, ObstacleShape, disc_radius
+from kinoplan.geometry import Pose
 from kinoplan.scenarios import (Scenario, ScriptedObstacle, builtin_scenarios,
                                 follow_scenario, get_scenario, load_scenario,
                                 random_disk_world, save_scenario,
@@ -103,6 +105,7 @@ class TestScenarioFiles:
         loaded = load_scenario(p1)
         save_scenario(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+        assert loaded == sc
         assert loaded.name == sc.name
         assert loaded.start == sc.start and loaded.goal == sc.goal
         assert loaded.bounds == sc.bounds
@@ -113,6 +116,64 @@ class TestScenarioFiles:
             assert ma.id == mb.id
             assert ma.footprint.mode == mb.footprint.mode
             assert np.array_equal(ma._wp, mb._wp)
+
+    def test_roundtrip_keeps_bounds_and_covers(self, tmp_path):
+        """Full-precision bounds, and one-circle covers the aspect ratio would
+        not pick, on the robot, a parked car and a moving obstacle."""
+        single = FootprintSpec.from_dimensions(2.0, 1.0, single_circle=True)
+        sc = Scenario(name="covers", start=Pose(0.0, 0.0, 0.0), goal=Pose(9.0, 1.0, 0.5),
+                      bounds=(-6.123456789, -8.0, 30.000000001, 20.0), robot=single,
+                      static_obstacles=[ObstacleShape.disk(3.0, 4.0, 1.0),
+                                        ObstacleShape.footprint_at(single, Pose(5.0, 2.0, 0.3)),
+                                        ObstacleShape.polygon([(0, 5), (1, 5), (1, 6)])],
+                      moving=[ScriptedObstacle(3, single, [(0.0, 1.0, 2.0), (4.0, 5.0, 2.0)]),
+                              ScriptedObstacle(7, CAR, [(1.0, 0.0, 0.0)])])
+        p = tmp_path / "s.txt"
+        save_scenario(sc, p)
+        loaded = load_scenario(p)
+        assert loaded.bounds == sc.bounds
+        assert loaded.robot == single
+        assert loaded.static_obstacles == sc.static_obstacles
+        assert [m.footprint for m in loaded.moving] == [single, CAR]
+        assert loaded == sc
+
+    def test_loads_parent_format(self, tmp_path):
+        """The optional cover flag: absent means the aspect-ratio cover, and an
+        ``obstacle`` line may carry an explicit 0."""
+        p = tmp_path / "s.txt"
+        p.write_text("name x\nbounds -5 -5 15 5\nstart 0 0 0\ngoal 10 0 0\n"
+                     "robot 2 1\nparked 2 1 5 0 0 1\nobstacle 0 4 2 0\nobstacle 1 2 1 1\n"
+                     "waypoint 0 0 1 1\nwaypoint 1 0 2 2\n")
+        sc = load_scenario(p)
+        assert sc.robot == FootprintSpec.from_dimensions(2.0, 1.0)
+        assert sc.static_obstacles[0].footprint.mode == "one-circle"
+        assert [m.footprint for m in sc.moving] == [
+            CAR, FootprintSpec.from_dimensions(2.0, 1.0, single_circle=True)]
+
+    @pytest.mark.parametrize("lines,message", [
+        (["sim_dt 0"], r"s\.txt:5: sim_dt must be positive"),
+        (["horizon -1"], r"s\.txt:5: horizon must be positive"),
+        (["time_limit 1e999"], r"s\.txt:5: time_limit must be positive and finite, got inf"),
+        (["goal_pos_tol nan"], r"s\.txt:5: goal_pos_tol must be positive"),
+        (["bounds 1 2 3"], r"s\.txt:5: bounds: expected 4 numbers, got 3"),
+        (["v_max fast"], r"s\.txt:5: v_max: could not convert"),
+        (["disk 1 2"], r"s\.txt:5: disk: expected 3 numbers, got 2"),
+        (["obstacle 0 4 2", "waypoint 0 1 0 0", "waypoint 0 1 1 0"],
+         r"s\.txt:5: waypoint times must be strictly increasing"),
+        (["obstacle 0 4 2", "waypoint 1 1 0 0"], r"s\.txt:6: waypoint before obstacle 1"),
+        (["disk 5 5 1", "obstacle 0 4 2"], r"s\.txt:6: waypoints must be"),
+        (["obstacle 2 4 2", "obstacle 2 4 2"], r"s\.txt:6: obstacle 2 already defined on line 5"),
+    ])
+    def test_bad_value_names_its_line(self, tmp_path, lines, message):
+        p = tmp_path / "s.txt"
+        p.write_text("name x\nbounds -5 -5 15 5\nstart 0 0 0\ngoal 10 0 0\n"
+                     + "\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_scenario(p)
+
+    def test_scenario_checks_its_fields(self):
+        with pytest.raises(ValueError, match="sim_dt must be positive"):
+            replace(get_scenario("cross"), sim_dt=0.0)
 
     def test_comments_and_blank_lines(self, tmp_path):
         p = tmp_path / "s.txt"

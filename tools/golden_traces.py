@@ -1,87 +1,106 @@
 """Golden trace hashes: check that a change keeps every scenario trace byte-identical.
 
-    python3 tools/golden_traces.py --check   # compare with tools/golden_traces.json
-    python3 tools/golden_traces.py --write   # record the hashes of this checkout
+    python3 tools/golden_traces.py --base HEAD~1   # this checkout's src/ against HEAD~1's
 
-Run from anywhere; kinoplan is imported from this checkout's ``src/``.  The
-tool builds the default curve library once, runs the six worlds (the five
-built-in scenarios and ``blocked``) at seeds 0-2, and takes the sha1 of each
-run's ``trace.csv``, of its per-tick clearances (which ``trace.csv`` does not
-hold) written with ``%.17g``, and of the saved library CSV.  ``--check``
-exits 1 and names every hash that differs.
+Run from anywhere inside the git checkout.  The tool extracts ``src/`` of the
+revision ``--base`` names with ``git archive`` into a temporary directory,
+then computes the hashes of that tree and of this checkout's ``src/`` (as it
+is on disk, uncommitted edits included), each in its own subprocess on this
+machine, and diffs them.  Per tree it builds the default curve library once,
+runs the six worlds (the five built-in scenarios and ``blocked``) at seeds
+0-2, and takes the sha1 of each run's ``trace.csv``, of its per-tick
+clearances (which ``trace.csv`` does not hold) written with ``%.17g``, and of
+the saved library CSV: 37 hashes.  It exits 1 and names every hash that
+differs.
 
-The BLAS and OpenMP pools are pinned to one thread before numpy is imported,
-as the benchmark does, because SLSQP's results (and so the traces) move with
-BLAS rounding.  Even so, the hashes hold only for one machine's numpy/BLAS
-build: record them with ``--write`` at the commit you compare against, on
-the machine you check on.
+The BLAS and OpenMP pools are pinned to one thread in both subprocesses, as
+the benchmark does, because SLSQP's results (and so the traces) move with
+BLAS rounding.  Both trees run on the same numpy/BLAS build, so the
+comparison holds on any machine.
 """
 
+import argparse
+import hashlib
+import io
+import json
 import os
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import hashlib  # noqa: E402
-import json  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
+import subprocess
+import sys
+import tarfile
+import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-SRC = os.path.join(os.path.dirname(HERE), "src")
-HASH_FILE = os.path.join(HERE, "golden_traces.json")
+ROOT = os.path.dirname(HERE)
 WORLDS = ("cross", "overtake", "bypass", "follow", "wait", "blocked")
 SEEDS = (0, 1, 2)
+ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "MKL_NUM_THREADS")}
 
 
-def _sha1(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha1(fh.read()).hexdigest()
+def _sha1(data: bytes) -> str:
+    return hashlib.sha1(data).hexdigest()
 
 
-def compute_hashes() -> dict[str, str]:
-    """sha1 of the library CSV and of every world/seed ``trace.csv`` and clearance log."""
-    sys.path.insert(0, SRC)
+def compute_hashes(src: str) -> dict[str, str]:
+    """sha1 of the library CSV and of every world/seed ``trace.csv`` and
+    clearance log, with kinoplan imported from ``src``."""
+    sys.path.insert(0, src)
+    import kinoplan
     from kinoplan import build_curve_library, get_scenario, run_scenario
 
+    if not kinoplan.__file__.startswith(os.path.abspath(src)):
+        raise SystemExit(f"imported kinoplan from {kinoplan.__file__}, not from {src}")
     hashes = {}
     library = build_curve_library()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "library.csv")
         library.save_csv(path)
-        hashes["library.csv"] = _sha1(path)
+        with open(path, "rb") as fh:
+            hashes["library.csv"] = _sha1(fh.read())
         for name in WORLDS:
             for seed in SEEDS:
                 trace = run_scenario(get_scenario(name), seed=seed, library=library)
-                path = os.path.join(tmp, f"{name}-{seed}.csv")
                 trace.to_csv(path)
-                hashes[f"{name}/{seed}/trace.csv"] = _sha1(path)
+                with open(path, "rb") as fh:
+                    hashes[f"{name}/{seed}/trace.csv"] = _sha1(fh.read())
                 clear = "".join("%.17g\n" % c for c in trace.clearances)
-                hashes[f"{name}/{seed}/clearances"] = hashlib.sha1(clear.encode()).hexdigest()
-                print(f"{name} seed {seed}", flush=True)
+                hashes[f"{name}/{seed}/clearances"] = _sha1(clear.encode())
+                print(f"{src}: {name} seed {seed}", file=sys.stderr, flush=True)
     return hashes
+
+
+def _start(src: str) -> subprocess.Popen:
+    """A subprocess printing ``compute_hashes(src)`` as JSON, on one BLAS thread."""
+    return subprocess.Popen([sys.executable, os.path.abspath(__file__), "--hash-src", src],
+                            stdout=subprocess.PIPE, env={**os.environ, **ONE_THREAD})
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--write", action="store_true", help="record the hashes")
-    mode.add_argument("--check", action="store_true", help="compare with the record")
+    mode.add_argument("--base", help="git revision to compare this checkout's src/ with")
+    mode.add_argument("--hash-src", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
-    hashes = compute_hashes()
-    if args.write:
-        with open(HASH_FILE, "w") as fh:
-            json.dump(hashes, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {len(hashes)} hashes to {HASH_FILE}")
+    if args.hash_src:
+        json.dump(compute_hashes(args.hash_src), sys.stdout)
         return 0
-    with open(HASH_FILE) as fh:
-        golden = json.load(fh)
-    bad = sorted(k for k in golden.keys() | hashes.keys() if golden.get(k) != hashes.get(k))
+    git = subprocess.run(["git", "-C", ROOT, "archive", args.base, "src"], capture_output=True)
+    if git.returncode:
+        sys.stderr.write(git.stderr.decode())
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(git.stdout)) as tar:
+            tar.extractall(tmp)
+        procs = [_start(os.path.join(tmp, "src")), _start(os.path.join(ROOT, "src"))]
+        outs = [proc.communicate()[0] for proc in procs]
+    if any(proc.returncode for proc in procs):
+        print("hashing failed", file=sys.stderr)
+        return 1
+    base, head = (json.loads(out) for out in outs)
+    bad = sorted(k for k in base.keys() | head.keys() if base.get(k) != head.get(k))
     for key in bad:
-        print(f"MISMATCH {key}: golden {golden.get(key)} now {hashes.get(key)}")
-    print(f"{len(hashes) - len(bad)} of {len(golden)} hashes match")
+        print(f"MISMATCH {key}: {args.base} {base.get(key)} now {head.get(key)}")
+    print(f"{len(head) - len(bad)} of {len(base)} hashes equal")
     return 1 if bad else 0
 
 
