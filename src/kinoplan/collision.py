@@ -19,8 +19,8 @@ from .geometry import CurveParams, Pose, local_curve_samples
 
 def disc_radius(l: float, w: float) -> float:
     """Covering-circle radius for a rectangle of length l and width w."""
-    if l <= 0.0 or w <= 0.0:
-        raise ValueError("footprint dimensions must be positive")
+    if not (0.0 < l < math.inf and 0.0 < w < math.inf):
+        raise ValueError(f"footprint dimensions must be positive and finite, got {l} x {w}")
     if l / w < 1.3:
         return math.sqrt((l * l + w * w) / 4.0)
     return math.sqrt((l * l + 9.0 * w * w) / 36.0)
@@ -53,19 +53,35 @@ def default_robot_footprint() -> FootprintSpec:
     return FootprintSpec.from_dimensions(4.6, 1.9)
 
 
+def _cover(spec: FootprintSpec, x, y, c, s) -> np.ndarray:
+    """Cover circle centers at position (x, y) with heading cosine c and sine s;
+    (N, 1) columns give shape (N, k, 2)."""
+    offs = np.asarray(spec.center_offsets)
+    return np.stack([x + c * offs, y + s * offs], axis=-1)
+
+
 def footprint_circles(spec: FootprintSpec, pose: Pose) -> np.ndarray:
     """Circle centers of the cover at ``pose``; shape (k, 2), common radius spec.radius."""
-    c, s = math.cos(pose.theta), math.sin(pose.theta)
-    offs = np.asarray(spec.center_offsets)
-    return np.stack([pose.x + c * offs, pose.y + s * offs], axis=-1)
+    return _cover(spec, pose.x, pose.y, math.cos(pose.theta), math.sin(pose.theta))
 
 
 def footprint_circles_batch(spec: FootprintSpec, poses: np.ndarray) -> np.ndarray:
     """Circle centers for an (N, 3) pose array; shape (N, k, 2)."""
-    c = np.cos(poses[:, 2])[:, None]
-    s = np.sin(poses[:, 2])[:, None]
-    offs = np.asarray(spec.center_offsets)[None, :]
-    return np.stack([poses[:, 0:1] + c * offs, poses[:, 1:2] + s * offs], axis=-1)
+    return _cover(spec, poses[:, 0:1], poses[:, 1:2], np.cos(poses[:, 2])[:, None],
+                  np.sin(poses[:, 2])[:, None])
+
+
+def footprint_circles_each(spec: FootprintSpec, poses) -> np.ndarray:
+    """``footprint_circles`` of each (x, y, theta) row, to the bit, stacked (N, k, 2).
+
+    Unlike ``footprint_circles_batch`` it takes cos and sin from ``math``, as
+    ``footprint_circles`` does, so the result never depends on how numpy
+    vectorises them.
+    """
+    xyt = np.asarray(poses, dtype=float).reshape(-1, 3)
+    c = np.array([math.cos(th) for th in xyt[:, 2].tolist()])[:, None]
+    s = np.array([math.sin(th) for th in xyt[:, 2].tolist()])[:, None]
+    return _cover(spec, xyt[:, 0:1], xyt[:, 1:2], c, s)
 
 
 @dataclass(frozen=True)
@@ -81,8 +97,10 @@ class ObstacleShape:
 
     @classmethod
     def disk(cls, x: float, y: float, radius: float) -> "ObstacleShape":
-        if radius <= 0.0:
-            raise ValueError("disk radius must be positive")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"disk center must be finite, got ({x}, {y})")
+        if not 0.0 < radius < math.inf:
+            raise ValueError(f"disk radius must be positive and finite, got {radius}")
         return cls(kind="disk", center=(x, y), radius=radius)
 
     @classmethod
@@ -90,10 +108,14 @@ class ObstacleShape:
         verts = tuple((float(x), float(y)) for x, y in vertices)
         if len(verts) < 3:
             raise ValueError("polygon needs at least 3 vertices")
+        if not all(math.isfinite(v) for xy in verts for v in xy):
+            raise ValueError("polygon vertices must be finite")
         return cls(kind="polygon", vertices=verts)
 
     @classmethod
     def footprint_at(cls, spec: FootprintSpec, pose: Pose) -> "ObstacleShape":
+        if not all(math.isfinite(v) for v in (pose.x, pose.y, pose.theta)):
+            raise ValueError(f"footprint pose must be finite, got {pose}")
         return cls(kind="footprint", footprint=spec, pose=pose)
 
 
@@ -171,22 +193,36 @@ def circles_hit_obstacle(centers: np.ndarray, radius: float, obstacle: ObstacleS
     raise ValueError(f"unknown obstacle kind {obstacle.kind!r}")
 
 
-def clearance_to_obstacle(centers: np.ndarray, radius: float, obstacle: ObstacleShape) -> float:
-    """Minimum gap between any cover circle and the obstacle (negative when overlapping)."""
+def circle_gaps(centers: np.ndarray, radius: float, others: np.ndarray,
+                other_radius: float) -> np.ndarray:
+    """Least gap between the circles (..., k, 2) of ``radius`` and the circles
+    (..., m, 2) of ``other_radius``, per leading index (negative on overlap).
+    The leading axes broadcast."""
+    d = np.linalg.norm(centers[..., :, None, :] - others[..., None, :, :], axis=-1)
+    return np.min(d, axis=(-2, -1)) - radius - other_radius
+
+
+def clearance_to_obstacle(centers: np.ndarray, radius: float, obstacle: ObstacleShape):
+    """Minimum gap between any cover circle and the obstacle (negative when overlapping).
+
+    ``centers`` has shape (..., k, 2): one (k, 2) set gives a float, stacked
+    sets an array over the leading axes.
+    """
     if obstacle.kind == "disk":
         d = np.hypot(centers[..., 0] - obstacle.center[0], centers[..., 1] - obstacle.center[1])
-        return float(np.min(d) - radius - obstacle.radius)
-    if obstacle.kind == "polygon":
+        clear = np.min(d, axis=-1) - radius - obstacle.radius
+    elif obstacle.kind == "polygon":
         edges = polygon_edges(obstacle.vertices)
         px, py = centers[..., 0], centers[..., 1]
         d = _dist_to_polygon(px, py, edges)
         d = np.where(_point_in_polygon(px, py, edges), -d, d)
-        return float(np.min(d) - radius)
-    if obstacle.kind == "footprint":
-        oc = footprint_circles(obstacle.footprint, obstacle.pose)
-        d = np.linalg.norm(centers[..., :, None, :] - oc[None, :, :], axis=-1)
-        return float(np.min(d) - radius - obstacle.footprint.radius)
-    raise ValueError(f"unknown obstacle kind {obstacle.kind!r}")
+        clear = np.min(d, axis=-1) - radius
+    elif obstacle.kind == "footprint":
+        clear = circle_gaps(centers, radius, footprint_circles(obstacle.footprint, obstacle.pose),
+                            obstacle.footprint.radius)
+    else:
+        raise ValueError(f"unknown obstacle kind {obstacle.kind!r}")
+    return float(clear) if clear.ndim == 0 else clear
 
 
 @lru_cache(maxsize=64)
@@ -209,27 +245,28 @@ def _polygon_stack(obstacles: tuple[ObstacleShape, ...]):
     return edges, starts, others
 
 
-def min_clearance(centers: np.ndarray, radius: float,
-                  obstacles: tuple[ObstacleShape, ...]) -> float:
+def min_clearance(centers: np.ndarray, radius: float, obstacles: tuple[ObstacleShape, ...]):
     """``min(clearance_to_obstacle(centers, radius, o) for o in obstacles)``, bit for bit.
 
-    ``centers`` has shape (k, 2); an empty tuple gives math.inf.  All polygons
-    are evaluated in one pass over their stacked edges with the polygon
-    kernels' ``_edge_distances``/``_edge_crossings``, reduced per polygon with
+    ``centers`` has shape (..., k, 2): one (k, 2) set gives a float, stacked
+    sets an array over the leading axes (each entry the bits of its own set's
+    float); an empty tuple gives math.inf.  All polygons are evaluated in one
+    pass over their stacked edges with the polygon kernels'
+    ``_edge_distances``/``_edge_crossings``, reduced per polygon with
     ``reduceat``.  Since fl(x - r) is monotone in x, the minimum over polygons
     of (min d - r) is (min d) - r.  Disks and footprints go through
     ``clearance_to_obstacle`` one by one.
     """
     edges, starts, others = _polygon_stack(obstacles)
-    clear = math.inf
+    clear = np.full(centers.shape[:-2], math.inf)
     if edges is not None:
-        px, py = centers[:, 0], centers[:, 1]
+        px, py = centers[..., 0], centers[..., 1]
         d = np.minimum.reduceat(_edge_distances(px, py, edges), starts, axis=-1)
         inside = np.logical_xor.reduceat(_edge_crossings(px, py, edges), starts, axis=-1)
-        clear = float(np.min(np.where(inside, -d, d)) - radius)
+        clear = np.min(np.where(inside, -d, d), axis=(-2, -1)) - radius
     for obs in others:
-        clear = min(clear, clearance_to_obstacle(centers, radius, obs))
-    return clear
+        clear = np.minimum(clear, clearance_to_obstacle(centers, radius, obs))
+    return float(clear) if clear.ndim == 0 else clear
 
 
 def pose_in_collision(spec: FootprintSpec, pose: Pose, obstacles, margin: float = 0.0) -> bool:

@@ -23,6 +23,11 @@ SIMPSON_STEP = 0.01
 
 # Endpoint tolerance for curve fitting (m / rad).
 FIT_TOL = 1e-7
+# fit_curve returns a fit whose squared endpoint error is below this: within
+# 1e-4 m and rad of the goal.
+_FIT_ACCEPT_COST = 1e-8
+# Extra path length the reachability gate allows (m); see ``reachable_within``.
+_GATE_LENGTH_MARGIN = 0.01
 
 
 def normalize_angle(theta: float) -> float:
@@ -236,6 +241,65 @@ def local_curve_samples(params: CurveParams, ds: float) -> tuple[tuple[float, fl
     return tuple(_offset_at(params, s) for s in svals)
 
 
+_TWO_PI = 2.0 * math.pi
+# Rounding slack of the Dubins words.  p^2 (or the CCC cosine) within
+# _DUBINS_EPS outside its domain counts as on its edge, and an angle within
+# _ANGLE_EPS below 2 pi counts as 0: a segment that is 0 in exact arithmetic
+# can come out as -1e-8 (sqrt turns a p^2 of 1e-16 into a p of 1e-8), and
+# must not wrap to a full turn.  Both guards only ever shorten a word, so the
+# length stays a lower bound.
+_DUBINS_EPS = 1e-9
+_ANGLE_EPS = 1e-6
+
+
+def _mod2pi(x: float) -> float:
+    r = x % _TWO_PI
+    return r if r < _TWO_PI - _ANGLE_EPS else 0.0
+
+
+def dubins_length(dx: float, dy: float, dtheta: float, radius: float) -> float:
+    """Length of the shortest forward path from (0, 0, 0) to (dx, dy, dtheta)
+    whose curvature never exceeds 1/radius.
+
+    Dubins (Am. J. Math. 1957) showed the shortest such path is one of six
+    words of arcs (L, R) and a line (S); this is the minimum of their closed
+    forms (Shkel & Lumelsky, RAS 2001), in units of ``radius``.  No curve with
+    |kappa| <= 1/radius, cubic or not, reaching the offset is shorter.  The
+    rounding guards (``_mod2pi``, ``_DUBINS_EPS``) only lower a word's length,
+    so the result never exceeds the exact minimum by more than rounding.
+    """
+    d = math.hypot(dx, dy) / radius
+    phi = math.atan2(dy, dx)
+    a = _mod2pi(-phi)
+    b = _mod2pi(dtheta - phi)
+    sa, ca, sb, cb = math.sin(a), math.cos(a), math.sin(b), math.cos(b)
+    c_ab = math.cos(a - b)
+    words = []
+    # CSC words with both turns the same way: LSL, RSR.
+    for sign in (1.0, -1.0):
+        p2 = 2.0 + d * d - 2.0 * c_ab + 2.0 * sign * d * (sa - sb)
+        if p2 >= -_DUBINS_EPS:
+            tmp = math.atan2(sign * (cb - ca), d + sign * (sa - sb))
+            words.append(_mod2pi(sign * (tmp - a)) + math.sqrt(max(p2, 0.0))
+                         + _mod2pi(sign * (b - tmp)))
+    # CSC words that turn both ways: LSR, RSL.
+    for sign in (1.0, -1.0):
+        p2 = -2.0 + d * d + 2.0 * c_ab + 2.0 * sign * d * (sa + sb)
+        if p2 >= -_DUBINS_EPS:
+            p = math.sqrt(max(p2, 0.0))
+            tmp = math.atan2(-sign * (ca + cb), d + sign * (sa + sb)) - math.atan2(-2.0 * sign, p)
+            words.append(_mod2pi(sign * (tmp - a)) + p + _mod2pi(sign * (tmp - b)))
+    # CCC words: RLR, LRL.
+    for sign in (-1.0, 1.0):
+        cos_p = (6.0 - d * d + 2.0 * c_ab - 2.0 * sign * d * (sa - sb)) / 8.0
+        if abs(cos_p) <= 1.0 + _DUBINS_EPS:
+            p = _mod2pi(_TWO_PI - math.acos(min(max(cos_p, -1.0), 1.0)))
+            tmp = math.atan2(ca - cb, d + sign * (sa - sb))
+            t = _mod2pi(-sign * a - tmp + p / 2.0)
+            words.append(t + p + _mod2pi(sign * (b - a) - t + p))
+    return min(words) * radius
+
+
 def fit_curve(
     start_kappa: float,
     goal_offset: tuple[float, float, float],
@@ -296,11 +360,56 @@ def fit_curve(
             lam *= 0.5
         else:
             return None
-    if cost >= 1e-8:  # endpoint error above 1e-4 m/rad
+    if cost >= _FIT_ACCEPT_COST:
         return None
     if max_abs_curvature(p) > kappa_max + 1e-9:
         return None
     return p
+
+
+def reachable_within(goal_offset: tuple[float, float, float], kappa_max: float,
+                     max_length: float) -> bool:
+    """False only when ``fit_curve(k0, goal_offset, kappa_max)`` can return no
+    curve at most ``max_length`` long, for any k0 and seed.
+
+    Callers skip the fit when this is False, because they would discard any
+    longer curve.  The test is ``dubins_length(goal_offset, 1/kappa')`` <=
+    ``max_length`` + 0.01 m (``_GATE_LENGTH_MARGIN``), where kappa' is a
+    bound on the true |kappa| of any curve ``fit_curve`` accepts.  With D the
+    chord of ``goal_offset``, h = ``SIMPSON_STEP`` and delta = 1e-4:
+
+    - Curvature between samples.  ``fit_curve`` checks |kappa| <=
+      ``kappa_max`` + 1e-9 at the N + 1 evenly spaced points of
+      ``max_abs_curvature``, N >= s_f/h > D/h - 1 (a curve is at least as
+      long as its chord, less the endpoint tolerance).  Where a cubic's
+      |kappa| peaks at M inside [0, s_f], its slope is 0 and a sample lies
+      within s_f/(2N); Markov's inequality (|kappa''| <= 96 M / s_f^2 for a
+      cubic) bounds the drop to that sample by (s_f/2N)^2/2 * 96 M / s_f^2 =
+      12 M / N^2.  So M <= (kappa_max + 1e-9) / (1 - 12/N^2).
+    - Endpoint tolerance.  The accepted Simpson endpoint lies within delta
+      (m and rad) of the goal.  On a straight curve of length L >= D, to
+      first order, a curvature change of at most 3 delta/L + 4 delta/L^2
+      turns the end heading by delta and moves the end sideways by delta,
+      and stretching the end by delta covers the along-track part.  kappa'
+      adds twice that bound, 8 delta (1/D + 1/D^2), for the turning of a
+      curved curve, the second-order terms and the Simpson error of the
+      endpoint, O(h^4).  The tests check the bound on arcs at |kappa| =
+      ``kappa_max``, where the shortest length jumps, and on random cubics.
+    - Length.  The 0.01 m margin covers the along-track stretch and the
+      rounding of ``dubins_length``; it also lets the same test serve a
+      caller that keeps s_f < ``max_length`` and one that keeps s_f <=
+      ``max_length``.
+
+    Where D < 6 h the Markov factor is weak and the gate passes every goal.
+    """
+    chord = math.hypot(goal_offset[0], goal_offset[1])
+    n = chord / SIMPSON_STEP - 1.0
+    if n < 5.0:
+        return True
+    delta = math.sqrt(_FIT_ACCEPT_COST)
+    kappa = ((kappa_max + 1e-9) / (1.0 - 12.0 / (n * n))
+             + 8.0 * delta * (1.0 / chord + 1.0 / (chord * chord)))
+    return dubins_length(*goal_offset, 1.0 / kappa) <= max_length + _GATE_LENGTH_MARGIN
 
 
 @dataclass(frozen=True)
@@ -457,7 +566,9 @@ def build_curve_library(config: LibraryConfig = LibraryConfig()) -> CurveLibrary
     """Fit one curve per feasible (r, beta) grid cell; infeasible cells stay absent.
 
     Per cell, end headings beta * dtheta_factors are tried and the feasible fit
-    with the smallest peak curvature is kept.  Deterministic for a fixed config.
+    with the smallest peak curvature is kept.  A target that no curve within
+    ``max_arc_length`` can reach (``reachable_within``) is not fitted, since
+    its fit would be discarded.  Deterministic for a fixed config.
     """
     r_grid = np.linspace(config.r_min, config.r_max, config.n_r)
     b_grid = np.linspace(config.beta_min, config.beta_max, config.n_beta)
@@ -468,6 +579,8 @@ def build_curve_library(config: LibraryConfig = LibraryConfig()) -> CurveLibrary
             best: tuple[float, CurveParams] | None = None
             for factor in config.dtheta_factors:
                 target = (r * math.cos(beta), r * math.sin(beta), beta * factor)
+                if not reachable_within(target, config.kappa_max, config.max_arc_length):
+                    continue
                 params = fit_curve(0.0, target, config.kappa_max, seed=warm)
                 if params is None:
                     params = fit_curve(0.0, target, config.kappa_max, seed=None)

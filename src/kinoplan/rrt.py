@@ -4,7 +4,10 @@ Two trees grow from start and goal; extension replaces straight steering with
 a precomputed cubic-curvature curve chosen by the endpoint polar coordinates
 (r, beta) of the sample in the nearest node's frame.  Once the trees are close,
 samples are drawn from a Gaussian mixture centered on the candidate bridging
-path to speed up the connection, which is made by online curve fitting.
+path to speed up the connection, which is made by online curve fitting.  A
+connection is kept only when its curve is shorter than the robot, so a fit is
+not tried when even the shortest path under the curvature bound (Dubins) is
+longer (``geometry.reachable_within``).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .geometry import (
     integrate_endpoint,
     local_curve_samples,
     normalize_angle,
+    reachable_within,
 )
 
 
@@ -303,7 +307,13 @@ def _chain_path(t_f: Tree, f_idx: int, t_b: Tree, b_idx: int,
 
 def try_connect(tree_a: Tree, tree_b: Tree, new_idx: int, library: CurveLibrary,
                 obstacles, footprint: FootprintSpec, config: PlannerConfig) -> Path | None:
-    """Try to join the freshly extended node with a nearby opposite-tree node."""
+    """Try to join the freshly extended node with a nearby opposite-tree node.
+
+    Candidates are taken nearest first.  A candidate is skipped without a fit
+    when its heading differs too much, when it lies behind, or when no curve
+    shorter than ``footprint.length`` within ``kappa_max`` reaches it
+    (``reachable_within``), since a longer fit would be discarded.
+    """
     new_node = tree_a.nodes[new_idx]
     p = np.array([new_node.pose.x, new_node.pose.y])
     d = np.linalg.norm(tree_b.positions - p, axis=1)
@@ -325,6 +335,8 @@ def try_connect(tree_a: Tree, tree_b: Tree, new_idx: int, library: CurveLibrary,
         offset = f_node.pose.local_offset(b_node.pose)
         if offset[0] <= 0.0:
             continue  # target behind; no forward curve can reach it
+        if not reachable_within(offset, library.config.kappa_max, footprint.length):
+            continue  # every curve that reaches it is at least as long as the robot
         seed_entry = library.lookup(math.hypot(offset[0], offset[1]),
                                     math.atan2(offset[1], offset[0]))
         params = fit_curve(f_node.end_kappa, offset, library.config.kappa_max,

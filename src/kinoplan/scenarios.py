@@ -37,6 +37,8 @@ class ScriptedObstacle:
         wp = np.asarray(self.waypoints, dtype=float)
         if wp.ndim != 2 or wp.shape[1] != 3 or len(wp) < 1:
             raise ValueError("waypoints must be (t, x, y) rows")
+        if not np.all(np.isfinite(wp)):
+            raise ValueError("waypoints must be finite")
         if len(wp) > 1 and np.any(np.diff(wp[:, 0]) <= 0.0):
             raise ValueError("waypoint times must be strictly increasing")
         self._wp = wp
@@ -88,18 +90,24 @@ class Scenario:
     goal_heading_tol: float = 0.2
 
     def __post_init__(self):
-        for name in _POSITIVE:
-            _check_positive(name, getattr(self, name))
+        for name in _POSITIVE + _FINITE:
+            _check_field(name, getattr(self, name))
 
 
 _POSITIVE = ("v_max", "a_max", "horizon", "sim_dt", "perception_dt", "time_limit",
              "goal_pos_tol", "goal_heading_tol")
+_FINITE = ("start", "goal", "bounds")
 
 
-def _check_positive(name: str, value) -> None:
-    """The fields the runner divides or loops by must be positive and finite."""
+def _check_field(name: str, value) -> None:
+    """The fields the runner divides or loops by must be positive and finite;
+    the start, goal and bounds finite."""
     if name in _POSITIVE and not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
+    if name in _FINITE:
+        nums = (value.x, value.y, value.theta) if isinstance(value, Pose) else value
+        if not all(math.isfinite(v) for v in nums):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _wall(x0: float, y0: float, x1: float, y1: float) -> ObstacleShape:
@@ -360,7 +368,7 @@ def load_scenario(path) -> Scenario:
                     raise ValueError(f"waypoint before obstacle {oid}")
                 obstacles[oid][2].append(row)
             else:
-                _check_positive(key, value)
+                _check_field(key, value)
                 kwargs[key] = value
     for oid in sorted(obstacles):
         lineno, footprint, rows = obstacles[oid]

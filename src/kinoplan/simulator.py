@@ -6,8 +6,9 @@ the timed trajectory and revalidates it at every perception tick, re-timing
 the rest of the path when the fresh predictions make it unsafe; WAITING holds
 position when no safe timing exists and tries nothing until ``replan_timeout``
 has passed, when the path itself is replanned (REPLANNING), treating
-obstacles that have stopped as static blockers.  Everything is a pure
-function of (scenario, configs, seed).
+obstacles that have stopped as static blockers.  Each tick logs the robot and
+obstacle poses; the clearances are computed from them after the run, in one
+batched pass.  Everything is a pure function of (scenario, configs, seed).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .collision import (FootprintSpec, ObstacleShape, clearance_to_obstacle,
-                        footprint_circles, footprint_circles_batch, min_clearance)
+from .collision import (FootprintSpec, ObstacleShape, circle_gaps, footprint_circles,
+                        footprint_circles_batch, footprint_circles_each, min_clearance)
 from .configfile import at_line, read_lines, write_lines
 from .geometry import CurveLibrary, Pose, build_curve_library, normalize_angle
 from .rrt import Path, PlannerConfig, plan_path
@@ -303,6 +304,7 @@ class _Runner:
                 break
         else:
             self.trace.failure_reason = "time limit exceeded"
+        self._log_clearances()
         return self.trace
 
     def _future_safe(self, traj, exec_start, t_now, tracks) -> bool:
@@ -339,19 +341,27 @@ class _Runner:
         v = math.hypot(pose.x - prev_pose.x, pose.y - prev_pose.y) / sc.sim_dt \
             if self.trace.times else 0.0
         a = (v - prev_v) / sc.sim_dt if self.trace.times else 0.0
-        robot_circles = footprint_circles(sc.robot, pose)
-        clear = min_clearance(robot_circles, sc.robot.radius, self.static_obstacles)
         for mob in sc.moving:
             p = mob.pose_at(t)
-            clear = min(clear, clearance_to_obstacle(
-                robot_circles, sc.robot.radius, ObstacleShape.footprint_at(mob.footprint, p)))
             self.trace.obstacle_poses[mob.id].append((p.x, p.y, p.theta))
         self.trace.times.append(t)
         self.trace.poses.append((pose.x, pose.y, pose.theta))
         self.trace.velocities.append(v)
         self.trace.accelerations.append(a)
         self.trace.flags.append(flag)
-        self.trace.clearances.append(clear)
+
+    def _log_clearances(self) -> None:
+        """Every tick's clearance, from the logged robot and obstacle poses in
+        one batched pass: the bits a per-tick ``min_clearance`` and
+        ``clearance_to_obstacle`` would give."""
+        sc, trace = self.sc, self.trace
+        robot = footprint_circles_each(sc.robot, trace.poses)
+        clear = min_clearance(robot, sc.robot.radius, self.static_obstacles)
+        for mob in sc.moving:
+            other = footprint_circles_each(mob.footprint, trace.obstacle_poses[mob.id])
+            clear = np.minimum(clear, circle_gaps(robot, sc.robot.radius, other,
+                                                  mob.footprint.radius))
+        trace.clearances = clear.tolist()
 
 
 def run_scenario(scenario: Scenario, planner_config: PlannerConfig | None = None,

@@ -354,6 +354,21 @@ class TestMinClearance:
         mean = verts.mean(axis=0)  # inside whenever the polygon is convex
         self.assert_bit_equal([verts[i], on_edge, mean], radius, obstacles)
 
+    @given(obstacle_sets(), st.integers(1, 3), st.lists(st.one_of(coord, lattice),
+                                                         min_size=2, max_size=24),
+           st.floats(0.05, 3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_stacked_rows(self, obstacles, k, coords, radius):
+        """Stacked (N, k, 2) sets: row i is ``min_clearance`` of row i, bit for bit."""
+        n = len(coords) // (2 * k)
+        if n == 0:
+            return
+        stacked = np.asarray(coords[:2 * k * n], dtype=float).reshape(n, k, 2)
+        got = min_clearance(stacked, radius, obstacles)
+        assert got.shape == (n,)
+        want = np.array([min_clearance(row, radius, obstacles) for row in stacked])
+        assert got.tobytes() == want.tobytes()
+
     def test_empty_set_is_infinite(self):
         assert min_clearance(np.zeros((3, 2)), 1.0, ()) == math.inf
 

@@ -13,10 +13,10 @@ from scipy.optimize._numdiff import approx_derivative
 from kinoplan.geometry import (FIT_TOL, SIMPSON_STEP, CurveLibrary, CurveParams,
                                LibraryConfig, Pose, _offset_at, _shoot,
                                _shot_jacobian,
-                               build_curve_library, curvature_at,
+                               build_curve_library, curvature_at, dubins_length,
                                endpoint_jacobian, fit_curve, heading_change,
                                integrate_endpoint, max_abs_curvature,
-                               normalize_angle, sample_curve_poses)
+                               normalize_angle, reachable_within, sample_curve_poses)
 
 
 def straight(s_f):
@@ -159,6 +159,163 @@ class TestFitCurve:
 
     def test_degenerate_goal(self):
         assert fit_curve(0.0, (0.0, 0.0, 0.0), kappa_max=0.5) is None
+
+
+def arc_sequence_end(segments):
+    """Exact end (x, y, theta) of constant-curvature segments (kappa, length) from the origin."""
+    x = y = th = 0.0
+    for kappa, length in segments:
+        if kappa == 0.0:
+            x, y = x + length * math.cos(th), y + length * math.sin(th)
+        else:
+            th2 = th + kappa * length
+            x += (math.sin(th2) - math.sin(th)) / kappa
+            y -= (math.cos(th2) - math.cos(th)) / kappa
+            th = th2
+    return x, y, th
+
+
+class TestDubinsLength:
+    def test_straight_target_is_its_distance(self):
+        assert dubins_length(3.0, 0.0, 0.0, 2.0) == pytest.approx(3.0, abs=1e-12)
+        assert dubins_length(7.5, 0.0, 0.0, 0.1) == pytest.approx(7.5, abs=1e-12)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_quarter_circle(self, side):
+        r = 2.0
+        got = dubins_length(r, side * r, side * math.pi / 2.0, r)
+        assert got == pytest.approx(math.pi * r / 2.0, abs=1e-9)
+
+    def test_pure_arcs_with_near_zero_segments(self):
+        """A single arc, alone or beside a zero or 1e-13 segment, comes out
+        at its own length: a rounding error must not wrap a zero segment to
+        a full turn (2 pi R longer)."""
+        rng = np.random.default_rng(7)
+        for _ in range(20000):
+            radius = float(rng.uniform(0.2, 20.0))
+            angle = float(rng.uniform(1e-6, 2.0 * math.pi))
+            arc = (float(rng.choice([-1.0, 1.0])) / radius, angle * radius)
+            tiny = (float(rng.choice([-1.0, 0.0, 1.0])) / radius, float(rng.choice([0.0, 1e-13])))
+            segments = [arc, tiny] if rng.random() < 0.5 else [tiny, arc]
+            got = dubins_length(*arc_sequence_end(segments), radius)
+            assert got <= arc[1] + 1e-6 * radius
+            if angle <= math.pi:  # a single arc up to a half turn is the shortest path
+                assert got >= arc[1] - 1e-6 * radius
+
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
+                              st.one_of(st.just(0.0), st.floats(0.0, 8.0))),
+                    min_size=1, max_size=5),
+           st.floats(0.2, 20.0))
+    @settings(max_examples=500, deadline=None)
+    def test_never_above_a_bounded_curvature_path(self, segments, radius):
+        """No arc/line sequence with |kappa| <= 1/R is shorter (Dubins 1957)."""
+        segments = [(k / radius, length) for k, length in segments]
+        total = sum(length for _, length in segments)
+        assert dubins_length(*arc_sequence_end(segments), radius) <= total + 1e-6 * radius
+
+
+def bounded_cubic(rng, kappa_max, s_min, s_max):
+    """A random cubic whose sampled |kappa| passes ``fit_curve``'s check, or None.
+
+    The curvature at four knots is drawn at +-kappa_max (near bang-bang, the
+    shape of the shortest paths), uniformly, or constant; the polynomial
+    through them is scaled down to the bound.
+    """
+    s_f = float(rng.uniform(s_min, s_max))
+    mode = rng.integers(3)
+    if mode == 0:
+        knots = rng.choice([-kappa_max, kappa_max], 4)
+    elif mode == 1:
+        knots = rng.uniform(-kappa_max, kappa_max, 4)
+    else:
+        knots = np.full(4, rng.uniform(-kappa_max, kappa_max))
+    coefs = np.polyfit(np.linspace(0.0, s_f, 4), knots, 3)[::-1]
+    peak = max_abs_curvature(CurveParams(*coefs, s_f))
+    if peak > kappa_max:
+        coefs = coefs * (kappa_max / peak)
+    params = CurveParams(*coefs, s_f)
+    return params if max_abs_curvature(params) <= kappa_max + 1e-9 else None
+
+
+class TestReachableWithin:
+    """The gate before ``fit_curve`` never skips a fit its caller would keep."""
+
+    @staticmethod
+    def perturbed_ends(rng, params, n):
+        """The Simpson endpoint moved by up to 1e-4 (the accepted fit error)."""
+        end = np.asarray(integrate_endpoint(params))
+        dirs = rng.standard_normal((n, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        scale = np.where(rng.random(n) < 0.5, 1.0, rng.random(n))[:, None]
+        return end + 1e-4 * scale * dirs
+
+    def test_sound_on_bounded_cubics(self):
+        """Cubics with sampled |kappa| <= kappa_max pass the gate at their own
+        length from any goal within the fit tolerance of their endpoint.  The
+        lengths cover try_connect (chords 0.8-4.5 m, s_f below the robot's
+        4.6 m) and the library (r 1-4 m, s_f up to 4.14 m) and go below."""
+        rng = np.random.default_rng(11)
+        checked = 0
+        for _ in range(6000):
+            kappa_max = float(rng.choice([0.05, 0.3, 0.7, 0.7, 1.5, 5.0]))
+            params = bounded_cubic(rng, kappa_max, 0.05, 6.0)
+            if params is None:
+                continue
+            for goal in self.perturbed_ends(rng, params, 1):
+                assert reachable_within(tuple(goal), kappa_max, params.s_f), (params, goal)
+                checked += 1
+        assert checked > 5000
+
+    @pytest.mark.parametrize("kappa_max", [0.05, 0.7, 5.0])
+    def test_sound_on_arcs_at_the_bound(self, kappa_max):
+        """An arc at |kappa| = kappa_max ends on the edge of the reachable set,
+        where the shortest length jumps; every direction of the tolerance."""
+        rng = np.random.default_rng(3)
+        for s_f in np.linspace(0.07, 6.0, 40):
+            for sign in (1.0, -1.0):
+                params = CurveParams(sign * kappa_max, 0.0, 0.0, 0.0, float(s_f))
+                for goal in self.perturbed_ends(rng, params, 24):
+                    assert reachable_within(tuple(goal), kappa_max, params.s_f), (params, goal)
+
+    def test_sampled_curvature_within_markov_bound(self):
+        """The gate's first margin: the true peak |kappa| of a cubic is at most
+        its sampled peak over N intervals divided by 1 - 12/N^2."""
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(3000):
+            s_f = float(rng.uniform(0.04, 1.0))
+            coefs = rng.standard_normal(4) / s_f ** np.arange(4)
+            params = CurveParams(*coefs, s_f)
+            n = max(2, math.ceil(s_f / SIMPSON_STEP))
+            k0, a, b, c = coefs
+            roots = np.roots([3.0 * c, 2.0 * b, a])
+            s = [0.0, s_f] + [r.real for r in roots if abs(r.imag) < 1e-12 and 0 < r.real < s_f]
+            peak = float(np.max(np.abs(curvature_at(params, np.asarray(s)))))
+            worst = max(worst, (peak / max_abs_curvature(params) - 1.0) * n * n)
+        assert 0.0 < worst <= 12.0
+
+    def test_rejects_what_no_short_curve_reaches(self):
+        assert reachable_within((4.0, 0.0, 0.0), 0.7, 4.6)
+        assert reachable_within((4.6, 0.0, 0.0), 0.7, 4.6)
+        assert not reachable_within((4.7, 0.0, 0.0), 0.7, 4.6)
+        assert not reachable_within((1.0, 0.0, math.pi), 0.7, 4.6)  # a loop
+        assert not reachable_within((0.5, 3.0, 0.0), 0.7, 4.6)  # a sideways step
+
+    def test_default_library_skips_only_discarded_fits(self):
+        """Every default-grid target the gate skips fits to None or to a curve
+        over ``max_arc_length``, the ones ``build_curve_library`` drops."""
+        cfg = LibraryConfig()
+        skipped = 0
+        for r in np.linspace(cfg.r_min, cfg.r_max, cfg.n_r):
+            for beta in np.linspace(cfg.beta_min, cfg.beta_max, cfg.n_beta):
+                for factor in cfg.dtheta_factors:
+                    target = (r * math.cos(beta), r * math.sin(beta), beta * factor)
+                    if reachable_within(target, cfg.kappa_max, cfg.max_arc_length):
+                        continue
+                    skipped += 1
+                    params = fit_curve(0.0, target, cfg.kappa_max)
+                    assert params is None or params.s_f > cfg.max_arc_length
+        assert skipped == 178  # of 544 targets
 
 
 class TestEndpointJacobian:

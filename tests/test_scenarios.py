@@ -163,6 +163,15 @@ class TestScenarioFiles:
         (["obstacle 0 4 2", "waypoint 1 1 0 0"], r"s\.txt:6: waypoint before obstacle 1"),
         (["disk 5 5 1", "obstacle 0 4 2"], r"s\.txt:6: waypoints must be"),
         (["obstacle 2 4 2", "obstacle 2 4 2"], r"s\.txt:6: obstacle 2 already defined on line 5"),
+        (["robot nan 1.9"], r"s\.txt:5: robot: footprint dimensions must be positive and finite"),
+        (["start nan 0 0"], r"s\.txt:5: start must be finite"),
+        (["bounds -6 -8 inf 8"], r"s\.txt:5: bounds must be finite"),
+        (["parked inf 1.9 14 0.8 0.15"], r"s\.txt:5: parked: footprint dimensions must be"),
+        (["parked 4.2 1.9 14 nan 0.15"], r"s\.txt:5: parked: footprint pose must be finite"),
+        (["obstacle 0 4 2", "waypoint 0 24 nan 6"], r"s\.txt:5: waypoints must be finite"),
+        (["disk 5 0 nan"], r"s\.txt:5: disk: disk radius must be positive and finite"),
+        (["disk nan 0 1"], r"s\.txt:5: disk: disk center must be finite"),
+        (["polygon 0 0 1 0 nan 1"], r"s\.txt:5: polygon: polygon vertices must be finite"),
     ])
     def test_bad_value_names_its_line(self, tmp_path, lines, message):
         p = tmp_path / "s.txt"
@@ -174,6 +183,8 @@ class TestScenarioFiles:
     def test_scenario_checks_its_fields(self):
         with pytest.raises(ValueError, match="sim_dt must be positive"):
             replace(get_scenario("cross"), sim_dt=0.0)
+        with pytest.raises(ValueError, match="goal must be finite"):
+            replace(get_scenario("cross"), goal=Pose(math.inf, 0.0, 0.0))
 
     def test_comments_and_blank_lines(self, tmp_path):
         p = tmp_path / "s.txt"

@@ -7,6 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kinoplan.collision import (ObstacleShape, clearance_to_obstacle, footprint_circles,
+                                min_clearance)
 from kinoplan.geometry import Pose
 from kinoplan.scenarios import Scenario, get_scenario
 from kinoplan.simulator import (EXECUTING, PLANNING, REPLANNING, WAITING,
@@ -88,6 +90,23 @@ class TestRunInvariants:
                 for t, row in zip(trace.times, logged):
                     p = mob.pose_at(t)
                     assert row == (p.x, p.y, p.theta)
+
+    @pytest.mark.parametrize("name", ["cross", "bypass"])
+    def test_clearances_match_per_tick_reference(self, library, name):
+        """The batched clearance pass gives each tick's per-pose clearance bit
+        for bit: static walls or a parked car, and a moving footprint."""
+        sc = get_scenario(name)
+        trace = run_scenario(sc, seed=0, library=library)
+        want = []
+        for i, pose in enumerate(trace.poses):
+            robot = footprint_circles(sc.robot, Pose(*pose))
+            clear = min_clearance(robot, sc.robot.radius, tuple(sc.static_obstacles))
+            for mob in sc.moving:
+                shape = ObstacleShape.footprint_at(mob.footprint,
+                                                   Pose(*trace.obstacle_poses[mob.id][i]))
+                clear = min(clear, clearance_to_obstacle(robot, sc.robot.radius, shape))
+            want.append(clear)
+        assert np.asarray(trace.clearances).tobytes() == np.asarray(want).tobytes()
 
     def test_kinematics_consistent_with_log(self, scenario_runs):
         """Logged velocity is the per-tick displacement over sim_dt."""

@@ -11,7 +11,8 @@ runs the six worlds (the five built-in scenarios and ``blocked``) at seeds
 0-2, and takes the sha1 of each run's ``trace.csv``, of its per-tick
 clearances (which ``trace.csv`` does not hold) written with ``%.17g``, and of
 the saved library CSV: 37 hashes.  It exits 1 and names every hash that
-differs.
+differs.  Each run's wall time is printed on stderr as it finishes; the two
+trees run side by side, so the times are comparable only as pairs.
 
 The BLAS and OpenMP pools are pinned to one thread in both subprocesses, as
 the benchmark does, because SLSQP's results (and so the traces) move with
@@ -28,6 +29,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -59,13 +61,15 @@ def compute_hashes(src: str) -> dict[str, str]:
             hashes["library.csv"] = _sha1(fh.read())
         for name in WORLDS:
             for seed in SEEDS:
+                t0 = time.perf_counter()
                 trace = run_scenario(get_scenario(name), seed=seed, library=library)
+                wall = time.perf_counter() - t0
                 trace.to_csv(path)
                 with open(path, "rb") as fh:
                     hashes[f"{name}/{seed}/trace.csv"] = _sha1(fh.read())
                 clear = "".join("%.17g\n" % c for c in trace.clearances)
                 hashes[f"{name}/{seed}/clearances"] = _sha1(clear.encode())
-                print(f"{src}: {name} seed {seed}", file=sys.stderr, flush=True)
+                print(f"{src}: {name} seed {seed} {wall:.2f} s", file=sys.stderr, flush=True)
     return hashes
 
 
