@@ -27,8 +27,8 @@ from .geometry import CurveLibrary, LibraryConfig, Pose, build_curve_library
 from .rrt import PlannerConfig, plan_path
 from .scenarios import (Scenario, builtin_scenarios, get_scenario,
                         load_scenario, random_disk_world)
-from .simulator import (TraceLog, draw_obstacles, export_artifacts, metrics,
-                        run_scenario)
+from .simulator import (TraceLog, at_goal, draw_obstacles, export_artifacts,
+                        log_clearances, metrics, run_scenario)
 from .svg import SvgCanvas, plot_errorbars
 
 EXIT_OK = 0
@@ -232,6 +232,17 @@ def cmd_export_plots(args) -> int:
     _print_config(args)
     scenario = _resolve_scenario(args.scenario) if args.scenario else None
     trace = TraceLog.from_csv(args.trace)
+    if scenario is not None:
+        # The CSV drops obstacle headings: replay the scripts at the logged times.
+        ids = [mob.id for mob in scenario.moving]
+        if trace.obstacle_ids != ids:
+            raise ValueError(f"{args.trace}: obstacle ids {trace.obstacle_ids}, "
+                             f"but scenario {scenario.name} has {ids}")
+        for mob in scenario.moving:
+            trace.obstacle_poses[mob.id] = [(p.x, p.y, p.theta)
+                                            for p in map(mob.pose_at, trace.times)]
+        log_clearances(scenario, trace)
+        trace.success = bool(trace.poses) and at_goal(scenario, Pose(*trace.poses[-1]))
     export_artifacts(trace, args.out, scenario)
     print(f"wrote plots to {args.out}")
     return EXIT_OK
@@ -303,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-plots", help="re-render plots from a trace CSV")
     p.add_argument("--trace", required=True, help="trace CSV from simulate")
     p.add_argument("--scenario", default=_env_default("scenario", None),
-                   help="scenario name or file, for world geometry in the plot")
+                   help="scenario name or file, for world geometry in the plot "
+                        "and for the metrics summary")
     p.add_argument("--out", default=_env_default("out", "out"))
     p.add_argument("--seed", type=int, default=_env_default("seed", 0),
                    help="unused; accepted for interface uniformity")

@@ -138,59 +138,78 @@ def polygon_edges(vertices: tuple[tuple[float, float], ...]) -> tuple[np.ndarray
     return edges
 
 
-def _edge_crossings(px, py, edges) -> np.ndarray:
-    """Whether the rightward ray from each point crosses each edge of
-    ``polygon_edges``; px/py broadcastable arrays, result shape (..., E)."""
-    x1, y1, y2, abx, aby, _ = edges
-    px = np.asarray(px)[..., None]
-    py = np.asarray(py)[..., None]
-    cond = (y1 > py) != (y2 > py)
+def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from each center of ``a`` (..., k, 2) to each of ``b`` (..., m, 2),
+    shape (..., k, m), leading axes broadcast; the bits of ``np.linalg.norm``."""
+    dx = a[..., :, None, 0] - b[..., None, :, 0]
+    dy = a[..., :, None, 1] - b[..., None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
+@lru_cache(maxsize=64)
+def _world(obstacles: tuple[ObstacleShape, ...]):
+    """``obstacles`` as (edges, starts, centers, radii): the ``polygon_edges``
+    of every polygon concatenated (None without polygons) with each polygon's
+    first edge index, and the (m, 2) centers and (m,) radii of every disk and
+    parked-footprint cover circle.  The only place that tells obstacle kinds
+    apart.  Cached on the obstacle tuple; the shared arrays are read-only."""
+    per, centers, radii = [], [], []
+    for obs in obstacles:
+        if obs.kind == "polygon":
+            per.append(polygon_edges(obs.vertices))
+        elif obs.kind == "disk":
+            centers.append(obs.center)
+            radii.append(obs.radius)
+        elif obs.kind == "footprint":
+            cover = footprint_circles(obs.footprint, obs.pose)
+            centers.extend(cover.tolist())
+            radii.extend([obs.footprint.radius] * len(cover))
+        else:
+            raise ValueError(f"unknown obstacle kind {obs.kind!r}")
+    edges = starts = None
+    if per:
+        edges = tuple(np.concatenate(col) for col in zip(*per))
+        starts = np.cumsum([0] + [len(e[0]) for e in per[:-1]])
+    centers = np.array(centers, dtype=float).reshape(-1, 2)
+    radii = np.array(radii, dtype=float)
+    for arr in (edges + (starts,) if per else ()) + (centers, radii):
+        arr.flags.writeable = False
+    return edges, starts, centers, radii
+
+
+def _polygon_pass(centers: np.ndarray, edges, starts) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary distance and even-odd inside test of each center (..., k, 2)
+    against each polygon of a ``_world`` edge stack; shape (..., k, P) each."""
+    x1, y1, y2, abx, aby, denom = edges
+    px, py = centers[..., 0, None], centers[..., 1, None]
+    t = np.clip(((px - x1) * abx + (py - y1) * aby) / denom, 0.0, 1.0)
+    d = np.hypot(x1 + t * abx - px, y1 + t * aby - py)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         xint = x1 + (py - y1) * abx / aby
-    return cond & (px < xint)
+    crossings = ((y1 > py) != (y2 > py)) & (px < xint)  # of the rightward ray
+    return (np.minimum.reduceat(d, starts, axis=-1),
+            np.logical_xor.reduceat(crossings, starts, axis=-1))
 
 
-def _edge_distances(px, py, edges) -> np.ndarray:
-    """Distance from each point to each edge of ``polygon_edges``; shape (..., E)."""
-    x1, y1, _, abx, aby, denom = edges
-    px = np.asarray(px)[..., None]
-    py = np.asarray(py)[..., None]
-    t = ((px - x1) * abx + (py - y1) * aby) / denom
-    t = np.clip(t, 0.0, 1.0)
-    dx = x1 + t * abx - px
-    dy = y1 + t * aby - py
-    return np.hypot(dx, dy)
-
-
-def _point_in_polygon(px, py, edges) -> np.ndarray:
-    """Even-odd rule over ``polygon_edges``; px/py broadcastable arrays."""
-    return np.logical_xor.reduce(_edge_crossings(px, py, edges), axis=-1)
-
-
-def _dist_to_polygon(px, py, edges) -> np.ndarray:
-    """Distance from points to the boundary given by ``polygon_edges`` (0 if on it)."""
-    return np.min(_edge_distances(px, py, edges), axis=-1)
+def circles_hit(centers: np.ndarray, radius: float, obstacles, margin: float = 0.0) -> np.ndarray:
+    """Whether each circle set (..., k, 2) of ``radius`` touches any obstacle;
+    shape (...).  A circle hits a polygon it is centered in or within
+    ``radius + margin`` of, and a circle R_j within ``radius + R_j + margin``."""
+    edges, starts, others, other_radii = _world(tuple(obstacles))
+    hit = np.zeros(centers.shape[:-2], dtype=bool)
+    if edges is not None:
+        d, inside = _polygon_pass(centers, edges, starts)
+        hit |= np.any(inside | (d <= radius + margin), axis=(-2, -1))
+    if len(other_radii):
+        d = _pair_distances(centers, others)
+        hit |= np.any(d <= radius + other_radii + margin, axis=(-2, -1))
+    return hit
 
 
 def circles_hit_obstacle(centers: np.ndarray, radius: float, obstacle: ObstacleShape,
                          margin: float = 0.0) -> np.ndarray:
-    """Whether each of the leading-axis circle sets intersects the obstacle.
-
-    ``centers`` has shape (..., k, 2); the result collapses the k axis with any().
-    """
-    if obstacle.kind == "disk":
-        d = np.hypot(centers[..., 0] - obstacle.center[0], centers[..., 1] - obstacle.center[1])
-        return np.any(d <= radius + obstacle.radius + margin, axis=-1)
-    if obstacle.kind == "polygon":
-        edges = polygon_edges(obstacle.vertices)
-        px, py = centers[..., 0], centers[..., 1]
-        hit = _point_in_polygon(px, py, edges) | (_dist_to_polygon(px, py, edges) <= radius + margin)
-        return np.any(hit, axis=-1)
-    if obstacle.kind == "footprint":
-        oc = footprint_circles(obstacle.footprint, obstacle.pose)  # (m, 2)
-        d = np.linalg.norm(centers[..., :, None, :] - oc[None, :, :], axis=-1)
-        return np.any(d <= radius + obstacle.footprint.radius + margin, axis=(-2, -1))
-    raise ValueError(f"unknown obstacle kind {obstacle.kind!r}")
+    """``circles_hit`` against one obstacle."""
+    return circles_hit(centers, radius, (obstacle,), margin)
 
 
 def circle_gaps(centers: np.ndarray, radius: float, others: np.ndarray,
@@ -198,95 +217,45 @@ def circle_gaps(centers: np.ndarray, radius: float, others: np.ndarray,
     """Least gap between the circles (..., k, 2) of ``radius`` and the circles
     (..., m, 2) of ``other_radius``, per leading index (negative on overlap).
     The leading axes broadcast."""
-    d = np.linalg.norm(centers[..., :, None, :] - others[..., None, :, :], axis=-1)
-    return np.min(d, axis=(-2, -1)) - radius - other_radius
-
-
-def clearance_to_obstacle(centers: np.ndarray, radius: float, obstacle: ObstacleShape):
-    """Minimum gap between any cover circle and the obstacle (negative when overlapping).
-
-    ``centers`` has shape (..., k, 2): one (k, 2) set gives a float, stacked
-    sets an array over the leading axes.
-    """
-    if obstacle.kind == "disk":
-        d = np.hypot(centers[..., 0] - obstacle.center[0], centers[..., 1] - obstacle.center[1])
-        clear = np.min(d, axis=-1) - radius - obstacle.radius
-    elif obstacle.kind == "polygon":
-        edges = polygon_edges(obstacle.vertices)
-        px, py = centers[..., 0], centers[..., 1]
-        d = _dist_to_polygon(px, py, edges)
-        d = np.where(_point_in_polygon(px, py, edges), -d, d)
-        clear = np.min(d, axis=-1) - radius
-    elif obstacle.kind == "footprint":
-        clear = circle_gaps(centers, radius, footprint_circles(obstacle.footprint, obstacle.pose),
-                            obstacle.footprint.radius)
-    else:
-        raise ValueError(f"unknown obstacle kind {obstacle.kind!r}")
-    return float(clear) if clear.ndim == 0 else clear
-
-
-@lru_cache(maxsize=64)
-def _polygon_stack(obstacles: tuple[ObstacleShape, ...]):
-    """The polygons of ``obstacles`` as one edge set, and the other obstacles.
-
-    Returns (edges, starts, others): the ``polygon_edges`` arrays of every
-    polygon concatenated in order, the index of each polygon's first edge, and
-    the tuple of non-polygon obstacles.  Cached on the obstacle tuple; the
-    shared arrays are read-only.
-    """
-    per = [polygon_edges(o.vertices) for o in obstacles if o.kind == "polygon"]
-    others = tuple(o for o in obstacles if o.kind != "polygon")
-    if not per:
-        return None, None, others
-    edges = tuple(np.concatenate(col) for col in zip(*per))
-    starts = np.cumsum([0] + [len(e[0]) for e in per[:-1]])
-    for arr in edges + (starts,):
-        arr.flags.writeable = False
-    return edges, starts, others
+    return np.min(_pair_distances(centers, others), axis=(-2, -1)) - radius - other_radius
 
 
 def min_clearance(centers: np.ndarray, radius: float, obstacles: tuple[ObstacleShape, ...]):
-    """``min(clearance_to_obstacle(centers, radius, o) for o in obstacles)``, bit for bit.
+    """Least gap between any circle and any obstacle (negative when overlapping).
 
     ``centers`` has shape (..., k, 2): one (k, 2) set gives a float, stacked
     sets an array over the leading axes (each entry the bits of its own set's
-    float); an empty tuple gives math.inf.  All polygons are evaluated in one
-    pass over their stacked edges with the polygon kernels'
-    ``_edge_distances``/``_edge_crossings``, reduced per polygon with
-    ``reduceat``.  Since fl(x - r) is monotone in x, the minimum over polygons
-    of (min d - r) is (min d) - r.  Disks and footprints go through
-    ``clearance_to_obstacle`` one by one.
+    float); an empty tuple gives math.inf.  A polygon's gap is the boundary
+    distance, negated inside, minus ``radius``; a circle's is
+    ``(d - radius) - R_j``.  Since fl(x - r) is monotone in x, the minimum over
+    polygons of (min d - r) is (min d) - r.
     """
-    edges, starts, others = _polygon_stack(obstacles)
+    edges, starts, others, other_radii = _world(tuple(obstacles))
     clear = np.full(centers.shape[:-2], math.inf)
     if edges is not None:
-        px, py = centers[..., 0], centers[..., 1]
-        d = np.minimum.reduceat(_edge_distances(px, py, edges), starts, axis=-1)
-        inside = np.logical_xor.reduceat(_edge_crossings(px, py, edges), starts, axis=-1)
+        d, inside = _polygon_pass(centers, edges, starts)
         clear = np.min(np.where(inside, -d, d), axis=(-2, -1)) - radius
-    for obs in others:
-        clear = np.minimum(clear, clearance_to_obstacle(centers, radius, obs))
+    if len(other_radii):
+        gaps = (_pair_distances(centers, others) - radius) - other_radii
+        clear = np.minimum(clear, np.min(gaps, axis=(-2, -1)))
     return float(clear) if clear.ndim == 0 else clear
+
+
+def clearance_to_obstacle(centers: np.ndarray, radius: float, obstacle: ObstacleShape):
+    """``min_clearance`` against one obstacle."""
+    return min_clearance(centers, radius, (obstacle,))
 
 
 def pose_in_collision(spec: FootprintSpec, pose: Pose, obstacles, margin: float = 0.0) -> bool:
     """True iff any footprint circle intersects any obstacle in the snapshot."""
-    centers = footprint_circles(spec, pose)[None, :, :]
-    for obs in obstacles:
-        if bool(circles_hit_obstacle(centers, spec.radius, obs, margin)[0]):
-            return True
-    return False
+    return bool(circles_hit(footprint_circles(spec, pose), spec.radius, obstacles, margin))
 
 
 def poses_in_collision(spec: FootprintSpec, poses: np.ndarray, obstacles,
                        margin: float = 0.0) -> np.ndarray:
     """Vectorized pose_in_collision for an (N, 3) pose array; returns (N,) bools."""
-    poses = np.asarray(poses, dtype=float)
-    centers = footprint_circles_batch(spec, poses)
-    hit = np.zeros(len(poses), dtype=bool)
-    for obs in obstacles:
-        hit |= circles_hit_obstacle(centers, spec.radius, obs, margin)
-    return hit
+    centers = footprint_circles_batch(spec, np.asarray(poses, dtype=float))
+    return circles_hit(centers, spec.radius, obstacles, margin)
 
 
 def curve_in_collision(spec: FootprintSpec, params: CurveParams, base: Pose, obstacles,

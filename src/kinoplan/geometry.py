@@ -222,14 +222,6 @@ def integrate_endpoint(params: CurveParams) -> tuple[float, float, float]:
     return _offset_at(params, params.s_f)
 
 
-def sample_curve_poses(params: CurveParams, base: Pose, ds: float) -> list[Pose]:
-    """Poses at arc lengths {0, ds, 2ds, ..., s_f} transformed into ``base``'s frame."""
-    if ds <= 0.0:
-        raise ValueError("ds must be positive")
-    offsets = local_curve_samples(params, ds)
-    return [base.transform(dx, dy, dth) for dx, dy, dth in offsets]
-
-
 @lru_cache(maxsize=65536)
 def local_curve_samples(params: CurveParams, ds: float) -> tuple[tuple[float, float, float], ...]:
     """Cached local-frame offsets at {0, ds, ..., s_f}; last entry is the exact endpoint."""

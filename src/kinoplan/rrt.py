@@ -56,6 +56,10 @@ class PlannerConfig:
             raise ValueError("p_th must lie in [0, 1]")
         if self.d_th <= 0.0:
             raise ValueError("d_th must be positive")
+        if not 0.0 < self.collision_ds < math.inf:
+            raise ValueError(f"collision_ds must be positive and finite, got {self.collision_ds}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
         if self.world_bounds is not None and len(self.world_bounds) != 4:
             raise ValueError(f"world_bounds needs 4 values (xmin ymin xmax ymax), "
                              f"got {len(self.world_bounds)}")

@@ -131,6 +131,26 @@ def metrics(trace: TraceLog) -> dict:
     }
 
 
+def at_goal(scenario: Scenario, pose: Pose) -> bool:
+    """Whether ``pose`` is within the scenario's goal tolerances."""
+    goal = scenario.goal
+    return (math.hypot(pose.x - goal.x, pose.y - goal.y) <= scenario.goal_pos_tol
+            and abs(normalize_angle(pose.theta - goal.theta)) <= scenario.goal_heading_tol)
+
+
+def log_clearances(scenario: Scenario, trace: TraceLog) -> None:
+    """Set every tick's clearance from the logged robot and obstacle poses, in
+    one batched pass: the bits a per-tick ``min_clearance`` would give against
+    the static obstacles plus the moving ones parked at their logged poses."""
+    radius = scenario.robot.radius
+    robot = footprint_circles_each(scenario.robot, trace.poses)
+    clear = min_clearance(robot, radius, tuple(scenario.static_obstacles))
+    for mob in scenario.moving:
+        other = footprint_circles_each(mob.footprint, trace.obstacle_poses[mob.id])
+        clear = np.minimum(clear, circle_gaps(robot, radius, other, mob.footprint.radius))
+    trace.clearances = clear.tolist()
+
+
 def _track_blockers(tracks, t_now: float, only_stopped: bool, inflation: float):
     """Freeze (some) tracks into static disks for path planning."""
     shapes = []
@@ -148,7 +168,6 @@ class _Runner:
                  library: CurveLibrary | None, ground_truth_tracks: bool,
                  replan_timeout: float):
         self.sc = scenario
-        self.static_obstacles = tuple(scenario.static_obstacles)
         self.lib = library if library is not None else build_curve_library()
         self.seed = seed
         self.noise_rng = np.random.default_rng(seed)
@@ -299,12 +318,12 @@ class _Runner:
             self._log_tick(t, pose, prev_pose, prev_v, flag)
             prev_v = self.trace.velocities[-1]
             prev_pose = pose
-            if self._at_goal(pose):
+            if at_goal(sc, pose):
                 self.trace.success = True
                 break
         else:
             self.trace.failure_reason = "time limit exceeded"
-        self._log_clearances()
+        log_clearances(sc, self.trace)
         return self.trace
 
     def _future_safe(self, traj, exec_start, t_now, tracks) -> bool:
@@ -331,11 +350,6 @@ class _Runner:
                                                self.store.snapshot()))
         return new_traj
 
-    def _at_goal(self, pose: Pose) -> bool:
-        sc = self.sc
-        return (math.hypot(pose.x - sc.goal.x, pose.y - sc.goal.y) <= sc.goal_pos_tol
-                and abs(normalize_angle(pose.theta - sc.goal.theta)) <= sc.goal_heading_tol)
-
     def _log_tick(self, t, pose, prev_pose, prev_v, flag) -> None:
         sc = self.sc
         v = math.hypot(pose.x - prev_pose.x, pose.y - prev_pose.y) / sc.sim_dt \
@@ -349,19 +363,6 @@ class _Runner:
         self.trace.velocities.append(v)
         self.trace.accelerations.append(a)
         self.trace.flags.append(flag)
-
-    def _log_clearances(self) -> None:
-        """Every tick's clearance, from the logged robot and obstacle poses in
-        one batched pass: the bits a per-tick ``min_clearance`` and
-        ``clearance_to_obstacle`` would give."""
-        sc, trace = self.sc, self.trace
-        robot = footprint_circles_each(sc.robot, trace.poses)
-        clear = min_clearance(robot, sc.robot.radius, self.static_obstacles)
-        for mob in sc.moving:
-            other = footprint_circles_each(mob.footprint, trace.obstacle_poses[mob.id])
-            clear = np.minimum(clear, circle_gaps(robot, sc.robot.radius, other,
-                                                  mob.footprint.radius))
-        trace.clearances = clear.tolist()
 
 
 def run_scenario(scenario: Scenario, planner_config: PlannerConfig | None = None,
@@ -388,16 +389,21 @@ def draw_obstacles(cv, obstacles) -> None:
 
 
 def export_artifacts(trace: TraceLog, out_dir, scenario: Scenario | None = None) -> None:
-    """Write trace CSV, metrics summary, trace SVG, and per-plan SI charts."""
+    """Write trace CSV, metrics summary, trace SVG, and per-plan SI charts.
+
+    The metrics summary needs the per-tick clearances, so a trace without them
+    gets none.
+    """
     import os
 
     from .svg import SvgCanvas, plot_intervals, speed_color
 
     os.makedirs(out_dir, exist_ok=True)
     trace.to_csv(os.path.join(out_dir, "trace.csv"))
-    m = metrics(trace)
-    write_lines(os.path.join(out_dir, "metrics.txt"), ["%s %s" % (
-        k, m[k] if isinstance(m[k], bool) else "%.17g" % m[k]) for k in sorted(m)])
+    if trace.clearances:
+        m = metrics(trace)
+        write_lines(os.path.join(out_dir, "metrics.txt"), ["%s %s" % (
+            k, m[k] if isinstance(m[k], bool) else "%.17g" % m[k]) for k in sorted(m)])
     pts = trace.poses
     if scenario is not None:
         box = scenario.bounds

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .collision import FootprintSpec, footprint_circles_batch, poses_in_collision
+from .collision import (FootprintSpec, _pair_distances, footprint_circles_batch,
+                        poses_in_collision)
 from .configfile import write_lines
 from .rrt import Path
 from .tracking import ObstacleTrack, predict_pose
@@ -152,13 +153,9 @@ def predicted_hits(robot_circles: np.ndarray, robot_radius: float, obstacle_circ
     hits when its center distance is at most the sum of the radii plus
     ``clearance``.
     """
-    rx = robot_circles[..., :, None, 0]  # (..., k, 1)
-    ry = robot_circles[..., :, None, 1]
     hit = np.zeros(robot_circles.shape[:-2], dtype=bool)
     for centers, radius, _vel in obstacle_circles:
-        dx = rx - centers[:, None, :, 0]  # (..., T, k, m)
-        dy = ry - centers[:, None, :, 1]
-        d = np.sqrt(dx * dx + dy * dy)  # the same bits as np.linalg.norm
+        d = _pair_distances(robot_circles, centers)  # (..., T, k, m)
         hit = hit | np.any(d <= robot_radius + radius + clearance, axis=(-2, -1))
     return hit
 

@@ -114,6 +114,21 @@ class TestPlan:
         assert "bad.csv:6: 10 fields, expected 11" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [["plan", "--start", "0,0,0", "--goal", "10,0,0"],
+                                         ["simulate", "--scenario", "cross"]])
+    @pytest.mark.parametrize("line", ["collision_ds = -0.5", "collision_ds = 0",
+                                      "max_iterations = -3"])
+    def test_bad_planner_config(self, tmp_path, library_csv, capsys, command, line):
+        """A value that would weaken or misreport planning fails with the file's name."""
+        cfg = tmp_path / "planner.cfg"
+        cfg.write_text(line + "\n")
+        code = cli.main(command + ["--config", str(cfg), "--library", str(library_csv),
+                                   "--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"planner.cfg: {line.split()[0]} must be" in err
+        assert "Traceback" not in err
+
     def test_bad_pose_argument(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["plan", "--start", "1,2", "--goal", "3,4,0",
@@ -186,6 +201,26 @@ class TestExportPlots:
                          "--scenario", "cross", "--out", str(plots)])
         assert code == EXIT_OK
         ET.parse(plots / "trace.svg")
+        # The scenario's scripts and goal restore the clearances and success.
+        assert (plots / "metrics.txt").read_bytes() == (run_dir / "metrics.txt").read_bytes()
+        assert (plots / "trace.csv").read_bytes() == (run_dir / "trace.csv").read_bytes()
+        bare = tmp_path / "bare"
+        assert cli.main(["export-plots", "--trace", str(run_dir / "trace.csv"),
+                         "--out", str(bare)]) == EXIT_OK
+        assert (bare / "trace.svg").exists()
+        assert not (bare / "metrics.txt").exists()
+
+    def test_scenario_must_match_trace_obstacles(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_text("t,x,y,theta,v,a,flag,obs_id,obs_x,obs_y\n"
+                         "0,0,0,0,0,0,planning,0,5,5\n")
+        world = tmp_path / "empty.txt"
+        world.write_text("name empty\nbounds -5 -5 15 5\nstart 0 0 0\ngoal 10 0 0\n")
+        assert cli.main(["export-plots", "--trace", str(trace), "--scenario", str(world),
+                         "--out", str(tmp_path / "p")]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "t.csv: obstacle ids [0], but scenario empty has []" in err
+        assert "Traceback" not in err
 
     def test_missing_trace(self, tmp_path, capsys):
         assert cli.main(["export-plots", "--trace", str(tmp_path / "no.csv"),

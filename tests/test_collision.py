@@ -7,12 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kinoplan.collision import (FootprintSpec, ObstacleShape, _dist_to_polygon,
-                                _point_in_polygon, _polygon_stack,
-                                clearance_to_obstacle, curve_in_collision,
+from kinoplan.collision import (FootprintSpec, ObstacleShape, _polygon_pass, _world,
+                                circles_hit, clearance_to_obstacle, curve_in_collision,
                                 default_robot_footprint, disc_radius,
-                                footprint_circles, min_clearance, polygon_edges,
-                                pose_in_collision, poses_in_collision)
+                                footprint_circles, footprint_circles_batch,
+                                min_clearance, polygon_edges, pose_in_collision,
+                                poses_in_collision)
 from kinoplan.geometry import CurveParams, Pose
 
 
@@ -257,8 +257,14 @@ vertex_lists = st.lists(st.tuples(st.one_of(coord, lattice), st.one_of(coord, la
                         min_size=3, max_size=9)
 
 
+def one_polygon_pass(centers, edges):
+    """``_polygon_pass`` over a single polygon's edges: (distance, inside)."""
+    d, inside = _polygon_pass(np.asarray(centers, dtype=float), edges, [0])
+    return d[..., 0], inside[..., 0]
+
+
 class TestPolygonKernels:
-    """The edge-vectorized kernels against the per-edge loops, bit for bit."""
+    """The edge-vectorized polygon pass against the per-edge loops, bit for bit."""
 
     @staticmethod
     def assert_bit_equal(vertices, pts):
@@ -266,10 +272,9 @@ class TestPolygonKernels:
         edges = polygon_edges(ObstacleShape.polygon(vertices).vertices)
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         px, py = pts[:, 0], pts[:, 1]
-        inside = _point_in_polygon(px, py, edges)
+        dist, inside = one_polygon_pass(pts, edges)
         assert inside.shape == px.shape
         np.testing.assert_array_equal(inside, point_in_polygon_per_edge(px, py, verts))
-        dist = _dist_to_polygon(px, py, edges)
         ref = dist_to_polygon_per_edge(px, py, verts)
         assert dist.shape == ref.shape
         assert dist.tobytes() == ref.tobytes()
@@ -299,9 +304,9 @@ class TestPolygonKernels:
         centers = np.random.default_rng(0).uniform(-1.0, 4.0, size=(7, 3, 2))
         px, py = centers[..., 0], centers[..., 1]
         verts = np.asarray(vertices)
-        assert _point_in_polygon(px, py, edges).shape == (7, 3)
-        assert _dist_to_polygon(px, py, edges).tobytes() == \
-            dist_to_polygon_per_edge(px, py, verts).tobytes()
+        dist, inside = one_polygon_pass(centers, edges)
+        assert inside.shape == (7, 3)
+        assert dist.tobytes() == dist_to_polygon_per_edge(px, py, verts).tobytes()
 
     def test_edges_cached_per_vertex_tuple(self):
         vertices = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
@@ -318,13 +323,54 @@ def obstacle_sets():
     return st.lists(st.one_of(polygon, polygon, disk, footprint), max_size=6).map(tuple)
 
 
+def reference_circles(obstacle):
+    """Centers and common radius of a disk or of a parked footprint's cover."""
+    if obstacle.kind == "disk":
+        return np.array([obstacle.center]), obstacle.radius
+    return footprint_circles(obstacle.footprint, obstacle.pose), obstacle.footprint.radius
+
+
+def reference_clearance(centers, radius, obstacle):
+    """One obstacle's gap to the (k, 2) circle set: polygons through the
+    per-edge loops, disks and footprints through ``np.linalg.norm``."""
+    if obstacle.kind == "polygon":
+        verts = np.asarray(obstacle.vertices)
+        px, py = centers[..., 0], centers[..., 1]
+        d = dist_to_polygon_per_edge(px, py, verts)
+        return np.min(np.where(point_in_polygon_per_edge(px, py, verts), -d, d)) - radius
+    others, other_radius = reference_circles(obstacle)
+    d = np.linalg.norm(centers[:, None, :] - others[None, :, :], axis=-1)
+    return np.min(d) - radius - other_radius
+
+
+def reference_hits(centers, radius, obstacle, margin):
+    """Whether each (k, 2) set of the stacked (N, k, 2) centers touches one
+    obstacle, by the same per-kind references."""
+    if obstacle.kind == "polygon":
+        verts = np.asarray(obstacle.vertices)
+        px, py = centers[..., 0], centers[..., 1]
+        near = dist_to_polygon_per_edge(px, py, verts) <= radius + margin
+        return np.any(point_in_polygon_per_edge(px, py, verts) | near, axis=-1)
+    others, other_radius = reference_circles(obstacle)
+    d = np.linalg.norm(centers[..., :, None, :] - others, axis=-1)
+    return np.any(d <= radius + other_radius + margin, axis=(-2, -1))
+
+
+# Disks and a footprint of different radii, nearest by center distance (the
+# small disk) not nearest by gap (the large one): the per-circle order of
+# (d - r) - R_j matters.
+MIXED_CIRCLES = (ObstacleShape.disk(3.0, 0.0, 0.5), ObstacleShape.disk(0.0, 4.0, 2.0),
+                 ObstacleShape.footprint_at(FootprintSpec.from_dimensions(4.6, 1.9),
+                                            Pose(-4.5, -1.0, 0.4)))
+
+
 class TestMinClearance:
-    """The batched clearance against the per-obstacle minimum, bit for bit."""
+    """The batched clearance against the per-kind reference, bit for bit."""
 
     @staticmethod
     def assert_bit_equal(centers, radius, obstacles):
         centers = np.asarray(centers, dtype=float).reshape(-1, 2)
-        want = min((clearance_to_obstacle(centers, radius, o) for o in obstacles),
+        want = min((reference_clearance(centers, radius, o) for o in obstacles),
                    default=math.inf)
         got = min_clearance(centers, radius, obstacles)
         assert type(got) is float
@@ -337,6 +383,7 @@ class TestMinClearance:
     @example((ObstacleShape.polygon([(0.0, 0.0), (4.0, 0.0), (4.0, 2.0), (0.0, 2.0)]),
               ObstacleShape.polygon([(5.0, 0.0), (6.0, 0.0), (5.0, 1.0)])),
              [(2.0, 1.0), (4.0, 2.0), (5.5, 0.0)], 0.5)
+    @example(MIXED_CIRCLES, [(0.0, 0.0), (0.5, 0.2)], 0.3)
     @settings(max_examples=300, deadline=None)
     def test_random_sets(self, obstacles, centers, radius):
         self.assert_bit_equal(centers, radius, obstacles)
@@ -375,4 +422,42 @@ class TestMinClearance:
     def test_stack_cached_per_obstacle_tuple(self):
         obstacles = (ObstacleShape.polygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]),
                      ObstacleShape.disk(3.0, 0.0, 1.0))
-        assert _polygon_stack(obstacles) is _polygon_stack(tuple(list(obstacles)))
+        assert _world(obstacles) is _world(tuple(list(obstacles)))
+
+
+class TestCirclesHit:
+    """The one-pass hit test against the OR of the per-kind reference, bit for bit."""
+
+    @given(obstacle_sets(), st.integers(1, 3), st.lists(st.one_of(coord, lattice),
+                                                         min_size=2, max_size=24),
+           st.floats(0.05, 3.0), st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    @example(MIXED_CIRCLES, 2, [0.0, 0.0, 0.5, 0.2, 1.1, 0.0, 0.0, 1.7], 0.3, 0.0)
+    @example(MIXED_CIRCLES, 1, [0.0, 0.0, 1.2, 0.0], 0.3, 1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_random_sets(self, obstacles, k, coords, radius, margin):
+        n = len(coords) // (2 * k)
+        if n == 0:
+            return
+        centers = np.asarray(coords[:2 * k * n], dtype=float).reshape(n, k, 2)
+        want = np.zeros(n, dtype=bool)
+        for obs in obstacles:
+            want |= reference_hits(centers, radius, obs, margin)
+        np.testing.assert_array_equal(circles_hit(centers, radius, obstacles, margin), want)
+
+    @given(obstacle_sets(), st.lists(st.tuples(coord, coord, st.floats(-4.0, 4.0)),
+                                     min_size=1, max_size=8),
+           st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    @example(MIXED_CIRCLES, [(0.0, 0.0, 0.0), (0.0, 1.0, 1.5), (-1.0, -1.0, 0.4)], 0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_poses_in_collision(self, obstacles, poses, margin):
+        spec = default_robot_footprint()
+        poses = np.asarray(poses, dtype=float)
+        centers = footprint_circles_batch(spec, poses)
+        want = np.zeros(len(poses), dtype=bool)
+        for obs in obstacles:
+            want |= reference_hits(centers, spec.radius, obs, margin)
+        np.testing.assert_array_equal(poses_in_collision(spec, poses, obstacles, margin), want)
+        for pose in poses:
+            one = footprint_circles(spec, Pose(*pose))[None]
+            hit = any(reference_hits(one, spec.radius, obs, margin)[0] for obs in obstacles)
+            assert pose_in_collision(spec, Pose(*pose), obstacles, margin) == hit

@@ -15,8 +15,9 @@ from kinoplan.geometry import (FIT_TOL, SIMPSON_STEP, CurveLibrary, CurveParams,
                                _shot_jacobian,
                                build_curve_library, curvature_at, dubins_length,
                                endpoint_jacobian, fit_curve, heading_change,
-                               integrate_endpoint, max_abs_curvature,
-                               normalize_angle, reachable_within, sample_curve_poses)
+                               integrate_endpoint, local_curve_samples,
+                               max_abs_curvature, normalize_angle, reachable_within)
+from kinoplan.rrt import PlannerConfig
 
 
 def straight(s_f):
@@ -115,27 +116,31 @@ class TestIntegrateEndpoint:
 
 
 class TestSampleCurvePoses:
+    """Curve poses: ``local_curve_samples`` offsets placed by ``Pose.transform``."""
+
     def test_straight_spacing(self):
-        poses = sample_curve_poses(straight(1.0), Pose(0.0, 0.0, 0.0), 0.5)
-        assert [p.x for p in poses] == pytest.approx([0.0, 0.5, 1.0])
-        assert all(p.y == 0.0 for p in poses)
+        offsets = local_curve_samples(straight(1.0), 0.5)
+        assert [o[0] for o in offsets] == pytest.approx([0.0, 0.5, 1.0])
+        assert all(o[1] == 0.0 for o in offsets)
 
     def test_rotated_base(self):
-        poses = sample_curve_poses(straight(1.0), Pose(0.0, 0.0, math.pi / 2.0), 1.0)
-        end = poses[-1]
+        end = Pose(0.0, 0.0, math.pi / 2.0).transform(*local_curve_samples(straight(1.0), 1.0)[-1])
         assert (end.x, end.y, end.theta) == pytest.approx(
             (0.0, 1.0, math.pi / 2.0), abs=1e-12)
 
     def test_arc_endpoint_matches_integration(self):
         p = CurveParams(0.5, 0.0, 0.0, 0.0, math.pi)
-        poses = sample_curve_poses(p, Pose(0.0, 0.0, 0.0), math.pi / 2.0)
-        dx, dy, dth = integrate_endpoint(p)
-        assert (poses[-1].x, poses[-1].y) == pytest.approx((dx, dy), abs=1e-12)
-        assert poses[-1].theta == pytest.approx(dth, abs=1e-12)
+        offsets = local_curve_samples(p, math.pi / 2.0)
+        assert len(offsets) == 3
+        assert offsets[-1] == integrate_endpoint(p)
 
     def test_bad_ds(self):
-        with pytest.raises(ValueError):
-            sample_curve_poses(straight(1.0), Pose(0.0, 0.0, 0.0), 0.0)
+        """The sampler has no guard of its own: the planner config rejects a
+        step outside (0, inf), which would sample nothing but the end pose
+        (negative) or ask for an unbounded array (zero)."""
+        for ds in (0.0, -0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="collision_ds"):
+                PlannerConfig(collision_ds=ds)
 
 
 class TestFitCurve:

@@ -206,6 +206,9 @@ class TestPlannerConfig:
             PlannerConfig(p_th=1.5)
         with pytest.raises(ValueError):
             PlannerConfig(d_th=0.0)
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="max_iterations"):
+                PlannerConfig(max_iterations=n)
 
     def test_file_roundtrip(self, tmp_path):
         cfg = PlannerConfig(p_th=0.25, max_iterations=1234,
