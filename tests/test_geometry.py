@@ -170,13 +170,12 @@ def arc_sequence_end(segments):
     """Exact end (x, y, theta) of constant-curvature segments (kappa, length) from the origin."""
     x = y = th = 0.0
     for kappa, length in segments:
-        if kappa == 0.0:
-            x, y = x + length * math.cos(th), y + length * math.sin(th)
-        else:
-            th2 = th + kappa * length
-            x += (math.sin(th2) - math.sin(th)) / kappa
-            y -= (math.cos(th2) - math.cos(th)) / kappa
-            th = th2
+        # Chord of length L * sin(u) / u at the mid-arc heading, u = kappa * L / 2:
+        # differencing sines and dividing by kappa cancels for tiny kappa.
+        half = 0.5 * kappa * length
+        chord = length * (math.sin(half) / half if half != 0.0 else 1.0)
+        x, y = x + chord * math.cos(th + half), y + chord * math.sin(th + half)
+        th += kappa * length
     return x, y, th
 
 
