@@ -17,18 +17,19 @@ import math
 import os
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
 
 from .collision import default_robot_footprint
-from .configfile import write_lines
+from .configfile import at_line, write_lines
 from .geometry import CurveLibrary, LibraryConfig, Pose, build_curve_library
 from .rrt import PlannerConfig, plan_path
 from .scenarios import (Scenario, builtin_scenarios, get_scenario,
                         load_scenario, random_disk_world)
-from .simulator import (TraceLog, at_goal, draw_obstacles, export_artifacts,
-                        log_clearances, metrics, run_scenario)
+from .simulator import (TraceLog, derive_trace, draw_obstacles, export_artifacts, metrics,
+                        run_scenario)
 from .svg import SvgCanvas, plot_errorbars
 
 EXIT_OK = 0
@@ -72,6 +73,15 @@ def _resolve_scenario(name_or_path: str) -> Scenario:
         raise ValueError(exc.args[0]) from None
 
 
+def _planner_config(args, footprint) -> PlannerConfig:
+    """The ``--config`` planner config (defaults without one), checked against
+    the robot's ``footprint`` before any planning; an error names the file."""
+    pcfg = PlannerConfig.from_file(args.config) if args.config else PlannerConfig()
+    with at_line(args.config) if args.config else nullcontext():
+        pcfg.check_footprint(footprint)
+    return pcfg
+
+
 def _print_config(args, extra: dict | None = None) -> None:
     shown = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     if extra:
@@ -109,9 +119,8 @@ def cmd_plan(args) -> int:
         bounds = (min(start.x, goal.x) - pad, min(start.y, goal.y) - pad,
                   max(start.x, goal.x) + pad, max(start.y, goal.y) + pad)
         footprint = default_robot_footprint()
+    pcfg = replace(_planner_config(args, footprint), rng_seed=args.seed, world_bounds=bounds)
     library = CurveLibrary.load_csv(args.library) if args.library else build_curve_library()
-    pcfg = PlannerConfig.from_file(args.config) if args.config else PlannerConfig()
-    pcfg = replace(pcfg, rng_seed=args.seed, world_bounds=bounds)
     try:
         result = plan_path(start, goal, obstacles, pcfg, library, footprint)
     except ValueError as exc:
@@ -141,7 +150,7 @@ def _plot_path(path, obstacles, bounds, out) -> None:
 def cmd_simulate(args) -> int:
     scenario = _resolve_scenario(args.scenario)
     _print_config(args)
-    pcfg = PlannerConfig.from_file(args.config) if args.config else None
+    pcfg = _planner_config(args, scenario.robot)
     library = CurveLibrary.load_csv(args.library) if args.library else None
     trace = run_scenario(scenario, planner_config=pcfg, seed=args.seed,
                          library=library,
@@ -233,16 +242,11 @@ def cmd_export_plots(args) -> int:
     scenario = _resolve_scenario(args.scenario) if args.scenario else None
     trace = TraceLog.from_csv(args.trace)
     if scenario is not None:
-        # The CSV drops obstacle headings: replay the scripts at the logged times.
         ids = [mob.id for mob in scenario.moving]
         if trace.obstacle_ids != ids:
             raise ValueError(f"{args.trace}: obstacle ids {trace.obstacle_ids}, "
                              f"but scenario {scenario.name} has {ids}")
-        for mob in scenario.moving:
-            trace.obstacle_poses[mob.id] = [(p.x, p.y, p.theta)
-                                            for p in map(mob.pose_at, trace.times)]
-        log_clearances(scenario, trace)
-        trace.success = bool(trace.poses) and at_goal(scenario, Pose(*trace.poses[-1]))
+        derive_trace(scenario, trace)
     export_artifacts(trace, args.out, scenario)
     print(f"wrote plots to {args.out}")
     return EXIT_OK

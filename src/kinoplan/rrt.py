@@ -64,6 +64,13 @@ class PlannerConfig:
             raise ValueError(f"world_bounds needs 4 values (xmin ymin xmax ymax), "
                              f"got {len(self.world_bounds)}")
 
+    def check_footprint(self, footprint: FootprintSpec) -> None:
+        """Raise ValueError unless curve samples ``collision_ds`` apart are
+        close enough for ``footprint``'s cover circles to see every obstacle."""
+        if self.collision_ds > footprint.radius:
+            raise ValueError(f"collision_ds = {self.collision_ds} exceeds the robot's "
+                             f"cover radius {footprint.radius:.6g} m")
+
     def to_file(self, path) -> None:
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         write_lines(path, [f"{k} = {' '.join(map(str, v)) if isinstance(v, tuple) else v}"
@@ -153,14 +160,8 @@ def random_sample(start: Pose, goal: Pose, eccentricity: float, rng: np.random.G
     return p
 
 
-def gmm_sample(bridge_nodes, config: PlannerConfig, rng: np.random.Generator,
-               start: Pose | None = None, goal: Pose | None = None) -> np.ndarray:
+def gmm_sample(bridge_nodes, config: PlannerConfig, rng: np.random.Generator) -> np.ndarray:
     """Isotropic-Gaussian mixture draw centered on the bridging-path nodes."""
-    if len(bridge_nodes) == 0:
-        if start is None or goal is None:
-            raise ValueError("empty bridge and no fallback poses")
-        return random_sample(start, goal, config.eccentricity, rng,
-                             config.ellipse_margin, config.world_bounds, config.d_th)
     k = int(rng.integers(len(bridge_nodes)))
     center = bridge_nodes[k]
     return np.asarray(center, dtype=float) + config.gmm_sigma * rng.standard_normal(2)
@@ -375,6 +376,8 @@ class _NearestPair:
 
 
 def _bridge_nodes(t_f: Tree, t_b: Tree, pair: _NearestPair) -> list[tuple[float, float]]:
+    """Node positions from the start root through the nearest pair to the goal
+    root; never empty, since each chain holds its root."""
     nodes = []
     for i in t_f.ancestors(pair.f_idx):
         p = t_f.nodes[i].pose
@@ -390,7 +393,7 @@ def sample(t_f: Tree, t_b: Tree, pair: _NearestPair, start: Pose, goal: Pose,
     """One Alg.-2 draw: GMM near connection, informed-ellipse sample otherwise."""
     p = rng.random()
     if pair.dist < config.d_th and p < config.p_th:
-        return gmm_sample(_bridge_nodes(t_f, t_b, pair), config, rng, start, goal)
+        return gmm_sample(_bridge_nodes(t_f, t_b, pair), config, rng)
     if config.goal_bias > 0.0 and rng.random() < config.goal_bias:
         return np.array([target_root.x, target_root.y])
     return random_sample(start, goal, config.eccentricity, rng,

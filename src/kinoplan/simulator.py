@@ -6,9 +6,11 @@ the timed trajectory and revalidates it at every perception tick, re-timing
 the rest of the path when the fresh predictions make it unsafe; WAITING holds
 position when no safe timing exists and tries nothing until ``replan_timeout``
 has passed, when the path itself is replanned (REPLANNING), treating
-obstacles that have stopped as static blockers.  Each tick logs the robot and
-obstacle poses; the clearances are computed from them after the run, in one
-batched pass.  Everything is a pure function of (scenario, configs, seed).
+obstacles that have stopped as static blockers.  Every planning attempt is
+recorded in one place (``_Runner._attempt``).  Each tick logs only what the
+loop decides: its time, the robot pose and the state flag; after the run,
+``derive_trace`` fills in the obstacle poses, speeds, clearances and success
+in one pass.  Everything is a pure function of (scenario, configs, seed).
 """
 
 from __future__ import annotations
@@ -19,17 +21,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .collision import (FootprintSpec, ObstacleShape, circle_gaps, footprint_circles,
+from .collision import (ObstacleShape, circle_gaps, footprint_circles,
                         footprint_circles_batch, footprint_circles_each, min_clearance)
 from .configfile import at_line, read_lines, write_lines
 from .geometry import CurveLibrary, Pose, build_curve_library, normalize_angle
 from .rrt import Path, PlannerConfig, plan_path
-from .scenarios import Scenario, ScriptedObstacle
+from .scenarios import Scenario
 from .temporal import (NodeIntervals, TemporalConfig, Trajectory,
                        _predicted_obstacle_circles, compute_safe_intervals,
                        optimize_timestamps, predicted_hits, select_interval_sequence,
                        validate_trajectory)
-from .tracking import Observation, TrackerConfig, TrackStore, predict_pose
+from .tracking import Observation, TrackerConfig, TrackStore
 
 PLANNING = "planning"
 EXECUTING = "executing"
@@ -44,7 +46,8 @@ REVALIDATE_MARGIN = 0.3  # predicted gap below this triggers a re-timing, m
 
 @dataclass
 class PlanningEvent:
-    """One planning or re-timing attempt, kept for analysis and SI charts."""
+    """One planning or re-timing attempt, kept for analysis and SI charts;
+    ``path``, ``trajectory`` and ``node_intervals`` are None where it failed."""
 
     time: float
     kind: str  # "initial" | "retime" | "replan"
@@ -138,10 +141,24 @@ def at_goal(scenario: Scenario, pose: Pose) -> bool:
             and abs(normalize_angle(pose.theta - goal.theta)) <= scenario.goal_heading_tol)
 
 
-def log_clearances(scenario: Scenario, trace: TraceLog) -> None:
-    """Set every tick's clearance from the logged robot and obstacle poses, in
-    one batched pass: the bits a per-tick ``min_clearance`` would give against
-    the static obstacles plus the moving ones parked at their logged poses."""
+def derive_trace(scenario: Scenario, trace: TraceLog) -> None:
+    """Fill in what the tick loop does not log, from its times and poses.
+
+    In one pass: the obstacle poses, replayed from the scripts at the logged
+    times; v and a as finite differences over ``sim_dt`` (0 at tick 0); the
+    clearances, in one batched pass, the bits a per-tick ``min_clearance``
+    would give against the static obstacles plus the moving ones parked at
+    their poses; and ``success``, whether the last pose is at the goal.
+    """
+    dt = scenario.sim_dt
+    for mob in scenario.moving:
+        trace.obstacle_poses[mob.id] = [(p.x, p.y, p.theta)
+                                        for p in map(mob.pose_at, trace.times)]
+    n, pts = len(trace.poses), trace.poses
+    v = [0.0] + [math.hypot(x1 - x0, y1 - y0) / dt
+                 for (x0, y0, _), (x1, y1, _) in zip(pts, pts[1:])]
+    trace.velocities = v[:n]
+    trace.accelerations = [0.0, *((v1 - v0) / dt for v0, v1 in zip(v, v[1:]))][:n]
     radius = scenario.robot.radius
     robot = footprint_circles_each(scenario.robot, trace.poses)
     clear = min_clearance(robot, radius, tuple(scenario.static_obstacles))
@@ -149,18 +166,15 @@ def log_clearances(scenario: Scenario, trace: TraceLog) -> None:
         other = footprint_circles_each(mob.footprint, trace.obstacle_poses[mob.id])
         clear = np.minimum(clear, circle_gaps(robot, radius, other, mob.footprint.radius))
     trace.clearances = clear.tolist()
+    trace.success = bool(trace.poses) and at_goal(scenario, Pose(*trace.poses[-1]))
 
 
 def _track_blockers(tracks, t_now: float, only_stopped: bool, inflation: float):
     """Freeze (some) tracks into static disks for path planning."""
-    shapes = []
-    for tr in tracks:
-        if only_stopped and tr.speed >= STOP_SPEED:
-            continue
-        pose, fp = predict_pose(tr, t_now)
-        for cx, cy in footprint_circles(fp, pose):
-            shapes.append(ObstacleShape.disk(float(cx), float(cy), fp.radius + inflation))
-    return shapes
+    tracks = [tr for tr in tracks if not (only_stopped and tr.speed >= STOP_SPEED)]
+    circles = _predicted_obstacle_circles(tracks, np.zeros(1), t_now)
+    return [ObstacleShape.disk(float(cx), float(cy), radius + inflation)
+            for centers, radius, _vel in circles for cx, cy in centers[0]]
 
 
 class _Runner:
@@ -168,12 +182,13 @@ class _Runner:
                  library: CurveLibrary | None, ground_truth_tracks: bool,
                  replan_timeout: float):
         self.sc = scenario
+        self.pcfg = planner_config or PlannerConfig()
+        self.pcfg.check_footprint(scenario.robot)
         self.lib = library if library is not None else build_curve_library()
         self.seed = seed
         self.noise_rng = np.random.default_rng(seed)
         self.ground_truth = ground_truth_tracks
         self.replan_timeout = replan_timeout
-        self.pcfg = planner_config or PlannerConfig()
         self.tcfg = TemporalConfig(v_max=scenario.v_max, a_max=scenario.a_max,
                                    horizon=scenario.horizon)
         biggest = max((m.footprint for m in scenario.moving),
@@ -181,8 +196,7 @@ class _Runner:
         self.store = TrackStore(TrackerConfig(default_footprint=biggest))
         self.plan_count = 0
         self.trace = TraceLog(scenario.name, seed, scenario.sim_dt,
-                              obstacle_ids=[m.id for m in scenario.moving],
-                              obstacle_poses={m.id: [] for m in scenario.moving})
+                              obstacle_ids=[m.id for m in scenario.moving])
 
     # -- perception ------------------------------------------------------
 
@@ -222,15 +236,15 @@ class _Runner:
             traj = None
         return traj, nis
 
-    def make_plan(self, start: Pose, t_now: float, kind: str):
+    def _plan(self, start: Pose, t_now: float):
         """Plan and time a path; fall back to routing around frozen tracks.
 
         The primary attempt keeps moving obstacles out of the static map (only
         stopped ones are frozen) and lets the temporal layer handle them; when
         that fails or yields a crawl, a second attempt freezes every track in
         place, which is what produces overtaking and detours around blockers.
+        Returns the fastest (trajectory, SIs, path), or None.
         """
-        t_wall = _time.perf_counter()
         candidates = []
         for only_stopped in (True, False):
             path = None
@@ -248,20 +262,31 @@ class _Runner:
                 free_flow = path.total_length / self.tcfg.v_max
                 if only_stopped and traj.duration <= SLOW_FACTOR * free_flow:
                     break  # primary plan is fine; skip the frozen-track variant
-        best = min(candidates, key=lambda c: c[0].duration) if candidates else None
-        latency = _time.perf_counter() - t_wall
-        if best is None:
-            self.trace.events.append(PlanningEvent(t_now, kind, None, None, None, latency,
-                                                   self.store.snapshot()))
+        return min(candidates, key=lambda c: c[0].duration) if candidates else None
+
+    def _retime(self, traj: Trajectory, since: float, t_now: float):
+        """Re-time the rest of the path from here: (trajectory or None, SIs,
+        path), or None when less than one edge is left."""
+        rem = traj.path.subpath_from(traj.arc_length_at(t_now - since))
+        if len(rem.poses) < 2:
             return None
-        traj, nis, path = best
-        self.trace.events.append(PlanningEvent(t_now, kind, path, traj, nis, latency,
+        return (*self._time_path(rem, t_now), rem)
+
+    def _attempt(self, t: float, kind: str, fn, *args) -> Trajectory | None:
+        """Run one planning attempt ``fn(*args)``, record it as a PlanningEvent
+        with its wall time and the tracks it saw, and return its trajectory."""
+        t_wall = _time.perf_counter()
+        traj, nis, path = fn(*args) or (None, None, None)
+        latency = _time.perf_counter() - t_wall
+        self.trace.events.append(PlanningEvent(t, kind, path, traj, nis, latency,
                                                self.store.snapshot()))
         return traj
 
     # -- main loop -------------------------------------------------------
 
     def run(self) -> TraceLog:
+        """Tick until the goal or the time limit, logging each tick's time,
+        pose and flag; ``derive_trace`` fills in the rest afterwards."""
         sc = self.sc
         dt = sc.sim_dt
         per_ticks = max(1, round(sc.perception_dt / dt))
@@ -270,99 +295,45 @@ class _Runner:
         for k in range(10):
             self.observe(-1.0 + 0.1 * k)
         pose = sc.start
-        prev_pose = pose
-        prev_v = 0.0
         state = PLANNING
         traj: Trajectory | None = None
-        exec_start = 0.0
-        wait_start = 0.0
-        n_ticks = int(round(sc.time_limit / dt))
-        for tick in range(n_ticks + 1):
+        since = 0.0  # time of the last planning attempt
+        for tick in range(int(round(sc.time_limit / dt)) + 1):
             t = tick * dt
-            if tick % per_ticks == 0 and tick > 0:
+            perceive = tick % per_ticks == 0
+            if perceive and tick > 0:
                 self.observe(t)
             flag = state
             if state == PLANNING:
-                traj = self.make_plan(pose, t, "initial")
-                if traj is not None:
-                    state = EXECUTING
-                    exec_start = t
-                else:
-                    state = WAITING
-                    wait_start = t
-                flag = PLANNING
-            elif state == EXECUTING and tick % per_ticks == 0:
-                tracks = self.store.snapshot()
-                if not self._future_safe(traj, exec_start, t, tracks):
-                    new_traj = self._retime(traj, exec_start, t)
-                    if new_traj is not None:
-                        traj, exec_start = new_traj, t
-                        flag = REPLANNING
-                    else:
-                        traj = None
-                        state = WAITING
-                        wait_start = t
-                        flag = WAITING
-            elif state == WAITING and tick % per_ticks == 0:
-                if t - wait_start >= self.replan_timeout:
-                    new_traj = self.make_plan(pose, t, "replan")
-                    flag = REPLANNING
-                    if new_traj is not None:
-                        traj, exec_start = new_traj, t
-                        state = EXECUTING
-                    else:
-                        wait_start = t  # timer restarts; keep holding
-            # Advance the robot along the active trajectory.
-            if state == EXECUTING and traj is not None:
-                pose = traj.pose_at(t - exec_start)
-            self._log_tick(t, pose, prev_pose, prev_v, flag)
-            prev_v = self.trace.velocities[-1]
-            prev_pose = pose
+                traj, since = self._attempt(t, "initial", self._plan, pose, t), t
+                state = EXECUTING if traj is not None else WAITING
+            elif state == EXECUTING and perceive and not self._future_safe(traj, since, t):
+                traj, since = self._attempt(t, "retime", self._retime, traj, since, t), t
+                state = EXECUTING if traj is not None else WAITING
+                flag = REPLANNING if traj is not None else WAITING
+            elif state == WAITING and perceive and t - since >= self.replan_timeout:
+                traj, since = self._attempt(t, "replan", self._plan, pose, t), t
+                state = EXECUTING if traj is not None else WAITING
+                flag = REPLANNING
+            if state == EXECUTING:
+                pose = traj.pose_at(t - since)
+            self.trace.times.append(t)
+            self.trace.poses.append((pose.x, pose.y, pose.theta))
+            self.trace.flags.append(flag)
             if at_goal(sc, pose):
-                self.trace.success = True
                 break
-        else:
-            self.trace.failure_reason = "time limit exceeded"
-        log_clearances(sc, self.trace)
         return self.trace
 
-    def _future_safe(self, traj, exec_start, t_now, tracks) -> bool:
+    def _future_safe(self, traj: Trajectory, since: float, t_now: float) -> bool:
         """Check the not-yet-driven part of the trajectory against fresh tracks."""
-        rel = t_now - exec_start
+        rel = t_now - since
         times = np.arange(rel, traj.duration + self.sc.sim_dt / 2.0, self.sc.sim_dt)
         if len(times) == 0:
             times = np.array([traj.duration])
         robot = footprint_circles_batch(self.sc.robot, traj.poses_at(times))
-        obstacle_circles = _predicted_obstacle_circles(tracks, times, exec_start)
+        obstacle_circles = _predicted_obstacle_circles(self.store.snapshot(), times, since)
         return not np.any(predicted_hits(robot, self.sc.robot.radius, obstacle_circles,
                                          REVALIDATE_MARGIN))
-
-    def _retime(self, traj, exec_start, t_now):
-        """Re-run temporal optimization on the remaining path from here."""
-        s_now = traj.arc_length_at(t_now - exec_start)
-        rem = traj.path.subpath_from(s_now)
-        if len(rem.poses) < 2:
-            return None
-        t_wall = _time.perf_counter()
-        new_traj, nis = self._time_path(rem, t_now)
-        latency = _time.perf_counter() - t_wall
-        self.trace.events.append(PlanningEvent(t_now, "retime", rem, new_traj, nis, latency,
-                                               self.store.snapshot()))
-        return new_traj
-
-    def _log_tick(self, t, pose, prev_pose, prev_v, flag) -> None:
-        sc = self.sc
-        v = math.hypot(pose.x - prev_pose.x, pose.y - prev_pose.y) / sc.sim_dt \
-            if self.trace.times else 0.0
-        a = (v - prev_v) / sc.sim_dt if self.trace.times else 0.0
-        for mob in sc.moving:
-            p = mob.pose_at(t)
-            self.trace.obstacle_poses[mob.id].append((p.x, p.y, p.theta))
-        self.trace.times.append(t)
-        self.trace.poses.append((pose.x, pose.y, pose.theta))
-        self.trace.velocities.append(v)
-        self.trace.accelerations.append(a)
-        self.trace.flags.append(flag)
 
 
 def run_scenario(scenario: Scenario, planner_config: PlannerConfig | None = None,
@@ -371,9 +342,12 @@ def run_scenario(scenario: Scenario, planner_config: PlannerConfig | None = None
                  ground_truth_tracks: bool = False,
                  replan_timeout: float = 3.0) -> TraceLog:
     """Execute one scenario to completion; deterministic in (scenario, seed)."""
-    runner = _Runner(scenario, planner_config, seed, library,
-                     ground_truth_tracks, replan_timeout)
-    return runner.run()
+    trace = _Runner(scenario, planner_config, seed, library,
+                    ground_truth_tracks, replan_timeout).run()
+    derive_trace(scenario, trace)
+    if not trace.success:
+        trace.failure_reason = "time limit exceeded"
+    return trace
 
 
 def draw_obstacles(cv, obstacles) -> None:

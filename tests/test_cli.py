@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from kinoplan import cli
-from kinoplan.cli import EXIT_ERROR, EXIT_NO_PATH, EXIT_OK
+from kinoplan.cli import EXIT_ERROR, EXIT_NO_PATH, EXIT_OK, EXIT_SCENARIO_FAILED
 from kinoplan.collision import footprint_circles
 from kinoplan.geometry import CurveLibrary
 from kinoplan.scenarios import get_scenario
@@ -129,6 +129,22 @@ class TestPlan:
         assert f"planner.cfg: {line.split()[0]} must be" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [["plan", "--scenario", "cross"],
+                                         ["simulate", "--scenario", "cross"]])
+    def test_collision_ds_beyond_cover_radius(self, tmp_path, library_csv, capsys, command):
+        """Samples farther apart than the robot's cover radius fail before any
+        planning, naming the file."""
+        cfg = tmp_path / "planner.cfg"
+        cfg.write_text("collision_ds = 2.0\n")
+        out = tmp_path / "o"
+        code = cli.main(command + ["--config", str(cfg), "--library", str(library_csv),
+                                   "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "planner.cfg: collision_ds = 2.0 exceeds the robot's cover radius 1.2" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_pose_argument(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["plan", "--start", "1,2", "--goal", "3,4,0",
@@ -209,6 +225,21 @@ class TestExportPlots:
                          "--out", str(bare)]) == EXIT_OK
         assert (bare / "trace.svg").exists()
         assert not (bare / "metrics.txt").exists()
+
+    def test_time_limit_run(self, tmp_path, library_csv):
+        """A run cut by its time limit fails with exit 3, and the re-export of
+        its trace writes the same metrics."""
+        world = tmp_path / "short.txt"
+        world.write_text("name short\nbounds -6 -8 18 8\nstart 0 0 0\ngoal 12 0 0\n"
+                         "time_limit 2\n")
+        run_dir = tmp_path / "run"
+        assert cli.main(["simulate", "--scenario", str(world), "--library", str(library_csv),
+                         "--out", str(run_dir)]) == EXIT_SCENARIO_FAILED
+        assert "success False" in (run_dir / "metrics.txt").read_text().splitlines()
+        plots = tmp_path / "plots"
+        assert cli.main(["export-plots", "--trace", str(run_dir / "trace.csv"),
+                         "--scenario", str(world), "--out", str(plots)]) == EXIT_OK
+        assert (plots / "metrics.txt").read_bytes() == (run_dir / "metrics.txt").read_bytes()
 
     def test_scenario_must_match_trace_obstacles(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"

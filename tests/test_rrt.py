@@ -52,9 +52,7 @@ class TestSampling:
     def test_gmm_sample_moments(self):
         rng = np.random.default_rng(3)
         cfg = PlannerConfig(gmm_sigma=0.5)
-        pts = np.array([gmm_sample([(2.0, -1.0)], cfg, rng,
-                                   Pose(0.0, 0.0, 0.0), Pose(4.0, 0.0, 0.0))
-                        for _ in range(10000)])
+        pts = np.array([gmm_sample([(2.0, -1.0)], cfg, rng) for _ in range(10000)])
         assert pts.mean(axis=0) == pytest.approx([2.0, -1.0], abs=0.03)
         assert pts.std(axis=0) == pytest.approx([0.5, 0.5], abs=0.03)
 
@@ -62,8 +60,7 @@ class TestSampling:
         rng = np.random.default_rng(4)
         cfg = PlannerConfig(gmm_sigma=0.1)
         centers = [(0.0, 0.0), (100.0, 0.0)]
-        pts = np.array([gmm_sample(centers, cfg, rng, Pose(0.0, 0.0, 0.0),
-                                   Pose(1.0, 0.0, 0.0)) for _ in range(10000)])
+        pts = np.array([gmm_sample(centers, cfg, rng) for _ in range(10000)])
         frac = float(np.mean(pts[:, 0] > 50.0))
         assert abs(frac - 0.5) < 0.03
 

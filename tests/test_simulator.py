@@ -9,11 +9,13 @@ import pytest
 
 from kinoplan.collision import (ObstacleShape, clearance_to_obstacle, footprint_circles,
                                 min_clearance)
-from kinoplan.geometry import Pose
+from kinoplan.geometry import CurveParams, Pose
+from kinoplan.rrt import Path, PlannerConfig
 from kinoplan.scenarios import Scenario, get_scenario
 from kinoplan.simulator import (EXECUTING, PLANNING, REPLANNING, WAITING,
-                                TraceLog, export_artifacts, metrics,
-                                run_scenario)
+                                TraceLog, _Runner, derive_trace, export_artifacts,
+                                metrics, run_scenario)
+from kinoplan.temporal import Trajectory
 
 FLAGS = {PLANNING, EXECUTING, WAITING, REPLANNING}
 
@@ -108,6 +110,18 @@ class TestRunInvariants:
             want.append(clear)
         assert np.asarray(trace.clearances).tobytes() == np.asarray(want).tobytes()
 
+    @pytest.mark.parametrize("key", [("cross", 0), ("overtake", 1), ("wait", 0)])
+    def test_derive_trace_from_ticks(self, scenario_runs, key):
+        """Times, poses and flags alone give back every derived field, bit for bit."""
+        run = scenario_runs[key]
+        ticks = TraceLog(run.scenario_name, run.seed, run.sim_dt, times=list(run.times),
+                         poses=list(run.poses), flags=list(run.flags),
+                         obstacle_ids=list(run.obstacle_ids))
+        derive_trace(get_scenario(key[0]), ticks)
+        for name in ("velocities", "accelerations", "clearances", "obstacle_poses",
+                     "success"):
+            assert getattr(ticks, name) == getattr(run, name), name
+
     def test_kinematics_consistent_with_log(self, scenario_runs):
         """Logged velocity is the per-tick displacement over sim_dt."""
         trace = scenario_runs[("overtake", 1)]
@@ -132,6 +146,29 @@ class TestFullRuns:
         assert free.success
         withcar = scenario_runs[("wait", 0)]
         assert free.times[-1] < withcar.times[-1]
+
+    def test_time_limit_exceeded(self, library):
+        trace = run_scenario(replace(empty_scenario(), time_limit=2.0), seed=0,
+                             library=library)
+        assert trace.success is False
+        assert trace.failure_reason == "time limit exceeded"
+        assert trace.times[-1] == pytest.approx(2.0)
+
+    def test_collision_ds_beyond_cover_radius(self, library):
+        with pytest.raises(ValueError, match="collision_ds = 2.0 exceeds the robot's cover"):
+            run_scenario(empty_scenario(), PlannerConfig(collision_ds=2.0), library=library)
+
+    def test_short_remainder_retime_is_recorded(self, library):
+        """A retime with less than one edge left is a failed attempt, and recorded."""
+        runner = _Runner(empty_scenario(), None, 0, library, False, 3.0)
+        path = Path([Pose(0.0, 0.0, 0.0), Pose(3.0, 0.0, 0.0)],
+                    [CurveParams(0.0, 0.0, 0.0, 0.0, 3.0)])
+        traj = Trajectory(path, np.array([0.0, 2.0]), np.zeros(2), np.zeros(2))
+        assert runner._attempt(5.0, "retime", runner._retime, traj, 0.0, 5.0) is None
+        [ev] = runner.trace.events
+        assert (ev.time, ev.kind, ev.path, ev.trajectory, ev.node_intervals) == \
+            (5.0, "retime", None, None, None)
+        assert ev.latency >= 0.0
 
     def test_every_event_latency_measured(self, scenario_runs):
         events = scenario_runs[("overtake", 0)].events

@@ -9,10 +9,15 @@ is on disk, uncommitted edits included), each in its own subprocess on this
 machine, and diffs them.  Per tree it builds the default curve library once,
 runs the six worlds (the five built-in scenarios and ``blocked``) at seeds
 0-2, and takes the sha1 of each run's ``trace.csv``, of its per-tick
-clearances (which ``trace.csv`` does not hold) written with ``%.17g``, and of
-the saved library CSV: 37 hashes.  It exits 1 and names every hash that
-differs.  Each run's wall time is printed on stderr as it finishes; the two
-trees run side by side, so the times are comparable only as pairs.
+clearances (which ``trace.csv`` does not hold) written with ``%.17g``, of its
+planning events, and of the saved library CSV: 55 hashes.  The events hash
+covers each event's time, kind, path poses and curves, node timestamps, safe
+intervals, and the id, state and last update of every track it saw, all
+written with ``%.17g``; the wall-clock latency is left out.  So an event that
+changes while the trace stays the same still shows.  It exits 1 and names
+every hash that differs.  Each run's wall time is printed on stderr as it
+finishes; the two trees run side by side, so the times are comparable only as
+pairs.
 
 The BLAS and OpenMP pools are pinned to one thread in both subprocesses, as
 the benchmark does, because SLSQP's results (and so the traces) move with
@@ -43,9 +48,29 @@ def _sha1(data: bytes) -> str:
     return hashlib.sha1(data).hexdigest()
 
 
+def _g(*values) -> str:
+    return " ".join("%.17g" % v for v in values)
+
+
+def _event_lines(events):
+    """The deterministic fields of each planning event, one item per line."""
+    for ev in events:
+        yield f"event {_g(ev.time)} {ev.kind}"
+        if ev.path is not None:
+            yield from ("pose " + _g(p.x, p.y, p.theta) for p in ev.path.poses)
+            yield from ("curve " + _g(c.kappa0, c.a, c.b, c.c, c.s_f) for c in ev.path.curves)
+        if ev.trajectory is not None:
+            yield "stamps " + _g(*ev.trajectory.timestamps)
+        for ni in ev.node_intervals or ():
+            yield f"node {ni.node_index} " + _g(*(v for si in ni.intervals
+                                                  for v in (si.start, si.end)))
+        for tr in ev.tracks or ():
+            yield f"track {tr.id} " + _g(*tr.state, tr.last_update)
+
+
 def compute_hashes(src: str) -> dict[str, str]:
-    """sha1 of the library CSV and of every world/seed ``trace.csv`` and
-    clearance log, with kinoplan imported from ``src``."""
+    """sha1 of the library CSV and of every world/seed ``trace.csv``,
+    clearance log and event log, with kinoplan imported from ``src``."""
     sys.path.insert(0, src)
     import kinoplan
     from kinoplan import build_curve_library, get_scenario, run_scenario
@@ -69,6 +94,8 @@ def compute_hashes(src: str) -> dict[str, str]:
                     hashes[f"{name}/{seed}/trace.csv"] = _sha1(fh.read())
                 clear = "".join("%.17g\n" % c for c in trace.clearances)
                 hashes[f"{name}/{seed}/clearances"] = _sha1(clear.encode())
+                events = "".join(line + "\n" for line in _event_lines(trace.events))
+                hashes[f"{name}/{seed}/events"] = _sha1(events.encode())
                 print(f"{src}: {name} seed {seed} {wall:.2f} s", file=sys.stderr, flush=True)
     return hashes
 
