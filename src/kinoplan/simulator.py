@@ -173,8 +173,8 @@ def _track_blockers(tracks, t_now: float, only_stopped: bool, inflation: float):
     """Freeze (some) tracks into static disks for path planning."""
     tracks = [tr for tr in tracks if not (only_stopped and tr.speed >= STOP_SPEED)]
     circles = _predicted_obstacle_circles(tracks, np.zeros(1), t_now)
-    return [ObstacleShape.disk(float(cx), float(cy), radius + inflation)
-            for centers, radius, _vel in circles for cx, cy in centers[0]]
+    return [ObstacleShape.disk(float(cx), float(cy), cover.radius + inflation)
+            for cover in circles for cx, cy in cover.centers[0]]
 
 
 class _Runner:
@@ -187,6 +187,8 @@ class _Runner:
         self.lib = library if library is not None else build_curve_library()
         self.seed = seed
         self.noise_rng = np.random.default_rng(seed)
+        self.obs_cov = np.eye(2) * max(scenario.obs_noise, 0.01) ** 2
+        self.obs_cov.flags.writeable = False  # shared by every observation of the run
         self.ground_truth = ground_truth_tracks
         self.replan_timeout = replan_timeout
         self.tcfg = TemporalConfig(v_max=scenario.v_max, a_max=scenario.a_max,
@@ -206,8 +208,7 @@ class _Runner:
             p = mob.position_at(t)
             if not self.ground_truth and self.sc.obs_noise > 0.0:
                 p = p + self.noise_rng.normal(0.0, self.sc.obs_noise, 2)
-            noise = np.eye(2) * max(self.sc.obs_noise, 0.01) ** 2
-            obs.append(Observation((float(p[0]), float(p[1])), t, noise))
+            obs.append(Observation((float(p[0]), float(p[1])), t, self.obs_cov))
         self.store.step(obs, t)
 
     # -- planning --------------------------------------------------------
@@ -332,7 +333,7 @@ class _Runner:
             times = np.array([traj.duration])
         robot = footprint_circles_batch(self.sc.robot, traj.poses_at(times))
         obstacle_circles = _predicted_obstacle_circles(self.store.snapshot(), times, since)
-        return not np.any(predicted_hits(robot, self.sc.robot.radius, obstacle_circles,
+        return not np.any(predicted_hits(robot, self.sc.robot, obstacle_circles,
                                          REVALIDATE_MARGIN))
 
 

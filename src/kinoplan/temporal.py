@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -32,6 +34,9 @@ SQP_MAX_ITERS = 200
 # Slack added to a node's influence radius when deciding whether an obstacle
 # has left it for good (an open-ended last interval), m.
 INFLUENCE_EXTRA = 0.5
+# Widening of the broad-phase bound of ``predicted_hits`` past floating-point
+# rounding, m.
+SCREEN_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -125,8 +130,30 @@ def _effective_margin(path: Path, config: TemporalConfig) -> float:
     return min(0.5 * float(np.max(edges)), 1.0) if len(edges) else 0.0
 
 
-def _predicted_obstacle_circles(tracks, times: np.ndarray, t0: float):
-    """Per-track predicted cover circles: list of ((T, k, 2) centers, radius, velocity)."""
+class PredictedCover(NamedTuple):
+    """One track's predicted cover circles over T time samples."""
+
+    centers: np.ndarray  # (T, k, 2)
+    radius: float
+    velocity: np.ndarray  # (vx, vy)
+    anchor: int  # the circle the reach is measured from
+    reach: float  # largest distance from the anchor's center to another center
+
+
+@lru_cache(maxsize=64)
+def _anchor_reach(offsets: tuple[float, ...]) -> tuple[int, float]:
+    """The anchor of a cover with these center offsets, and its reach.
+
+    The anchor is the circle nearest the pose (offset 0 in every built-in
+    cover); the reach is the largest |offset - anchor offset|, which bounds
+    how far any center of the cover lies from the anchor's center.
+    """
+    anchor = min(range(len(offsets)), key=lambda i: abs(offsets[i]))
+    return anchor, max(abs(o - offsets[anchor]) for o in offsets)
+
+
+def _predicted_obstacle_circles(tracks, times: np.ndarray, t0: float) -> list[PredictedCover]:
+    """Per-track predicted cover circles at ``t0 + times``."""
     out = []
     for track in tracks:
         dt = (t0 + times) - track.last_update
@@ -137,26 +164,49 @@ def _predicted_obstacle_circles(tracks, times: np.ndarray, t0: float):
         offs = np.asarray(track.footprint.center_offsets)
         centers = np.stack([px[:, None] + c * offs[None, :],
                             py[:, None] + s * offs[None, :]], axis=-1)
-        out.append((centers, track.footprint.radius, track.velocity))
+        out.append(PredictedCover(centers, track.footprint.radius, track.velocity,
+                                  *_anchor_reach(track.footprint.center_offsets)))
     return out
 
 
-def predicted_hits(robot_circles: np.ndarray, robot_radius: float, obstacle_circles,
-                   clearance: float) -> np.ndarray:
+def predicted_hits(robot_circles: np.ndarray, footprint: FootprintSpec,
+                   obstacle_circles: list[PredictedCover], clearance: float) -> np.ndarray:
     """Whether the robot cover touches a predicted obstacle, per time sample.
 
     ``obstacle_circles`` is the output of ``_predicted_obstacle_circles`` over
-    T samples.  ``robot_circles`` is (..., k, 2) and broadcasts against those
-    samples: (T, k, 2) holds one robot pose per sample, (n, 1, k, 2) holds n
-    poses present at every sample.  Returns a boolean array of shape (..., T),
-    or of the robot's leading shape when there is no obstacle.  A circle pair
-    hits when its center distance is at most the sum of the radii plus
-    ``clearance``.
+    T samples.  ``robot_circles`` is the robot's ``footprint`` cover, (..., k, 2),
+    and broadcasts against those samples: (T, k, 2) holds one robot pose per
+    sample, (n, 1, k, 2) holds n poses present at every sample.  Returns a
+    boolean array of shape (..., T), or of the robot's leading shape when
+    there is no obstacle.  A circle pair hits when its center distance is at
+    most the sum of the radii plus ``clearance``.
+
+    Broad phase: every center of a cover lies within its reach of the
+    anchor's center (the centers are pose + (cos, sin) * offset).  So when the
+    two anchors are D apart, every circle pair is at least
+    D - reach_robot - reach_obstacle apart (triangle inequality), and no pair
+    can hit when D > robot radius + obstacle radius + clearance + both reaches.
+    ``SCREEN_SLACK`` widens that bound past the rounding of the centers and
+    the distances, a few ulps of the coordinates (below 1e-9 m while they stay
+    under 1e6 m), so every pair the exact test calls a hit passes the screen.
+    The survivors go through the exact test (``_pair_distances`` and ``<=``)
+    on the same values as without the screen, so every decision has the same
+    bits.
     """
+    anchor, reach = _anchor_reach(footprint.center_offsets)
+    robot_anchor = robot_circles[..., anchor, :]
     hit = np.zeros(robot_circles.shape[:-2], dtype=bool)
-    for centers, radius, _vel in obstacle_circles:
-        d = _pair_distances(robot_circles, centers)  # (..., T, k, m)
-        hit = hit | np.any(d <= robot_radius + radius + clearance, axis=(-2, -1))
+    for cover in obstacle_circles:
+        limit = footprint.radius + cover.radius + clearance
+        screen = limit + reach + cover.reach + SCREEN_SLACK
+        gap = robot_anchor - cover.centers[:, cover.anchor]  # (..., T, 2)
+        near = gap[..., 0] * gap[..., 0] + gap[..., 1] * gap[..., 1] <= screen * screen
+        pairs = np.nonzero(near)
+        if len(pairs[0]):
+            robot = np.broadcast_to(robot_circles, near.shape + robot_circles.shape[-2:])
+            d = _pair_distances(robot[pairs], cover.centers[pairs[-1]])  # (pairs, k, m)
+            near[pairs] = np.any(d <= limit, axis=(-2, -1))
+        hit = hit | near
     return hit
 
 
@@ -190,7 +240,7 @@ def compute_safe_intervals(path: Path, tracks, static_obstacles, config: Tempora
     static_hit = poses_in_collision(footprint, poses, static_obstacles)
     robot_circles = footprint_circles_batch(footprint, poses)  # (n, k, 2)
     obstacle_circles = _predicted_obstacle_circles(tracks, times, t0)
-    hit = predicted_hits(robot_circles[:, None], footprint.radius, obstacle_circles, margin)
+    hit = predicted_hits(robot_circles[:, None], footprint, obstacle_circles, margin)
     free = np.broadcast_to(~static_hit[:, None] & ~hit, (n, len(times)))
     result = [NodeIntervals(i, []) for i in range(n)]
     for i, first, last in zip(*free_runs(free)):
@@ -210,13 +260,14 @@ def _open_horizon(i: int, robot_circles, footprint, obstacle_circles, config,
     """Whether node i stays free past the horizon: every obstacle has exited
     the node's influence disk by the last sample and is not closing in."""
     node_center = robot_circles[i].mean(axis=0)
-    for centers, radius, vel in obstacle_circles:
-        last = centers[-1].mean(axis=0)  # (2,)
-        influence = footprint.radius + radius + margin + INFLUENCE_EXTRA
+    for cover in obstacle_circles:
+        last = cover.centers[-1].mean(axis=0)  # (2,)
+        influence = footprint.radius + cover.radius + margin + INFLUENCE_EXTRA
         away = last - node_center
         dist = float(np.linalg.norm(away))
         if dist <= influence:
             return False
+        vel = cover.velocity
         if float(vel @ away) < 0.0 and float(np.linalg.norm(vel)) > 0.05:
             return False  # still approaching the node
     return True
@@ -344,8 +395,22 @@ class TimingProblem:
         hi = np.array([si.end for si in seq.chosen[1:]])
         self.finite = np.flatnonzero(np.isfinite(hi))
         self.hi = hi[self.finite]
-        eye = np.eye(n - 1)
-        self.bounds_jac = np.vstack([eye, -eye[self.finite]])
+        # The Jacobian's rows as the chain rule gives them with every v/dt and
+        # acceleration partial zero: the constant dt rows, the bound rows, and
+        # the zeros of the speed and acceleration rows (-da holds -0.0 before
+        # chaining).  ``constraints_jac`` writes the bands over them.
+        m = n - 1
+        eye = np.eye(m)
+        zeros_dt = np.vstack([eye, np.zeros((m, m)), np.full((m - 1, m), -0.0),
+                              np.zeros((m - 1, m))])
+        self.jac_const = np.vstack([_chain_stamps(zeros_dt), eye, -eye[self.finite]])
+        # Flat positions of the bands, in the order ``constraints_jac`` lists them.
+        i = np.arange(m)
+        j = i[:-1]
+        rows = np.concatenate([m + i, m + i[1:], 2 * m + j, 2 * m + j[1:], 2 * m + j,
+                               3 * m - 1 + j, 3 * m - 1 + j[1:], 3 * m - 1 + j])
+        cols = np.concatenate([i, i[:-1], j, j[:-1], j + 1, j, j[:-1], j + 1])
+        self.jac_bands = rows * m + cols
 
     def profile(self, x):
         """Edge durations, edge speeds and node accelerations at stamps x."""
@@ -373,13 +438,21 @@ class TimingProblem:
                                self.a_max + a, x - self.lo, self.hi - x[self.finite]])
 
     def constraints_jac(self, x) -> np.ndarray:
+        """``_chain_stamps`` of the dt rows, diag(v/dt), -da and da, where row j
+        of da holds da_j/d(dt_j) and da_j/d(dt_{j+1}): the constant rows come
+        from ``jac_const`` and each band entry is computed with the chain's own
+        operation, so the result has the bits of the dense chain."""
         dt, v, a = self.profile(x)
-        m = len(dt)
-        j = np.arange(m - 1)
-        da = np.zeros((m - 1, m))
-        da[j, j], da[j, j + 1] = self._accel_partials(dt, v, a)
-        jac_dt = np.vstack([np.eye(m), np.diag(v / dt), -da, da])
-        return np.vstack([_chain_stamps(jac_dt), self.bounds_jac])
+        w = v / dt
+        da_prev, da_next = self._accel_partials(dt, v, a)
+        neg_prev, neg_next = -da_prev, -da_next
+        jac = self.jac_const.copy()
+        jac.reshape(-1)[self.jac_bands] = np.concatenate([
+            w, 0.0 - w[1:],
+            # The last column is not chained, so -da's last entry stays raw.
+            neg_prev - neg_next, -0.0 - neg_prev[1:], neg_next[:-1] - -0.0, neg_next[-1:],
+            da_prev - da_next, 0.0 - da_prev[1:], da_next])
+        return jac
 
     def violation(self, x) -> float:
         """Squared constraint violation, for feasibility restoration."""
@@ -463,5 +536,4 @@ def validate_trajectory(traj: Trajectory, tracks, static_obstacles, dt: float,
         return False
     robot_circles = footprint_circles_batch(footprint, poses)  # (T, k, 2)
     obstacle_circles = _predicted_obstacle_circles(tracks, times, t0)
-    return not np.any(predicted_hits(robot_circles, footprint.radius, obstacle_circles,
-                                     margin))
+    return not np.any(predicted_hits(robot_circles, footprint, obstacle_circles, margin))

@@ -28,10 +28,22 @@ class Observation:
     noise: np.ndarray  # 2x2 covariance
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (*self.position, self.timestamp))):
+            raise ValueError("observation position and timestamp must be finite, "
+                             f"got {self.position} at {self.timestamp}")
         n = np.asarray(self.noise, dtype=float)
-        if n.shape != (2, 2) or np.linalg.eigvalsh(n)[0] <= 0.0:
-            raise ValueError("measurement noise must be a positive-definite 2x2 matrix")
+        if n.shape != (2, 2) or not _covariance_2x2(n):
+            raise ValueError("measurement noise must be a finite, symmetric, "
+                             "positive-definite 2x2 matrix")
         object.__setattr__(self, "noise", n)
+
+
+def _covariance_2x2(m: np.ndarray) -> bool:
+    """Whether the 2x2 matrix [[a, b], [c, d]] is finite, symmetric (b == c) and
+    positive definite: a > 0 and a*d - b^2 > 0 (Sylvester's criterion)."""
+    (a, b), (c, d) = m.tolist()
+    return (all(map(math.isfinite, (a, b, c, d))) and b == c
+            and a > 0.0 and a * d - b * b > 0.0)
 
 
 @dataclass(frozen=True)
@@ -82,6 +94,9 @@ def kf_predict(track: ObstacleTrack, dt: float, q: float = 0.5) -> ObstacleTrack
     F = _transition(dt)
     state = F @ track.state
     cov = F @ track.covariance @ F.T + _process_noise(dt, q)
+    # Exact when the product is already symmetric; otherwise it removes the
+    # rounding asymmetry that ``kf_update``'s symmetric test would reject.
+    cov = 0.5 * (cov + cov.T)
     return replace(track, state=state, covariance=cov, last_update=track.last_update + dt)
 
 
@@ -89,7 +104,7 @@ def kf_update(track: ObstacleTrack, obs: Observation) -> ObstacleTrack:
     """Standard Kalman position update; heading memory refreshed from velocity."""
     z = np.asarray(obs.position, dtype=float)
     S = _H @ track.covariance @ _H.T + obs.noise
-    if np.linalg.eigvalsh(S)[0] <= 0.0:
+    if not _covariance_2x2(S):
         raise np.linalg.LinAlgError("innovation covariance not positive-definite")
     K = track.covariance @ _H.T @ np.linalg.inv(S)
     state = track.state + K @ (z - _H @ track.state)

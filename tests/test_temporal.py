@@ -6,12 +6,13 @@ import math
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize._numdiff import approx_derivative
 
-from kinoplan import temporal
-from kinoplan.collision import (FootprintSpec, ObstacleShape, default_robot_footprint,
-                                footprint_circles_batch)
+from kinoplan import get_scenario, temporal
+from kinoplan.collision import (FootprintSpec, ObstacleShape, _pair_distances,
+                                default_robot_footprint, footprint_circles_batch)
 from kinoplan.geometry import CurveParams, Pose
 from kinoplan.rrt import Path
 from kinoplan.temporal import (DT_MIN, IntervalSequence, NodeIntervals, SafeInterval,
@@ -21,7 +22,7 @@ from kinoplan.temporal import (DT_MIN, IntervalSequence, NodeIntervals, SafeInte
                                free_runs, optimize_timestamps, predicted_hits,
                                select_interval_sequence, validate_trajectory,
                                velocity_profile)
-from kinoplan.tracking import ObstacleTrack
+from kinoplan.tracking import ObstacleTrack, predict_pose
 
 ROBOT = default_robot_footprint()
 CAR = FootprintSpec.from_dimensions(4.0, 2.0)
@@ -172,10 +173,10 @@ def reference_safe_intervals(path, tracks, config, footprint, t0):
     robot_circles = footprint_circles_batch(footprint, poses)
     free = np.ones((len(poses), len(times)), dtype=bool)
     obstacle_circles = _predicted_obstacle_circles(tracks, times, t0)
-    for centers, radius, _vel in obstacle_circles:
-        d = np.linalg.norm(robot_circles[:, :, None, None, :] - centers[None, None, :, :, :],
+    for cover in obstacle_circles:
+        d = np.linalg.norm(robot_circles[:, :, None, None, :] - cover.centers[None, None],
                            axis=-1)
-        free &= ~np.any(d <= footprint.radius + radius + margin, axis=(1, 3))
+        free &= ~np.any(d <= footprint.radius + cover.radius + margin, axis=(1, 3))
     result = [[] for _ in poses]
     for i, first, last in naive_runs(free):
         if last == len(times) - 1 and _open_horizon(i, robot_circles, footprint,
@@ -224,13 +225,131 @@ class TestVectorizedKernels:
                   for _ in range(3)]
         circles = _predicted_obstacle_circles(tracks, times, 0.0)
         expected = np.zeros(len(times), dtype=bool)
-        for centers, radius, _vel in circles:
-            d = np.linalg.norm(robot[:, :, None, :] - centers[:, None, :, :], axis=-1)
-            expected |= np.any(d <= ROBOT.radius + radius + clearance, axis=(1, 2))
-        got = predicted_hits(robot, ROBOT.radius, circles, clearance)
+        for cover in circles:
+            d = np.linalg.norm(robot[:, :, None, :] - cover.centers[:, None, :, :], axis=-1)
+            expected |= np.any(d <= ROBOT.radius + cover.radius + clearance, axis=(1, 2))
+        got = predicted_hits(robot, ROBOT, circles, clearance)
         assert expected.any() and not expected.all()
         assert np.array_equal(got, expected)
-        assert not predicted_hits(robot, ROBOT.radius, [], clearance).any()
+        assert not predicted_hits(robot, ROBOT, [], clearance).any()
+
+
+def brute_force_hits(robot_circles, footprint, obstacle_circles, clearance):
+    """predicted_hits without its broad phase: every circle pair at every
+    (pose, time) pair; the reference for the screened kernel."""
+    hit = np.zeros(robot_circles.shape[:-2], dtype=bool)
+    for cover in obstacle_circles:
+        d = _pair_distances(robot_circles, cover.centers)  # (..., T, k, m)
+        hit = hit | np.any(d <= footprint.radius + cover.radius + clearance, axis=(-2, -1))
+    return hit
+
+
+ROBOT_COVERS = {"one-circle": FootprintSpec.from_dimensions(1.2, 1.0), "three-circle": ROBOT}
+OBSTACLE_COVERS = {"one-circle": FootprintSpec.from_dimensions(0.6, 0.6, single_circle=True),
+                   "three-circle": CAR}
+
+
+def max_offset(footprint):
+    return max(abs(o) for o in footprint.center_offsets)
+
+
+class TestBroadPhase:
+    @settings(max_examples=400, deadline=None)
+    @given(robot=st.sampled_from(sorted(ROBOT_COVERS)),
+           obstacle=st.sampled_from(sorted(OBSTACLE_COVERS)),
+           clearance=st.sampled_from([0.0, 0.3, 1.0]),
+           per_sample=st.booleans(),
+           boundary=st.sampled_from(["hit", "aligned", "screen", "random"]),
+           ulps=st.integers(-4, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_screened_matches_brute_force(self, robot, obstacle, clearance, per_sample,
+                                          boundary, ulps, seed):
+        """Bit-equal decisions with pairs placed within a few ulps of the hit
+        threshold (anchors at the threshold, or the nearest circles at it with
+        both covers aligned) and of the screen bound."""
+        rng = np.random.default_rng(seed)
+        footprint = ROBOT_COVERS[robot]
+        times = np.arange(int(rng.integers(1, 40))) * 0.1
+        tracks = [cv_track(*rng.uniform([-5.0, -5.0, -2.0, -2.0], [5.0, 5.0, 2.0, 2.0]),
+                           footprint=OBSTACLE_COVERS[obstacle], t0=float(rng.uniform(0.0, 1.0)))
+                  for _ in range(int(rng.integers(1, 3)))]
+        covers = _predicted_obstacle_circles(tracks, times, 1.0)
+        limit = footprint.radius + tracks[0].footprint.radius + clearance
+        reaches = max_offset(footprint) + max_offset(tracks[0].footprint)
+        base = {"hit": limit, "aligned": limit + reaches, "random": limit + reaches,
+                "screen": limit + reaches + temporal.SCREEN_SLACK}[boundary]
+        dist = base + ulps * np.spacing(base)
+        heading = predict_pose(tracks[0], tracks[0].last_update)[0].theta
+        n = len(times) if per_sample else int(rng.integers(1, 6))
+        # Pose i is placed against the first track's anchor at sample at[i].
+        at = np.arange(n) if per_sample else rng.integers(0, len(times), n)
+        direction = np.where(rng.random(n) < 0.5, heading, heading + math.pi)
+        if boundary == "random":
+            direction = rng.uniform(-math.pi, math.pi, n)
+        anchor = covers[0].centers[at, covers[0].anchor]
+        poses = np.stack([anchor[:, 0] + dist * np.cos(direction),
+                          anchor[:, 1] + dist * np.sin(direction),
+                          direction + math.pi], axis=-1)  # facing the obstacle
+        free = rng.random(n) < 0.3
+        poses[free] = rng.uniform([-8.0, -8.0, -math.pi], [8.0, 8.0, math.pi], (free.sum(), 3))
+        circles = footprint_circles_batch(footprint, poses)
+        if not per_sample:
+            circles = circles[:, None]
+        got = predicted_hits(circles, footprint, covers, clearance)
+        expected = brute_force_hits(circles, footprint, covers, clearance)
+        assert got.shape == expected.shape == ((n, len(times)) if not per_sample else (n,))
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("clearance", [0.0, 0.3, 1.0])
+    def test_exact_threshold_hits(self, clearance):
+        """One-circle covers at exactly the threshold distance hit, and one ulp
+        further they miss: the screen passes the pair the exact test decides."""
+        footprint = ROBOT_COVERS["one-circle"]
+        track = cv_track(0.0, 0.0, 0.0, 0.0, footprint=OBSTACLE_COVERS["one-circle"])
+        covers = _predicted_obstacle_circles([track], np.zeros(1), 0.0)
+        limit = footprint.radius + track.footprint.radius + clearance
+        for x, hits in ((limit, True), (np.nextafter(limit, np.inf), False)):
+            circles = footprint_circles_batch(footprint, np.array([[x, 0.0, 0.0]]))
+            assert predicted_hits(circles, footprint, covers, clearance).tolist() == [hits]
+
+    @pytest.mark.parametrize("per_sample", [True, False])
+    def test_all_screened_out_keeps_broadcast_shape(self, per_sample):
+        times = np.arange(0.0, 6.0, 0.1)
+        track = cv_track(0.0, 0.0, 1.0, 0.0)
+        covers = _predicted_obstacle_circles([track, track], times, 0.0)
+        n = len(times) if per_sample else 4
+        poses = np.column_stack([np.full(n, 500.0), np.arange(n), np.zeros(n)])
+        circles = footprint_circles_batch(ROBOT, poses)
+        if not per_sample:
+            circles = circles[:, None]
+        got = predicted_hits(circles, ROBOT, covers, 1.0)
+        assert got.dtype == bool and not got.any()
+        assert got.shape == ((n,) if per_sample else (n, len(times)))
+
+    def test_screen_keeps_pruning(self, monkeypatch):
+        """On a straight cross path over the 60 s horizon, the exact pass sees
+        at most 8 % of the node x sample pairs (about 5 % with these reaches)."""
+        sc = get_scenario("cross")
+        path = edge_path([1.5] * 16)  # (0, 0) to (24, 0), the scenario's start and goal
+        car = sc.moving[0]
+        velocity = (car.position_at(1.0) - car.position_at(0.0)) / 1.0
+        track = ObstacleTrack(id=0, state=np.concatenate([car.position_at(0.0), velocity]),
+                              covariance=np.eye(4) * 1e-4, footprint=car.footprint,
+                              last_update=0.0, last_heading=car.heading_at(0.0))
+        seen = []
+
+        def counting(a, b):
+            seen.append(a.shape[0])
+            return _pair_distances(a, b)
+
+        monkeypatch.setattr(temporal, "_pair_distances", counting)
+        cfg = TemporalConfig(horizon=sc.horizon)
+        nis = compute_safe_intervals(path, [track], sc.static_obstacles, cfg, sc.robot)
+        pairs = len(path.poses) * len(np.arange(0.0, cfg.horizon + cfg.si_dt / 2.0, cfg.si_dt))
+        assert pairs == 17 * 601
+        assert 0 < sum(seen) <= 0.08 * pairs
+        # The crossing blocks some nodes for a while: the pass had work to do.
+        assert any(len(ni.intervals) > 1 for ni in nis)
 
 
 def timing_problem_case(ends):
@@ -245,6 +364,19 @@ def timing_problem_case(ends):
     x = np.cumsum(edges / cfg.v_max * rng.uniform(1.2, 2.0, len(edges)))
     assert problem.feasible(x)
     return problem, x
+
+
+def dense_constraints_jac(problem, x):
+    """TimingProblem.constraints_jac as dense blocks and one chain: the
+    reference for the banded version."""
+    dt, v, a = problem.profile(x)
+    m = len(dt)
+    j = np.arange(m - 1)
+    da = np.zeros((m - 1, m))
+    da[j, j], da[j, j + 1] = problem._accel_partials(dt, v, a)
+    jac_dt = np.vstack([np.eye(m), np.diag(v / dt), -da, da])
+    eye = np.eye(m)
+    return np.vstack([temporal._chain_stamps(jac_dt), eye, -eye[problem.finite]])
 
 
 class TestTimingProblem:
@@ -271,6 +403,18 @@ class TestTimingProblem:
         jac = problem.constraints_jac(x)
         assert jac.shape == numeric.shape
         np.testing.assert_allclose(jac, numeric, rtol=1e-5, atol=1e-9)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_constraint_jacobian_bits(self, case):
+        """The banded Jacobian has the bits of the dense chain, signs of zero
+        included, at feasible, too-fast and constant-speed stamps."""
+        problem, x = timing_problem_case(self.CASES[case])
+        even = np.cumsum(problem.ds) / 1.5
+        for stamps in (x, x * 0.6, even):
+            got, expected = problem.constraints_jac(stamps), dense_constraints_jac(problem, stamps)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_violation_gradient(self, case):

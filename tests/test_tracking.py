@@ -29,6 +29,40 @@ class TestObservation:
         with pytest.raises(ValueError):
             Observation((0.0, 0.0), 0.0, np.eye(3))
 
+    def test_rejects_asymmetric_noise(self):
+        # Positive definite by its lower triangle alone, which is all an
+        # eigenvalue routine for symmetric matrices reads.
+        noise = np.array([[1.0, 5.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            Observation((0.0, 0.0), 0.0, noise)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_noise(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Observation((0.0, 0.0), 0.0, np.diag([bad, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            Observation((0.0, 0.0), 0.0, np.array([[1.0, bad], [bad, 1.0]]))
+
+    @pytest.mark.parametrize("position", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_rejects_non_finite_position(self, position):
+        with pytest.raises(ValueError, match="position"):
+            Observation(position, 0.0, np.eye(2))
+
+    @pytest.mark.parametrize("timestamp", [math.nan, math.inf])
+    def test_rejects_non_finite_timestamp(self, timestamp):
+        with pytest.raises(ValueError, match="timestamp"):
+            Observation((0.0, 0.0), timestamp, np.eye(2))
+
+    def test_rejects_indefinite_noise(self):
+        with pytest.raises(ValueError):
+            Observation((0.0, 0.0), 0.0, np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(ValueError):
+            Observation((0.0, 0.0), 0.0, np.array([[-1.0, 0.0], [0.0, -1.0]]))
+
+    def test_accepts_correlated_noise(self):
+        noise = np.array([[0.02, 0.013], [0.013, 0.03]])
+        assert np.array_equal(Observation((1.0, 2.0), 0.5, noise).noise, noise)
+
 
 class TestPredict:
     def test_cv_translation(self):
@@ -66,6 +100,23 @@ class TestUpdate:
         t = kf_predict(make_track([0.0, 0.0, 0.0, 0.0]), 1.0)
         t2 = kf_update(t, obs(0.0, 0.0, 1.0))
         assert np.trace(t2.covariance[:2, :2]) < np.trace(t.covariance[:2, :2])
+
+    def test_rejects_indefinite_innovation(self):
+        t = make_track([0.0, 0.0, 0.0, 0.0], var=-1.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            kf_update(t, obs(0.0, 0.0, 0.0))
+
+    def test_correlated_noise_keeps_covariance_symmetric(self):
+        """Correlated noise couples the axes; the filter must keep passing its
+        own symmetric innovation test, so rounding may not leave P asymmetric."""
+        rng = np.random.default_rng(5)
+        noise = np.array([[0.02, 0.013], [0.013, 0.03]])
+        t = make_track([0.0, 0.0, 1.0, 0.3], var=2.0)
+        for _ in range(200):
+            t = kf_predict(t, float(rng.uniform(0.01, 0.7)))
+            assert np.array_equal(t.covariance, t.covariance.T)
+            z = t.state[:2] + rng.normal(0.0, 0.2, 2)
+            t = kf_update(t, Observation((float(z[0]), float(z[1])), t.last_update, noise))
 
     def test_velocity_converges_for_stationary_target(self):
         t = make_track([0.0, 0.0, 1.5, -1.0], var=4.0)
