@@ -61,7 +61,27 @@ def _parse_pose(text: str) -> Pose:
         x, y, th = (float(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not all(math.isfinite(v) for v in (x, y, th)):
+        raise argparse.ArgumentTypeError(f"pose values must be finite, got {text!r}")
     return Pose(x, y, th)
+
+
+def _parse_int(text: str, least: int, what: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < least:
+        raise argparse.ArgumentTypeError(f"expected a {what} integer, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    return _parse_int(text, 0, "non-negative")
+
+
+def _positive(text: str) -> int:
+    return _parse_int(text, 1, "positive")
 
 
 def _resolve_scenario(name_or_path: str) -> Scenario:
@@ -262,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=_env_default("seed", 0),
+        p.add_argument("--seed", type=_seed, default=_env_default("seed", 0),
                        help="RNG seed (default 0)")
         p.add_argument("--out", default=_env_default("out", "out"),
                        help="output directory (default ./out)")
@@ -274,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="library config file (key = value lines)")
     p.add_argument("--out", default=_env_default("out", "library.csv"),
                    help="output CSV path (default library.csv)")
-    p.add_argument("--seed", type=int, default=_env_default("seed", 0),
+    p.add_argument("--seed", type=_seed, default=_env_default("seed", 0),
                    help="unused; accepted for interface uniformity")
     p.set_defaults(func=cmd_gen_library)
 
@@ -308,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench-sampling",
                        help="GMM vs random sampling benchmark over start headings")
     add_common(p)
-    p.add_argument("--runs", type=int, default=_env_default("runs", 30),
+    p.add_argument("--runs", type=_positive, default=_env_default("runs", 30),
                    help="runs per heading (default 30)")
     p.add_argument("--mode", choices=SAMPLING_MODES,
                    default=_env_default("mode", "both"),
@@ -321,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scenario name or file, for world geometry in the plot "
                         "and for the metrics summary")
     p.add_argument("--out", default=_env_default("out", "out"))
-    p.add_argument("--seed", type=int, default=_env_default("seed", 0),
+    p.add_argument("--seed", type=_seed, default=_env_default("seed", 0),
                    help="unused; accepted for interface uniformity")
     p.set_defaults(func=cmd_export_plots)
     return parser

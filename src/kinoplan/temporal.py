@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .collision import (FootprintSpec, _pair_distances, footprint_circles_batch,
                         poses_in_collision)
@@ -25,12 +24,12 @@ from .tracking import ObstacleTrack, predict_pose
 
 # Minimum timestamp gap; true stopping is a long dwell, never equal stamps.
 DT_MIN = 1e-3
-# Squared constraint violation (every constraint within ~1e-6) below which
-# feasibility restoration counts as converged and the objective is re-polished.
-RESTORED_VIOLATION = 1e-12
-# SLSQP's stopping tolerance and iteration cap.
-SQP_TOLERANCE = 1e-8
-SQP_MAX_ITERS = 200
+# The interior-point solver's KKT tolerance, iteration cap, starting slack
+# and multiplier, and fraction-to-boundary factor.
+IP_TOLERANCE = 1e-9
+IP_MAX_ITERS = 100
+IP_START = 1.0
+IP_STEP_TO_BOUNDARY = 0.995
 # Slack added to a node's influence radius when deciding whether an obstacle
 # has left it for good (an open-ended last interval), m.
 INFLUENCE_EXTRA = 0.5
@@ -310,7 +309,7 @@ def select_interval_sequence(node_intervals: list[NodeIntervals],
                 if overlap < config.overlap_min:
                     continue
                 eff = max(child.start, p_start + travel[layer_i - 1])
-                if eff > child.end:
+                if eff >= child.end:
                     continue  # unreachable before the window closes
                 if best is None or eff < best[0]:
                     best = (eff, pj)
@@ -374,14 +373,18 @@ def _feasible_init(path: Path, seq: IntervalSequence, config: TemporalConfig) ->
 
 
 class TimingProblem:
-    """The SQP of ``optimize_timestamps`` over x = (t_2, ..., t_n), t_1 = 0.
+    """The timing problem of ``optimize_timestamps`` over x = (t_2, ..., t_n), t_1 = 0.
 
-    Objective: w_t * t_n^2 + w_a * sum a_i^2.  Constraints g(x) >= 0, in
-    order: dt - DT_MIN, v_max - v, a_max - a, a_max + a, t_i - start_i for
-    every node i >= 2, and end_i - t_i for every node i >= 2 whose interval
-    end is finite.  Each comes with its exact derivative: with edge durations
-    dt_i and speeds v_i = ds_i/dt_i, dv_i/d(dt_i) = -v_i/dt_i, which chains
-    into a_j = (v_{j+1} - v_j)/dt_{j+1}.
+    Objective: w_t * t_n^2 + w_a * sum a_i^2.  ``constraints`` lists the
+    contract g(x) >= 0 that a result must meet, in order: dt - DT_MIN,
+    v_max - v, a_max - a, a_max + a, t_i - start_i for every node i >= 2, and
+    end_i - t_i for every node i >= 2 whose interval end is finite.
+    ``linearize`` gives the same problem as the solver reads it: the dt and v
+    rows become one linear bound per edge, dt_i >= max(DT_MIN, ds_i / v_max),
+    the objective is the weighted sum of squares of the residuals (a, t_n),
+    and every row comes with its derivative by the at most three consecutive
+    stamps it reads.  With edge durations dt_i and speeds v_i = ds_i/dt_i,
+    dv_i/d(dt_i) = -v_i/dt_i, which chains into a_j = (v_{j+1} - v_j)/dt_{j+1}.
     """
 
     def __init__(self, path: Path, seq: IntervalSequence, config: TemporalConfig):
@@ -395,22 +398,24 @@ class TimingProblem:
         hi = np.array([si.end for si in seq.chosen[1:]])
         self.finite = np.flatnonzero(np.isfinite(hi))
         self.hi = hi[self.finite]
-        # The Jacobian's rows as the chain rule gives them with every v/dt and
-        # acceleration partial zero: the constant dt rows, the bound rows, and
-        # the zeros of the speed and acceleration rows (-da holds -0.0 before
-        # chaining).  ``constraints_jac`` writes the bands over them.
+        self.dt_lo = np.maximum(DT_MIN, self.ds / config.v_max)
+        # Row r of ``linearize`` reads stamps cols[r] - 1, cols[r] and
+        # cols[r] + 1: the dt rows, a_max - a, a_max + a, the starts and the
+        # finite ends, then the residuals a and t_n.
         m = n - 1
-        eye = np.eye(m)
-        zeros_dt = np.vstack([eye, np.zeros((m, m)), np.full((m - 1, m), -0.0),
-                              np.zeros((m - 1, m))])
-        self.jac_const = np.vstack([_chain_stamps(zeros_dt), eye, -eye[self.finite]])
-        # Flat positions of the bands, in the order ``constraints_jac`` lists them.
-        i = np.arange(m)
-        j = i[:-1]
-        rows = np.concatenate([m + i, m + i[1:], 2 * m + j, 2 * m + j[1:], 2 * m + j,
-                               3 * m - 1 + j, 3 * m - 1 + j[1:], 3 * m - 1 + j])
-        cols = np.concatenate([i, i[:-1], j, j[:-1], j + 1, j, j[:-1], j + 1])
-        self.jac_bands = rows * m + cols
+        edges, accels = np.arange(m), np.arange(m - 1)
+        cols = np.concatenate([edges, accels, accels, edges, self.finite, accels, [m - 1]])
+        self.n_constraints = len(cols) - m
+        self.index = band_index(cols)
+        self.weights = np.append(np.full(m - 1, self.w_a), self.w_t)
+        # The bands of the linear rows: dt_i = x_i - x_{i-1}, the bounds and t_n.
+        self._dt_bands = np.zeros((3, m))
+        self._dt_bands[1] = 1.0
+        self._dt_bands[0, 1:] = -1.0
+        self._bound_bands = np.zeros((3, m + len(self.finite)))
+        self._bound_bands[1, :m] = 1.0
+        self._bound_bands[1, m:] = -1.0
+        self._time_band = np.array([[0.0], [1.0], [0.0]])
 
     def profile(self, x):
         """Edge durations, edge speeds and node accelerations at stamps x."""
@@ -423,44 +428,38 @@ class TimingProblem:
         return self.w_t * x[-1] ** 2 + self.w_a * float(a @ a)
 
     def objective_grad(self, x) -> np.ndarray:
+        _g, res, bands = self.linearize(x)
+        k = self.n_constraints
+        return band_tmul(self.index[:, k:], bands[:, k:], 2.0 * self.weights * res, len(x))
+
+    def linearize(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The constraint values g (g >= 0 wanted) and the objective residuals
+        r (objective = sum(weights * r^2)) at x, with the (3, rows) derivative
+        bands of both, constraint rows first: band[:, r] holds the derivatives
+        by the three consecutive stamps that ``index[:, r]`` places (zero-based
+        in x; the first acceleration's stamp -1 is the pinned t_1 and gets 0)."""
         dt, v, a = self.profile(x)
-        grad_dt = np.zeros(len(dt))
         da_prev, da_next = self._accel_partials(dt, v, a)
-        grad_dt[:-1] += 2.0 * self.w_a * a * da_prev
-        grad_dt[1:] += 2.0 * self.w_a * a * da_next
-        grad = _chain_stamps(grad_dt)
-        grad[-1] += 2.0 * self.w_t * x[-1]
-        return grad
+        da = np.array([-da_prev, da_prev - da_next, da_next])
+        da[0, :1] = 0.0
+        g = np.concatenate([dt - self.dt_lo, self.a_max - a, self.a_max + a,
+                            x - self.lo, self.hi - x[self.finite]])
+        bands = np.concatenate([self._dt_bands, -da, da, self._bound_bands, da,
+                                self._time_band], axis=1)
+        return g, np.concatenate([a, x[-1:]]), bands
+
+    def accel_curvature(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The second partials of each a_j by (p, q) = (dt_j, dt_{j+1}):
+        d2a/dp2, d2a/dpdq and d2a/dq2, from a_j = ds_{j+1}/q^2 - ds_j/(p q)."""
+        dt, v, _a = self.profile(x)
+        p, q = dt[:-1], dt[1:]
+        return (-2.0 * v[:-1] / (p * p * q), -v[:-1] / (p * q * q),
+                (6.0 * v[1:] - 2.0 * v[:-1]) / (q * q * q))
 
     def constraints(self, x) -> np.ndarray:
         dt, v, a = self.profile(x)
         return np.concatenate([dt - DT_MIN, self.v_max - v, self.a_max - a,
                                self.a_max + a, x - self.lo, self.hi - x[self.finite]])
-
-    def constraints_jac(self, x) -> np.ndarray:
-        """``_chain_stamps`` of the dt rows, diag(v/dt), -da and da, where row j
-        of da holds da_j/d(dt_j) and da_j/d(dt_{j+1}): the constant rows come
-        from ``jac_const`` and each band entry is computed with the chain's own
-        operation, so the result has the bits of the dense chain."""
-        dt, v, a = self.profile(x)
-        w = v / dt
-        da_prev, da_next = self._accel_partials(dt, v, a)
-        neg_prev, neg_next = -da_prev, -da_next
-        jac = self.jac_const.copy()
-        jac.reshape(-1)[self.jac_bands] = np.concatenate([
-            w, 0.0 - w[1:],
-            # The last column is not chained, so -da's last entry stays raw.
-            neg_prev - neg_next, -0.0 - neg_prev[1:], neg_next[:-1] - -0.0, neg_next[-1:],
-            da_prev - da_next, 0.0 - da_prev[1:], da_next])
-        return jac
-
-    def violation(self, x) -> float:
-        """Squared constraint violation, for feasibility restoration."""
-        neg = np.minimum(self.constraints(x), 0.0)
-        return float(neg @ neg)
-
-    def violation_grad(self, x) -> np.ndarray:
-        return 2.0 * np.minimum(self.constraints(x), 0.0) @ self.constraints_jac(x)
 
     def feasible(self, x) -> bool:
         return bool(np.all(self.constraints(x) >= -1e-9))
@@ -471,21 +470,206 @@ class TimingProblem:
         return v[:-1] / dt[:-1] / dt[1:], (-v[1:] / dt[1:] - a) / dt[1:]
 
 
-def _chain_stamps(d_dt: np.ndarray) -> np.ndarray:
-    """Turn derivatives by edge durations (last axis) into derivatives by
-    stamps: dt_i = x_i - x_{i-1}, so d/dx_i = d/d(dt_i) - d/d(dt_{i+1})."""
-    d_x = d_dt.copy()
-    d_x[..., :-1] -= d_dt[..., 1:]
-    return d_x
+def band_index(cols: np.ndarray) -> np.ndarray:
+    """(3, rows): where the band entries of rows at stamps ``cols`` - 1, ``cols``
+    and ``cols`` + 1 sit in a stamp vector padded with one zero at each end."""
+    return np.array([cols, cols + 1, cols + 2])
+
+
+def band_mul(index: np.ndarray, bands: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """J @ dx for the banded rows ``bands`` (3, rows) at ``index``."""
+    pad = np.concatenate(([0.0], dx, [0.0]))
+    return (bands * pad[index]).sum(axis=0)
+
+
+def band_tmul(index: np.ndarray, bands: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """J^T @ y for the banded rows, as m stamp derivatives."""
+    return np.bincount(index.ravel(), (bands * y).ravel(), m + 2)[1:m + 1]
+
+
+def band_sum(index: np.ndarray, diag: np.ndarray, off1: np.ndarray, off2: np.ndarray,
+             m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The m x m pentadiagonal sum of symmetric 3x3 blocks, block r on the
+    stamps of index[:, r] with diagonal diag[:, r], first superdiagonal
+    off1[:, r] and corner off2[r]; returned as its diagonal and first and
+    second superdiagonals.  Entries on the pinned stamp -1 or past the last
+    stamp drop out."""
+    return (np.bincount(index.ravel(), diag.ravel(), m + 2)[1:m + 1],
+            np.bincount(index[:2].ravel(), off1.ravel(), m + 2)[1:m],
+            np.bincount(index[0], off2, m + 2)[1:m - 1])
+
+
+def ldl_pentadiagonal(diag, off1, off2):
+    """LDL^T of the symmetric pentadiagonal matrix with diagonal ``diag`` and
+    superdiagonals ``off1`` (k, k + 1) and ``off2`` (k, k + 2), as scalar
+    recurrences over Python floats.  Returns (D, L1, L2) with
+    L1[k] = L[k, k - 1] and L2[k] = L[k, k - 2], or None when a pivot is not
+    positive and finite."""
+    m = len(diag)
+    d_ = [0.0] * m
+    l1 = [0.0] * (m + 1)
+    l2 = [0.0] * (m + 2)
+    for k in range(m):
+        dk = diag[k]
+        if k >= 1:
+            dk -= l1[k] * l1[k] * d_[k - 1]
+        if k >= 2:
+            dk -= l2[k] * l2[k] * d_[k - 2]
+        if not 0.0 < dk < math.inf:
+            return None
+        d_[k] = dk
+        if k + 1 < m:
+            ek = off1[k]
+            if k >= 1:
+                ek -= l2[k + 1] * l1[k] * d_[k - 1]
+            l1[k + 1] = ek / dk
+        if k + 2 < m:
+            l2[k + 2] = off2[k] / dk
+    return d_, l1, l2
+
+
+def ldl_solve(factor, b) -> list[float]:
+    """Solve L D L^T x = b for the factor of ``ldl_pentadiagonal``."""
+    d_, l1, l2 = factor
+    m = len(d_)
+    y = list(b)
+    y1 = y2 = 0.0  # y[k - 1], y[k - 2]
+    for k in range(m):
+        y1, y2 = y[k] - l1[k] * y1 - l2[k] * y2, y1
+        y[k] = y1
+    x = [0.0] * (m + 2)
+    for k in range(m - 1, -1, -1):
+        x[k] = y[k] / d_[k] - l1[k + 1] * x[k + 1] - l2[k + 2] * x[k + 2]
+    return x[:m]
+
+
+class Solution(NamedTuple):
+    x: np.ndarray
+    nit: int  # interior-point iterations taken
+
+
+def _step_to_boundary(v: np.ndarray, dv: np.ndarray, tau: float) -> float:
+    """The largest step in (0, 1] with v + step * dv >= (1 - tau) * v, for v > 0."""
+    worst = float((dv / v).min())
+    return 1.0 if worst >= -tau else tau / -worst
+
+
+def convex_curvature(c, h_pp, h_pq, h_qq):
+    """The positive semidefinite part of each 2x2 block c_j * [[h_pp, h_pq],
+    [h_pq, h_qq]], chained onto the stamps j - 1, j, j + 1 in ``band_sum``
+    form.  A block with eigenvalues lp > 0 > lm keeps
+    lp / (lp - lm) * (B - lm I), the part along its positive eigenvector; a
+    block with no positive eigenvalue drops out."""
+    a, b, d = c * h_pp, c * h_pq, c * h_qq
+    mid = 0.5 * (a + d)
+    rad = np.sqrt(0.25 * (a - d) * (a - d) + b * b)
+    lp, lm = mid + rad, mid - rad
+    scale = np.where(lm >= 0.0, 1.0, np.where(lp <= 0.0, 0.0, lp / (2.0 * rad)))
+    shift = np.minimum(lm, 0.0)
+    a, b, d = scale * (a - shift), scale * b, scale * (d - shift)
+    # dt_j = x_j - x_{j-1} and dt_{j+1} = x_{j+1} - x_j.
+    return np.array([a, a - 2.0 * b + d, d]), np.array([b - a, b - d]), -b
+
+
+def minimize(problem: TimingProblem, x0) -> Solution:
+    """Primal-dual interior-point solve of ``problem`` from stamps x0.
+
+    Every row g(x) >= 0 of ``problem.linearize`` gets a slack s > 0 with
+    g(x) - s = 0 and a multiplier lambda > 0, both started at ``IP_START`` or
+    at g(x0) when that is larger, so a start that breaks a row is taken
+    through its slack.  Each iteration takes Mehrotra's predictor-corrector
+    step (Nocedal & Wright, Numerical Optimization, 2006, ch. 14, 16 and 19),
+    with the complementarity target kept above a tenth of ``IP_TOLERANCE``.
+    The Hessian is the Gauss-Newton one of the objective,
+    2 Jr^T diag(weights) Jr, plus the positive semidefinite part of the
+    Lagrangian's curvature in each acceleration (``convex_curvature``): it
+    is positive semidefinite, so no inertia correction is needed, and it
+    keeps the curvature that a multiplier on an active a_max row adds, whose
+    absence makes Gauss-Newton steps oscillate.  Every row reads at most
+    three consecutive stamps, so the Newton system H + J^T diag(lambda / s) J
+    is pentadiagonal, and positive definite through the dt rows;
+    ``ldl_pentadiagonal`` factors it once per iteration for both steps (the
+    banded structure of Rao, Wright & Rawlings, JOTA 1998).  A step keeps the
+    slacks, the multipliers and the edge durations within
+    ``IP_STEP_TO_BOUNDARY`` of zero.  The solve stops when the KKT residual
+    (stationarity, g - s and s * lambda, largest entry) is at most
+    ``IP_TOLERANCE``, after ``IP_MAX_ITERS`` iterations, or when an iterate
+    or a factorization is not finite, and returns the last finite stamps,
+    which the caller checks.  No step calls BLAS, so the result has the same
+    bits under any BLAS thread count.
+    """
+    x = np.array(x0, dtype=float)
+    m = len(x)
+    k = problem.n_constraints
+    index = problem.index
+    cindex = index[:, :k]
+    # The Hessian's blocks: one per row of linearize, then one per a_j.
+    hindex = np.concatenate([index, index[:, m:2 * m - 1]], axis=1)
+    two_w = 2.0 * problem.weights
+    with np.errstate(all="ignore"):
+        g, res, bands = problem.linearize(x)
+        s = np.maximum(g, IP_START)
+        lam = np.full(k, IP_START)
+        for nit in range(IP_MAX_ITERS):
+            cb = bands[:, :k]
+            r_d = band_tmul(index, bands, np.concatenate([-lam, two_w * res]), m)
+            r_p = g - s
+            comp = s * lam
+            kkt = float(np.abs(np.concatenate([r_d, r_p, comp])).max())
+            if not kkt > IP_TOLERANCE:  # converged, or not finite
+                return Solution(x, nit)
+            sigma = lam / s
+            wb = bands * np.concatenate([sigma, two_w])
+            # The Lagrangian's weight on each a_j's curvature: 2 w_a a_j from
+            # the objective, lambda from the a_max - a and a_max + a rows.
+            c = two_w[:m - 1] * res[:m - 1] + lam[m:2 * m - 1] - lam[2 * m - 1:3 * m - 2]
+            c_diag, c_off1, c_off2 = convex_curvature(c, *problem.accel_curvature(x))
+            factor = ldl_pentadiagonal(*(h.tolist() for h in band_sum(
+                hindex, np.concatenate([wb * bands, c_diag], axis=1),
+                np.concatenate([wb[:2] * bands[1:], c_off1], axis=1),
+                np.concatenate([wb[0] * bands[2], c_off2]), m)))
+            if factor is None:
+                return Solution(x, nit)
+
+            def newton(r_c):
+                """The step for complementarity target s * lambda + r_c."""
+                rhs = band_tmul(cindex, cb, r_c / s - sigma * r_p, m) - r_d
+                dx = np.array(ldl_solve(factor, rhs.tolist()))
+                ds = band_mul(cindex, cb, dx) + r_p
+                return dx, ds, (r_c - lam * ds) / s
+
+            _dx, ds, dlam = newton(-comp)
+            # numpy scalars: an underflowed mu gives a non-finite target (and
+            # so a non-finite iterate, which ends the solve), never an exception.
+            mu = comp.sum()
+            mu_aff = ((s + _step_to_boundary(s, ds, 1.0) * ds)
+                      * (lam + _step_to_boundary(lam, dlam, 1.0) * dlam)).sum()
+            target = max(mu * (mu_aff / mu) ** 3 / k, 0.1 * IP_TOLERANCE)
+            dx, ds, dlam = newton(target - comp - ds * dlam)
+            # On the dt rows, dt = g + dt_lo and the step moves it by
+            # J dx = ds - r_p.
+            step = min(_step_to_boundary(s, ds, IP_STEP_TO_BOUNDARY),
+                       _step_to_boundary(g[:m] + problem.dt_lo, ds[:m] - r_p[:m],
+                                         IP_STEP_TO_BOUNDARY))
+            x_new = x + step * dx
+            s = s + step * ds
+            lam = lam + _step_to_boundary(lam, dlam, IP_STEP_TO_BOUNDARY) * dlam
+            g, res, bands = problem.linearize(x_new)
+            if not (np.isfinite(g).all() and np.isfinite(bands).all()):
+                return Solution(x, nit + 1)
+            x = x_new
+    return Solution(x, IP_MAX_ITERS)
 
 
 def optimize_timestamps(path: Path, seq: IntervalSequence,
                         config: TemporalConfig) -> Trajectory | None:
-    """SQP refinement of node timestamps within the chosen intervals.
+    """Optimal node timestamps within the chosen intervals.
 
     Objective: w_t * t_n^2 + w_a * sum a_i^2 with normalization weights
-    w_t = 1/t_min^2, w_a = 1/((n-2) a_max^2).  t_1 is pinned to 0.  Returns
-    None when no feasible initialization exists.
+    w_t = 1/t_min^2, w_a = 1/((n-2) a_max^2).  t_1 is pinned to 0.  The
+    interior-point ``minimize`` starts from the greedy earliest-arrival
+    stamps.  Returns None when no feasible initialization exists or when
+    the result breaks ``TimingProblem.constraints``.
     """
     n = len(path.poses)
     if n < 2:
@@ -494,30 +678,10 @@ def optimize_timestamps(path: Path, seq: IntervalSequence,
     if init is None:
         return None
     problem = TimingProblem(path, seq, config)
-    cons = [{"type": "ineq", "fun": problem.constraints, "jac": problem.constraints_jac}]
-    options = {"maxiter": SQP_MAX_ITERS, "ftol": SQP_TOLERANCE}
-    res = minimize(problem.objective, init[1:], jac=problem.objective_grad,
-                   method="SLSQP", constraints=cons, options=options)
-    candidates = [np.asarray(x, dtype=float) for x in (res.x, init[1:])
-                  if x is not None and problem.feasible(x)]
-    if not candidates:
-        # Feasibility restoration: drive the violation to zero, then re-polish.
-        # Restoration can stop just past the 1e-9 feasibility tolerance, so the
-        # re-polish starts from any nearly feasible point; only a feasible
-        # result is kept.
-        rest = minimize(problem.violation, init[1:], jac=problem.violation_grad,
-                        method="SLSQP",
-                        options={"maxiter": SQP_MAX_ITERS, "ftol": 1e-14})
-        if rest.x is not None and problem.violation(rest.x) <= RESTORED_VIOLATION:
-            res2 = minimize(problem.objective, rest.x, jac=problem.objective_grad,
-                            method="SLSQP", constraints=cons, options=options)
-            for x in (res2.x, rest.x):
-                if x is not None and problem.feasible(x):
-                    candidates.append(np.asarray(x, dtype=float))
-                    break
-    if not candidates:
+    x = minimize(problem, init[1:]).x
+    if not problem.feasible(x):
         return None
-    best = np.concatenate([[0.0], min(candidates, key=problem.objective)])
+    best = np.concatenate([[0.0], x])
     v, a = velocity_profile(path, best)
     return Trajectory(path, best, v, a)
 

@@ -1,9 +1,14 @@
 """CLI subcommands, exit codes, and environment-variable defaults."""
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import kinoplan
 from kinoplan import cli
 from kinoplan.cli import EXIT_ERROR, EXIT_NO_PATH, EXIT_OK, EXIT_SCENARIO_FAILED
 from kinoplan.collision import footprint_circles
@@ -152,6 +157,21 @@ class TestPlan:
         assert exc.value.code == EXIT_ERROR
         assert "pose must be 'x,y,theta'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,start,goal", [
+        ("--start", "0,0,nan", "10,0,0"),
+        ("--goal", "0,0,0", "inf,0,0"),
+        ("--goal", "0,0,0", "1,-inf,0"),
+    ])
+    def test_non_finite_pose(self, tmp_path, capsys, flag, start, goal):
+        """A non-finite pose is a usage error naming its flag, before any
+        library is built."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["plan", "--start", start, "--goal", goal, "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"argument {flag}: pose values must be finite" in err
+        assert not any(tmp_path.iterdir())
+
 
 class TestSimulate:
     def test_requires_scenario(self):
@@ -292,7 +312,9 @@ class TestEnvironmentDefaults:
 
     @pytest.mark.parametrize("var,value,message", [
         ("KINOPLAN_SEED", "abc", "argument --seed: invalid int value: 'abc'"),
+        ("KINOPLAN_SEED", "-3", "argument --seed: expected a non-negative integer, got -3"),
         ("KINOPLAN_RUNS", "2.5", "argument --runs: invalid int value: '2.5'"),
+        ("KINOPLAN_RUNS", "0", "argument --runs: expected a positive integer, got 0"),
         ("KINOPLAN_MODE", "gauss", "--mode must be one of gmm, random, both"),
     ])
     def test_bad_env_value(self, tmp_path, monkeypatch, capsys, var, value, message):
@@ -302,3 +324,50 @@ class TestEnvironmentDefaults:
         assert exc.value.code == EXIT_ERROR
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize("argv,message", [
+        (["bench-sampling", "--runs", "0"], "argument --runs: expected a positive integer, got 0"),
+        (["bench-sampling", "--runs", "-2"], "argument --runs: expected a positive integer, got -2"),
+        (["simulate", "--scenario", "cross", "--seed", "-3"],
+         "argument --seed: expected a non-negative integer, got -3"),
+        (["plan", "--seed", "-1"], "argument --seed: expected a non-negative integer, got -1"),
+    ])
+    def test_bad_count_flag(self, tmp_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == EXIT_ERROR
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
+def _subprocess_env(**extra):
+    """The environment with this checkout's package first on the import path."""
+    src = str(Path(kinoplan.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+class TestRuntime:
+    def test_no_scipy_at_run_time(self):
+        code = ("import sys, kinoplan, kinoplan.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_trace_independent_of_blas_threads(self, tmp_path, library_csv):
+        """``trace.csv`` has the same bytes with one and with two BLAS threads."""
+        traces = []
+        for threads in ("1", "2"):
+            env = _subprocess_env(**{var: threads for var in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+            out = tmp_path / f"threads{threads}"
+            run = subprocess.run([sys.executable, "-m", "kinoplan.cli", "simulate",
+                                  "--scenario", "overtake", "--seed", "0",
+                                  "--library", library_csv, "--out", str(out)],
+                                 env=env, capture_output=True, text=True)
+            assert run.returncode == EXIT_OK, run.stderr
+            traces.append((out / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]

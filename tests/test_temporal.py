@@ -1,13 +1,15 @@
-"""Safe-interval estimation, interval-sequence selection, and timestamp SQP."""
+"""Safe-interval estimation, interval-sequence selection, and timestamp optimization."""
 
 import itertools
 import math
+import warnings
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize as scipy_minimize
 from scipy.optimize._numdiff import approx_derivative
 
 from kinoplan import get_scenario, temporal
@@ -352,6 +354,27 @@ class TestBroadPhase:
         assert any(len(ni.intervals) > 1 for ni in nis)
 
 
+@st.composite
+def timing_instances(draw):
+    """Edges (multiples of 0.1 m) and 1..3 safe intervals per node clustered
+    near the free-flow arrival, drawn as the acceptance suite's
+    ``_random_instance`` draws them."""
+    n = draw(st.integers(2, 6))
+    edges = [draw(st.integers(6, 15)) / 10.0 for _ in range(n - 1)]
+    arrive = np.concatenate([[0.0], np.cumsum(edges)]) / 2.0
+    nis = [NodeIntervals(0, [SafeInterval(0.0, draw(st.integers(8, 20)) / 10.0)])]
+    for i in range(1, n):
+        t = max(0.0, arrive[i] - draw(st.floats(0.0, 0.4)))
+        ints = []
+        for _ in range(draw(st.integers(1, 3))):
+            t = round(t + draw(st.floats(0.0, 0.6)), 1)
+            length = draw(st.integers(6, 15)) / 10.0
+            ints.append(SafeInterval(t, t + length))
+            t = t + length + draw(st.floats(0.3, 0.8))
+        nis.append(NodeIntervals(i, ints))
+    return edges, nis
+
+
 def timing_problem_case(ends):
     """A TimingProblem on a path with uneven edges and the given interval
     ends (node 0 first), plus random stamps feasible for it."""
@@ -366,17 +389,41 @@ def timing_problem_case(ends):
     return problem, x
 
 
-def dense_constraints_jac(problem, x):
-    """TimingProblem.constraints_jac as dense blocks and one chain: the
-    reference for the banded version."""
+def dense_bands(problem, bands, rows=slice(None)):
+    """The (rows, m) matrix that ``bands`` stand for, at the band index of
+    ``problem``'s ``rows``."""
+    m = len(problem.ds)
+    index = problem.index[:, rows]
+    dense = np.zeros((bands.shape[1], m + 2))
+    r = np.arange(bands.shape[1])
+    for k in range(3):
+        dense[r, index[k]] = bands[k]
+    return dense[:, 1:m + 1]
+
+
+def pentadiagonal(diag, off1, off2):
+    """The dense symmetric matrix with this diagonal and these superdiagonals."""
+    dense = np.diag(diag)
+    for k, off in ((1, off1), (2, off2)):
+        i = np.arange(len(off))
+        dense[i, i + k] = dense[i + k, i] = off
+    return dense
+
+
+def dense_chain_jac(problem, x):
+    """The derivative of ``linearize``'s rows (constraints, then residuals)
+    as dense blocks by edge durations and one chain to stamps, written from
+    ``_accel_partials``: the reference for the bands."""
     dt, v, a = problem.profile(x)
     m = len(dt)
     j = np.arange(m - 1)
     da = np.zeros((m - 1, m))
     da[j, j], da[j, j + 1] = problem._accel_partials(dt, v, a)
-    jac_dt = np.vstack([np.eye(m), np.diag(v / dt), -da, da])
+    by_dt = np.vstack([np.eye(m), -da, da])
+    chained = by_dt.copy()
+    chained[:, :-1] -= by_dt[:, 1:]  # dt_i = x_i - x_{i-1}
     eye = np.eye(m)
-    return np.vstack([temporal._chain_stamps(jac_dt), eye, -eye[problem.finite]])
+    return np.vstack([chained, eye, -eye[problem.finite], chained[2 * m - 1:], eye[-1:]])
 
 
 class TestTimingProblem:
@@ -398,32 +445,67 @@ class TestTimingProblem:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_constraint_jacobian(self, case):
+        """The bands of ``linearize`` match finite differences of its rows, at
+        feasible and at too-fast stamps."""
         problem, x = timing_problem_case(self.CASES[case])
-        numeric = approx_derivative(problem.constraints, x, method="3-point")
-        jac = problem.constraints_jac(x)
-        assert jac.shape == numeric.shape
-        np.testing.assert_allclose(jac, numeric, rtol=1e-5, atol=1e-9)
+        for stamps in (x, x * 0.6):
+            g, res, bands = problem.linearize(stamps)
+            numeric = approx_derivative(
+                lambda y: np.concatenate(problem.linearize(y)[:2]), stamps, method="3-point")
+            jac = dense_bands(problem, bands)
+            assert jac.shape == numeric.shape == (len(g) + len(res), len(x))
+            np.testing.assert_allclose(jac, numeric, rtol=1e-5, atol=1e-9)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_constraint_jacobian_bits(self, case):
-        """The banded Jacobian has the bits of the dense chain, signs of zero
-        included, at feasible, too-fast and constant-speed stamps."""
+        """The banded Jacobian has the bits of the dense chain, at feasible,
+        too-fast and constant-speed stamps."""
         problem, x = timing_problem_case(self.CASES[case])
         even = np.cumsum(problem.ds) / 1.5
         for stamps in (x, x * 0.6, even):
-            got, expected = problem.constraints_jac(stamps), dense_constraints_jac(problem, stamps)
-            assert got.shape == expected.shape
-            assert np.array_equal(got, expected)
-            assert np.array_equal(np.signbit(got), np.signbit(expected))
+            got = dense_bands(problem, problem.linearize(stamps)[2])
+            assert np.array_equal(got, dense_chain_jac(problem, stamps))
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_violation_gradient(self, case):
+    def test_accel_curvature(self, case):
+        """The second partials of each a_j by its two edge durations, chained
+        onto stamps j - 1, j, j + 1, match finite differences of the
+        acceleration bands."""
         problem, x = timing_problem_case(self.CASES[case])
-        x = x * 0.6  # too fast for v_max: the speed rows are violated
-        assert problem.violation(x) > 0.0
-        numeric = approx_derivative(problem.violation, x, method="3-point")
-        np.testing.assert_allclose(problem.violation_grad(x), numeric, rtol=1e-5,
-                                   atol=1e-7 * np.max(np.abs(numeric)))
+        m = len(x)
+        chain = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])  # (dt_j, dt_{j+1}) by stamps
+        rows = slice(2 * m - 1, 3 * m - 2)  # the a_max + a rows: bands of +a
+        for j, (pp, pq, qq) in enumerate(zip(*problem.accel_curvature(x))):
+            block = chain.T @ np.array([[pp, pq], [pq, qq]]) @ chain
+            hess = np.zeros((m + 1, m + 1))  # stamp -1 (the pinned t_1) first
+            hess[j:j + 3, j:j + 3] = block
+            numeric = approx_derivative(
+                lambda y: dense_bands(problem, problem.linearize(y)[2][:, rows], rows)[j], x,
+                method="3-point")
+            np.testing.assert_allclose(hess[1:, 1:], numeric, rtol=1e-5,
+                                       atol=1e-7 * np.max(np.abs(numeric)))
+
+    def test_convex_curvature(self):
+        """Each block keeps its positive semidefinite part: unchanged when
+        the 2x2 block has no negative eigenvalue, zero when it has no
+        positive one, and never below the block itself."""
+        rng = np.random.default_rng(3)
+        c = rng.normal(size=200)
+        h = rng.normal(size=(3, 200))
+        c_diag, c_off1, c_off2 = temporal.convex_curvature(c, *h)
+        chain = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])
+        for r in range(200):
+            block2 = c[r] * np.array([[h[0, r], h[1, r]], [h[1, r], h[2, r]]])
+            got = pentadiagonal(c_diag[:, r], c_off1[:, r], [c_off2[r]])
+            original = chain.T @ block2 @ chain
+            low, high = np.linalg.eigvalsh(block2)
+            scale = max(1.0, abs(low), abs(high))
+            assert np.linalg.eigvalsh(got).min() >= -1e-12 * scale
+            assert np.linalg.eigvalsh(got - original).min() >= -1e-12 * scale
+            if low >= 0.0:
+                np.testing.assert_allclose(got, original, atol=1e-12 * scale)
+            elif high <= 0.0:
+                assert np.all(got == 0.0)
 
     def test_constraint_rows(self):
         problem, x = timing_problem_case(self.CASES["mixed_ends"])
@@ -431,6 +513,57 @@ class TestTimingProblem:
         # dt, v, +a, -a, the starts of nodes 2..n, and their three finite ends
         # (node 1's end does not constrain x).
         assert len(problem.constraints(x)) == 4 * (n - 1) - 2 + (n - 1) + 3
+        # The solver reads the same rows with dt and v merged into one bound
+        # per edge: every other row has the contract's bits.
+        rng = np.random.default_rng(5)
+        for stamps in (x, x * 0.6, np.cumsum(problem.ds / 2.0 * rng.uniform(0.8, 1.2, n - 1))):
+            g, _res, _bands = problem.linearize(stamps)
+            contract = problem.constraints(stamps)
+            m = n - 1
+            assert len(g) == len(contract) - m
+            assert np.array_equal(g[m:], contract[2 * m:])
+            assert np.array_equal(g[:m] >= 0.0, (contract[:m] >= 0.0) & (contract[m:2 * m] >= 0.0))
+
+
+class TestBandedLDL:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 30])
+    def test_matches_dense_solve(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(20):
+            # J^T diag(w) J + a small ridge: symmetric positive definite and
+            # pentadiagonal, like the solver's Newton systems.
+            cols = rng.integers(0, m, 3 * m)
+            bands = rng.normal(size=(3, 3 * m))
+            w = rng.uniform(0.0, 2.0, 3 * m)
+            index = temporal.band_index(cols)
+            wb = bands * w
+            diag, off1, off2 = temporal.band_sum(index, wb * bands, wb[:2] * bands[1:],
+                                                 wb[0] * bands[2], m)
+            diag = diag + 1e-3
+            dense = pentadiagonal(diag, off1, off2)
+            assert np.all(np.linalg.eigvalsh(dense) > 0.0)
+            b = rng.normal(size=m)
+            factor = temporal.ldl_pentadiagonal(diag.tolist(), off1.tolist(), off2.tolist())
+            assert factor is not None
+            got = temporal.ldl_solve(factor, b.tolist())
+            np.testing.assert_allclose(got, np.linalg.solve(dense, b), rtol=1e-8,
+                                       atol=1e-10 * np.max(np.abs(np.linalg.solve(dense, b))))
+
+    def test_indefinite_rejected(self):
+        assert temporal.ldl_pentadiagonal([1.0, 1.0], [2.0], []) is None
+        assert temporal.ldl_pentadiagonal([0.0], [], []) is None
+        assert temporal.ldl_pentadiagonal([math.nan], [], []) is None
+
+    def test_band_products(self):
+        problem, x = timing_problem_case(TestTimingProblem.CASES["mixed_ends"])
+        _g, _res, bands = problem.linearize(x)
+        dense = dense_bands(problem, bands)
+        rng = np.random.default_rng(2)
+        dx, y = rng.normal(size=len(x)), rng.normal(size=bands.shape[1])
+        np.testing.assert_allclose(temporal.band_mul(problem.index, bands, dx), dense @ dx,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(temporal.band_tmul(problem.index, bands, y, len(x)),
+                                   dense.T @ y, rtol=1e-12, atol=1e-12)
 
 
 class TestSelectSequence:
@@ -472,6 +605,21 @@ class TestSelectSequence:
         for chosen, idx, ni in zip(seq.chosen, seq.source_indices, nis):
             orig = ni.intervals[idx]
             assert orig.start <= chosen.start and chosen.end == orig.end
+
+    def test_zero_length_window_unreachable(self):
+        """A child whose narrowed start equals its end is unreachable: these
+        intervals made selection raise on a degenerate [2.7, 2.7]."""
+        cfg = TemporalConfig(v_max=2.0, a_max=1.0, overlap_min=0.2)
+        ivs = [[(0.0, 1.4)], [(1.0, 2.0), (2.6, 4.1)], [(1.6, 2.8)],
+               [(2.2, 3.1), (3.5, 4.3)], [(2.0, 2.7), (3.9, 4.6), (5.8, 6.7)]]
+        nis = [NodeIntervals(i, [SafeInterval(a, b) for a, b in iv]) for i, iv in enumerate(ivs)]
+        assert select_interval_sequence(nis, cfg, edge_lengths=[0.9, 1.2, 1.2, 1.0]) is None
+        # One child ends exactly when the robot can first get there; the
+        # later one is taken.
+        nis = [NodeIntervals(0, [SafeInterval(0.0, math.inf)]),
+               NodeIntervals(1, [SafeInterval(0.0, 1.0), SafeInterval(1.5, math.inf)])]
+        seq = select_interval_sequence(nis, TemporalConfig(overlap_min=0.2), edge_lengths=[2.0])
+        assert seq is not None and seq.source_indices == [0, 1]
 
     def _brute_force_final_start(self, nis, cfg, travel):
         """Independent enumeration of every interval combination."""
@@ -612,9 +760,9 @@ class TestOptimizeTimestamps:
         seq = select_interval_sequence(nis, cfg, [5.0])
         assert seq is None or optimize_timestamps(path, seq, cfg) is None
 
-    def test_restoration_repolishes_near_feasible_point(self, monkeypatch):
-        """When the first solve diverges, feasibility restoration ends ~1e-9
-        past a constraint; the re-polish from there still finds the optimum."""
+    def test_start_breaking_a_max_is_feasible(self):
+        """The greedy start breaks a_max; the solver goes through the slacks
+        of the broken rows and ends feasible at the optimum."""
         # A retime from overtake: the greedy start breaks a_max at node 6.
         path = edge_path([3.109, 4.061, 4.129, 4.129, 3.775, 1.429, 4.129, 4.061, 4.061,
                           4.129])
@@ -622,23 +770,47 @@ class TestOptimizeTimestamps:
                   37.804]
         seq = IntervalSequence([SafeInterval(a, math.inf) for a in starts], [0] * len(starts))
         cfg = TemporalConfig()
-        real = temporal.minimize
-        calls = []
-
-        def diverging_first_solve(fun, x0, **kwargs):
-            res = real(fun, x0, **kwargs)
-            calls.append(res)
-            if len(calls) == 1:
-                res.x = -np.asarray(x0)
-            return res
-
-        monkeypatch.setattr(temporal, "minimize", diverging_first_solve)
-        traj = optimize_timestamps(path, seq, cfg)
-        assert len(calls) == 3  # first solve, restoration, re-polish
         problem = TimingProblem(path, seq, cfg)
-        assert not problem.feasible(calls[1].x)
+        init = temporal._feasible_init(path, seq, cfg)
+        assert not problem.feasible(init[1:])
+        traj = optimize_timestamps(path, seq, cfg)
         assert traj is not None and problem.feasible(traj.timestamps[1:])
         assert traj.timestamps[1] == pytest.approx(16.25, abs=0.01)
+
+    def test_infeasible_returns_none_without_warning(self):
+        """A start exists, but no stamps meet a_max: 5 m at up to v_max by
+        t = 2.6 s, then 0.1 m with the node reached within [2.7, 2.75] s."""
+        path = edge_path([5.0, 0.1])
+        seq = IntervalSequence([SafeInterval(0.0, math.inf), SafeInterval(0.0, 2.6),
+                                SafeInterval(2.7, 2.75)], [0, 0, 0])
+        cfg = TemporalConfig()
+        assert temporal._feasible_init(path, seq, cfg) is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert optimize_timestamps(path, seq, cfg) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(timing_instances())
+    def test_never_worse_than_slsqp(self, instance):
+        """On instances drawn like the acceptance suite's brute-force ones,
+        the objective is never worse than SLSQP's (SciPy, a test-only
+        reference) from the same start by more than 1e-6 relative."""
+        edges, nis = instance
+        cfg = TemporalConfig(v_max=2.0, a_max=1.0, overlap_min=0.2)
+        seq = select_interval_sequence(nis, cfg, edge_lengths=edges)
+        assume(seq is not None)
+        path = edge_path(edges)
+        init = temporal._feasible_init(path, seq, cfg)
+        assume(init is not None)
+        problem = TimingProblem(path, seq, cfg)
+        ref = scipy_minimize(problem.objective, init[1:], jac=problem.objective_grad,
+                             method="SLSQP", options={"maxiter": 200, "ftol": 1e-8},
+                             constraints=[{"type": "ineq", "fun": problem.constraints}])
+        assume(problem.feasible(ref.x))
+        traj = optimize_timestamps(path, seq, cfg)
+        assert traj is not None
+        expected = problem.objective(ref.x)
+        assert problem.objective(traj.timestamps[1:]) <= expected + 1e-6 * abs(expected)
 
     def test_csv_export(self, tmp_path):
         path = straight_path(4)

@@ -20,7 +20,9 @@ finishes; the two trees run side by side, so the times are comparable only as
 pairs.
 
 The BLAS and OpenMP pools are pinned to one thread in both subprocesses, as
-the benchmark does, because SLSQP's results (and so the traces) move with
+the benchmark does.  The program's own traces no longer depend on the BLAS
+thread count (its timestamp solver makes no BLAS call), so the pin matters
+only for a ``--base`` that predates that solver: SciPy's SLSQP moved with
 BLAS rounding.  Both trees run on the same numpy/BLAS build, so the
 comparison holds on any machine.
 """
