@@ -84,6 +84,16 @@ def _positive(text: str) -> int:
     return _parse_int(text, 1, "positive")
 
 
+def _positive_seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
 def _resolve_scenario(name_or_path: str) -> Scenario:
     if os.path.exists(name_or_path):
         return load_scenario(name_or_path)
@@ -320,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="planner config file")
     p.add_argument("--ground-truth-tracks", action="store_true",
                    help="feed the tracker noise-free observations")
-    p.add_argument("--replan-timeout", type=float,
+    p.add_argument("--replan-timeout", type=_positive_seconds,
                    default=_env_default("replan_timeout", 3.0),
                    help="seconds to wait before replanning the path (default 3)")
     p.set_defaults(func=cmd_simulate)

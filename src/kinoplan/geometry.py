@@ -207,6 +207,19 @@ def _shot_jacobian(params: CurveParams, end: np.ndarray, nodes: tuple) -> np.nda
     return jac
 
 
+def _pinv(jac: np.ndarray) -> np.ndarray:
+    """``np.linalg.pinv(jac, rcond=1e-10)`` to the bit, without its generic wrapper.
+
+    The same operations in the same order: a thin SVD, singular values at or
+    below 1e-10 of the largest dropped, and V diag(1/s) U^T as one matmul.
+    """
+    u, s, vt = np.linalg.svd(jac, full_matrices=False)
+    large = s > 1e-10 * s.max()
+    s = np.divide(1.0, s, where=large, out=s)
+    s[~large] = 0.0
+    return vt.T @ (s[:, None] * u.T)
+
+
 def endpoint_jacobian(params: CurveParams) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint (dx, dy, dtheta) and its exact 3x4 Jacobian in (a, b, c, s_f).
 
@@ -305,9 +318,10 @@ def fit_curve(
     the end curvature is left free.  Damped Gauss-Newton shooting with the
     pseudo-inverse step (minimum-norm in the underdetermined direction) on the
     exact endpoint Jacobian of ``endpoint_jacobian`` (Kelly & Nagy, IJRR 2003).
-    The line search compares endpoints only; the Jacobian is formed once per
-    accepted step.  Returns None when the iteration fails to converge or the
-    curvature bound is violated.
+    The line search compares endpoints only.  A Jacobian is formed only when a
+    step needs one, from the accepted shot's node arrays, so the converged
+    iterate's is never computed.  Returns None when the iteration fails to
+    converge or the curvature bound is violated.
     """
     gx, gy, gth = goal_offset
     chord = math.hypot(gx, gy)
@@ -326,28 +340,27 @@ def fit_curve(
 
     p, end, nodes = shoot(u)
     f = end - goal
-    J = _shot_jacobian(p, end, nodes)
     cost = float(f @ f)
     for _ in range(max_iters):
         if cost < FIT_TOL**2:
             break
-        step = np.linalg.pinv(J, rcond=1e-10) @ f
-        # Backtracking damping: a trial costs one shot, and only the accepted
-        # trial's Jacobian is computed, from that shot's node arrays.
+        step = _pinv(_shot_jacobian(p, end, nodes)) @ f
+        # Backtracking damping: a trial costs one shot; the accepted trial's
+        # node arrays give the next iteration's Jacobian.
         lam = 1.0
         for _ in range(20):
             u_new = u - lam * step
             u_new[3] = max(u_new[3], 1e-3)
             try:
-                p_new, end, nodes = shoot(u_new)
+                p_new, end_new, nodes_new = shoot(u_new)
             except (ValueError, FloatingPointError):
                 lam *= 0.5
                 continue
-            f_new = end - goal
+            f_new = end_new - goal
             c_new = float(f_new @ f_new)
             if c_new < cost:
                 u, f, p, cost = u_new, f_new, p_new, c_new
-                J = _shot_jacobian(p, end, nodes)
+                end, nodes = end_new, nodes_new
                 break
             lam *= 0.5
         else:
@@ -558,7 +571,11 @@ def build_curve_library(config: LibraryConfig = LibraryConfig()) -> CurveLibrary
     """Fit one curve per feasible (r, beta) grid cell; infeasible cells stay absent.
 
     Per cell, end headings beta * dtheta_factors are tried and the feasible fit
-    with the smallest peak curvature is kept.  A target that no curve within
+    with the smallest peak curvature is kept.  Each distinct target is fitted
+    once, in first-seen order (at beta = 0 every factor gives the same one).
+    A fit starts warm from the last entry of the same bearing column, and a
+    failed warm fit is retried cold; a cell with no such entry fits cold once,
+    as a retry would repeat that fit bit for bit.  A target that no curve within
     ``max_arc_length`` can reach (``reachable_within``) is not fitted, since
     its fit would be discarded.  Deterministic for a fixed config.
     """
@@ -569,12 +586,15 @@ def build_curve_library(config: LibraryConfig = LibraryConfig()) -> CurveLibrary
         warm: CurveParams | None = None
         for i, r in enumerate(r_grid):
             best: tuple[float, CurveParams] | None = None
-            for factor in config.dtheta_factors:
-                target = (r * math.cos(beta), r * math.sin(beta), beta * factor)
+            # At beta = 0 every factor gives the same target; its repeats
+            # could only tie, and a tie keeps the first.
+            targets = dict.fromkeys((r * math.cos(beta), r * math.sin(beta), beta * factor)
+                                    for factor in config.dtheta_factors)
+            for target in targets:
                 if not reachable_within(target, config.kappa_max, config.max_arc_length):
                     continue
                 params = fit_curve(0.0, target, config.kappa_max, seed=warm)
-                if params is None:
+                if params is None and warm is not None:
                     params = fit_curve(0.0, target, config.kappa_max, seed=None)
                 if params is None or params.s_f > config.max_arc_length:
                     continue

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize._numdiff import approx_derivative
 
+import kinoplan.geometry as geometry
 from kinoplan.geometry import (FIT_TOL, SIMPSON_STEP, CurveLibrary, CurveParams,
-                               LibraryConfig, Pose, _offset_at, _shoot,
+                               LibraryConfig, Pose, _offset_at, _pinv, _shoot,
                                _shot_jacobian,
                                build_curve_library, curvature_at, dubins_length,
                                endpoint_jacobian, fit_curve, heading_change,
@@ -494,6 +495,33 @@ class TestShot:
         assert same_fit(fit_curve(k0, goal, kappa_max, seed=seed), want)
 
 
+class TestPinv:
+    """``_pinv`` against ``np.linalg.pinv(J, rcond=1e-10)``, bit for bit."""
+
+    @staticmethod
+    def assert_same(jac):
+        assert _pinv(jac).tobytes() == np.linalg.pinv(jac, rcond=1e-10).tobytes()
+
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=12, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy(self, values):
+        self.assert_same(np.reshape(values, (3, 4)))
+
+    # Rank-deficient matrices, where the 1e-10 cutoff drops a singular value.
+    ROW0, ROW1, ROW2 = [1.0, 2.0, 0.5, -1.0], [0.3, -0.7, 2.0, 0.1], [-1.2, 0.4, 0.9, 3.0]
+
+    @pytest.mark.parametrize("rows", [
+        [ROW0, [0.0] * 4, ROW2],
+        [ROW0, ROW1, ROW0],
+        [ROW0, ROW1, [1e-12 * v for v in ROW2]],
+    ], ids=["zero-row", "equal-rows", "tiny-row"])
+    def test_matches_numpy_at_the_cutoff(self, rows):
+        jac = np.array(rows)
+        s = np.linalg.svd(jac, compute_uv=False)
+        assert s[-1] <= 1e-10 * s[0]
+        self.assert_same(jac)
+
+
 class TestLibrary:
     # Populated cells of the default library, as {beta column j: r rows i}.
     DEFAULT_CELLS = {
@@ -506,6 +534,19 @@ class TestLibrary:
         cells = {(i, j) for j, rows in self.DEFAULT_CELLS.items() for i in rows}
         assert len(cells) == 60
         assert set(library.entries) == cells
+
+    def test_fits_each_target_once(self, library, monkeypatch):
+        calls = []
+
+        def counting(start_kappa, goal_offset, kappa_max, seed=None, **kwargs):
+            calls.append((start_kappa, goal_offset, kappa_max, seed))
+            return fit_curve(start_kappa, goal_offset, kappa_max, seed=seed, **kwargs)
+
+        monkeypatch.setattr(geometry, "fit_curve", counting)
+        built = build_curve_library()
+        assert len(calls) == 374
+        assert len(set(calls)) == len(calls)
+        assert built.entries == library.entries
 
     def test_straight_cell(self, library):
         i, j = library.cell_index(2.0, 0.0)

@@ -16,8 +16,8 @@ intervals, and the id, state and last update of every track it saw, all
 written with ``%.17g``; the wall-clock latency is left out.  So an event that
 changes while the trace stays the same still shows.  It exits 1 and names
 every hash that differs.  Each run's wall time is printed on stderr as it
-finishes; the two trees run side by side, so the times are comparable only as
-pairs.
+finishes, after the time of the library build; the two trees run side by
+side, so the times are comparable only as pairs.
 
 The BLAS and OpenMP pools are pinned to one thread in both subprocesses, as
 the benchmark does.  The program's own traces no longer depend on the BLAS
@@ -80,7 +80,9 @@ def compute_hashes(src: str) -> dict[str, str]:
     if not kinoplan.__file__.startswith(os.path.abspath(src)):
         raise SystemExit(f"imported kinoplan from {kinoplan.__file__}, not from {src}")
     hashes = {}
+    t0 = time.perf_counter()
     library = build_curve_library()
+    print(f"{src}: library build {time.perf_counter() - t0:.2f} s", file=sys.stderr, flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "library.csv")
         library.save_csv(path)
