@@ -18,7 +18,7 @@ import numpy as np
 
 from . import configfile
 from .collision import FootprintSpec, ObstacleShape, default_robot_footprint
-from .geometry import Pose
+from .geometry import Pose, normalize_angle
 
 
 @dataclass
@@ -67,6 +67,13 @@ class ScriptedObstacle:
         p = self.position_at(t)
         return Pose(float(p[0]), float(p[1]), self.heading_at(t))
 
+    def poses_at(self, times) -> list[tuple[float, float, float]]:
+        """``pose_at`` of each time as an (x, y, theta) tuple, to the bit: one
+        ``np.interp`` per axis over all the times, the heading per time."""
+        xs, ys = (np.interp(times, self._wp[:, 0], self._wp[:, j]).tolist() for j in (1, 2))
+        return [(x, y, normalize_angle(self.heading_at(t)))
+                for x, y, t in zip(xs, ys, times)]
+
 
 @dataclass
 class Scenario:
@@ -90,20 +97,24 @@ class Scenario:
     goal_heading_tol: float = 0.2
 
     def __post_init__(self):
-        for name in _POSITIVE + _FINITE:
+        for name in _POSITIVE + _NON_NEGATIVE + _FINITE:
             _check_field(name, getattr(self, name))
 
 
 _POSITIVE = ("v_max", "a_max", "horizon", "sim_dt", "perception_dt", "time_limit",
              "goal_pos_tol", "goal_heading_tol")
+_NON_NEGATIVE = ("obs_noise",)
 _FINITE = ("start", "goal", "bounds")
 
 
 def _check_field(name: str, value) -> None:
-    """The fields the runner divides or loops by must be positive and finite;
-    the start, goal and bounds finite."""
+    """The fields the runner divides or loops by must be positive and finite,
+    the observation noise finite and non-negative (0 is noise-free), and the
+    start, goal and bounds finite."""
     if name in _POSITIVE and not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
+    if name in _NON_NEGATIVE and not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
     if name in _FINITE:
         nums = (value.x, value.y, value.theta) if isinstance(value, Pose) else value
         if not all(math.isfinite(v) for v in nums):

@@ -3,7 +3,11 @@
 The control loop alternates between four states.  PLANNING builds a geometric
 path and times it against the current obstacle predictions; EXECUTING follows
 the timed trajectory and revalidates it at every perception tick, re-timing
-the rest of the path when the fresh predictions make it unsafe; WAITING holds
+the rest of the path when the fresh predictions make it unsafe.  An adopted
+trajectory is evaluated once, at every tick time it can be driven at
+(``TickTable``): the executor reads each tick's pose from that table, and
+revalidation its robot covers from the current tick on, so a perception
+tick builds only the obstacle predictions.  WAITING holds
 position when no safe timing exists and tries nothing until ``replan_timeout``
 has passed, when the path itself is replanned (REPLANNING), treating
 obstacles that have stopped as static blockers.  Every planning attempt is
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .collision import (ObstacleShape, circle_gaps, footprint_circles,
+from .collision import (FootprintSpec, ObstacleShape, circle_gaps, footprint_circles,
                         footprint_circles_batch, footprint_circles_each, min_clearance)
 from .configfile import at_line, read_lines, write_lines
 from .geometry import CurveLibrary, Pose, build_curve_library, normalize_angle
@@ -152,8 +156,7 @@ def derive_trace(scenario: Scenario, trace: TraceLog) -> None:
     """
     dt = scenario.sim_dt
     for mob in scenario.moving:
-        trace.obstacle_poses[mob.id] = [(p.x, p.y, p.theta)
-                                        for p in map(mob.pose_at, trace.times)]
+        trace.obstacle_poses[mob.id] = mob.poses_at(trace.times)
     n, pts = len(trace.poses), trace.poses
     v = [0.0] + [math.hypot(x1 - x0, y1 - y0) / dt
                  for (x0, y0, _), (x1, y1, _) in zip(pts, pts[1:])]
@@ -175,6 +178,33 @@ def _track_blockers(tracks, t_now: float, only_stopped: bool, inflation: float):
     circles = _predicted_obstacle_circles(tracks, np.zeros(1), t_now)
     return [ObstacleShape.disk(float(cx), float(cy), cover.radius + inflation)
             for cover in circles for cx, cy in cover.centers[0]]
+
+
+class TickTable:
+    """An adopted trajectory, evaluated once at every tick that can execute it.
+
+    Adopted at tick ``first``, at ``since = first * dt``, the trajectory is
+    driven at the relative times ``tick * dt - since``.  ``times`` holds
+    those below ``duration + dt / 2``, the instants revalidation checks, and
+    ``covers`` the robot's cover circles at each of them plus one more row at
+    the first tick past them, where the end pose holds for good.  Each pose
+    is ``Trajectory.pose_at`` of its time to the bit: ``np.interp`` over an
+    array applies the formula of the scalar calls, and s(t) never leaves
+    [0, total_length], so the clamp of ``Path.pose_at`` changes nothing.
+    """
+
+    def __init__(self, traj: Trajectory, first: int, dt: float, robot: FootprintSpec):
+        self.trajectory, self.first, self.since = traj, first, first * dt
+        rel = np.arange(first, first + int(traj.duration / dt) + 3) * dt - self.since
+        n = int(np.searchsorted(rel, traj.duration + dt / 2.0))
+        self.times = rel[:n]
+        poses = traj.poses_at(rel[:n + 1])
+        self._rows = poses.tolist()
+        self.covers = footprint_circles_batch(robot, poses)
+
+    def pose(self, tick: int) -> Pose:
+        """``Trajectory.pose_at(tick * dt - since)``, for any tick from ``first`` on."""
+        return Pose(*self._rows[min(tick - self.first, len(self.times))])
 
 
 class _Runner:
@@ -283,6 +313,11 @@ class _Runner:
                                                self.store.snapshot()))
         return traj
 
+    def _adopt(self, tick: int, kind: str, fn, *args) -> TickTable | None:
+        """``_attempt`` at this tick; the tick table of its trajectory, or None."""
+        traj = self._attempt(tick * self.sc.sim_dt, kind, fn, *args)
+        return None if traj is None else TickTable(traj, tick, self.sc.sim_dt, self.sc.robot)
+
     # -- main loop -------------------------------------------------------
 
     def run(self) -> TraceLog:
@@ -297,7 +332,7 @@ class _Runner:
             self.observe(-1.0 + 0.1 * k)
         pose = sc.start
         state = PLANNING
-        traj: Trajectory | None = None
+        table: TickTable | None = None  # the trajectory being executed
         since = 0.0  # time of the last planning attempt
         for tick in range(int(round(sc.time_limit / dt)) + 1):
             t = tick * dt
@@ -306,18 +341,19 @@ class _Runner:
                 self.observe(t)
             flag = state
             if state == PLANNING:
-                traj, since = self._attempt(t, "initial", self._plan, pose, t), t
-                state = EXECUTING if traj is not None else WAITING
-            elif state == EXECUTING and perceive and not self._future_safe(traj, since, t):
-                traj, since = self._attempt(t, "retime", self._retime, traj, since, t), t
-                state = EXECUTING if traj is not None else WAITING
-                flag = REPLANNING if traj is not None else WAITING
+                table, since = self._adopt(tick, "initial", self._plan, pose, t), t
+                state = EXECUTING if table is not None else WAITING
+            elif state == EXECUTING and perceive and not self._future_safe(table, tick):
+                table, since = self._adopt(tick, "retime", self._retime,
+                                           table.trajectory, since, t), t
+                state = EXECUTING if table is not None else WAITING
+                flag = REPLANNING if table is not None else WAITING
             elif state == WAITING and perceive and t - since >= self.replan_timeout:
-                traj, since = self._attempt(t, "replan", self._plan, pose, t), t
-                state = EXECUTING if traj is not None else WAITING
+                table, since = self._adopt(tick, "replan", self._plan, pose, t), t
+                state = EXECUTING if table is not None else WAITING
                 flag = REPLANNING
             if state == EXECUTING:
-                pose = traj.pose_at(t - since)
+                pose = table.pose(tick)
             self.trace.times.append(t)
             self.trace.poses.append((pose.x, pose.y, pose.theta))
             self.trace.flags.append(flag)
@@ -325,14 +361,17 @@ class _Runner:
                 break
         return self.trace
 
-    def _future_safe(self, traj: Trajectory, since: float, t_now: float) -> bool:
-        """Check the not-yet-driven part of the trajectory against fresh tracks."""
-        rel = t_now - since
-        times = np.arange(rel, traj.duration + self.sc.sim_dt / 2.0, self.sc.sim_dt)
+    def _future_safe(self, table: TickTable, tick: int) -> bool:
+        """Check the not-yet-driven part of the trajectory against fresh tracks:
+        the robot covers of the table from this tick on, against the tracks'
+        predictions at the same instants.  Past those instants, the end pose
+        at the trajectory's duration."""
+        i = tick - table.first
+        times, robot = table.times[i:], table.covers[i:len(table.times)]
         if len(times) == 0:
-            times = np.array([traj.duration])
-        robot = footprint_circles_batch(self.sc.robot, traj.poses_at(times))
-        obstacle_circles = _predicted_obstacle_circles(self.store.snapshot(), times, since)
+            times, robot = np.array([table.trajectory.duration]), table.covers[-1:]
+        obstacle_circles = _predicted_obstacle_circles(self.store.snapshot(), times,
+                                                       table.since)
         return not np.any(predicted_hits(robot, self.sc.robot, obstacle_circles,
                                          REVALIDATE_MARGIN))
 

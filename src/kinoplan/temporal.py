@@ -20,7 +20,7 @@ from .collision import (FootprintSpec, _pair_distances, footprint_circles_batch,
                         poses_in_collision)
 from .configfile import write_lines
 from .rrt import Path
-from .tracking import ObstacleTrack, predict_pose
+from .tracking import track_heading
 
 # Minimum timestamp gap; true stopping is a long dwell, never equal stamps.
 DT_MIN = 1e-3
@@ -151,6 +151,14 @@ def _anchor_reach(offsets: tuple[float, ...]) -> tuple[int, float]:
     return anchor, max(abs(o - offsets[anchor]) for o in offsets)
 
 
+@lru_cache(maxsize=64)
+def _offset_row(offsets: tuple[float, ...]) -> np.ndarray:
+    """The center offsets of a cover as a read-only (1, k) row."""
+    row = np.asarray(offsets)[None, :]
+    row.flags.writeable = False
+    return row
+
+
 def _predicted_obstacle_circles(tracks, times: np.ndarray, t0: float) -> list[PredictedCover]:
     """Per-track predicted cover circles at ``t0 + times``."""
     out = []
@@ -158,11 +166,10 @@ def _predicted_obstacle_circles(tracks, times: np.ndarray, t0: float) -> list[Pr
         dt = (t0 + times) - track.last_update
         px = track.state[0] + track.state[2] * dt
         py = track.state[1] + track.state[3] * dt
-        heading = predict_pose(track, track.last_update)[0].theta
+        heading = track_heading(track)
         c, s = math.cos(heading), math.sin(heading)
-        offs = np.asarray(track.footprint.center_offsets)
-        centers = np.stack([px[:, None] + c * offs[None, :],
-                            py[:, None] + s * offs[None, :]], axis=-1)
+        offs = _offset_row(track.footprint.center_offsets)
+        centers = np.stack([px[:, None] + c * offs, py[:, None] + s * offs], axis=-1)
         out.append(PredictedCover(centers, track.footprint.radius, track.velocity,
                                   *_anchor_reach(track.footprint.center_offsets)))
     return out

@@ -9,14 +9,18 @@ feeds the safe-interval estimation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .collision import FootprintSpec
-from .geometry import Pose
+from .geometry import Pose, normalize_angle
 
 _H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+_I4 = np.eye(4)
+_H.flags.writeable = False
+_I4.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -87,17 +91,27 @@ def _process_noise(dt: float, q: float) -> np.ndarray:
     return q * G @ G.T
 
 
+@lru_cache(maxsize=256)
+def _model(dt: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """F and Q for one (dt, q), read-only: the tracker steps at a handful of
+    distinct gaps, so each pair is built once and shared."""
+    F, Q = _transition(dt), _process_noise(dt, q)
+    F.flags.writeable = Q.flags.writeable = False
+    return F, Q
+
+
 def kf_predict(track: ObstacleTrack, dt: float, q: float = 0.5) -> ObstacleTrack:
     """Propagate the CV model forward by dt seconds."""
     if dt < 0.0:
         raise ValueError("dt must be non-negative")
-    F = _transition(dt)
+    F, Q = _model(dt, q)
     state = F @ track.state
-    cov = F @ track.covariance @ F.T + _process_noise(dt, q)
+    cov = F @ track.covariance @ F.T + Q
     # Exact when the product is already symmetric; otherwise it removes the
     # rounding asymmetry that ``kf_update``'s symmetric test would reject.
     cov = 0.5 * (cov + cov.T)
-    return replace(track, state=state, covariance=cov, last_update=track.last_update + dt)
+    return ObstacleTrack(track.id, state, cov, track.footprint, track.last_update + dt,
+                         track.last_heading)
 
 
 def kf_update(track: ObstacleTrack, obs: Observation) -> ObstacleTrack:
@@ -108,13 +122,12 @@ def kf_update(track: ObstacleTrack, obs: Observation) -> ObstacleTrack:
         raise np.linalg.LinAlgError("innovation covariance not positive-definite")
     K = track.covariance @ _H.T @ np.linalg.inv(S)
     state = track.state + K @ (z - _H @ track.state)
-    cov = (np.eye(4) - K @ _H) @ track.covariance
+    cov = (_I4 - K @ _H) @ track.covariance
     cov = 0.5 * (cov + cov.T)
     heading = track.last_heading
     if np.hypot(state[2], state[3]) > 0.1:
         heading = math.atan2(state[3], state[2])
-    return replace(track, state=state, covariance=cov, last_update=obs.timestamp,
-                   last_heading=heading)
+    return ObstacleTrack(track.id, state, cov, track.footprint, obs.timestamp, heading)
 
 
 def associate(tracks: list[ObstacleTrack], observations: list[Observation], gate: float):
@@ -147,11 +160,16 @@ def predict_pose(track: ObstacleTrack, t: float) -> tuple[Pose, FootprintSpec]:
     dt = t - track.last_update
     x = track.state[0] + track.state[2] * dt
     y = track.state[1] + track.state[3] * dt
+    return Pose(x, y, track_heading(track)), track.footprint
+
+
+def track_heading(track: ObstacleTrack) -> float:
+    """The heading ``predict_pose`` gives a track at any time: its velocity's
+    direction when it moves faster than 0.1 m/s, else its last heading,
+    wrapped to (-pi, pi]."""
     if track.speed > 0.1:
-        heading = math.atan2(track.state[3], track.state[2])
-    else:
-        heading = track.last_heading
-    return Pose(x, y, heading), track.footprint
+        return normalize_angle(math.atan2(track.state[3], track.state[2]))
+    return normalize_angle(track.last_heading)
 
 
 @dataclass

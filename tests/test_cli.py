@@ -193,6 +193,9 @@ class TestSimulate:
         (["sim_dt 0"], "bad.txt:5: sim_dt"),
         (["obstacle 0 4 2", "waypoint 0 2 0 0", "waypoint 0 1 1 0"], "bad.txt:5: waypoint times"),
         (["obstacle 0 4 2"], "bad.txt:5: waypoints"),
+        (["obs_noise nan"], "bad.txt:5: obs_noise must be finite and non-negative, got nan"),
+        (["obs_noise inf"], "bad.txt:5: obs_noise must be finite and non-negative, got inf"),
+        (["obs_noise -0.5"], "bad.txt:5: obs_noise must be finite and non-negative, got -0.5"),
     ])
     def test_bad_scenario_value(self, tmp_path, capsys, lines, where):
         sc = tmp_path / "bad.txt"

@@ -172,6 +172,9 @@ class TestScenarioFiles:
         (["disk 5 0 nan"], r"s\.txt:5: disk: disk radius must be positive and finite"),
         (["disk nan 0 1"], r"s\.txt:5: disk: disk center must be finite"),
         (["polygon 0 0 1 0 nan 1"], r"s\.txt:5: polygon: polygon vertices must be finite"),
+        (["obs_noise nan"], r"s\.txt:5: obs_noise must be finite and non-negative, got nan"),
+        (["obs_noise inf"], r"s\.txt:5: obs_noise must be finite and non-negative, got inf"),
+        (["obs_noise -0.5"], r"s\.txt:5: obs_noise must be finite and non-negative, got -0.5"),
     ])
     def test_bad_value_names_its_line(self, tmp_path, lines, message):
         p = tmp_path / "s.txt"
@@ -185,6 +188,9 @@ class TestScenarioFiles:
             replace(get_scenario("cross"), sim_dt=0.0)
         with pytest.raises(ValueError, match="goal must be finite"):
             replace(get_scenario("cross"), goal=Pose(math.inf, 0.0, 0.0))
+        with pytest.raises(ValueError, match="obs_noise must be finite and non-negative"):
+            replace(get_scenario("cross"), obs_noise=-0.5)
+        assert replace(get_scenario("cross"), obs_noise=0.0).obs_noise == 0.0
 
     def test_comments_and_blank_lines(self, tmp_path):
         p = tmp_path / "s.txt"

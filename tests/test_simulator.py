@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from kinoplan.collision import (ObstacleShape, clearance_to_obstacle, footprint_circles,
-                                min_clearance)
+                                footprint_circles_batch, min_clearance)
 from kinoplan.geometry import CurveParams, Pose
 from kinoplan.rrt import Path, PlannerConfig
 from kinoplan.scenarios import Scenario, get_scenario
-from kinoplan.simulator import (EXECUTING, PLANNING, REPLANNING, WAITING,
-                                TraceLog, _Runner, derive_trace, export_artifacts,
+from kinoplan.simulator import (EXECUTING, PLANNING, REPLANNING, REVALIDATE_MARGIN, WAITING,
+                                TickTable, TraceLog, _Runner, derive_trace, export_artifacts,
                                 metrics, run_scenario)
-from kinoplan.temporal import Trajectory
+from kinoplan.temporal import Trajectory, _predicted_obstacle_circles, predicted_hits
+from kinoplan.tracking import Observation
 
 FLAGS = {PLANNING, EXECUTING, WAITING, REPLANNING}
 
@@ -129,6 +130,99 @@ class TestRunInvariants:
         d = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
         v = np.asarray(trace.velocities)
         assert np.allclose(v[1:], d / trace.sim_dt, atol=1e-12)
+
+
+def _arange_future_safe(runner, traj, since, t_now):
+    """Revalidation as it was before tick tables: np.arange sample times from
+    now to the end, and the robot's poses and covers rebuilt at every call."""
+    rel = t_now - since
+    times = np.arange(rel, traj.duration + runner.sc.sim_dt / 2.0, runner.sc.sim_dt)
+    if len(times) == 0:
+        times = np.array([traj.duration])
+    robot = footprint_circles_batch(runner.sc.robot, traj.poses_at(times))
+    obstacle_circles = _predicted_obstacle_circles(runner.store.snapshot(), times, since)
+    return not np.any(predicted_hits(robot, runner.sc.robot, obstacle_circles,
+                                     REVALIDATE_MARGIN))
+
+
+class _CheckedRunner(_Runner):
+    """Records (tick-table answer, arange answer) at every revalidation."""
+
+    def _future_safe(self, table, tick):
+        got = super()._future_safe(table, tick)
+        want = _arange_future_safe(self, table.trajectory, table.since,
+                                   tick * self.sc.sim_dt)
+        self.answers.append((got, want))
+        return got
+
+
+def _bits(poses) -> bytes:
+    return np.asarray([(p.x, p.y, p.theta) for p in poses], dtype=float).tobytes()
+
+
+class TestTickTable:
+    @pytest.mark.parametrize("key", [("overtake", 0), ("cross", 0), ("bypass", 1)])
+    def test_poses_are_pose_at(self, scenario_runs, key):
+        """Every row is ``Trajectory.pose_at(tick * dt - since)`` to the bit, for
+        every adopted trajectory, retimes included, and for ten ticks past its end."""
+        sc, events = get_scenario(key[0]), scenario_runs[key].events
+        adopted = [ev for ev in events if ev.trajectory is not None]
+        assert adopted and (key != ("overtake", 0) or
+                            any(ev.kind == "retime" for ev in adopted))
+        dt = sc.sim_dt
+        for ev in adopted:
+            first = round(ev.time / dt)
+            table = TickTable(ev.trajectory, first, dt, sc.robot)
+            assert table.since == ev.time
+            assert table.times[-1] < ev.trajectory.duration + dt / 2.0 <= \
+                (first + len(table.times)) * dt - table.since
+            ticks = range(first, first + len(table.times) + 10)
+            assert _bits(map(table.pose, ticks)) == _bits(
+                ev.trajectory.pose_at(tick * dt - ev.time) for tick in ticks)
+
+    def test_executed_poses_come_from_the_table(self, scenario_runs):
+        """Each adopted trajectory is driven from its table until the next
+        planning attempt (overtake seed 0 has failed retimes in between)."""
+        trace = scenario_runs[("overtake", 0)]
+        sc, dt = get_scenario("overtake"), trace.sim_dt
+        ticks = [round(ev.time / dt) for ev in trace.events] + [len(trace.times)]
+        for ev, first, last in zip(trace.events, ticks, ticks[1:]):
+            if ev.trajectory is None:
+                continue
+            table = TickTable(ev.trajectory, first, dt, sc.robot)
+            assert trace.poses[first:last] == [(p.x, p.y, p.theta) for p in
+                                               map(table.pose, range(first, last))]
+
+    @pytest.mark.parametrize("name", ["cross", "overtake"])
+    def test_revalidation_matches_arange_check(self, library, scenario_runs, name):
+        """At every perception tick of a run, the table's check gives the answer
+        of the per-call arange check, and the run keeps its trace."""
+        runner = _CheckedRunner(get_scenario(name), None, 0, library, False, 3.0)
+        runner.answers = []
+        trace = runner.run()
+        assert runner.answers and all(got == want for got, want in runner.answers)
+        assert trace.poses == scenario_runs[(name, 0)].poses
+        if name == "overtake":
+            assert (False, False) in runner.answers
+
+    def test_revalidation_past_the_end(self, library):
+        """Past its last instant the check tests the end pose at the duration,
+        as the arange check does, with and without a track there."""
+        path = Path([Pose(0.0, 0.0, 0.0), Pose(3.0, 0.0, 0.0)],
+                    [CurveParams(0.0, 0.0, 0.0, 0.0, 3.0)])
+        traj = Trajectory(path, np.array([0.0, 2.0]), np.zeros(2), np.zeros(2))
+        answers = []
+        for x in (3.0, 40.0):  # a track parked at the end pose, and one far away
+            runner = _Runner(empty_scenario(), None, 0, library, False, 3.0)
+            runner.store.step([Observation((x, 0.0), 1.0, np.eye(2) * 0.01)], 1.0)
+            dt = runner.sc.sim_dt
+            table = TickTable(traj, 20, dt, runner.sc.robot)
+            assert len(table.times) == 41  # ticks 20..60; 61 on are past the end
+            for tick in range(20, 80, 2):
+                answers.append(runner._future_safe(table, tick))
+                assert answers[-1] == _arange_future_safe(runner, traj, table.since,
+                                                          tick * dt)
+        assert not all(answers) and any(answers)
 
 
 class TestFullRuns:

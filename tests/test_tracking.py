@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinoplan.collision import FootprintSpec
-from kinoplan.tracking import (Observation, ObstacleTrack, TrackerConfig,
-                               TrackStore, associate, kf_predict, kf_update,
-                               predict_pose)
+from kinoplan.geometry import Pose
+from kinoplan.tracking import (_H, Observation, ObstacleTrack, TrackerConfig,
+                               TrackStore, _model, _process_noise, _transition,
+                               associate, kf_predict, kf_update, predict_pose,
+                               track_heading)
 
 FP = FootprintSpec.from_dimensions(4.0, 2.0)
 
@@ -83,6 +87,60 @@ class TestPredict:
     def test_negative_dt(self):
         with pytest.raises(ValueError):
             kf_predict(make_track([0.0, 0.0, 0.0, 0.0]), -0.1)
+
+
+def _bits(*arrays) -> bytes:
+    return b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays)
+
+
+def _track_of(seed, var, heading):
+    """A track with a random state and a random positive-definite covariance."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(4, 4))
+    return ObstacleTrack(id=3, state=rng.normal(0.0, 5.0, 4),
+                         covariance=a @ a.T + var * np.eye(4), footprint=FP,
+                         last_update=1.25, last_heading=heading)
+
+
+class TestCachedModel:
+    def test_read_only(self):
+        F, Q = _model(0.1, 0.5)
+        for m in (F, Q):
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 7.0
+        assert _model(0.1, 0.5)[0] is F
+
+    @settings(max_examples=60, deadline=None)
+    @given(dt=st.floats(0.0, 5.0), q=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1),
+           var=st.floats(0.01, 4.0))
+    def test_predict_matches_fresh_matrices(self, dt, q, seed, var):
+        """Bit for bit the formulas with F and Q built afresh, as before the cache."""
+        track = _track_of(seed, var, 0.4)
+        F = _transition(dt)
+        cov = F @ track.covariance @ F.T + _process_noise(dt, q)
+        want = (F @ track.state, 0.5 * (cov + cov.T))
+        got = kf_predict(track, dt, q)
+        assert _bits(got.state, got.covariance) == _bits(*want)
+        assert (got.id, got.footprint, got.last_update, got.last_heading) == \
+            (3, FP, track.last_update + dt, 0.4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dt=st.floats(0.0, 5.0), q=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1),
+           sigma=st.floats(0.01, 1.0), heading=st.floats(-3.0, 3.0))
+    def test_update_matches_fresh_identity(self, dt, q, seed, sigma, heading):
+        track = kf_predict(_track_of(seed, 1.0, heading), dt, q)
+        o = obs(float(track.state[0]) + 0.3, float(track.state[1]) - 0.2, 9.0, sigma)
+        S = _H @ track.covariance @ _H.T + o.noise
+        K = track.covariance @ _H.T @ np.linalg.inv(S)
+        state = track.state + K @ (np.asarray(o.position) - _H @ track.state)
+        cov = (np.eye(4) - K @ _H) @ track.covariance
+        want_heading = math.atan2(state[3], state[2]) if np.hypot(state[2], state[3]) > 0.1 \
+            else heading
+        got = kf_update(track, o)
+        assert _bits(got.state, got.covariance) == _bits(state, 0.5 * (cov + cov.T))
+        assert (got.id, got.footprint, got.last_update) == (3, FP, 9.0)
+        assert _bits(got.last_heading) == _bits(want_heading)
 
 
 class TestUpdate:
@@ -170,6 +228,22 @@ class TestPredictPose:
                           last_heading=1.2)
         pose, _ = predict_pose(t, 4.0)
         assert pose.theta == pytest.approx(1.2)
+
+    @pytest.mark.parametrize("state,heading", [
+        ([0.0, 0.0, -2.0, -0.0], 0.0),  # atan2 gives -pi; the pose wraps it to pi
+        ([1.0, 2.0, 0.3, 0.9], 0.0),
+        ([1.0, 2.0, 0.01, 0.0], 1.2),  # slow: the last heading
+        ([1.0, 2.0, 0.0, 0.0], -math.pi),
+        ([1.0, 2.0, 0.0, 0.0], 7.0),
+    ])
+    def test_track_heading_is_the_predicted_heading(self, state, heading):
+        """The heading of the pose that ``predict_pose`` built before it called
+        ``track_heading``, bit for bit."""
+        t = ObstacleTrack(id=0, state=np.array(state), covariance=np.eye(4), footprint=FP,
+                          last_update=2.0, last_heading=heading)
+        raw = math.atan2(state[3], state[2]) if t.speed > 0.1 else heading
+        assert _bits(track_heading(t)) == _bits(Pose(0.0, 0.0, raw).theta)
+        assert _bits(predict_pose(t, 2.5)[0].theta) == _bits(track_heading(t))
 
     def test_past_query_rejected(self):
         with pytest.raises(ValueError):

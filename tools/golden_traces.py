@@ -12,12 +12,12 @@ runs the six worlds (the five built-in scenarios and ``blocked``) at seeds
 clearances (which ``trace.csv`` does not hold) written with ``%.17g``, of its
 planning events, and of the saved library CSV: 55 hashes.  The events hash
 covers each event's time, kind, path poses and curves, node timestamps, safe
-intervals, and the id, state and last update of every track it saw, all
-written with ``%.17g``; the wall-clock latency is left out.  So an event that
-changes while the trace stays the same still shows.  It exits 1 and names
-every hash that differs.  Each run's wall time is printed on stderr as it
-finishes, after the time of the library build; the two trees run side by
-side, so the times are comparable only as pairs.
+intervals, and the id, state, covariance, last update and last heading of
+every track it saw, all written with ``%.17g``; the wall-clock latency is
+left out.  So an event that changes while the trace stays the same still
+shows.  It exits 1 and names every hash that differs.  Each run's wall time
+is printed on stderr as it finishes, after the time of the library build;
+the two trees run side by side, so the times are comparable only as pairs.
 
 The BLAS and OpenMP pools are pinned to one thread in both subprocesses, as
 the benchmark does.  The program's own traces no longer depend on the BLAS
@@ -67,7 +67,8 @@ def _event_lines(events):
             yield f"node {ni.node_index} " + _g(*(v for si in ni.intervals
                                                   for v in (si.start, si.end)))
         for tr in ev.tracks or ():
-            yield f"track {tr.id} " + _g(*tr.state, tr.last_update)
+            yield f"track {tr.id} " + _g(*tr.state, *tr.covariance.ravel(), tr.last_update,
+                                         tr.last_heading)
 
 
 def compute_hashes(src: str) -> dict[str, str]:
