@@ -52,14 +52,27 @@ class PlannerConfig:
     world_bounds: tuple[float, float, float, float] | None = None  # xmin, ymin, xmax, ymax
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not (0.0 <= self.p_th <= 1.0):
             raise ValueError("p_th must lie in [0, 1]")
         if self.d_th <= 0.0:
             raise ValueError("d_th must be positive")
-        if not 0.0 < self.collision_ds < math.inf:
-            raise ValueError(f"collision_ds must be positive and finite, got {self.collision_ds}")
+        if self.collision_ds <= 0.0:
+            raise ValueError(f"collision_ds must be positive, got {self.collision_ds}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        if self.static_margin < 0.0:
+            raise ValueError(f"static_margin must be non-negative, got {self.static_margin}")
+        if self.extend_candidates < 1:
+            raise ValueError(f"extend_candidates must be at least 1, "
+                             f"got {self.extend_candidates}")
+        if not 0.0 <= self.goal_bias <= 1.0:
+            raise ValueError(f"goal_bias must be in [0, 1], got {self.goal_bias}")
+        if self.connect_radius <= 0.0:
+            raise ValueError(f"connect_radius must be positive, got {self.connect_radius}")
         if self.world_bounds is not None and len(self.world_bounds) != 4:
             raise ValueError(f"world_bounds needs 4 values (xmin ymin xmax ymax), "
                              f"got {len(self.world_bounds)}")
@@ -167,6 +180,9 @@ def gmm_sample(bridge_nodes, config: PlannerConfig, rng: np.random.Generator) ->
     return np.asarray(center, dtype=float) + config.gmm_sigma * rng.standard_normal(2)
 
 
+DENSE_DS = 0.1  # arc-length step of a path's dense sample table, m
+
+
 @dataclass
 class Path:
     """Geometric planner output: poses joined by cubic-curvature curves."""
@@ -179,7 +195,6 @@ class Path:
             [[0.0], np.cumsum([c.s_f for c in self.curves])]
         )
         self._dense: tuple[np.ndarray, np.ndarray] | None = None
-        self._dense_ds = math.inf  # the ds the cached table was sampled at
 
     @property
     def total_length(self) -> float:
@@ -188,15 +203,16 @@ class Path:
     def __len__(self) -> int:
         return len(self.poses)
 
-    def dense_samples(self, ds: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
-        """(s_grid, poses) arrays sampled every <= ds along the whole path."""
-        if self._dense_ds <= ds:
+    def dense_samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """(s_grid, poses) arrays sampled every <= ``DENSE_DS`` along the whole
+        path; built on the first call."""
+        if self._dense is not None:
             return self._dense
         s_list = [0.0]
         p_list = [self.poses[0].as_array()]
         for i, curve in enumerate(self.curves):
             base = self.poses[i]
-            offs = np.asarray(local_curve_samples(curve, ds))
+            offs = np.asarray(local_curve_samples(curve, DENSE_DS))
             c, sn = math.cos(base.theta), math.sin(base.theta)
             xs = base.x + c * offs[1:, 0] - sn * offs[1:, 1]
             ys = base.y + sn * offs[1:, 0] + c * offs[1:, 1]
@@ -205,12 +221,11 @@ class Path:
             s_list.extend(svals.tolist())
             p_list.extend(np.stack([xs, ys, ths], axis=-1).tolist())
         self._dense = (np.asarray(s_list), np.asarray(p_list))
-        self._dense_ds = ds
         return self._dense
 
-    def pose_at(self, s: float, ds: float = 0.1) -> Pose:
+    def pose_at(self, s: float) -> Pose:
         """Pose at arc length ``s`` by interpolation of the dense sample table."""
-        grid, poses = self.dense_samples(ds)
+        grid, poses = self.dense_samples()
         s = min(max(s, 0.0), self.total_length)
         x = np.interp(s, grid, poses[:, 0])
         y = np.interp(s, grid, poses[:, 1])

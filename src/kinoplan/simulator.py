@@ -172,11 +172,12 @@ def derive_trace(scenario: Scenario, trace: TraceLog) -> None:
     trace.success = bool(trace.poses) and at_goal(scenario, Pose(*trace.poses[-1]))
 
 
-def _track_blockers(tracks, t_now: float, only_stopped: bool, inflation: float):
-    """Freeze (some) tracks into static disks for path planning."""
+def _track_blockers(tracks, t_now: float, only_stopped: bool):
+    """Freeze (some) tracks into static disks, ``BLOCKER_INFLATION`` wider
+    than their covers, for path planning."""
     tracks = [tr for tr in tracks if not (only_stopped and tr.speed >= STOP_SPEED)]
     circles = _predicted_obstacle_circles(tracks, np.zeros(1), t_now)
-    return [ObstacleShape.disk(float(cx), float(cy), cover.radius + inflation)
+    return [ObstacleShape.disk(float(cx), float(cy), cover.radius + BLOCKER_INFLATION)
             for cover in circles for cx, cy in cover.centers[0]]
 
 
@@ -247,11 +248,13 @@ class _Runner:
         obstacles = self.sc.static_obstacles + blockers
         cfg = replace(self.pcfg, rng_seed=self.seed * 10007 + self.plan_count,
                       world_bounds=self.sc.bounds)
-        self.plan_count += 1
         try:
             result = plan_path(start, self.sc.goal, obstacles, cfg, self.lib, self.sc.robot)
         except ValueError:
-            return None
+            result = None
+        # A failed plan takes three seeds, as when two narrower retries
+        # followed it, so every later plan keeps its seed.
+        self.plan_count += 1 if result else 3
         return result.path if result else None
 
     def _time_path(self, path: Path, t_now: float):
@@ -270,21 +273,21 @@ class _Runner:
     def _plan(self, start: Pose, t_now: float):
         """Plan and time a path; fall back to routing around frozen tracks.
 
-        The primary attempt keeps moving obstacles out of the static map (only
-        stopped ones are frozen) and lets the temporal layer handle them; when
-        that fails or yields a crawl, a second attempt freezes every track in
-        place, which is what produces overtaking and detours around blockers.
+        One geometric plan per variant, with the frozen tracks
+        ``BLOCKER_INFLATION`` wider than their covers.  The primary variant
+        keeps moving obstacles out of the static map (only stopped ones are
+        frozen) and lets the temporal layer handle them; when that fails or
+        yields a crawl, a second variant freezes every track in place, which
+        is what produces overtaking and detours around blockers.  A failed
+        plan uses up three RRT seeds (``_plan_geometric``), the seeds of two
+        retries with the tracks inflated by 0.75 m and 0 m that never found
+        a path where 1.5 m found none; so every later plan keeps its seed.
         Returns the fastest (trajectory, SIs, path), or None.
         """
         candidates = []
         for only_stopped in (True, False):
-            path = None
-            for inflation in (BLOCKER_INFLATION, BLOCKER_INFLATION / 2.0, 0.0):
-                blockers = _track_blockers(self.store.snapshot(), t_now,
-                                           only_stopped, inflation)
-                path = self._plan_geometric(start, blockers)
-                if path is not None:
-                    break
+            blockers = _track_blockers(self.store.snapshot(), t_now, only_stopped)
+            path = self._plan_geometric(start, blockers)
             if path is None:
                 continue
             traj, nis = self._time_path(path, t_now)

@@ -694,8 +694,7 @@ def optimize_timestamps(path: Path, seq: IntervalSequence,
 
 
 def validate_trajectory(traj: Trajectory, tracks, static_obstacles, dt: float,
-                        footprint: FootprintSpec, t0: float = 0.0,
-                        margin: float = 0.0) -> bool:
+                        footprint: FootprintSpec, t0: float = 0.0) -> bool:
     """Independent dense-time safety oracle for an optimized trajectory.
 
     Interpolates the robot pose every ``dt`` seconds (linear in arc length
@@ -703,8 +702,8 @@ def validate_trajectory(traj: Trajectory, tracks, static_obstacles, dt: float,
     """
     times = np.arange(0.0, traj.duration + dt / 2.0, dt)
     poses = traj.poses_at(times)
-    if np.any(poses_in_collision(footprint, poses, static_obstacles, margin)):
+    if np.any(poses_in_collision(footprint, poses, static_obstacles, 0.0)):
         return False
     robot_circles = footprint_circles_batch(footprint, poses)  # (T, k, 2)
     obstacle_circles = _predicted_obstacle_circles(tracks, times, t0)
-    return not np.any(predicted_hits(robot_circles, footprint, obstacle_circles, margin))
+    return not np.any(predicted_hits(robot_circles, footprint, obstacle_circles, 0.0))

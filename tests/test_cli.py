@@ -122,7 +122,10 @@ class TestPlan:
     @pytest.mark.parametrize("command", [["plan", "--start", "0,0,0", "--goal", "10,0,0"],
                                          ["simulate", "--scenario", "cross"]])
     @pytest.mark.parametrize("line", ["collision_ds = -0.5", "collision_ds = 0",
-                                      "max_iterations = -3"])
+                                      "max_iterations = -3", "static_margin = -5",
+                                      "extend_candidates = 0", "extend_candidates = -1",
+                                      "goal_bias = 2", "gmm_sigma = nan",
+                                      "connect_radius = -1"])
     def test_bad_planner_config(self, tmp_path, library_csv, capsys, command, line):
         """A value that would weaken or misreport planning fails with the file's name."""
         cfg = tmp_path / "planner.cfg"

@@ -144,7 +144,7 @@ class TestPlanPath:
         result = plan_path(Pose(0.0, 0.0, 0.0), Pose(18.0, 0.0, 0.0), obs, cfg,
                            library, FOOTPRINT)
         assert result is not None
-        _, dense = result.path.dense_samples(0.1)
+        _, dense = result.path.dense_samples()
         for ob in obs:
             d = np.hypot(dense[:, 0] - ob.center[0], dense[:, 1] - ob.center[1])
             # Body-center distance must clear at least the disk itself.
@@ -169,14 +169,11 @@ class TestPath:
     def test_dense_samples_cached(self, s_f):
         # 4.000000000054563 is a fitted straight curve whose last sample, 5e-11
         # past 4.0, merges with the 4.0 one: its samples are spaced wider than
-        # ds, and the cache must hit all the same.
+        # DENSE_DS, and the cache must hit all the same.
         curve = CurveParams(0.0, 0.0, 0.0, 0.0, s_f)
         path = Path([Pose(0.0, 0.0, 0.0), Pose(s_f, 0.0, 0.0)], [curve])
         table = path.dense_samples()
         assert path.dense_samples() is table
-        assert path.dense_samples(0.2) is table
-        finer = path.dense_samples(0.05)
-        assert finer is not table and len(finer[0]) > len(table[0])
 
     def test_subpath_from(self, library):
         path = plan_empty(library, 1).path
@@ -206,6 +203,13 @@ class TestPlannerConfig:
         for n in (0, -3):
             with pytest.raises(ValueError, match="max_iterations"):
                 PlannerConfig(max_iterations=n)
+        for bad in ({"static_margin": -0.01}, {"extend_candidates": 0},
+                    {"goal_bias": -0.1}, {"goal_bias": 1.5}, {"connect_radius": 0.0},
+                    {"gmm_sigma": math.nan}, {"d_th": math.inf},
+                    {"world_bounds": (0.0, 0.0, math.nan, 5.0)}):
+            with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
+                PlannerConfig(**bad)
+        PlannerConfig(static_margin=0.0, goal_bias=1.0, extend_candidates=1)
 
     def test_file_roundtrip(self, tmp_path):
         cfg = PlannerConfig(p_th=0.25, max_iterations=1234,

@@ -7,14 +7,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kinoplan import simulator
 from kinoplan.collision import (ObstacleShape, clearance_to_obstacle, footprint_circles,
                                 footprint_circles_batch, min_clearance)
 from kinoplan.geometry import CurveParams, Pose
-from kinoplan.rrt import Path, PlannerConfig
+from kinoplan.rrt import Path, PlannerConfig, plan_path
 from kinoplan.scenarios import Scenario, get_scenario
-from kinoplan.simulator import (EXECUTING, PLANNING, REPLANNING, REVALIDATE_MARGIN, WAITING,
-                                TickTable, TraceLog, _Runner, derive_trace, export_artifacts,
-                                metrics, run_scenario)
+from kinoplan.simulator import (BLOCKER_INFLATION, EXECUTING, PLANNING, REPLANNING,
+                                REVALIDATE_MARGIN, WAITING, TickTable, TraceLog, _Runner,
+                                derive_trace, export_artifacts, metrics, run_scenario)
 from kinoplan.temporal import Trajectory, _predicted_obstacle_circles, predicted_hits
 from kinoplan.tracking import Observation
 
@@ -263,6 +264,27 @@ class TestFullRuns:
         assert (ev.time, ev.kind, ev.path, ev.trajectory, ev.node_intervals) == \
             (5.0, "retime", None, None, None)
         assert ev.latency >= 0.0
+
+    def test_one_geometric_plan_per_blocker_variant(self, library, monkeypatch):
+        """Each blocker variant is planned once, with every frozen track
+        ``BLOCKER_INFLATION`` wider than its cover.  The RRT seeds are those
+        of a planner that retried each failed plan with the tracks inflated
+        by 0.75 m and by 0 m: on ``blocked`` seed 0 that planner used seeds
+        0-10, and its two failed ladders took 1, 2, 4 and 5."""
+        sc = get_scenario("blocked")
+        calls = []
+
+        def recording(start, goal, obstacles, config, lib, footprint):
+            calls.append((config.rng_seed, obstacles[len(sc.static_obstacles):]))
+            return plan_path(start, goal, obstacles, config, lib, footprint)
+
+        monkeypatch.setattr(simulator, "plan_path", recording)
+        run_scenario(sc, seed=0, library=library)
+        assert [seed for seed, _ in calls] == [0, 3, 6, 7, 8, 9, 10]
+        radii = {m.footprint.radius + BLOCKER_INFLATION for m in sc.moving}
+        blockers = [b for _, bs in calls for b in bs]
+        assert blockers and all(b.kind == "disk" for b in blockers)
+        assert {b.radius for b in blockers} == radii
 
     def test_every_event_latency_measured(self, scenario_runs):
         events = scenario_runs[("overtake", 0)].events
