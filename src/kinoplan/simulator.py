@@ -218,8 +218,7 @@ class _Runner:
         self.lib = library if library is not None else build_curve_library()
         self.seed = seed
         self.noise_rng = np.random.default_rng(seed)
-        self.obs_cov = np.eye(2) * max(scenario.obs_noise, 0.01) ** 2
-        self.obs_cov.flags.writeable = False  # shared by every observation of the run
+        self.obs_var = max(scenario.obs_noise, 0.01) ** 2
         self.ground_truth = ground_truth_tracks
         self.replan_timeout = replan_timeout
         self.tcfg = TemporalConfig(v_max=scenario.v_max, a_max=scenario.a_max,
@@ -239,7 +238,7 @@ class _Runner:
             p = mob.position_at(t)
             if not self.ground_truth and self.sc.obs_noise > 0.0:
                 p = p + self.noise_rng.normal(0.0, self.sc.obs_noise, 2)
-            obs.append(Observation((float(p[0]), float(p[1])), t, self.obs_cov))
+            obs.append(Observation((float(p[0]), float(p[1])), t, self.obs_var))
         self.store.step(obs, t)
 
     # -- planning --------------------------------------------------------

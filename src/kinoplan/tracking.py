@@ -1,26 +1,30 @@
 """Constant-velocity Kalman tracking of moving obstacles.
 
-One filter per obstacle with state (x, y, vx, vy); position-only measurements.
-Association is greedy nearest-neighbor under a gating distance, which is
-adequate for the handful of obstacles a scenario contains.  Forward prediction
-feeds the safe-interval estimation.
+One filter per obstacle with state (x, y, vx, vy), position-only measurements
+and one noise variance for both coordinates.  The axes never couple, so the
+covariance is two identical per-axis blocks [[p, c], [c, v]]: each filter is
+the per-axis alpha-beta form (Kalata, IEEE TAES 1984; Bar-Shalom, Li &
+Kirubarajan, 2001), stepped over Python floats with no BLAS call.  Association
+is greedy nearest-neighbor under a gating distance, adequate for the handful of
+obstacles a scenario contains.  Forward prediction feeds the safe-interval
+estimation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
 from .collision import FootprintSpec
 from .geometry import Pose, normalize_angle
 
-_H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-_I4 = np.eye(4)
-_H.flags.writeable = False
-_I4.flags.writeable = False
+GATE = 2.0  # association gate, m
+STALE_TIMEOUT = 1.0  # drop tracks unseen this long, s
+INIT_POS_VAR = 0.25  # position variance of a new track, m^2
+INIT_VEL_VAR = 4.0  # velocity variance of a new track, m^2/s^2
 
 
 @dataclass(frozen=True)
@@ -29,25 +33,40 @@ class Observation:
 
     position: tuple[float, float]
     timestamp: float
-    noise: np.ndarray  # 2x2 covariance
+    noise: float  # variance of each coordinate, m^2
 
     def __post_init__(self):
         if not all(map(math.isfinite, (*self.position, self.timestamp))):
             raise ValueError("observation position and timestamp must be finite, "
                              f"got {self.position} at {self.timestamp}")
-        n = np.asarray(self.noise, dtype=float)
-        if n.shape != (2, 2) or not _covariance_2x2(n):
-            raise ValueError("measurement noise must be a finite, symmetric, "
-                             "positive-definite 2x2 matrix")
-        object.__setattr__(self, "noise", n)
+        if not 0.0 < self.noise < math.inf:
+            raise ValueError("measurement noise must be a finite, positive variance, "
+                             f"got {self.noise}")
+        object.__setattr__(self, "noise", float(self.noise))
 
 
-def _covariance_2x2(m: np.ndarray) -> bool:
-    """Whether the 2x2 matrix [[a, b], [c, d]] is finite, symmetric (b == c) and
-    positive definite: a > 0 and a*d - b^2 > 0 (Sylvester's criterion)."""
-    (a, b), (c, d) = m.tolist()
-    return (all(map(math.isfinite, (a, b, c, d))) and b == c
-            and a > 0.0 and a * d - b * b > 0.0)
+# Flat indices into a 4x4 matrix: the (x, vx) and (y, vy) blocks, the cross-axis terms.
+_X_BLOCK, _Y_BLOCK = itemgetter(0, 2, 8, 10), itemgetter(5, 7, 13, 15)
+_CROSS_AXIS = itemgetter(1, 3, 4, 6, 9, 11, 12, 14)
+
+
+def _per_axis_fault(cov: np.ndarray) -> str | None:
+    """What keeps ``cov`` from being a finite 4x4 covariance of two equal,
+    symmetric, positive-definite per-axis blocks with zero cross-axis terms."""
+    if cov.shape != (4, 4):
+        return f"must be 4x4, got shape {cov.shape}"
+    m = cov.ravel().tolist()
+    if not all(map(math.isfinite, m)):
+        return "must be finite"
+    bx, by = _X_BLOCK(m), _Y_BLOCK(m)
+    if bx != by:
+        return f"must have equal (x, vx) and (y, vy) blocks, got {bx} and {by}"
+    if any(_CROSS_AXIS(m)):
+        return "must have zero cross-axis terms"
+    p, c, c_t, v = bx
+    if not (c == c_t and p > 0.0 and p * v - c * c > 0.0):  # Sylvester's criterion
+        return f"must have symmetric positive-definite blocks, got [[{p}, {c}], [{c_t}, {v}]]"
+    return None
 
 
 @dataclass(frozen=True)
@@ -56,14 +75,19 @@ class ObstacleTrack:
 
     id: int
     state: np.ndarray  # (x, y, vx, vy)
-    covariance: np.ndarray  # 4x4
+    covariance: np.ndarray  # 4x4, two identical per-axis blocks
     footprint: FootprintSpec
     last_update: float
     last_heading: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "state", np.asarray(self.state, dtype=float))
-        object.__setattr__(self, "covariance", np.asarray(self.covariance, dtype=float))
+        state, cov = np.asarray(self.state, dtype=float), np.asarray(self.covariance, dtype=float)
+        if state.shape != (4,) or not all(map(math.isfinite, state.tolist())):
+            raise ValueError(f"track state must be 4 finite numbers, got {state}")
+        if fault := _per_axis_fault(cov):
+            raise ValueError(f"track covariance {fault}")
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "covariance", cov)
 
     @property
     def position(self) -> np.ndarray:
@@ -78,56 +102,43 @@ class ObstacleTrack:
         return float(np.hypot(*self.state[2:]))
 
 
-def _transition(dt: float) -> np.ndarray:
-    F = np.eye(4)
-    F[0, 2] = dt
-    F[1, 3] = dt
-    return F
+def _per_axis(p: float, c: float, v: float) -> np.ndarray:
+    """The 4x4 covariance of two blocks [[p, c], [c, v]], +0.0 elsewhere."""
+    return np.array([[p, 0.0, c, 0.0], [0.0, p, 0.0, c], [c, 0.0, v, 0.0], [0.0, c, 0.0, v]])
 
 
-def _process_noise(dt: float, q: float) -> np.ndarray:
-    # White-acceleration model: Q = q * G G^T with G = [dt^2/2, dt] per axis.
-    G = np.array([[dt * dt / 2.0, 0.0], [0.0, dt * dt / 2.0], [dt, 0.0], [0.0, dt]])
-    return q * G @ G.T
-
-
-@lru_cache(maxsize=256)
-def _model(dt: float, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """F and Q for one (dt, q), read-only: the tracker steps at a handful of
-    distinct gaps, so each pair is built once and shared."""
-    F, Q = _transition(dt), _process_noise(dt, q)
-    F.flags.writeable = Q.flags.writeable = False
-    return F, Q
-
+# Both filters round as the 4x4 products they replace (F P F^T + Q; K = P H^T S^-1,
+# (I - K H) P; both symmetrised) do on a BLAS kernel without fused multiply-adds.
 
 def kf_predict(track: ObstacleTrack, dt: float, q: float = 0.5) -> ObstacleTrack:
-    """Propagate the CV model forward by dt seconds."""
+    """Propagate the CV model forward by dt seconds under white-acceleration
+    process noise of intensity q: per axis, Q = q G G^T with G = (dt^2/2, dt)."""
     if dt < 0.0:
         raise ValueError("dt must be non-negative")
-    F, Q = _model(dt, q)
-    state = F @ track.state
-    cov = F @ track.covariance @ F.T + Q
-    # Exact when the product is already symmetric; otherwise it removes the
-    # rounding asymmetry that ``kf_update``'s symmetric test would reject.
-    cov = 0.5 * (cov + cov.T)
-    return ObstacleTrack(track.id, state, cov, track.footprint, track.last_update + dt,
-                         track.last_heading)
+    x, y, vx, vy = track.state.tolist()
+    (p, _, c, _), _, (_, _, v, _), _ = track.covariance.tolist()
+    h = dt * dt / 2.0
+    qh, qdt = q * h, q * dt
+    f = c + dt * v
+    cov = _per_axis((p + dt * c) + f * dt + qh * h, 0.5 * ((f + qh * dt) + (f + qdt * h)),
+                    v + qdt * dt)
+    return ObstacleTrack(track.id, np.array([x + dt * vx, y + dt * vy, vx, vy]), cov,
+                         track.footprint, track.last_update + dt, track.last_heading)
 
 
 def kf_update(track: ObstacleTrack, obs: Observation) -> ObstacleTrack:
-    """Standard Kalman position update; heading memory refreshed from velocity."""
-    z = np.asarray(obs.position, dtype=float)
-    S = _H @ track.covariance @ _H.T + obs.noise
-    if not _covariance_2x2(S):
-        raise np.linalg.LinAlgError("innovation covariance not positive-definite")
-    K = track.covariance @ _H.T @ np.linalg.inv(S)
-    state = track.state + K @ (z - _H @ track.state)
-    cov = (_I4 - K @ _H) @ track.covariance
-    cov = 0.5 * (cov + cov.T)
-    heading = track.last_heading
-    if np.hypot(state[2], state[3]) > 0.1:
-        heading = math.atan2(state[3], state[2])
-    return ObstacleTrack(track.id, state, cov, track.footprint, obs.timestamp, heading)
+    """Standard Kalman position update; heading memory refreshed from velocity.
+    The innovation variance p + noise is positive, as both terms are."""
+    x, y, vx, vy = track.state.tolist()
+    (p, _, c, _), _, (_, _, v, _), _ = track.covariance.tolist()
+    i = 1.0 / (p + obs.noise)
+    kp, kv = p * i, c * i
+    ex, ey = obs.position[0] - x, obs.position[1] - y
+    vx, vy = vx + kv * ex, vy + kv * ey
+    heading = math.atan2(vy, vx) if np.hypot(vx, vy) > 0.1 else track.last_heading
+    cov = _per_axis((1.0 - kp) * p, 0.5 * ((1.0 - kp) * c + (-kv * p + c)), -kv * c + v)
+    return ObstacleTrack(track.id, np.array([x + kp * ex, y + kp * ey, vx, vy]), cov,
+                         track.footprint, obs.timestamp, heading)
 
 
 def associate(tracks: list[ObstacleTrack], observations: list[Observation], gate: float):
@@ -175,10 +186,6 @@ def track_heading(track: ObstacleTrack) -> float:
 @dataclass
 class TrackerConfig:
     q: float = 0.5  # process noise intensity, m^2/s^3
-    gate: float = 2.0  # association gate, m
-    stale_timeout: float = 1.0  # drop tracks unseen this long, s
-    init_pos_var: float = 0.25
-    init_vel_var: float = 4.0
     default_footprint: FootprintSpec | None = None
 
 
@@ -193,25 +200,18 @@ class TrackStore:
     def step(self, observations: list[Observation], now: float) -> None:
         cfg = self.config
         predicted = [kf_predict(t, max(0.0, now - t.last_update), cfg.q) for t in self.tracks]
-        pairs, unmatched_t, unmatched_o = associate(predicted, observations, cfg.gate)
-        new_tracks = []
-        for ti, oi in pairs:
-            new_tracks.append(kf_update(predicted[ti], observations[oi]))
+        pairs, unmatched_t, unmatched_o = associate(predicted, observations, GATE)
+        new_tracks = [kf_update(predicted[ti], observations[oi]) for ti, oi in pairs]
         for ti in unmatched_t:
             # Coast on the last filtered state until the track goes stale.
-            if now - self.tracks[ti].last_update <= cfg.stale_timeout:
+            if now - self.tracks[ti].last_update <= STALE_TIMEOUT:
                 new_tracks.append(self.tracks[ti])
         for oi in unmatched_o:
             obs = observations[oi]
             fp = cfg.default_footprint or FootprintSpec.from_dimensions(0.8, 0.8, single_circle=True)
-            cov = np.diag([cfg.init_pos_var, cfg.init_pos_var, cfg.init_vel_var, cfg.init_vel_var])
             new_tracks.append(ObstacleTrack(
-                id=self._next_id,
-                state=np.array([obs.position[0], obs.position[1], 0.0, 0.0]),
-                covariance=cov,
-                footprint=fp,
-                last_update=obs.timestamp,
-            ))
+                self._next_id, np.array([obs.position[0], obs.position[1], 0.0, 0.0]),
+                _per_axis(INIT_POS_VAR, 0.0, INIT_VEL_VAR), fp, obs.timestamp))
             self._next_id += 1
         self.tracks = sorted(new_tracks, key=lambda t: t.id)
 

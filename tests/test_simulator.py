@@ -215,7 +215,7 @@ class TestTickTable:
         answers = []
         for x in (3.0, 40.0):  # a track parked at the end pose, and one far away
             runner = _Runner(empty_scenario(), None, 0, library, False, 3.0)
-            runner.store.step([Observation((x, 0.0), 1.0, np.eye(2) * 0.01)], 1.0)
+            runner.store.step([Observation((x, 0.0), 1.0, 0.01)], 1.0)
             dt = runner.sc.sim_dt
             table = TickTable(traj, 20, dt, runner.sc.robot)
             assert len(table.times) == 41  # ticks 20..60; 61 on are past the end

@@ -1,20 +1,31 @@
 """Constant-velocity Kalman tracking and multi-object bookkeeping."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kinoplan
 from kinoplan.collision import FootprintSpec
 from kinoplan.geometry import Pose
-from kinoplan.tracking import (_H, Observation, ObstacleTrack, TrackerConfig,
-                               TrackStore, _model, _process_noise, _transition,
+from kinoplan.tracking import (Observation, ObstacleTrack, TrackerConfig, TrackStore,
                                associate, kf_predict, kf_update, predict_pose,
                                track_heading)
 
 FP = FootprintSpec.from_dimensions(4.0, 2.0)
+
+
+def per_axis(p, c, v):
+    """The 4x4 covariance of two per-axis blocks [[p, c], [c, v]]."""
+    cov = np.zeros((4, 4))
+    cov[0::2, 0::2] = cov[1::2, 1::2] = [[p, c], [c, v]]
+    return cov
 
 
 def make_track(state, t=0.0, var=1.0):
@@ -23,49 +34,79 @@ def make_track(state, t=0.0, var=1.0):
 
 
 def obs(x, y, t, sigma=0.1):
-    return Observation((x, y), t, np.eye(2) * sigma**2)
+    return Observation((x, y), t, sigma**2)
 
 
 class TestObservation:
     def test_rejects_bad_noise(self):
-        with pytest.raises(ValueError):
-            Observation((0.0, 0.0), 0.0, np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            Observation((0.0, 0.0), 0.0, np.eye(3))
-
-    def test_rejects_asymmetric_noise(self):
-        # Positive definite by its lower triangle alone, which is all an
-        # eigenvalue routine for symmetric matrices reads.
-        noise = np.array([[1.0, 5.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            Observation((0.0, 0.0), 0.0, noise)
+        with pytest.raises(ValueError, match="finite, positive variance"):
+            Observation((0.0, 0.0), 0.0, 0.0)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_rejects_non_finite_noise(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            Observation((0.0, 0.0), 0.0, np.diag([bad, 1.0]))
-        with pytest.raises(ValueError, match="finite"):
-            Observation((0.0, 0.0), 0.0, np.array([[1.0, bad], [bad, 1.0]]))
+        with pytest.raises(ValueError, match="finite, positive variance"):
+            Observation((0.0, 0.0), 0.0, bad)
+
+    def test_rejects_indefinite_noise(self):
+        for bad in (-1.0, -0.0):
+            with pytest.raises(ValueError, match="finite, positive variance"):
+                Observation((0.0, 0.0), 0.0, bad)
+
+    def test_keeps_variance_as_float(self):
+        noise = Observation((1.0, 2.0), 0.5, np.float64(0.02)).noise
+        assert type(noise) is float and noise == 0.02
 
     @pytest.mark.parametrize("position", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
     def test_rejects_non_finite_position(self, position):
         with pytest.raises(ValueError, match="position"):
-            Observation(position, 0.0, np.eye(2))
+            Observation(position, 0.0, 1.0)
 
     @pytest.mark.parametrize("timestamp", [math.nan, math.inf])
     def test_rejects_non_finite_timestamp(self, timestamp):
         with pytest.raises(ValueError, match="timestamp"):
-            Observation((0.0, 0.0), timestamp, np.eye(2))
+            Observation((0.0, 0.0), timestamp, 1.0)
 
-    def test_rejects_indefinite_noise(self):
-        with pytest.raises(ValueError):
-            Observation((0.0, 0.0), 0.0, np.array([[1.0, 2.0], [2.0, 1.0]]))
-        with pytest.raises(ValueError):
-            Observation((0.0, 0.0), 0.0, np.array([[-1.0, 0.0], [0.0, -1.0]]))
 
-    def test_accepts_correlated_noise(self):
-        noise = np.array([[0.02, 0.013], [0.013, 0.03]])
-        assert np.array_equal(Observation((1.0, 2.0), 0.5, noise).noise, noise)
+def _with(cov, i, j, value):
+    cov = cov.copy()
+    cov[i, j] = value
+    return cov
+
+
+class TestTrackValidation:
+    GOOD = per_axis(0.5, 0.2, 2.0)
+
+    def test_accepts_per_axis_forms(self):
+        for cov in (self.GOOD, np.eye(4) * 1e-4, per_axis(0.25, 0.0, 4.0)):
+            track = ObstacleTrack(0, [1, 2, 3, 4], cov, FP, 0.0)
+            assert track.state.dtype == track.covariance.dtype == np.float64
+
+    @pytest.mark.parametrize("cov,message", [
+        (np.eye(2), "be 4x4"),
+        (np.eye(4)[:, :3], "be 4x4"),
+        (_with(GOOD, 0, 0, math.nan), "be finite"),
+        (_with(GOOD, 2, 1, math.inf), "be finite"),
+        (_with(GOOD, 3, 3, 2.5), "have equal"),
+        (_with(GOOD, 1, 3, 0.1), "have equal"),
+        (_with(_with(GOOD, 0, 1, 1e-9), 1, 0, 1e-9), "have zero cross-axis terms"),
+        (_with(_with(GOOD, 2, 3, 0.1), 3, 2, 0.1), "have zero cross-axis terms"),
+        (_with(GOOD, 0, 3, 0.1), "have zero cross-axis terms"),
+        (per_axis(0.5, 0.2, 2.0) + np.array([[0, 0, 0.1, 0], [0, 0, 0, 0.1], [0] * 4, [0] * 4]),
+         "have symmetric positive-definite blocks"),
+        (per_axis(0.0, 0.0, 1.0), "have symmetric positive-definite blocks"),
+        (per_axis(-1.0, 0.0, -1.0), "have symmetric positive-definite blocks"),
+        (per_axis(1.0, 1.0, 1.0), "have symmetric positive-definite blocks"),
+        (per_axis(1.0, 0.0, 0.0), "have symmetric positive-definite blocks"),
+    ])
+    def test_rejects_bad_covariance(self, cov, message):
+        with pytest.raises(ValueError, match="track covariance must " + message):
+            ObstacleTrack(0, np.zeros(4), cov, FP, 0.0)
+
+    @pytest.mark.parametrize("state", [[0.0, math.nan, 0.0, 0.0], [0.0, 0.0, math.inf, 0.0],
+                                       [0.0, 0.0, 0.0], np.zeros((2, 2))])
+    def test_rejects_bad_state(self, state):
+        with pytest.raises(ValueError, match="track state must be 4 finite numbers"):
+            ObstacleTrack(0, state, np.eye(4), FP, 0.0)
 
 
 class TestPredict:
@@ -93,53 +134,63 @@ def _bits(*arrays) -> bytes:
     return b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays)
 
 
-def _track_of(seed, var, heading):
-    """A track with a random state and a random positive-definite covariance."""
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(4, 4))
-    return ObstacleTrack(id=3, state=rng.normal(0.0, 5.0, 4),
-                         covariance=a @ a.T + var * np.eye(4), footprint=FP,
-                         last_update=1.25, last_heading=heading)
+# The textbook 4x4 form of the filter (F P F^T + Q; K = P H^T S^-1, (I - K H) P),
+# the reference the scalar per-axis steps must meet.
+_H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 
 
-class TestCachedModel:
-    def test_read_only(self):
-        F, Q = _model(0.1, 0.5)
-        for m in (F, Q):
-            assert not m.flags.writeable
-            with pytest.raises(ValueError):
-                m[0, 0] = 7.0
-        assert _model(0.1, 0.5)[0] is F
+def _matrix_predict(state, cov, dt, q):
+    F = np.eye(4)
+    F[0, 2] = F[1, 3] = dt
+    G = np.array([[dt * dt / 2.0, 0.0], [0.0, dt * dt / 2.0], [dt, 0.0], [0.0, dt]])
+    P = F @ cov @ F.T + q * G @ G.T
+    return F @ state, 0.5 * (P + P.T)
 
-    @settings(max_examples=60, deadline=None)
-    @given(dt=st.floats(0.0, 5.0), q=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1),
-           var=st.floats(0.01, 4.0))
-    def test_predict_matches_fresh_matrices(self, dt, q, seed, var):
-        """Bit for bit the formulas with F and Q built afresh, as before the cache."""
-        track = _track_of(seed, var, 0.4)
-        F = _transition(dt)
-        cov = F @ track.covariance @ F.T + _process_noise(dt, q)
-        want = (F @ track.state, 0.5 * (cov + cov.T))
+
+def _matrix_update(state, cov, z, noise):
+    S = _H @ cov @ _H.T + noise * np.eye(2)
+    K = cov @ _H.T @ np.linalg.inv(S)
+    P = (np.eye(4) - K @ _H) @ cov
+    return state + K @ (np.asarray(z) - _H @ state), 0.5 * (P + P.T)
+
+
+def _assert_close(got, want):
+    """Equal within 1e-12 of the largest entry."""
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+_per_axis_tracks = st.builds(
+    lambda state, p, rho, v, heading: ObstacleTrack(
+        id=3, state=np.array(state), covariance=per_axis(p, rho * math.sqrt(p * v), v),
+        footprint=FP, last_update=1.25, last_heading=heading),
+    st.lists(st.floats(-50.0, 50.0), min_size=4, max_size=4),
+    st.floats(1e-3, 10.0), st.floats(-0.95, 0.95), st.floats(1e-3, 10.0),
+    st.floats(-3.0, 3.0))
+
+
+class TestMatrixReference:
+    @settings(max_examples=100, deadline=None)
+    @given(track=_per_axis_tracks, dt=st.floats(0.0, 5.0), q=st.floats(1e-3, 10.0))
+    def test_predict_matches_matrix_form(self, track, dt, q):
         got = kf_predict(track, dt, q)
-        assert _bits(got.state, got.covariance) == _bits(*want)
+        state, cov = _matrix_predict(track.state, track.covariance, dt, q)
+        _assert_close(got.state, state)
+        _assert_close(got.covariance, cov)
         assert (got.id, got.footprint, got.last_update, got.last_heading) == \
-            (3, FP, track.last_update + dt, 0.4)
+            (3, FP, track.last_update + dt, track.last_heading)
 
-    @settings(max_examples=60, deadline=None)
-    @given(dt=st.floats(0.0, 5.0), q=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1),
-           sigma=st.floats(0.01, 1.0), heading=st.floats(-3.0, 3.0))
-    def test_update_matches_fresh_identity(self, dt, q, seed, sigma, heading):
-        track = kf_predict(_track_of(seed, 1.0, heading), dt, q)
-        o = obs(float(track.state[0]) + 0.3, float(track.state[1]) - 0.2, 9.0, sigma)
-        S = _H @ track.covariance @ _H.T + o.noise
-        K = track.covariance @ _H.T @ np.linalg.inv(S)
-        state = track.state + K @ (np.asarray(o.position) - _H @ track.state)
-        cov = (np.eye(4) - K @ _H) @ track.covariance
-        want_heading = math.atan2(state[3], state[2]) if np.hypot(state[2], state[3]) > 0.1 \
-            else heading
-        got = kf_update(track, o)
-        assert _bits(got.state, got.covariance) == _bits(state, 0.5 * (cov + cov.T))
+    @settings(max_examples=100, deadline=None)
+    @given(track=_per_axis_tracks, noise=st.floats(1e-4, 1.0),
+           dz=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+    def test_update_matches_matrix_form(self, track, noise, dz):
+        z = (float(track.state[0]) + dz[0], float(track.state[1]) + dz[1])
+        got = kf_update(track, Observation(z, 9.0, noise))
+        state, cov = _matrix_update(track.state, track.covariance, z, noise)
+        _assert_close(got.state, state)
+        _assert_close(got.covariance, cov)
         assert (got.id, got.footprint, got.last_update) == (3, FP, 9.0)
+        vx, vy = got.state[2:]
+        want_heading = math.atan2(vy, vx) if np.hypot(vx, vy) > 0.1 else track.last_heading
         assert _bits(got.last_heading) == _bits(want_heading)
 
 
@@ -160,21 +211,25 @@ class TestUpdate:
         assert np.trace(t2.covariance[:2, :2]) < np.trace(t.covariance[:2, :2])
 
     def test_rejects_indefinite_innovation(self):
-        t = make_track([0.0, 0.0, 0.0, 0.0], var=-1.0)
-        with pytest.raises(np.linalg.LinAlgError):
-            kf_update(t, obs(0.0, 0.0, 0.0))
+        """The innovation variance p + noise is positive because the track's
+        block and the noise are checked positive when they are built."""
+        with pytest.raises(ValueError, match="positive-definite blocks"):
+            make_track([0.0, 0.0, 0.0, 0.0], var=-1.0)
+        with pytest.raises(ValueError, match="positive variance"):
+            obs(0.0, 0.0, 0.0, sigma=0.0)
 
-    def test_correlated_noise_keeps_covariance_symmetric(self):
-        """Correlated noise couples the axes; the filter must keep passing its
-        own symmetric innovation test, so rounding may not leave P asymmetric."""
+    def test_random_steps_keep_per_axis_form(self):
+        """200 predict/update steps at random gaps: every result passes the
+        per-axis check of the constructor, so the blocks stay equal and
+        symmetric with zero cross-axis terms."""
         rng = np.random.default_rng(5)
-        noise = np.array([[0.02, 0.013], [0.013, 0.03]])
         t = make_track([0.0, 0.0, 1.0, 0.3], var=2.0)
         for _ in range(200):
             t = kf_predict(t, float(rng.uniform(0.01, 0.7)))
             assert np.array_equal(t.covariance, t.covariance.T)
             z = t.state[:2] + rng.normal(0.0, 0.2, 2)
-            t = kf_update(t, Observation((float(z[0]), float(z[1])), t.last_update, noise))
+            t = kf_update(t, Observation((float(z[0]), float(z[1])), t.last_update, 0.03))
+            assert np.array_equal(t.covariance, t.covariance.T)
 
     def test_velocity_converges_for_stationary_target(self):
         t = make_track([0.0, 0.0, 1.5, -1.0], var=4.0)
@@ -283,8 +338,57 @@ class TestTrackStore:
             for k in range(31):
                 t = 0.1 * k
                 p = np.array([vx * t, vy * t]) + rng.normal(0.0, 0.1, 2)
-                store.step([Observation((p[0], p[1]), t, np.eye(2) * 0.01)], t)
+                store.step([Observation((p[0], p[1]), t, 0.01)], t)
             est = store.tracks[0].velocity
             if math.hypot(est[0] - vx, est[1] - vy) < 0.1:
                 passed += 1
         assert passed >= 95
+
+
+def _dynamic_arch_openblas() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernel at run time,
+    the only kind that ``OPENBLAS_CORETYPE`` steers."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 has no mode
+        return False
+    return ("openblas" in blas.get("name", "").lower()
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+_TRACKER_RUN = """
+import hashlib, sys
+import numpy as np
+from kinoplan.tracking import Observation, TrackStore
+rng = np.random.default_rng(7)
+store, t, digest = TrackStore(), 0.0, hashlib.sha256()
+for _ in range(200):
+    t += float(rng.uniform(0.05, 0.2))
+    observations = []
+    for i, (vx, vy) in enumerate(((1.0, 0.5), (-0.7, 0.2))):
+        p = np.array([10.0 * i + vx * t, vy * t]) + rng.normal(0.0, 0.05, 2)
+        observations.append(Observation((float(p[0]), float(p[1])), t, 0.05**2))
+    store.step(observations, t)
+    for track in store.tracks:
+        digest.update(track.state.tobytes() + track.covariance.tobytes())
+print(len(store.tracks), digest.hexdigest())
+"""
+
+
+class TestBlasKernel:
+    @pytest.mark.skipif(not _dynamic_arch_openblas(),
+                        reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+    def test_tracker_bits_independent_of_blas_kernel(self):
+        """A 200-step run with noisy observations gives the same state and
+        covariance bytes under an FMA kernel (Haswell) and under one without
+        (Prescott)."""
+        src = str(Path(kinoplan.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        outputs = []
+        for core in ("Haswell", "Prescott"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=core)
+            run = subprocess.run([sys.executable, "-c", _TRACKER_RUN], env=env,
+                                 capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0].startswith("2 ") and outputs[0] == outputs[1]

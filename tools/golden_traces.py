@@ -25,6 +25,12 @@ thread count (its timestamp solver makes no BLAS call), so the pin matters
 only for a ``--base`` that predates that solver: SciPy's SLSQP moved with
 BLAS rounding.  Both trees run on the same numpy/BLAS build, so the
 comparison holds on any machine.
+
+Both subprocesses inherit the environment, ``OPENBLAS_CORETYPE`` included.
+When a change replaces BLAS products with plain float arithmetic in the
+order of an unfused kernel, running the gate as
+``OPENBLAS_CORETYPE=Prescott python3 tools/golden_traces.py --base HEAD~1``
+shows the byte-identity that the default kernel's fused multiply-adds hide.
 """
 
 import argparse
