@@ -16,6 +16,11 @@ import numpy as np
 
 from .geometry import CurveParams, Pose, local_curve_samples
 
+# Widening of the broad-phase bounds (``curve_in_collision`` and
+# ``temporal.predicted_hits``) past floating-point rounding and, for curves,
+# quadrature error, m.
+SCREEN_SLACK = 1e-6
+
 
 def disc_radius(l: float, w: float) -> float:
     """Covering-circle radius for a rectangle of length l and width w."""
@@ -57,7 +62,11 @@ def _cover(spec: FootprintSpec, x, y, c, s) -> np.ndarray:
     """Cover circle centers at position (x, y) with heading cosine c and sine s;
     (N, 1) columns give shape (N, k, 2)."""
     offs = np.asarray(spec.center_offsets)
-    return np.stack([x + c * offs, y + s * offs], axis=-1)
+    xs = x + c * offs
+    out = np.empty(xs.shape + (2,))
+    out[..., 0] = xs
+    out[..., 1] = y + s * offs
+    return out
 
 
 def footprint_circles(spec: FootprintSpec, pose: Pose) -> np.ndarray:
@@ -148,15 +157,20 @@ def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _world(obstacles: tuple[ObstacleShape, ...]):
-    """``obstacles`` as (edges, starts, centers, radii): the ``polygon_edges``
-    of every polygon concatenated (None without polygons) with each polygon's
-    first edge index, and the (m, 2) centers and (m,) radii of every disk and
-    parked-footprint cover circle.  The only place that tells obstacle kinds
-    apart.  Cached on the obstacle tuple; the shared arrays are read-only."""
-    per, centers, radii = [], [], []
+    """``obstacles`` as (edges, starts, centers, radii, bounds): the
+    ``polygon_edges`` of every polygon concatenated (None without polygons)
+    with each polygon's first edge index, the (m, 2) centers and (m,) radii of
+    every disk and parked-footprint cover circle, and ``bounds``, one
+    (xmin, ymin, xmax, ymax, r) float tuple per polygon (its bounding box,
+    r = 0) and per circle (its center, r its radius) for the broad phase of
+    ``curve_in_collision``.  The only place that tells obstacle kinds apart.
+    Cached on the obstacle tuple; the shared arrays are read-only."""
+    per, centers, radii, boxes = [], [], [], []
     for obs in obstacles:
         if obs.kind == "polygon":
             per.append(polygon_edges(obs.vertices))
+            xs, ys = zip(*obs.vertices)
+            boxes.append((min(xs), min(ys), max(xs), max(ys), 0.0))
         elif obs.kind == "disk":
             centers.append(obs.center)
             radii.append(obs.radius)
@@ -170,11 +184,12 @@ def _world(obstacles: tuple[ObstacleShape, ...]):
     if per:
         edges = tuple(np.concatenate(col) for col in zip(*per))
         starts = np.cumsum([0] + [len(e[0]) for e in per[:-1]])
+    bounds = tuple(boxes) + tuple((x, y, x, y, r) for (x, y), r in zip(centers, radii))
     centers = np.array(centers, dtype=float).reshape(-1, 2)
     radii = np.array(radii, dtype=float)
     for arr in (edges + (starts,) if per else ()) + (centers, radii):
         arr.flags.writeable = False
-    return edges, starts, centers, radii
+    return edges, starts, centers, radii, bounds
 
 
 def _polygon_pass(centers: np.ndarray, edges, starts) -> tuple[np.ndarray, np.ndarray]:
@@ -182,28 +197,40 @@ def _polygon_pass(centers: np.ndarray, edges, starts) -> tuple[np.ndarray, np.nd
     against each polygon of a ``_world`` edge stack; shape (..., k, P) each."""
     x1, y1, y2, abx, aby, denom = edges
     px, py = centers[..., 0, None], centers[..., 1, None]
-    t = np.clip(((px - x1) * abx + (py - y1) * aby) / denom, 0.0, 1.0)
+    dx, dy = px - x1, py - y1
+    t = np.clip((dx * abx + dy * aby) / denom, 0.0, 1.0)
     d = np.hypot(x1 + t * abx - px, y1 + t * aby - py)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        xint = x1 + (py - y1) * abx / aby
+        xint = x1 + dy * abx / aby
     crossings = ((y1 > py) != (y2 > py)) & (px < xint)  # of the rightward ray
     return (np.minimum.reduceat(d, starts, axis=-1),
             np.logical_xor.reduceat(crossings, starts, axis=-1))
+
+
+def _any_per_set(flags: np.ndarray) -> np.ndarray:
+    """Whether any entry of each (k, P) block of ``flags`` (..., k, P) is set."""
+    lead = flags.shape[:-2]
+    return flags.reshape(lead + (flags.shape[-2] * flags.shape[-1],)).any(axis=-1)
+
+
+def _world_hits(centers: np.ndarray, radius: float, world, margin: float) -> np.ndarray:
+    """``circles_hit`` against a ``_world`` tuple."""
+    edges, starts, others, other_radii, _ = world
+    hit = None
+    if edges is not None:
+        d, inside = _polygon_pass(centers, edges, starts)
+        hit = _any_per_set(inside | (d <= radius + margin))
+    if len(other_radii):
+        near = _any_per_set(_pair_distances(centers, others) <= radius + other_radii + margin)
+        hit = near if hit is None else hit | near
+    return np.zeros(centers.shape[:-2], dtype=bool) if hit is None else hit
 
 
 def circles_hit(centers: np.ndarray, radius: float, obstacles, margin: float = 0.0) -> np.ndarray:
     """Whether each circle set (..., k, 2) of ``radius`` touches any obstacle;
     shape (...).  A circle hits a polygon it is centered in or within
     ``radius + margin`` of, and a circle R_j within ``radius + R_j + margin``."""
-    edges, starts, others, other_radii = _world(tuple(obstacles))
-    hit = np.zeros(centers.shape[:-2], dtype=bool)
-    if edges is not None:
-        d, inside = _polygon_pass(centers, edges, starts)
-        hit |= np.any(inside | (d <= radius + margin), axis=(-2, -1))
-    if len(other_radii):
-        d = _pair_distances(centers, others)
-        hit |= np.any(d <= radius + other_radii + margin, axis=(-2, -1))
-    return hit
+    return _world_hits(centers, radius, _world(tuple(obstacles)), margin)
 
 
 def circles_hit_obstacle(centers: np.ndarray, radius: float, obstacle: ObstacleShape,
@@ -230,7 +257,7 @@ def min_clearance(centers: np.ndarray, radius: float, obstacles: tuple[ObstacleS
     ``(d - radius) - R_j``.  Since fl(x - r) is monotone in x, the minimum over
     polygons of (min d - r) is (min d) - r.
     """
-    edges, starts, others, other_radii = _world(tuple(obstacles))
+    edges, starts, others, other_radii, _ = _world(tuple(obstacles))
     clear = np.full(centers.shape[:-2], math.inf)
     if edges is not None:
         d, inside = _polygon_pass(centers, edges, starts)
@@ -258,15 +285,57 @@ def poses_in_collision(spec: FootprintSpec, poses: np.ndarray, obstacles,
     return circles_hit(centers, spec.radius, obstacles, margin)
 
 
+def _clear_of_all(x: float, y: float, reach: float, bounds) -> bool:
+    """Whether (x, y) lies farther than ``reach`` from every ``_world`` bound:
+    from each bounding box, and from the rim of each circle."""
+    for xmin, ymin, xmax, ymax, r in bounds:
+        if math.hypot(max(xmin - x, x - xmax, 0.0), max(ymin - y, y - ymax, 0.0)) - r <= reach:
+            return False
+    return True
+
+
 def curve_in_collision(spec: FootprintSpec, params: CurveParams, base: Pose, obstacles,
                        ds: float, margin: float = 0.0) -> bool:
-    """True iff any sampled pose along the curve collides with the obstacle set."""
+    """True iff any pose sampled along the curve collides with the obstacle set.
+
+    The poses are ``local_curve_samples(params, ds)`` placed at ``base``; each
+    is tested with ``circles_hit`` at ``margin``.  ``ds`` may not exceed the
+    cover radius, so the circles of consecutive samples overlap.
+
+    Broad phase: a point P at arc length s of a curve of length s_f from A to
+    B has |P - A| <= s and |P - B| <= s_f - s, so it lies within s_f/2 of the
+    chord midpoint M, and every cover center lies within the cover's reach
+    (its largest |offset|) of its pose.  A circle touches a polygon only when
+    its center is within ``radius + margin`` of the polygon, hence of its
+    bounding box, and a circle R_j only when its center is within ``radius +
+    R_j + margin`` of that circle's center.  So when M, placed at ``base``
+    with the curve's last sample, is farther than s_f/2 + reach + radius +
+    margin from every polygon's bounding box and from the rim of every disk
+    and parked-footprint circle, no sample can hit and the exact pass is
+    skipped.  ``SCREEN_SLACK`` widens that bound past the rounding of M and
+    of the distances (a few ulps of the coordinates) and past the Simpson
+    error of the samples.  The sampled positions are positive-weight sums, so
+    |P - A| <= s holds for them as well, but |P - B| <= s_f - s holds only up
+    to twice the quadrature error: per coordinate at most s_f h^4/180 times
+    max |d^4 u/ds^4|, with h <= ``geometry.SIMPSON_STEP`` and u the unit
+    tangent, which is below 3e-9 m on the default library's curves.  A
+    curve that passes the screen goes through the unchanged exact pass, so
+    every answer has the bits it has without the screen.
+    """
     if ds > spec.radius:
         raise ValueError("ds must not exceed the footprint circle radius")
-    offsets = np.asarray(local_curve_samples(params, ds))
+    offsets = local_curve_samples(params, ds)
+    world = _world(tuple(obstacles))
     c, s = math.cos(base.theta), math.sin(base.theta)
+    ex, ey, _ = offsets[-1].tolist()
+    reach = max(map(abs, spec.center_offsets))
+    if _clear_of_all(base.x + 0.5 * (c * ex - s * ey), base.y + 0.5 * (s * ex + c * ey),
+                     0.5 * params.s_f + reach + spec.radius + margin + SCREEN_SLACK,
+                     world[-1]):
+        return False
     poses = np.empty_like(offsets)
     poses[:, 0] = base.x + c * offsets[:, 0] - s * offsets[:, 1]
     poses[:, 1] = base.y + s * offsets[:, 0] + c * offsets[:, 1]
     poses[:, 2] = base.theta + offsets[:, 2]
-    return bool(np.any(poses_in_collision(spec, poses, obstacles, margin)))
+    centers = footprint_circles_batch(spec, poses)
+    return bool(_world_hits(centers, spec.radius, world, margin).any())

@@ -235,15 +235,70 @@ def integrate_endpoint(params: CurveParams) -> tuple[float, float, float]:
     return _offset_at(params, params.s_f)
 
 
+def _simpson_offsets(params: CurveParams, s: np.ndarray) -> np.ndarray:
+    """``_offset_at(params, s_k)`` to the bit for each arc length s_k > 0, as
+    an (N, 3) array, in one pass.
+
+    The Simpson grids of all the samples lie end to end in one ragged array,
+    each with its own node count n, spacing s_k/n and last node set to s_k,
+    as ``_simpson_grid`` builds them.  Headings, cosines and sines are
+    evaluated once over that array, and each sample's two sums stay one BLAS
+    dot over exactly its own weights and nodes.
+    """
+    n = np.maximum(np.ceil(s / SIMPSON_STEP), 2.0)
+    n += n % 2.0
+    step = s / n
+    counts = (n + 1.0).astype(np.intp)
+    ends = np.cumsum(counts) - 1
+    starts = ends - counts + 1
+    local = np.arange(ends[-1] + 1) - np.repeat(starts, counts)
+    grid = local * np.repeat(step, counts)
+    grid[ends] = s
+    th = _heading(params, grid)
+    cos, sin = np.cos(th), np.sin(th)
+    w = np.where(local & 1, 4.0, 2.0)
+    w[starts] = 1.0
+    w[ends] = 1.0
+    sums = []
+    for a, b in zip(starts.tolist(), (ends + 1).tolist()):
+        wk = w[a:b]
+        sums.append((wk.dot(cos[a:b]), wk.dot(sin[a:b])))
+    out = np.empty((len(s), 3))
+    out[:, :2] = (step / 3.0)[:, None] * sums
+    out[:, 2] = th[ends]
+    return out
+
+
+# Most Simpson nodes one pass of ``_simpson_offsets`` evaluates, which bounds
+# its memory: a pass over N samples of a curve holds about N^2 ds / (2 h) nodes.
+_PASS_NODES = 1 << 17
+
+
 @lru_cache(maxsize=65536)
-def local_curve_samples(params: CurveParams, ds: float) -> tuple[tuple[float, float, float], ...]:
-    """Cached local-frame offsets at {0, ds, ..., s_f}; last entry is the exact endpoint."""
-    svals = list(np.arange(0.0, params.s_f, ds))
-    if not svals or params.s_f - svals[-1] > 1e-9:
-        svals.append(params.s_f)
+def local_curve_samples(params: CurveParams, ds: float) -> np.ndarray:
+    """Cached local-frame offsets (dx, dy, dtheta) at s = 0, ds, 2 ds, ... and s_f.
+
+    A read-only (N, 3) array whose row at s is ``_offset_at(params, s)`` to
+    the bit, so the last row is ``integrate_endpoint(params)``; a last step
+    within 1e-9 m of s_f is merged into it.  The rows come from
+    ``_simpson_offsets``, in as few passes as ``_PASS_NODES`` allows (one
+    for the planner's curves).  A step that is not positive and finite
+    raises ValueError.
+    """
+    if not 0.0 < ds < math.inf:
+        raise ValueError(f"sampling step must be positive and finite, got {ds}")
+    s = np.arange(0.0, params.s_f, ds)
+    if len(s) and params.s_f - s[-1] <= 1e-9:
+        s[-1] = params.s_f
     else:
-        svals[-1] = params.s_f
-    return tuple(_offset_at(params, s) for s in svals)
+        s = np.append(s, params.s_f)
+    out = np.zeros((len(s), 3))
+    first = 1 if s[0] <= 0.0 else 0  # the offset at s = 0 is zero
+    per_pass = max(1, _PASS_NODES // (int(params.s_f / SIMPSON_STEP) + 4))
+    for k in range(first, len(s), per_pass):
+        out[k:k + per_pass] = _simpson_offsets(params, s[k:k + per_pass])
+    out.flags.writeable = False
+    return out
 
 
 _TWO_PI = 2.0 * math.pi
@@ -474,25 +529,15 @@ _LIBRARY_HEADER = ("r_min", "r_max", "beta_min", "beta_max", "kappa_max", "n_r",
 _LIBRARY_ROW = ("i", "j", "r", "a", "b", "c", "s_f", "dx", "dy", "dtheta", "beta")
 
 
-class _GridAxis:
-    """Nearest-point lookup on ``np.linspace(lo, hi, n)`` in O(1).
+def _grid_axis(lo: float, hi: float, n: int) -> tuple:
+    """(lo, hi, 1 / step, points, top) of the grid ``np.linspace(lo, hi, n)``.
 
-    The uniform spacing gives the bracketing pair of grid points; of the two,
-    the one with the smaller ``abs(grid[k] - v)`` wins and the lower index
-    wins a tie, which is the choice ``np.argmin(np.abs(grid - v))`` makes.
+    ``points`` lists the grid with +inf appended, so a one-point grid has a
+    second point that never wins, and ``top`` is the last index a bracketing
+    pair can start at.
     """
-
-    def __init__(self, lo: float, hi: float, n: int):
-        self.grid = np.linspace(lo, hi, n).tolist()
-        self.lo = lo
-        self.inv_step = (n - 1) / (hi - lo) if n > 1 and hi != lo else 0.0
-
-    def nearest(self, v: float) -> int:
-        grid = self.grid
-        if len(grid) == 1:
-            return 0
-        k = min(max(int((v - self.lo) * self.inv_step), 0), len(grid) - 2)
-        return k if abs(grid[k] - v) <= abs(grid[k + 1] - v) else k + 1
+    inv_step = (n - 1) / (hi - lo) if n > 1 and hi != lo else 0.0
+    return lo, hi, inv_step, np.linspace(lo, hi, n).tolist() + [math.inf], max(n - 2, 0)
 
 
 class CurveLibrary:
@@ -501,14 +546,28 @@ class CurveLibrary:
     def __init__(self, config: LibraryConfig, entries: dict[tuple[int, int], CurveEntry]):
         self.config = config
         self.entries = entries
-        self._r_axis = _GridAxis(config.r_min, config.r_max, config.n_r)
-        self._b_axis = _GridAxis(config.beta_min, config.beta_max, config.n_beta)
+        self._r_axis = _grid_axis(config.r_min, config.r_max, config.n_r)
+        self._b_axis = _grid_axis(config.beta_min, config.beta_max, config.n_beta)
 
     def cell_index(self, r: float, beta: float) -> tuple[int, int]:
-        """Clamp (r, beta) into range and return the nearest grid cell index."""
-        r = min(max(r, self.config.r_min), self.config.r_max)
-        beta = min(max(beta, self.config.beta_min), self.config.beta_max)
-        return self._r_axis.nearest(r), self._b_axis.nearest(beta)
+        """Clamp (r, beta) into range and return the nearest grid cell index.
+
+        On each axis the uniform spacing gives the bracketing pair of grid
+        points in O(1); of the two, the one with the smaller
+        ``abs(grid[k] - v)`` wins and the lower index wins a tie, which is
+        the choice ``np.argmin(np.abs(grid - v))`` makes.
+        """
+        lo, hi, inv_step, grid, top = self._r_axis
+        r = min(max(r, lo), hi)
+        i = min(max(int((r - lo) * inv_step), 0), top)
+        if abs(grid[i] - r) > abs(grid[i + 1] - r):
+            i += 1
+        lo, hi, inv_step, grid, top = self._b_axis
+        beta = min(max(beta, lo), hi)
+        j = min(max(int((beta - lo) * inv_step), 0), top)
+        if abs(grid[j] - beta) > abs(grid[j + 1] - beta):
+            j += 1
+        return i, j
 
     def lookup(self, r: float, beta: float) -> CurveEntry | None:
         return self.entries.get(self.cell_index(r, beta))

@@ -100,17 +100,23 @@ class TreeNode:
     incoming_curve: CurveParams | None
     cost_from_root: float
     visited_entries: set = field(default_factory=set)
+    base: Pose | None = None  # the frame extensions grow in; set by ``Tree.add``
 
 
 class Tree:
-    """Indexed node collection with a growing position matrix for nearest queries."""
+    """Indexed node collection with a growing position matrix for nearest queries.
+
+    Each node's ``base`` is its pose in the forward tree and its
+    heading-flipped pose in the backward tree, where growth runs in the
+    flipped frame so the stored edges stay drivable forward.
+    """
 
     def __init__(self, root: Pose, direction: str):
         assert direction in ("forward", "backward")
         self.direction = direction
-        self.nodes: list[TreeNode] = [TreeNode(root, 0.0, None, None, 0.0)]
+        self.nodes: list[TreeNode] = []
         self._pos = np.empty((64, 2))
-        self._pos[0] = (root.x, root.y)
+        self.add(TreeNode(root, 0.0, None, None, 0.0))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -125,6 +131,7 @@ class Tree:
             grown[: len(self._pos)] = self._pos
             self._pos = grown
         self._pos[len(self.nodes)] = (node.pose.x, node.pose.y)
+        node.base = node.pose if self.direction == "forward" else _flip(node.pose)
         self.nodes.append(node)
         return len(self.nodes) - 1
 
@@ -212,7 +219,7 @@ class Path:
         p_list = [self.poses[0].as_array()]
         for i, curve in enumerate(self.curves):
             base = self.poses[i]
-            offs = np.asarray(local_curve_samples(curve, DENSE_DS))
+            offs = local_curve_samples(curve, DENSE_DS)
             c, sn = math.cos(base.theta), math.sin(base.theta)
             xs = base.x + c * offs[1:, 0] - sn * offs[1:, 1]
             ys = base.y + sn * offs[1:, 0] + c * offs[1:, 1]
@@ -275,16 +282,18 @@ def _flip(pose: Pose) -> Pose:
 
 def extend(tree: Tree, n_rst: int, x_rand, library: CurveLibrary, obstacles,
            footprint: FootprintSpec, config: PlannerConfig) -> int | None:
-    """Attempt one lookup-table extension of ``tree`` from node ``n_rst`` toward x_rand.
+    """Attempt one lookup-table extension of ``tree`` from node ``n_rst`` toward
+    the sample ``x_rand`` = (x, y).
 
     Returns the new node index, or None when the grid entry was already
-    visited, is absent, or the curve collides.  Backward-tree growth runs in
-    the heading-flipped frame so the stored edge stays drivable forward.
+    visited, is absent, or the curve collides.  Growth runs in the node's
+    ``base`` frame (see ``Tree``).
     """
     node = tree.nodes[n_rst]
-    base = node.pose if tree.direction == "forward" else _flip(node.pose)
-    dxw = float(x_rand[0]) - base.x
-    dyw = float(x_rand[1]) - base.y
+    base = node.base
+    x, y = x_rand
+    dxw = x - base.x
+    dyw = y - base.y
     r = math.hypot(dxw, dyw)
     if r < 1e-9:
         return None
@@ -329,26 +338,25 @@ def try_connect(tree_a: Tree, tree_b: Tree, new_idx: int, library: CurveLibrary,
                 obstacles, footprint: FootprintSpec, config: PlannerConfig) -> Path | None:
     """Try to join the freshly extended node with a nearby opposite-tree node.
 
-    Candidates are taken nearest first.  A candidate is skipped without a fit
-    when its heading differs too much, when it lies behind, or when no curve
-    shorter than ``footprint.length`` within ``kappa_max`` reaches it
+    Candidates within ``connect_radius`` are taken nearest first, ties in
+    index order.  A candidate is skipped without a fit when its heading
+    differs too much, when it lies behind, or when no curve shorter than
+    ``footprint.length`` within ``kappa_max`` reaches it
     (``reachable_within``), since a longer fit would be discarded.
     """
     new_node = tree_a.nodes[new_idx]
     p = np.array([new_node.pose.x, new_node.pose.y])
     d = np.linalg.norm(tree_b.positions - p, axis=1)
-    order = np.argsort(d, kind="stable")
-    for j in order:
-        if d[j] > config.connect_radius:
-            break
-        cand = tree_b.nodes[int(j)]
+    near = np.flatnonzero(d <= config.connect_radius)
+    for j in near[np.argsort(d[near], kind="stable")].tolist():
+        cand = tree_b.nodes[j]
         if not (config.connect_dist_min <= d[j] <= config.connect_dist_max):
             continue
         if tree_a.direction == "forward":
             f_tree, f_idx, f_node = tree_a, new_idx, new_node
-            b_tree, b_idx, b_node = tree_b, int(j), cand
+            b_tree, b_idx, b_node = tree_b, j, cand
         else:
-            f_tree, f_idx, f_node = tree_b, int(j), cand
+            f_tree, f_idx, f_node = tree_b, j, cand
             b_tree, b_idx, b_node = tree_a, new_idx, new_node
         if abs(normalize_angle(b_node.pose.theta - f_node.pose.theta)) > config.connect_heading_tol:
             continue
@@ -446,9 +454,9 @@ def plan_path(start: Pose, goal: Pose, static_obstacles, config: PlannerConfig,
         # visited (or lacks) the sample's lookup cell; without this the tree
         # stalls once the nodes around a sampling hotspot saturate.
         new_idx = None
-        for n_rst in _nearest_indices(active, x_rand, config.extend_candidates):
-            new_idx = extend(active, int(n_rst), x_rand, library, static_obstacles,
-                             footprint, config)
+        xy = x_rand.tolist()
+        for n_rst in _nearest_indices(active, x_rand, config.extend_candidates).tolist():
+            new_idx = extend(active, n_rst, xy, library, static_obstacles, footprint, config)
             if new_idx is not None:
                 break
         if new_idx is not None:

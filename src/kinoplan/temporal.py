@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .collision import (FootprintSpec, _pair_distances, footprint_circles_batch,
-                        poses_in_collision)
+from .collision import (SCREEN_SLACK, FootprintSpec, _pair_distances,
+                        footprint_circles_batch, poses_in_collision)
 from .configfile import write_lines
 from .rrt import Path
 from .tracking import track_heading
@@ -33,9 +33,6 @@ IP_STEP_TO_BOUNDARY = 0.995
 # Slack added to a node's influence radius when deciding whether an obstacle
 # has left it for good (an open-ended last interval), m.
 INFLUENCE_EXTRA = 0.5
-# Widening of the broad-phase bound of ``predicted_hits`` past floating-point
-# rounding, m.
-SCREEN_SLACK = 1e-6
 
 
 @dataclass(frozen=True)

@@ -152,8 +152,10 @@ def associate(tracks: list[ObstacleTrack], observations: list[Observation], gate
     free_o = set(range(len(observations)))
     cands = []
     for ti in free_t:
+        x, y = tracks[ti].state[:2].tolist()
         for oi in free_o:
-            d = float(np.hypot(*(tracks[ti].position - np.asarray(observations[oi].position))))
+            ox, oy = observations[oi].position
+            d = float(np.hypot(x - ox, y - oy))
             if d <= gate:
                 cands.append((d, ti, oi))
     for _, ti, oi in sorted(cands):

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kinoplan import collision
 from kinoplan.collision import (FootprintSpec, ObstacleShape, _polygon_pass, _world,
                                 circles_hit, clearance_to_obstacle, curve_in_collision,
                                 default_robot_footprint, disc_radius,
                                 footprint_circles, footprint_circles_batch,
                                 min_clearance, polygon_edges, pose_in_collision,
                                 poses_in_collision)
-from kinoplan.geometry import CurveParams, Pose
+from kinoplan.geometry import CurveParams, Pose, local_curve_samples
 
 
 def rect_corners(length, width, pose):
@@ -461,3 +462,97 @@ class TestCirclesHit:
             one = footprint_circles(spec, Pose(*pose))[None]
             hit = any(reference_hits(one, spec.radius, obs, margin)[0] for obs in obstacles)
             assert pose_in_collision(spec, Pose(*pose), obstacles, margin) == hit
+
+
+def exact_curve_hit(spec, params, base, obstacles, ds, margin):
+    """``curve_in_collision`` without its broad phase: every sampled pose
+    through ``poses_in_collision``."""
+    offsets = local_curve_samples(params, ds)
+    c, s = math.cos(base.theta), math.sin(base.theta)
+    poses = np.column_stack([base.x + c * offsets[:, 0] - s * offsets[:, 1],
+                             base.y + s * offsets[:, 0] + c * offsets[:, 1],
+                             base.theta + offsets[:, 2]])
+    return bool(np.any(poses_in_collision(spec, poses, obstacles, margin)))
+
+
+ROBOT_COVERS = (default_robot_footprint(),
+                FootprintSpec.from_dimensions(0.8, 0.8, single_circle=True))
+# Cubics with |kappa| <= 2 over [0, s_f]: k0 + k1 u + k2 u^2 + k3 u^3, u = s / s_f.
+screen_curves = st.builds(
+    lambda k0, k1, k2, k3, sf: CurveParams(k0, k1 / sf, k2 / sf**2, k3 / sf**3, sf),
+    *[st.floats(-0.5, 0.5)] * 4, st.floats(0.05, 6.0))
+
+
+def _ulps_from(x, k):
+    """x moved by k units in the last place."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return x
+
+
+class TestCurveScreen:
+    """The broad phase of ``curve_in_collision`` against the exact pass alone."""
+
+    @given(screen_curves, st.tuples(coord, coord, st.floats(-4.0, 4.0)), obstacle_sets(),
+           st.sampled_from([0.0, 0.15]), st.sampled_from(ROBOT_COVERS),
+           st.sampled_from([0.1, 0.25, 0.5]))
+    @example(CurveParams(0.0, 0.0, 0.0, 0.0, 4.0), (0.0, 0.0, 0.0), MIXED_CIRCLES, 0.15,
+             ROBOT_COVERS[0], 0.5)
+    @example(CurveParams(0.0, 0.0, 0.0, 0.0, 4.0), (0.0, 0.0, 0.0), (), 0.0, ROBOT_COVERS[0], 0.5)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_exact_pass(self, params, pose, obstacles, margin, spec, ds):
+        base = Pose(*pose)
+        assert (curve_in_collision(spec, params, base, obstacles, ds, margin)
+                == exact_curve_hit(spec, params, base, obstacles, ds, margin))
+
+    @given(st.floats(0.05, 6.0), coord, coord, st.integers(-1, 2),
+           st.sampled_from(["disk", "polygon", "footprint"]), st.floats(0.1, 3.0),
+           st.sampled_from([0.0, 0.15]), st.sampled_from(ROBOT_COVERS),
+           st.booleans(), st.integers(-4, 4))
+    @settings(max_examples=600, deadline=None)
+    def test_matches_exact_pass_at_the_screen_limit(self, s_f, x, y, quarter, kind, r, margin,
+                                                     spec, slack, ulps):
+        """A straight curve's front circle reaches s_f/2 + reach from the
+        chord midpoint, so the bound is tight.  The obstacle's nearest point
+        is put within 4 ulps of the limit, with and without the slack."""
+        params = CurveParams(0.0, 0.0, 0.0, 0.0, s_f)
+        base = Pose(x, y, quarter * math.pi / 2.0)
+        ds = 0.5 if spec.radius > 0.5 else 0.25
+        c, s = math.cos(base.theta), math.sin(base.theta)
+        ex, ey, _ = local_curve_samples(params, ds)[-1].tolist()
+        mx, my = base.x + 0.5 * (c * ex - s * ey), base.y + 0.5 * (s * ex + c * ey)
+        reach = max(map(abs, spec.center_offsets))
+        gap = 0.5 * s_f + reach + spec.radius + margin + (collision.SCREEN_SLACK if slack else 0.0)
+        gap = _ulps_from(gap, ulps)
+        if kind == "disk":
+            obstacle = ObstacleShape.disk(mx + (gap + r) * c, my + (gap + r) * s, r)
+        elif kind == "footprint":
+            car = FootprintSpec.from_dimensions(4.6, 1.9)
+            d = gap + car.radius - car.center_offsets[0]
+            obstacle = ObstacleShape.footprint_at(car, Pose(mx + d * c, my + d * s, base.theta))
+        else:
+            fx, fy = mx + gap * c, my + gap * s  # the middle of the near face
+            obstacle = ObstacleShape.polygon([(fx - 3.0 * s, fy + 3.0 * c),
+                                              (fx + 3.0 * s, fy - 3.0 * c),
+                                              (fx + 2.0 * c + 3.0 * s, fy + 2.0 * s - 3.0 * c),
+                                              (fx + 2.0 * c - 3.0 * s, fy + 2.0 * s + 3.0 * c)])
+        assert (curve_in_collision(spec, params, base, (obstacle,), ds, margin)
+                == exact_curve_hit(spec, params, base, (obstacle,), ds, margin))
+
+    def test_screen_skips_clear_curves(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return polygon_pass(*args)
+
+        polygon_pass = collision._polygon_pass
+        monkeypatch.setattr(collision, "_polygon_pass", counted)
+        spec = default_robot_footprint()
+        curve = CurveParams(0.0, 0.05, 0.0, 0.0, 4.0)  # ends near (4.0, 0.4)
+        wall = ObstacleShape.polygon([(14.5, -5.0), (16.0, -5.0), (16.0, 5.0), (14.5, 5.0)])
+        assert not curve_in_collision(spec, curve, Pose(0.0, 0.0, 0.0), (wall,), 0.5, 0.15)
+        assert not calls
+        near = ObstacleShape.polygon([(5.0, -5.0), (6.0, -5.0), (6.0, 5.0), (5.0, 5.0)])
+        assert curve_in_collision(spec, curve, Pose(0.0, 0.0, 0.0), (wall, near), 0.5, 0.15)
+        assert calls

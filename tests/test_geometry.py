@@ -5,12 +5,13 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize._numdiff import approx_derivative
 
 import kinoplan.geometry as geometry
+from kinoplan.collision import curve_in_collision, default_robot_footprint
 from kinoplan.geometry import (FIT_TOL, SIMPSON_STEP, CurveLibrary, CurveParams,
                                LibraryConfig, Pose, _offset_at, _pinv, _shoot,
                                _shot_jacobian,
@@ -116,6 +117,34 @@ class TestIntegrateEndpoint:
         assert dy == pytest.approx(ref_y, abs=1e-6)
 
 
+def reference_curve_samples(params, ds):
+    """The per-sample loop the one-pass ``local_curve_samples`` replaced: one
+    ``_offset_at`` call, on its own Simpson grid, per sampled arc length."""
+    svals = list(np.arange(0.0, params.s_f, ds))
+    if not svals or params.s_f - svals[-1] > 1e-9:
+        svals.append(params.s_f)
+    else:
+        svals[-1] = params.s_f
+    return np.array([_offset_at(params, s) for s in svals])
+
+
+# Cubics with |kappa| <= 20 over [0, s_f]: kappa(s) = k0 + k1 u + k2 u^2 + k3 u^3
+# with u = s / s_f and every |k_i| <= 5.
+unit_kappa = st.floats(-5.0, 5.0)
+sampled_cubics = st.builds(
+    lambda k0, k1, k2, k3, sf: CurveParams(k0, k1 / sf, k2 / sf**2, k3 / sf**3, sf),
+    unit_kappa, unit_kappa, unit_kappa, unit_kappa, st.floats(0.005, 6.0))
+
+
+@st.composite
+def sampled_curves_and_steps(draw):
+    """A cubic and a step of 0.05, 0.1, 0.5 or 1 m, or one longer than the curve."""
+    params = draw(sampled_cubics)
+    ds = draw(st.one_of(st.sampled_from([0.05, 0.1, 0.5, 1.0]),
+                        st.floats(1.001, 3.0).map(lambda f: f * params.s_f)))
+    return params, ds
+
+
 class TestSampleCurvePoses:
     """Curve poses: ``local_curve_samples`` offsets placed by ``Pose.transform``."""
 
@@ -133,12 +162,47 @@ class TestSampleCurvePoses:
         p = CurveParams(0.5, 0.0, 0.0, 0.0, math.pi)
         offsets = local_curve_samples(p, math.pi / 2.0)
         assert len(offsets) == 3
-        assert offsets[-1] == integrate_endpoint(p)
+        assert tuple(offsets[-1].tolist()) == integrate_endpoint(p)
+
+    @given(sampled_curves_and_steps())
+    @example((straight(4.000000000054563), 0.1))
+    @example((CurveParams(0.3, -0.1, 0.02, 0.0, 2.0 + 5e-10), 0.5))
+    @example((CurveParams(-0.2, 0.05, 0.0, 0.001, 1.0 + 1e-9), 0.05))
+    @example((CurveParams(0.1, 0.02, -0.01, 0.001, 6.0), 0.02))  # two passes
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_matches_per_sample_reference(self, curve_and_step):
+        """Every row is the per-sample ``_offset_at`` to the bit, a last step
+        within 1e-9 m of s_f (merged into the endpoint) included."""
+        params, ds = curve_and_step
+        got = local_curve_samples(params, ds)
+        want = reference_curve_samples(params, ds)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_read_only_and_cached(self):
+        p = CurveParams(0.1, -0.02, 0.003, 0.0, 3.3)
+        local_curve_samples.cache_clear()
+        first = local_curve_samples(p, 0.5)
+        assert local_curve_samples.cache_info().misses == 1
+        assert local_curve_samples(p, 0.5) is first
+        assert local_curve_samples(p, 0.5) is first
+        info = local_curve_samples.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
 
     def test_bad_ds(self):
-        """The sampler has no guard of its own: the planner config rejects a
-        step outside (0, inf), which would sample nothing but the end pose
-        (negative) or ask for an unbounded array (zero)."""
+        """A step that is not positive and finite raises ValueError in the
+        sampler and in the curve check, which would otherwise check the end
+        pose alone (negative), divide by zero or fail inside numpy (nan).
+        The planner config rejects such a ``collision_ds`` up front."""
+        spec = default_robot_footprint()
+        for ds in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="sampling step"):
+                local_curve_samples(straight(2.0), ds)
+            with pytest.raises(ValueError, match="sampling step"):
+                curve_in_collision(spec, straight(2.0), Pose(0.0, 0.0, 0.0), (), ds)
         for ds in (0.0, -0.5, math.inf, math.nan):
             with pytest.raises(ValueError, match="collision_ds"):
                 PlannerConfig(collision_ds=ds)

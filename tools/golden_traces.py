@@ -16,8 +16,11 @@ intervals, and the id, state, covariance, last update and last heading of
 every track it saw, all written with ``%.17g``; the wall-clock latency is
 left out.  So an event that changes while the trace stays the same still
 shows.  It exits 1 and names every hash that differs.  Each run's wall time
-is printed on stderr as it finishes, after the time of the library build;
-the two trees run side by side, so the times are comparable only as pairs.
+is printed on stderr as it finishes, after the time of the library build,
+next to the run's planning time: the summed latency of its initial and
+replan events, the quantity the benchmark's closed-loop ``queries_per_s`` is
+built from.  The two trees run side by side, so the times are comparable
+only as pairs.
 
 The BLAS and OpenMP pools are pinned to one thread in both subprocesses, as
 the benchmark does.  The program's own traces no longer depend on the BLAS
@@ -100,6 +103,8 @@ def compute_hashes(src: str) -> dict[str, str]:
                 t0 = time.perf_counter()
                 trace = run_scenario(get_scenario(name), seed=seed, library=library)
                 wall = time.perf_counter() - t0
+                planning = sum(ev.latency for ev in trace.events
+                               if ev.kind in ("initial", "replan"))
                 trace.to_csv(path)
                 with open(path, "rb") as fh:
                     hashes[f"{name}/{seed}/trace.csv"] = _sha1(fh.read())
@@ -107,7 +112,8 @@ def compute_hashes(src: str) -> dict[str, str]:
                 hashes[f"{name}/{seed}/clearances"] = _sha1(clear.encode())
                 events = "".join(line + "\n" for line in _event_lines(trace.events))
                 hashes[f"{name}/{seed}/events"] = _sha1(events.encode())
-                print(f"{src}: {name} seed {seed} {wall:.2f} s", file=sys.stderr, flush=True)
+                print(f"{src}: {name} seed {seed} {wall:.2f} s, planning {planning:.3f} s",
+                      file=sys.stderr, flush=True)
     return hashes
 
 
