@@ -3,22 +3,24 @@
 The rectangular vehicle footprint is covered by one circle (near-square
 footprints, l/w < 1.3) or three overlapped circles along the body axis
 (l/w >= 1.3).  Both covers contain the full rectangle, so the predicates are
-conservative.  All checks are pure functions over immutable snapshots.
+conservative.  All checks are pure functions over immutable snapshots.  They
+read a static obstacle set as a ``World``, prepared once: its obstacles
+stacked by kind, and a clearance grid whose lookups prove most verdicts
+without the exact pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .geometry import CurveParams, Pose, local_curve_samples
 
-# Widening of the broad-phase bounds (``curve_in_collision`` and
-# ``temporal.predicted_hits``) past floating-point rounding and, for curves,
-# quadrature error, m.
+# Widening of the proven bounds (``World.proven``, ``ClearanceGrid`` and the
+# broad phase of ``temporal.predicted_hits``) past floating-point rounding, m.
 SCREEN_SLACK = 1e-6
 
 
@@ -155,46 +157,9 @@ def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
-@lru_cache(maxsize=64)
-def _world(obstacles: tuple[ObstacleShape, ...]):
-    """``obstacles`` as (edges, starts, centers, radii, bounds): the
-    ``polygon_edges`` of every polygon concatenated (None without polygons)
-    with each polygon's first edge index, the (m, 2) centers and (m,) radii of
-    every disk and parked-footprint cover circle, and ``bounds``, one
-    (xmin, ymin, xmax, ymax, r) float tuple per polygon (its bounding box,
-    r = 0) and per circle (its center, r its radius) for the broad phase of
-    ``curve_in_collision``.  The only place that tells obstacle kinds apart.
-    Cached on the obstacle tuple; the shared arrays are read-only."""
-    per, centers, radii, boxes = [], [], [], []
-    for obs in obstacles:
-        if obs.kind == "polygon":
-            per.append(polygon_edges(obs.vertices))
-            xs, ys = zip(*obs.vertices)
-            boxes.append((min(xs), min(ys), max(xs), max(ys), 0.0))
-        elif obs.kind == "disk":
-            centers.append(obs.center)
-            radii.append(obs.radius)
-        elif obs.kind == "footprint":
-            cover = footprint_circles(obs.footprint, obs.pose)
-            centers.extend(cover.tolist())
-            radii.extend([obs.footprint.radius] * len(cover))
-        else:
-            raise ValueError(f"unknown obstacle kind {obs.kind!r}")
-    edges = starts = None
-    if per:
-        edges = tuple(np.concatenate(col) for col in zip(*per))
-        starts = np.cumsum([0] + [len(e[0]) for e in per[:-1]])
-    bounds = tuple(boxes) + tuple((x, y, x, y, r) for (x, y), r in zip(centers, radii))
-    centers = np.array(centers, dtype=float).reshape(-1, 2)
-    radii = np.array(radii, dtype=float)
-    for arr in (edges + (starts,) if per else ()) + (centers, radii):
-        arr.flags.writeable = False
-    return edges, starts, centers, radii, bounds
-
-
 def _polygon_pass(centers: np.ndarray, edges, starts) -> tuple[np.ndarray, np.ndarray]:
     """Boundary distance and even-odd inside test of each center (..., k, 2)
-    against each polygon of a ``_world`` edge stack; shape (..., k, P) each."""
+    against each polygon of a ``World`` edge stack; shape (..., k, P) each."""
     x1, y1, y2, abx, aby, denom = edges
     px, py = centers[..., 0, None], centers[..., 1, None]
     dx, dy = px - x1, py - y1
@@ -213,9 +178,9 @@ def _any_per_set(flags: np.ndarray) -> np.ndarray:
     return flags.reshape(lead + (flags.shape[-2] * flags.shape[-1],)).any(axis=-1)
 
 
-def _world_hits(centers: np.ndarray, radius: float, world, margin: float) -> np.ndarray:
-    """``circles_hit`` against a ``_world`` tuple."""
-    edges, starts, others, other_radii, _ = world
+def _world_hits(centers: np.ndarray, radius: float, world: World, margin: float) -> np.ndarray:
+    """The exact pass of ``circles_hit`` against a ``World``."""
+    edges, starts, others, other_radii = world.edges, world.starts, world.centers, world.radii
     hit = None
     if edges is not None:
         d, inside = _polygon_pass(centers, edges, starts)
@@ -226,11 +191,238 @@ def _world_hits(centers: np.ndarray, radius: float, world, margin: float) -> np.
     return np.zeros(centers.shape[:-2], dtype=bool) if hit is None else hit
 
 
+# Cell size of the clearance grid, m, and how far past its polygons'
+# bounding box the grid reaches, m.  Outside the grid the lower bound on the
+# clearance is GRID_PAD, which proves a circle clear of every polygon when
+# radius + margin is below it.  A polygon set whose padded box spans more
+# than GRID_MAX_CELLS cells gets no grid (about 32 MB at the limit, a
+# 256 m square): its checks all run the exact pass.
+GRID_STEP = 0.25
+GRID_PAD = 3.0
+GRID_MAX_CELLS = 1 << 20
+
+
+class ClearanceGrid:
+    """The signed clearance of a polygon set on a square grid, as bounds that
+    hold anywhere in a cell.
+
+    The signed clearance g(p) of a point is the least over the polygons of
+    its distance to the polygon's boundary, negated inside the polygon
+    (even-odd rule): the ``min_clearance`` of a circle of radius 0 at p.  A
+    distance to a boundary is 1-Lipschitz, and its sign flips only on the
+    boundary, where it is 0, so each term is 1-Lipschitz and so is their
+    minimum g.  Each cell of side ``GRID_STEP`` holds g at its
+    centre c, and every point of the cell lies within half the cell diagonal
+    hd of c, so there g(c) - hd <= g <= g(c) + hd.  ``table`` keeps those
+    two bounds per cell, each widened by ``SCREEN_SLACK`` past the rounding
+    of g(c), of the cell a point is assigned to and of the point itself.
+    The grid covers the polygons' bounding box widened by ``GRID_PAD`` on
+    every side, surrounded by one ring of cells that stands for everything
+    outside it: a point there lies at least ``GRID_PAD`` from the bounding
+    box, hence from every polygon, so its lower bound is ``GRID_PAD`` and its
+    upper bound +inf.  A polygon's clearance is evaluated only at the cells
+    within ``GRID_PAD`` of its bounding box (``_cell_span``); every point of
+    any other cell lies farther than ``GRID_PAD`` from it.  So at a cell, g
+    is at most the least value evaluated there plus hd (+inf when none was),
+    and at least that value less hd or ``GRID_PAD``, whichever is smaller.
+    Each polygon is evaluated in chunks of at most ``_BUILD_PAIRS`` (cell,
+    edge) pairs, so the build never holds more than a few hundred kB.
+    """
+
+    def __init__(self, polygons: tuple[tuple[tuple[float, float], ...], ...]):
+        (x0, nx), (y0, ny) = _grid_axes(polygons)
+        value = np.full((nx, ny), math.inf)
+        for verts in polygons:
+            vx, vy = zip(*verts)
+            i0, i1 = _cell_span(min(vx), max(vx), x0, nx)
+            j0, j1 = _cell_span(min(vy), max(vy), y0, ny)
+            gx, gy = np.meshgrid(x0 + (np.arange(i0, i1) + 0.5) * GRID_STEP,
+                                 y0 + (np.arange(j0, j1) + 0.5) * GRID_STEP, indexing="ij")
+            cells = np.stack([gx.ravel(), gy.ravel()], axis=-1)[:, None, :]
+            signed = np.empty(len(cells))
+            edges, chunk = polygon_edges(verts), max(1, _BUILD_PAIRS // len(verts))
+            for a in range(0, len(cells), chunk):
+                d, inside = _polygon_pass(cells[a:a + chunk], edges, _ONE_POLYGON)
+                signed[a:a + chunk] = np.where(inside, -d, d)[:, 0, 0]
+            block = value[i0:i1, j0:j1]
+            np.minimum(block, signed.reshape(block.shape), out=block)
+        widen = 0.5 * math.sqrt(2.0) * GRID_STEP + SCREEN_SLACK
+        table = np.empty((nx + 2, ny + 2, 2))
+        table[..., 0] = GRID_PAD - SCREEN_SLACK
+        table[..., 1] = math.inf
+        np.minimum(value - widen, GRID_PAD - SCREEN_SLACK, out=table[1:-1, 1:-1, 0])
+        table[1:-1, 1:-1, 1] = value + widen
+        self.table = table.reshape(-1, 2)
+        self.table.flags.writeable = False
+        # Cell (i, j) of the table, ring included, spans x0 + (i - 1) h to
+        # x0 + i h; a point's i is its offset from x0 - h in cells, truncated
+        # and clipped to the ring.
+        self._origin = np.array([x0 - GRID_STEP, y0 - GRID_STEP])
+        self._shape = (nx + 2, ny + 2)
+
+    def bounds(self, points: np.ndarray) -> np.ndarray:
+        """(lower, upper) bounds on the signed clearance of each point (..., 2),
+        shape (..., 2)."""
+        q = ((points - self._origin) * (1.0 / GRID_STEP)).astype(np.intp)
+        cells = np.ravel_multi_index((q[..., 0], q[..., 1]), self._shape, mode="clip")
+        return self.table.take(cells, axis=0)
+
+
+# Most (cell, edge) pairs one chunk of a ``ClearanceGrid`` build evaluates.
+_BUILD_PAIRS = 1 << 14
+_ONE_POLYGON = np.zeros(1, dtype=np.intp)  # the ``starts`` of a one-polygon edge stack
+
+
+def _grid_axes(polygons) -> tuple[tuple[float, int], tuple[float, int]]:
+    """(origin, cell count) of the grid along x and along y: the polygons'
+    bounding box widened by ``GRID_PAD``."""
+    xs, ys = zip(*(xy for verts in polygons for xy in verts))
+    origins = min(xs) - GRID_PAD, min(ys) - GRID_PAD
+    return tuple((o, math.ceil((max(v) + GRID_PAD - o) / GRID_STEP))
+                 for o, v in zip(origins, (xs, ys)))
+
+
+def _cell_span(lo: float, hi: float, origin: float, n: int) -> tuple[int, int]:
+    """The range [i0, i1) of the n grid cells along one axis, cell 0 starting
+    at ``origin``, that reach within ``GRID_PAD`` of [lo, hi], a cell wider on
+    each side: every point of a cell outside it lies more than ``GRID_PAD`` +
+    ``GRID_STEP`` from [lo, hi]."""
+    return (max(int((lo - GRID_PAD - origin) / GRID_STEP) - 1, 0),
+            min(int((hi + GRID_PAD - origin) / GRID_STEP) + 2, n))
+
+
+@lru_cache(maxsize=16)
+def _clearance_grid(polygons: tuple[tuple[tuple[float, float], ...], ...]) -> ClearanceGrid | None:
+    """The ``ClearanceGrid`` of a polygon set, or None when it would span
+    more than ``GRID_MAX_CELLS`` cells.  Cached on the vertex tuples, so
+    every ``World`` that shares the polygons (a static map with different
+    frozen-track blockers) shares one grid."""
+    (_, nx), (_, ny) = _grid_axes(polygons)
+    return ClearanceGrid(polygons) if nx * ny <= GRID_MAX_CELLS else None
+
+
+class World:
+    """A static obstacle set prepared for collision queries.
+
+    ``edges`` holds the ``polygon_edges`` of every polygon concatenated (None
+    without polygons) and ``starts`` each polygon's first edge index;
+    ``centers`` (m, 2) and ``radii`` (m,) the disks and the cover circles of
+    parked footprints; ``grid`` the polygons' ``ClearanceGrid``, built on
+    first use (None without polygons or when they spread too far apart).
+    The only place that tells obstacle kinds apart; the arrays are read-only.
+    Build one with ``as_world``.
+    """
+
+    def __init__(self, obstacles: tuple[ObstacleShape, ...]):
+        per, centers, radii, polygons = [], [], [], []
+        for obs in obstacles:
+            if obs.kind == "polygon":
+                per.append(polygon_edges(obs.vertices))
+                polygons.append(obs.vertices)
+            elif obs.kind == "disk":
+                centers.append(obs.center)
+                radii.append(obs.radius)
+            elif obs.kind == "footprint":
+                cover = footprint_circles(obs.footprint, obs.pose)
+                centers.extend(cover.tolist())
+                radii.extend([obs.footprint.radius] * len(cover))
+            else:
+                raise ValueError(f"unknown obstacle kind {obs.kind!r}")
+        self.edges = self.starts = None
+        if per:
+            self.edges = tuple(np.concatenate(col) for col in zip(*per))
+            self.starts = np.cumsum([0] + [len(e[0]) for e in per[:-1]])
+        self.centers = np.array(centers, dtype=float).reshape(-1, 2)
+        self.radii = np.array(radii, dtype=float)
+        for arr in (self.edges + (self.starts,) if per else ()) + (self.centers, self.radii):
+            arr.flags.writeable = False
+        self._polygons = tuple(polygons)
+
+    @cached_property
+    def grid(self) -> ClearanceGrid | None:
+        return _clearance_grid(self._polygons) if self._polygons else None
+
+    def proven(self, centers: np.ndarray, radius: float,
+               margin: float) -> tuple[np.ndarray, np.ndarray]:
+        """(hit, free) per circle set (..., k, 2): where ``hit`` is set the
+        exact pass (``_world_hits``) is proven to report a hit, where ``free``
+        is set it is proven to report none, and where neither is, the set is
+        undecided.
+
+        With thr = radius + margin, the exact pass hits a polygon exactly
+        when some center p has g(p) <= thr (``ClearanceGrid``; a center inside
+        a polygon has g(p) <= 0 < thr), and hits circle j when |p - c_j| <=
+        thr + R_j.  So a set is proven to hit when a center's upper grid bound
+        is below thr, or its distance to some circle is more than
+        ``SCREEN_SLACK`` below thr + R_j; it is proven free when every
+        center's lower grid bound is above thr and every distance is more
+        than ``SCREEN_SLACK`` above thr + R_j.  The slack covers the rounding
+        of the distances and of the sums, and centers that differ from the
+        exact pass's by rounding alone (``CurveLibrary.swept_covers`` placed
+        at a base), so the verdicts hold for those too.
+        """
+        thr = radius + margin
+        hit = free = None
+        if self.grid is not None:
+            low = self.grid.bounds(centers).min(axis=-2)  # least (lower, upper) per set
+            hit, free = low[..., 1] < thr, low[..., 0] > thr
+        elif self._polygons:  # no grid: nothing is proven free of the polygons
+            hit = np.zeros(centers.shape[:-2], dtype=bool)
+            free = hit.copy()
+        if len(self.radii):
+            gap = np.min(_pair_distances(centers, self.centers) - (thr + self.radii),
+                         axis=(-2, -1))
+            near, clear = gap < -SCREEN_SLACK, gap > SCREEN_SLACK
+            hit, free = (near, clear) if hit is None else (hit | near, free & clear)
+        if hit is None:
+            lead = centers.shape[:-2]
+            return np.zeros(lead, dtype=bool), np.ones(lead, dtype=bool)
+        return hit, free
+
+    def hits(self, centers: np.ndarray, radius: float, margin: float) -> np.ndarray:
+        """``_world_hits`` to the bit: the ``proven`` verdicts, and the exact
+        pass on the sets they leave undecided."""
+        sets = centers.reshape((-1,) + centers.shape[-2:])
+        hit, free = self.proven(sets, radius, margin)
+        open_ = ~(hit | free)
+        if open_.any():
+            hit[open_] = _world_hits(sets[open_], radius, self, margin)
+        return hit.reshape(centers.shape[:-2])
+
+    def sweep_hits(self, cover: np.ndarray, base: Pose, radius: float,
+                   margin: float) -> bool | None:
+        """Whether the circles ``cover`` (n, 2), given in the frame of ``base``,
+        touch an obstacle once placed there (``place_at``): True or False
+        where ``proven`` decides, None where it leaves the set undecided."""
+        hit, free = self.proven(place_at(cover, base), radius, margin)
+        return True if hit else False if free else None
+
+
+def place_at(points: np.ndarray, base: Pose) -> np.ndarray:
+    """Points (n, 2) given in the frame of ``base``, in the world frame."""
+    c, s = math.cos(base.theta), math.sin(base.theta)
+    return points @ np.array([[c, s], [-s, c]]) + (base.x, base.y)
+
+
+@lru_cache(maxsize=64)
+def _world(obstacles: tuple[ObstacleShape, ...]) -> World:
+    """The ``World`` of an obstacle tuple, cached on it."""
+    return World(obstacles)
+
+
+def as_world(obstacles) -> World:
+    """``obstacles`` itself when it is a ``World``, else the cached ``World``
+    of its obstacle sequence.  Resolve a world once and pass it to every
+    check: each lookup of a sequence hashes all its obstacles."""
+    return obstacles if isinstance(obstacles, World) else _world(tuple(obstacles))
+
+
 def circles_hit(centers: np.ndarray, radius: float, obstacles, margin: float = 0.0) -> np.ndarray:
     """Whether each circle set (..., k, 2) of ``radius`` touches any obstacle;
     shape (...).  A circle hits a polygon it is centered in or within
-    ``radius + margin`` of, and a circle R_j within ``radius + R_j + margin``."""
-    return _world_hits(centers, radius, _world(tuple(obstacles)), margin)
+    ``radius + margin`` of, and a circle R_j within ``radius + R_j + margin``.
+    ``obstacles`` is a ``World`` or a sequence of obstacles (``as_world``)."""
+    return as_world(obstacles).hits(centers, radius, margin)
 
 
 def circles_hit_obstacle(centers: np.ndarray, radius: float, obstacle: ObstacleShape,
@@ -247,17 +439,19 @@ def circle_gaps(centers: np.ndarray, radius: float, others: np.ndarray,
     return np.min(_pair_distances(centers, others), axis=(-2, -1)) - radius - other_radius
 
 
-def min_clearance(centers: np.ndarray, radius: float, obstacles: tuple[ObstacleShape, ...]):
+def min_clearance(centers: np.ndarray, radius: float, obstacles):
     """Least gap between any circle and any obstacle (negative when overlapping).
 
     ``centers`` has shape (..., k, 2): one (k, 2) set gives a float, stacked
     sets an array over the leading axes (each entry the bits of its own set's
-    float); an empty tuple gives math.inf.  A polygon's gap is the boundary
-    distance, negated inside, minus ``radius``; a circle's is
-    ``(d - radius) - R_j``.  Since fl(x - r) is monotone in x, the minimum over
-    polygons of (min d - r) is (min d) - r.
+    float); no obstacles give math.inf.  ``obstacles`` is a ``World`` or a
+    sequence of obstacles.  A polygon's gap is the boundary distance, negated
+    inside, minus ``radius``; a circle's is ``(d - radius) - R_j``.  Since
+    fl(x - r) is monotone in x, the minimum over polygons of (min d - r) is
+    (min d) - r.
     """
-    edges, starts, others, other_radii, _ = _world(tuple(obstacles))
+    world = as_world(obstacles)
+    edges, starts, others, other_radii = world.edges, world.starts, world.centers, world.radii
     clear = np.full(centers.shape[:-2], math.inf)
     if edges is not None:
         d, inside = _polygon_pass(centers, edges, starts)
@@ -285,57 +479,23 @@ def poses_in_collision(spec: FootprintSpec, poses: np.ndarray, obstacles,
     return circles_hit(centers, spec.radius, obstacles, margin)
 
 
-def _clear_of_all(x: float, y: float, reach: float, bounds) -> bool:
-    """Whether (x, y) lies farther than ``reach`` from every ``_world`` bound:
-    from each bounding box, and from the rim of each circle."""
-    for xmin, ymin, xmax, ymax, r in bounds:
-        if math.hypot(max(xmin - x, x - xmax, 0.0), max(ymin - y, y - ymax, 0.0)) - r <= reach:
-            return False
-    return True
-
-
 def curve_in_collision(spec: FootprintSpec, params: CurveParams, base: Pose, obstacles,
                        ds: float, margin: float = 0.0) -> bool:
     """True iff any pose sampled along the curve collides with the obstacle set.
 
     The poses are ``local_curve_samples(params, ds)`` placed at ``base``; each
-    is tested with ``circles_hit`` at ``margin``.  ``ds`` may not exceed the
-    cover radius, so the circles of consecutive samples overlap.
-
-    Broad phase: a point P at arc length s of a curve of length s_f from A to
-    B has |P - A| <= s and |P - B| <= s_f - s, so it lies within s_f/2 of the
-    chord midpoint M, and every cover center lies within the cover's reach
-    (its largest |offset|) of its pose.  A circle touches a polygon only when
-    its center is within ``radius + margin`` of the polygon, hence of its
-    bounding box, and a circle R_j only when its center is within ``radius +
-    R_j + margin`` of that circle's center.  So when M, placed at ``base``
-    with the curve's last sample, is farther than s_f/2 + reach + radius +
-    margin from every polygon's bounding box and from the rim of every disk
-    and parked-footprint circle, no sample can hit and the exact pass is
-    skipped.  ``SCREEN_SLACK`` widens that bound past the rounding of M and
-    of the distances (a few ulps of the coordinates) and past the Simpson
-    error of the samples.  The sampled positions are positive-weight sums, so
-    |P - A| <= s holds for them as well, but |P - B| <= s_f - s holds only up
-    to twice the quadrature error: per coordinate at most s_f h^4/180 times
-    max |d^4 u/ds^4|, with h <= ``geometry.SIMPSON_STEP`` and u the unit
-    tangent, which is below 3e-9 m on the default library's curves.  A
-    curve that passes the screen goes through the unchanged exact pass, so
-    every answer has the bits it has without the screen.
+    is tested with ``circles_hit`` at ``margin``, so only the poses that
+    ``World.proven`` leaves undecided run the exact pass (``_world_hits``).
+    ``obstacles`` is a ``World`` or a sequence of obstacles.  ``ds`` may not
+    exceed the cover radius, so the circles of consecutive samples overlap.
     """
     if ds > spec.radius:
         raise ValueError("ds must not exceed the footprint circle radius")
     offsets = local_curve_samples(params, ds)
-    world = _world(tuple(obstacles))
     c, s = math.cos(base.theta), math.sin(base.theta)
-    ex, ey, _ = offsets[-1].tolist()
-    reach = max(map(abs, spec.center_offsets))
-    if _clear_of_all(base.x + 0.5 * (c * ex - s * ey), base.y + 0.5 * (s * ex + c * ey),
-                     0.5 * params.s_f + reach + spec.radius + margin + SCREEN_SLACK,
-                     world[-1]):
-        return False
     poses = np.empty_like(offsets)
     poses[:, 0] = base.x + c * offsets[:, 0] - s * offsets[:, 1]
     poses[:, 1] = base.y + s * offsets[:, 0] + c * offsets[:, 1]
     poses[:, 2] = base.theta + offsets[:, 2]
     centers = footprint_circles_batch(spec, poses)
-    return bool(_world_hits(centers, spec.radius, world, margin).any())
+    return bool(as_world(obstacles).hits(centers, spec.radius, margin).any())

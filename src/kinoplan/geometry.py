@@ -548,6 +548,7 @@ class CurveLibrary:
         self.entries = entries
         self._r_axis = _grid_axis(config.r_min, config.r_max, config.n_r)
         self._b_axis = _grid_axis(config.beta_min, config.beta_max, config.n_beta)
+        self._swept: dict[tuple, dict[tuple[int, int], np.ndarray]] = {}
 
     def cell_index(self, r: float, beta: float) -> tuple[int, int]:
         """Clamp (r, beta) into range and return the nearest grid cell index.
@@ -571,6 +572,39 @@ class CurveLibrary:
 
     def lookup(self, r: float, beta: float) -> CurveEntry | None:
         return self.entries.get(self.cell_index(r, beta))
+
+    def swept_covers(self, ds: float,
+                     offsets: tuple[float, ...]) -> dict[tuple[int, int], np.ndarray]:
+        """Per cell, the circle centers of a footprint cover swept along its
+        entry's curve, in the entry's start frame: a read-only (n k, 2) array.
+
+        A cover has its k circles at ``offsets`` along a pose's heading; the
+        sweep places it at every row (dx, dy, dtheta) of
+        ``local_curve_samples(params, ds)``, at (dx + cos(dtheta) o, dy +
+        sin(dtheta) o).  The rows are that function's own, computed without
+        its cache, so a sweep rotated by c = cos(theta), s = sin(theta) and
+        shifted to a base (x, y, theta) is, in exact arithmetic, the cover
+        ``collision.curve_in_collision`` builds there: cos(theta + dtheta) = c
+        cos(dtheta) - s sin(dtheta), and likewise for the sine.  The two
+        differ only by rounding, a few ulps of the largest coordinate
+        involved (below 1e-9 m while coordinates stay under 1e5 m).  Built
+        for every entry on the first call per (ds, offsets) and kept with the
+        library.
+        """
+        key = (ds, offsets)
+        if key not in self._swept:
+            row = np.asarray(offsets, dtype=float)
+            sweeps = {}
+            for cell, entry in self.entries.items():
+                poses = local_curve_samples.__wrapped__(entry.params, ds)
+                cover = np.empty((len(poses), len(row), 2))
+                cover[..., 0] = poses[:, 0:1] + np.cos(poses[:, 2:3]) * row
+                cover[..., 1] = poses[:, 1:2] + np.sin(poses[:, 2:3]) * row
+                cover = cover.reshape(-1, 2)
+                cover.flags.writeable = False
+                sweeps[cell] = cover
+            self._swept[key] = sweeps
+        return self._swept[key]
 
     def save_csv(self, path) -> None:
         lines = [

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .collision import FootprintSpec, curve_in_collision, pose_in_collision
+from .collision import FootprintSpec, as_world, curve_in_collision, pose_in_collision
 from .configfile import load_config, write_lines
 from .geometry import (
     CurveLibrary,
@@ -73,6 +73,22 @@ class PlannerConfig:
             raise ValueError(f"goal_bias must be in [0, 1], got {self.goal_bias}")
         if self.connect_radius <= 0.0:
             raise ValueError(f"connect_radius must be positive, got {self.connect_radius}")
+        # random_sample's ellipse has semi-major axis max(eccentricity c,
+        # c + ellipse_margin) for half the start-goal distance c; below c its
+        # minor axis is the square root of a negative number.
+        if self.eccentricity < 1.0 and self.ellipse_margin < 0.0:
+            raise ValueError(f"eccentricity must be at least 1 when ellipse_margin is "
+                             f"negative, got {self.eccentricity} and {self.ellipse_margin}")
+        # Outside these a connection can never be made, and every plan spends
+        # its whole iteration budget.
+        if not 0.0 <= self.connect_dist_min <= self.connect_dist_max:
+            raise ValueError(f"connect_dist_min must be in [0, connect_dist_max = "
+                             f"{self.connect_dist_max}], got {self.connect_dist_min}")
+        if self.connect_heading_tol < 0.0:
+            raise ValueError(f"connect_heading_tol must be non-negative, "
+                             f"got {self.connect_heading_tol}")
+        if self.gmm_sigma < 0.0:
+            raise ValueError(f"gmm_sigma must be non-negative, got {self.gmm_sigma}")
         if self.world_bounds is not None and len(self.world_bounds) != 4:
             raise ValueError(f"world_bounds needs 4 values (xmin ymin xmax ymax), "
                              f"got {len(self.world_bounds)}")
@@ -287,7 +303,11 @@ def extend(tree: Tree, n_rst: int, x_rand, library: CurveLibrary, obstacles,
 
     Returns the new node index, or None when the grid entry was already
     visited, is absent, or the curve collides.  Growth runs in the node's
-    ``base`` frame (see ``Tree``).
+    ``base`` frame (see ``Tree``).  The entry's swept cover
+    (``CurveLibrary.swept_covers``) placed at ``base`` decides the collision
+    check where ``World.sweep_hits`` proves a verdict; only an undecided
+    one runs ``curve_in_collision``.  ``obstacles`` is a ``World`` or a
+    sequence of obstacles.
     """
     node = tree.nodes[n_rst]
     base = node.base
@@ -305,8 +325,13 @@ def extend(tree: Tree, n_rst: int, x_rand, library: CurveLibrary, obstacles,
     entry = library.entries.get(cell)
     if entry is None:
         return None
-    if curve_in_collision(footprint, entry.params, base, obstacles, config.collision_ds,
-                          config.static_margin):
+    world = as_world(obstacles)
+    cover = library.swept_covers(config.collision_ds, footprint.center_offsets)[cell]
+    hit = world.sweep_hits(cover, base, footprint.radius, config.static_margin)
+    if hit is None:
+        hit = curve_in_collision(footprint, entry.params, base, world, config.collision_ds,
+                                 config.static_margin)
+    if hit:
         return None
     if tree.direction == "forward":
         pose = base.transform(entry.dx, entry.dy, entry.dtheta)
@@ -335,18 +360,18 @@ def _chain_path(t_f: Tree, f_idx: int, t_b: Tree, b_idx: int,
 
 
 def try_connect(tree_a: Tree, tree_b: Tree, new_idx: int, library: CurveLibrary,
-                obstacles, footprint: FootprintSpec, config: PlannerConfig) -> Path | None:
+                obstacles, footprint: FootprintSpec, config: PlannerConfig,
+                d: np.ndarray) -> Path | None:
     """Try to join the freshly extended node with a nearby opposite-tree node.
 
     Candidates within ``connect_radius`` are taken nearest first, ties in
-    index order.  A candidate is skipped without a fit when its heading
-    differs too much, when it lies behind, or when no curve shorter than
-    ``footprint.length`` within ``kappa_max`` reaches it
+    index order; ``d`` holds every ``tree_b`` node's distance to the new
+    node (``_node_distances``).  A candidate is skipped without a fit when
+    its heading differs too much, when it lies behind, or when no curve
+    shorter than ``footprint.length`` within ``kappa_max`` reaches it
     (``reachable_within``), since a longer fit would be discarded.
     """
     new_node = tree_a.nodes[new_idx]
-    p = np.array([new_node.pose.x, new_node.pose.y])
-    d = np.linalg.norm(tree_b.positions - p, axis=1)
     near = np.flatnonzero(d <= config.connect_radius)
     for j in near[np.argsort(d[near], kind="stable")].tolist():
         cand = tree_b.nodes[j]
@@ -378,17 +403,26 @@ def try_connect(tree_a: Tree, tree_b: Tree, new_idx: int, library: CurveLibrary,
     return None
 
 
+def _node_distances(tree_a: Tree, new_idx: int, tree_b: Tree) -> np.ndarray:
+    """Distance from node ``new_idx`` of ``tree_a`` to every node of ``tree_b``."""
+    return np.linalg.norm(tree_b.positions - tree_a.positions[new_idx], axis=1)
+
+
 class _NearestPair:
-    """Incrementally maintained closest node pair between the two trees."""
+    """Incrementally maintained closest node pair between the two trees, and
+    the bridging path through it (``_bridge_nodes``), built when first asked
+    for after the pair changes."""
 
     def __init__(self):
         self.dist = math.inf
         self.f_idx = 0
         self.b_idx = 0
+        self._bridge: list[tuple[float, float]] | None = None
 
-    def update_new_node(self, tree_a: Tree, new_idx: int, tree_b: Tree) -> None:
-        p = tree_a.positions[new_idx]
-        d = np.linalg.norm(tree_b.positions - p, axis=1)
+    def update_new_node(self, tree_a: Tree, new_idx: int, tree_b: Tree,
+                        d: np.ndarray) -> None:
+        """Take the new node into account; ``d`` is ``_node_distances(tree_a,
+        new_idx, tree_b)``."""
         j = int(np.argmin(d))
         if d[j] < self.dist:
             self.dist = float(d[j])
@@ -396,6 +430,12 @@ class _NearestPair:
                 self.f_idx, self.b_idx = new_idx, j
             else:
                 self.f_idx, self.b_idx = j, new_idx
+            self._bridge = None
+
+    def bridge(self, t_f: Tree, t_b: Tree) -> list[tuple[float, float]]:
+        if self._bridge is None:
+            self._bridge = _bridge_nodes(t_f, t_b, self)
+        return self._bridge
 
 
 def _bridge_nodes(t_f: Tree, t_b: Tree, pair: _NearestPair) -> list[tuple[float, float]]:
@@ -416,7 +456,7 @@ def sample(t_f: Tree, t_b: Tree, pair: _NearestPair, start: Pose, goal: Pose,
     """One Alg.-2 draw: GMM near connection, informed-ellipse sample otherwise."""
     p = rng.random()
     if pair.dist < config.d_th and p < config.p_th:
-        return gmm_sample(_bridge_nodes(t_f, t_b, pair), config, rng)
+        return gmm_sample(pair.bridge(t_f, t_b), config, rng)
     if config.goal_bias > 0.0 and rng.random() < config.goal_bias:
         return np.array([target_root.x, target_root.y])
     return random_sample(start, goal, config.eccentricity, rng,
@@ -434,18 +474,23 @@ def plan_path(start: Pose, goal: Pose, static_obstacles, config: PlannerConfig,
               library: CurveLibrary, footprint: FootprintSpec) -> PlanResult | None:
     """Run the bi-RRT loop; deterministic for a fixed config.rng_seed.
 
-    Raises ValueError when start or goal is already in collision; returns None
-    when the iteration budget is exhausted without a connection.
+    ``static_obstacles`` is a ``World`` or a sequence of obstacles; it is
+    resolved to its ``World`` once, and every check of the plan uses that.
+    Raises ValueError when ``config.collision_ds`` is too coarse for
+    ``footprint`` or start or goal is already in collision; returns None when
+    the iteration budget is exhausted without a connection.
     """
-    if pose_in_collision(footprint, start, static_obstacles):
+    config.check_footprint(footprint)
+    world = as_world(static_obstacles)
+    if pose_in_collision(footprint, start, world):
         raise ValueError("start pose is in collision")
-    if pose_in_collision(footprint, goal, static_obstacles):
+    if pose_in_collision(footprint, goal, world):
         raise ValueError("goal pose is in collision")
     rng = np.random.default_rng(config.rng_seed)
     t_f = Tree(start, "forward")
     t_b = Tree(goal, "backward")
     pair = _NearestPair()
-    pair.update_new_node(t_f, 0, t_b)
+    pair.update_new_node(t_f, 0, t_b, _node_distances(t_f, 0, t_b))
     active, other = t_f, t_b
     for it in range(config.max_iterations):
         target_root = other.nodes[0].pose
@@ -456,13 +501,13 @@ def plan_path(start: Pose, goal: Pose, static_obstacles, config: PlannerConfig,
         new_idx = None
         xy = x_rand.tolist()
         for n_rst in _nearest_indices(active, x_rand, config.extend_candidates).tolist():
-            new_idx = extend(active, n_rst, xy, library, static_obstacles, footprint, config)
+            new_idx = extend(active, n_rst, xy, library, world, footprint, config)
             if new_idx is not None:
                 break
         if new_idx is not None:
-            pair.update_new_node(active, new_idx, other)
-            path = try_connect(active, other, new_idx, library, static_obstacles,
-                               footprint, config)
+            d = _node_distances(active, new_idx, other)
+            pair.update_new_node(active, new_idx, other, d)
+            path = try_connect(active, other, new_idx, library, world, footprint, config, d)
             if path is not None:
                 return PlanResult(path, it + 1, len(t_f) + len(t_b))
         active, other = other, active

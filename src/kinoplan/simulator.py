@@ -25,8 +25,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .collision import (FootprintSpec, ObstacleShape, circle_gaps, footprint_circles,
-                        footprint_circles_batch, footprint_circles_each, min_clearance)
+from .collision import (FootprintSpec, ObstacleShape, as_world, circle_gaps,
+                        footprint_circles, footprint_circles_batch, footprint_circles_each,
+                        min_clearance)
 from .configfile import at_line, read_lines, write_lines
 from .geometry import CurveLibrary, Pose, build_curve_library, normalize_angle
 from .rrt import Path, PlannerConfig, plan_path
@@ -213,6 +214,7 @@ class _Runner:
                  library: CurveLibrary | None, ground_truth_tracks: bool,
                  replan_timeout: float):
         self.sc = scenario
+        self.world = as_world(scenario.static_obstacles)  # for the timing layer's checks
         self.pcfg = planner_config or PlannerConfig()
         self.pcfg.check_footprint(scenario.robot)
         self.lib = library if library is not None else build_curve_library()
@@ -259,13 +261,12 @@ class _Runner:
     def _time_path(self, path: Path, t_now: float):
         """SIs + selection + SQP + independent validation; None when unsafe."""
         tracks = self.store.snapshot()
-        nis = compute_safe_intervals(path, tracks, self.sc.static_obstacles,
-                                     self.tcfg, self.sc.robot, t0=t_now)
+        nis = compute_safe_intervals(path, tracks, self.world, self.tcfg, self.sc.robot,
+                                     t0=t_now)
         seq = select_interval_sequence(nis, self.tcfg, np.diff(path.arc_lengths))
         traj = optimize_timestamps(path, seq, self.tcfg) if seq else None
         if traj is not None and not validate_trajectory(
-                traj, tracks, self.sc.static_obstacles, self.sc.sim_dt,
-                self.sc.robot, t0=t_now):
+                traj, tracks, self.world, self.sc.sim_dt, self.sc.robot, t0=t_now):
             traj = None
         return traj, nis
 

@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .collision import (SCREEN_SLACK, FootprintSpec, _pair_distances,
-                        footprint_circles_batch, poses_in_collision)
+from .collision import (SCREEN_SLACK, FootprintSpec, _pair_distances, circles_hit,
+                        footprint_circles_batch)
 from .configfile import write_lines
 from .rrt import Path
 from .tracking import track_heading
@@ -232,24 +232,27 @@ def compute_safe_intervals(path: Path, tracks, static_obstacles, config: Tempora
 
     Times are relative to ``t0`` (the moment the trajectory would start); the
     last interval is open-ended when the node is free at the horizon and every
-    tracked obstacle has left its influence disk by then.
+    tracked obstacle has left its influence disk by then.  ``static_obstacles``
+    is a ``collision.World`` or a sequence of obstacles.
     """
     times = np.arange(0.0, config.horizon + config.si_dt / 2.0, config.si_dt)
     margin = _effective_margin(path, config)
     poses = np.array([[p.x, p.y, p.theta] for p in path.poses])
     n = len(poses)
+    robot_circles = footprint_circles_batch(footprint, poses)  # (n, k, 2)
     # No margin against statics: the geometric planner already cleared the
     # whole curve against them, so inflation would only erase narrow passages.
-    static_hit = poses_in_collision(footprint, poses, static_obstacles)
-    robot_circles = footprint_circles_batch(footprint, poses)  # (n, k, 2)
+    static_hit = circles_hit(robot_circles, footprint.radius, static_obstacles)
     obstacle_circles = _predicted_obstacle_circles(tracks, times, t0)
     hit = predicted_hits(robot_circles[:, None], footprint, obstacle_circles, margin)
     free = np.broadcast_to(~static_hit[:, None] & ~hit, (n, len(times)))
     result = [NodeIntervals(i, []) for i in range(n)]
+    node_centers = robot_circles.mean(axis=1)  # (n, 2)
+    last_centers = [cover.centers[-1].mean(axis=0) for cover in obstacle_circles]
     for i, first, last in zip(*free_runs(free)):
         start = times[first]
-        if last == len(times) - 1 and _open_horizon(i, robot_circles, footprint,
-                                                    obstacle_circles, config, margin):
+        if last == len(times) - 1 and _open_horizon(node_centers[i], footprint, obstacle_circles,
+                                                    last_centers, margin):
             end = math.inf
         else:
             end = times[last]
@@ -258,13 +261,14 @@ def compute_safe_intervals(path: Path, tracks, static_obstacles, config: Tempora
     return result
 
 
-def _open_horizon(i: int, robot_circles, footprint, obstacle_circles, config,
+def _open_horizon(node_center: np.ndarray, footprint, obstacle_circles, last_centers,
                   margin: float) -> bool:
-    """Whether node i stays free past the horizon: every obstacle has exited
-    the node's influence disk by the last sample and is not closing in."""
-    node_center = robot_circles[i].mean(axis=0)
-    for cover in obstacle_circles:
-        last = cover.centers[-1].mean(axis=0)  # (2,)
+    """Whether a node stays free past the horizon: every obstacle has exited
+    the node's influence disk by the last sample and is not closing in.
+    ``node_center`` is the mean of the node's cover centers and
+    ``last_centers`` the mean of each obstacle cover's centers at the last
+    sample."""
+    for cover, last in zip(obstacle_circles, last_centers):
         influence = footprint.radius + cover.radius + margin + INFLUENCE_EXTRA
         away = last - node_center
         dist = float(np.linalg.norm(away))
@@ -695,12 +699,13 @@ def validate_trajectory(traj: Trajectory, tracks, static_obstacles, dt: float,
     """Independent dense-time safety oracle for an optimized trajectory.
 
     Interpolates the robot pose every ``dt`` seconds (linear in arc length
-    between node timestamps) and checks it against predicted obstacle poses.
+    between node timestamps) and checks it against the static obstacles (a
+    ``collision.World`` or a sequence of them) and predicted obstacle poses.
     """
     times = np.arange(0.0, traj.duration + dt / 2.0, dt)
     poses = traj.poses_at(times)
-    if np.any(poses_in_collision(footprint, poses, static_obstacles, 0.0)):
-        return False
     robot_circles = footprint_circles_batch(footprint, poses)  # (T, k, 2)
+    if np.any(circles_hit(robot_circles, footprint.radius, static_obstacles, 0.0)):
+        return False
     obstacle_circles = _predicted_obstacle_circles(tracks, times, t0)
     return not np.any(predicted_hits(robot_circles, footprint, obstacle_circles, 0.0))

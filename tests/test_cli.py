@@ -137,6 +137,21 @@ class TestPlan:
         assert f"planner.cfg: {line.split()[0]} must be" in err
         assert "Traceback" not in err
 
+    def test_config_that_fails_every_plan(self, tmp_path, library_csv, capsys):
+        """An ellipse with no minor axis used to make every plan raise inside
+        the sampler, which the runner counted as a failed plan: 60 s of
+        simulated time, exit 3 and no message."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("eccentricity = 0.5\nellipse_margin = -20\n")
+        out = tmp_path / "o"
+        code = cli.main(["simulate", "--scenario", "cross", "--config", str(cfg),
+                         "--library", str(library_csv), "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "bad.cfg: eccentricity must be at least 1 when ellipse_margin is negative" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["plan", "--scenario", "cross"],
                                          ["simulate", "--scenario", "cross"]])
     def test_collision_ds_beyond_cover_radius(self, tmp_path, library_csv, capsys, command):

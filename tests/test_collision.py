@@ -7,14 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kinoplan import collision
+from kinoplan import collision, rrt
 from kinoplan.collision import (FootprintSpec, ObstacleShape, _polygon_pass, _world,
                                 circles_hit, clearance_to_obstacle, curve_in_collision,
                                 default_robot_footprint, disc_radius,
                                 footprint_circles, footprint_circles_batch,
                                 min_clearance, polygon_edges, pose_in_collision,
                                 poses_in_collision)
-from kinoplan.geometry import CurveParams, Pose, local_curve_samples
+from kinoplan.geometry import (CurveEntry, CurveLibrary, CurveParams, LibraryConfig, Pose,
+                               local_curve_samples)
 
 
 def rect_corners(length, width, pose):
@@ -464,15 +465,30 @@ class TestCirclesHit:
             assert pose_in_collision(spec, Pose(*pose), obstacles, margin) == hit
 
 
-def exact_curve_hit(spec, params, base, obstacles, ds, margin):
-    """``curve_in_collision`` without its broad phase: every sampled pose
-    through ``poses_in_collision``."""
+def curve_centers(spec, params, base, ds):
+    """The (n, k, 2) cover centers ``curve_in_collision`` tests: the
+    ``local_curve_samples`` poses placed at ``base``."""
     offsets = local_curve_samples(params, ds)
     c, s = math.cos(base.theta), math.sin(base.theta)
     poses = np.column_stack([base.x + c * offsets[:, 0] - s * offsets[:, 1],
                              base.y + s * offsets[:, 0] + c * offsets[:, 1],
                              base.theta + offsets[:, 2]])
-    return bool(np.any(poses_in_collision(spec, poses, obstacles, margin)))
+    return footprint_circles_batch(spec, poses)
+
+
+def exact_hits(centers, radius, obstacles, margin):
+    """Per circle set, the OR of the per-kind references over the obstacles."""
+    want = np.zeros(centers.shape[:-2], dtype=bool)
+    for obs in obstacles:
+        want |= reference_hits(centers, radius, obs, margin)
+    return want
+
+
+def exact_curve_hit(spec, params, base, obstacles, ds, margin):
+    """``curve_in_collision`` without ``World.proven``: every sampled pose
+    through the per-kind references."""
+    return bool(exact_hits(curve_centers(spec, params, base, ds), spec.radius, obstacles,
+                           margin).any())
 
 
 ROBOT_COVERS = (default_robot_footprint(),
@@ -491,7 +507,7 @@ def _ulps_from(x, k):
 
 
 class TestCurveScreen:
-    """The broad phase of ``curve_in_collision`` against the exact pass alone."""
+    """``curve_in_collision`` against the exact pass alone."""
 
     @given(screen_curves, st.tuples(coord, coord, st.floats(-4.0, 4.0)), obstacle_sets(),
            st.sampled_from([0.0, 0.15]), st.sampled_from(ROBOT_COVERS),
@@ -513,8 +529,10 @@ class TestCurveScreen:
     def test_matches_exact_pass_at_the_screen_limit(self, s_f, x, y, quarter, kind, r, margin,
                                                      spec, slack, ulps):
         """A straight curve's front circle reaches s_f/2 + reach from the
-        chord midpoint, so the bound is tight.  The obstacle's nearest point
-        is put within 4 ulps of the limit, with and without the slack."""
+        chord midpoint.  The obstacle's nearest point is put within 4 ulps of
+        that plus radius + margin, with and without ``SCREEN_SLACK``, so the
+        front circle's gap lies within ulps of the hit threshold, where
+        ``World.proven`` must leave the check to the exact pass."""
         params = CurveParams(0.0, 0.0, 0.0, 0.0, s_f)
         base = Pose(x, y, quarter * math.pi / 2.0)
         ds = 0.5 if spec.radius > 0.5 else 0.25
@@ -536,23 +554,248 @@ class TestCurveScreen:
                                               (fx + 3.0 * s, fy - 3.0 * c),
                                               (fx + 2.0 * c + 3.0 * s, fy + 2.0 * s - 3.0 * c),
                                               (fx + 2.0 * c - 3.0 * s, fy + 2.0 * s + 3.0 * c)])
-        assert (curve_in_collision(spec, params, base, (obstacle,), ds, margin)
-                == exact_curve_hit(spec, params, base, (obstacle,), ds, margin))
+        want = exact_curve_hit(spec, params, base, (obstacle,), ds, margin)
+        assert curve_in_collision(spec, params, base, (obstacle,), ds, margin) == want
+        sweep = collision.as_world((obstacle,)).sweep_hits(
+            one_entry_sweep(params, ds, spec.center_offsets), base, spec.radius, margin)
+        assert sweep is None or sweep == want
 
-    def test_screen_skips_clear_curves(self, monkeypatch):
+
+def one_entry_sweep(params, ds, offsets):
+    """The swept cover of ``params`` as a library holding only it builds it."""
+    entry = CurveEntry(r=1.0, beta=0.0, params=params, dx=0.0, dy=0.0, dtheta=0.0)
+    return CurveLibrary(LibraryConfig(), {(0, 0): entry}).swept_covers(ds, offsets)[(0, 0)]
+
+
+# A tiny polygon that puts the clearance grid's corner at ANCHOR - GRID_PAD
+# in both axes whenever every other polygon lies above ANCHOR, so a test can
+# place points on known cell corners.
+ANCHOR = -30.0
+ANCHOR_POLYGON = ObstacleShape.polygon([(ANCHOR, ANCHOR), (ANCHOR + 0.5, ANCHOR),
+                                        (ANCHOR, ANCHOR + 0.5)])
+HALF_DIAGONAL = 0.5 * math.sqrt(2.0) * collision.GRID_STEP
+# Signed offsets from the hit threshold around which the verdicts turn:
+# the slack, the half-diagonal and both, and a few within them.
+BOUND_OFFSETS = tuple(sign * d for sign in (-1.0, 1.0) for d in (
+    0.0, collision.SCREEN_SLACK, HALF_DIAGONAL, HALF_DIAGONAL + collision.SCREEN_SLACK,
+    2.0 * HALF_DIAGONAL, 2.0 * HALF_DIAGONAL + collision.SCREEN_SLACK, 0.05, 0.3))
+
+
+class TestWorldVerdicts:
+    """``World.proven`` never contradicts the exact pass, and a decided check
+    never runs it."""
+
+    @given(st.one_of(screen_curves, st.integers(0, 10**6)), st.tuples(coord, coord,
+                                                                     st.floats(-4.0, 4.0)),
+           obstacle_sets(), st.lists(st.builds(ObstacleShape.disk, coord, coord,
+                                               st.floats(2.0, 3.0)), max_size=3),
+           st.sampled_from([0.0, 0.15]), st.sampled_from(ROBOT_COVERS),
+           st.sampled_from([0.25, 0.5]))
+    @settings(max_examples=400, deadline=None)
+    def test_never_contradicts_the_exact_pass(self, library, curve, pose, obstacles, blockers,
+                                              margin, spec, ds):
+        """Random non-convex polygons, disks, parked footprints and blockers
+        (disks as wide as a frozen car); library entries and random cubics."""
+        if isinstance(curve, int):
+            curve = list(library.entries.values())[curve % len(library.entries)].params
+        ds = min(ds, spec.radius)
+        base = Pose(*pose)
+        world = collision.as_world(obstacles + tuple(blockers))
+        centers = curve_centers(spec, curve, base, ds)
+        want = exact_hits(centers, spec.radius, obstacles + tuple(blockers), margin)
+        hit, free = world.proven(centers, spec.radius, margin)
+        assert not np.any(hit & ~want) and not np.any(free & want)
+        sweep = world.sweep_hits(one_entry_sweep(curve, ds, spec.center_offsets), base,
+                                 spec.radius, margin)
+        assert sweep is None or sweep == want.any()
+        assert curve_in_collision(spec, curve, base, world, ds, margin) == want.any()
+
+    @given(st.integers(0, 80), st.integers(0, 80), st.sampled_from([-1, 1]),
+           st.sampled_from([-1, 1]), st.booleans(), st.sampled_from(["polygon", "disk"]),
+           st.floats(0.1, 3.0), st.sampled_from([0.0, 0.15]), st.sampled_from(ROBOT_COVERS),
+           st.sampled_from(BOUND_OFFSETS), st.integers(-4, 4))
+    @example(0, 0, 1, 1, True, "polygon", 1.0, 0.15, ROBOT_COVERS[0], 0.0, 1)
+    @example(0, 0, 1, 1, False, "polygon", 1.0, 0.15, ROBOT_COVERS[0], 0.0, -1)
+    @settings(max_examples=1500, deadline=None)
+    def test_circles_at_the_bound(self, i, j, sx, sy, beyond, kind, r, margin, spec, offset,
+                                  ulps):
+        """One circle on a cell corner, its obstacle's nearest point at
+        radius + margin + ``offset`` (moved by a few ulps) from it.  A polygon
+        face lies across the corner's diagonal, on the far side of the cell
+        centre (``beyond``) or on the near side: there the clearance at the
+        corner differs from the centre's by the whole half-diagonal, so each
+        bound of ``ClearanceGrid`` is met to the ulp."""
+        # Corners 15-35 m past the grid's, so every vertex stays above ANCHOR.
+        corner = ANCHOR - collision.GRID_PAD + 60.0 * collision.GRID_STEP
+        p = np.array([corner + i * collision.GRID_STEP, corner + j * collision.GRID_STEP])
+        # (1, 1) points at the centre of the cell p falls in, the cell it is
+        # the lower-left corner of; the other signs at its neighbours'.
+        u = np.array([sx, sy]) / math.sqrt(2.0)
+        if kind == "disk":
+            dist = _ulps_from(spec.radius + r + margin + offset, ulps)
+            if dist <= 0.0:
+                return
+            obstacle = ObstacleShape.disk(*(p + dist * u), r)
+        else:
+            dist = _ulps_from(spec.radius + margin + offset, ulps)
+            n = u if beyond else -u
+            t = np.array([-n[1], n[0]])
+            face = p + dist * n
+            obstacle = ObstacleShape.polygon([face + 4.0 * t, face - 4.0 * t,
+                                              face - 4.0 * t + 2.0 * n, face + 4.0 * t + 2.0 * n])
+        obstacles = (ANCHOR_POLYGON, obstacle)
+        world = collision.as_world(obstacles)
+        centers = p[None, None, :]
+        want = exact_hits(centers, spec.radius, obstacles, margin)
+        hit, free = world.proven(centers, spec.radius, margin)
+        assert not np.any(hit & ~want) and not np.any(free & want)
+
+    @given(screen_curves, st.tuples(coord, coord, st.floats(-4.0, 4.0)), st.floats(0.1, 3.0),
+           st.sampled_from([0.0, 0.15]), st.sampled_from(ROBOT_COVERS),
+           st.sampled_from([0.0, collision.SCREEN_SLACK, -collision.SCREEN_SLACK]),
+           st.integers(-8, 8))
+    @settings(max_examples=600, deadline=None)
+    def test_swept_circles_at_the_bound(self, params, pose, r, margin, spec, offset, ulps):
+        """A disk ahead of the front circle of a curve's last pose, its rim at
+        radius + margin + ``offset`` (moved by a few ulps) from that circle as
+        the exact pass places it; the swept cover, placed by a rotation, sits
+        a few ulps away."""
+        ds = min(0.5, spec.radius)
+        base = Pose(*pose)
+        centers = curve_centers(spec, params, base, ds)
+        heading = base.theta + local_curve_samples(params, ds)[-1, 2]
+        front = centers[-1, int(np.argmax(spec.center_offsets))]
+        dist = _ulps_from(spec.radius + r + margin + offset, ulps)
+        disk = ObstacleShape.disk(front[0] + dist * math.cos(heading),
+                                  front[1] + dist * math.sin(heading), r)
+        want = exact_curve_hit(spec, params, base, (disk,), ds, margin)
+        sweep = collision.as_world((disk,)).sweep_hits(
+            one_entry_sweep(params, ds, spec.center_offsets), base, spec.radius, margin)
+        assert sweep is None or sweep == want
+
+    def test_grid_bounds_hold_everywhere(self):
+        """Lower and upper cell bounds bracket the signed clearance at random
+        points inside, near and far outside the grid."""
+        rng = np.random.default_rng(1)
+        polygons = (ObstacleShape.polygon([(0.0, 0.0), (4.0, 0.0), (4.0, 3.0), (2.0, 1.0),
+                                           (0.0, 3.0)]),
+                    ObstacleShape.polygon([(6.0, -2.0), (9.0, -2.0), (7.5, 4.0)]))
+        world = collision.as_world(polygons)
+        for scale in (1.0, 6.0, 100.0):
+            pts = rng.uniform(-scale, scale, size=(4000, 2)) + (4.0, 1.0)
+            low, high = world.grid.bounds(pts)[:, 0], world.grid.bounds(pts)[:, 1]
+            g = min_clearance(pts[:, None, :], 0.0, polygons)
+            assert np.all(low <= g) and np.all(g <= high)
+
+    def test_far_apart_polygons_get_no_grid(self, library, monkeypatch):
+        """Two walls 10 km apart would need a grid of 1.6e9 cells: the world
+        keeps none, its checks run the exact pass, and a plan there is the
+        plan against the near wall alone."""
+        near = ObstacleShape.polygon([(6.0, -1.5), (7.0, -1.5), (7.0, 1.5), (6.0, 1.5)])
+        far = ObstacleShape.polygon([(1e4, 1e4), (1e4 + 1.0, 1e4), (1e4 + 1.0, 1e4 + 1.0)])
+        with monkeypatch.context() as m:
+            m.setattr(collision, "ClearanceGrid", None)  # fail, not allocate 12 GB
+            world = collision.as_world((near, far))
+            assert world.grid is None
+        centers = np.random.default_rng(4).uniform(-3.0, 10.0, size=(500, 3, 2))
+        want = exact_hits(centers, 1.0, (near, far), 0.15)
+        assert want.any() and not want.all()
+        assert np.array_equal(collision.circles_hit(centers, 1.0, world, 0.15), want)
+        spec, cfg = default_robot_footprint(), rrt.PlannerConfig(
+            rng_seed=2, world_bounds=(-10.0, -10.0, 25.0, 15.0))
+        plans = [rrt.plan_path(Pose(0.0, 0.0, 0.0), Pose(18.0, 0.0, 0.0), obstacles, cfg,
+                               library, spec) for obstacles in (world, (near,))]
+        assert plans[0] is not None and plans[0].path.poses == plans[1].path.poses
+        _, dense = plans[0].path.dense_samples()
+        assert not collision.poses_in_collision(spec, dense, world).any()
+
+    def test_decided_checks_skip_the_exact_pass(self, monkeypatch):
         calls = []
+        exact = collision._world_hits
 
         def counted(*args):
             calls.append(args)
-            return polygon_pass(*args)
+            return exact(*args)
 
-        polygon_pass = collision._polygon_pass
-        monkeypatch.setattr(collision, "_polygon_pass", counted)
+        monkeypatch.setattr(collision, "_world_hits", counted)
         spec = default_robot_footprint()
-        curve = CurveParams(0.0, 0.05, 0.0, 0.0, 4.0)  # ends near (4.0, 0.4)
+        curve = CurveParams(0.0, 0.0, 0.0, 0.0, 4.0)
         wall = ObstacleShape.polygon([(14.5, -5.0), (16.0, -5.0), (16.0, 5.0), (14.5, 5.0)])
-        assert not curve_in_collision(spec, curve, Pose(0.0, 0.0, 0.0), (wall,), 0.5, 0.15)
-        assert not calls
         near = ObstacleShape.polygon([(5.0, -5.0), (6.0, -5.0), (6.0, 5.0), (5.0, 5.0)])
+        around = ObstacleShape.polygon([(-5.0, -5.0), (10.0, -5.0), (10.0, 5.0), (-5.0, 5.0)])
+        disk = ObstacleShape.disk(2.0, 6.0, 1.0)
+        assert not curve_in_collision(spec, curve, Pose(0.0, 0.0, 0.0), (wall, disk), 0.5, 0.15)
+        assert curve_in_collision(spec, curve, Pose(0.0, 0.0, 0.0), (wall, around), 0.5, 0.15)
+        assert not calls
+        # Crossing ``near``, only the poses whose circles come within a
+        # half-diagonal of its faces are undecided.
         assert curve_in_collision(spec, curve, Pose(0.0, 0.0, 0.0), (wall, near), 0.5, 0.15)
+        assert 0 < len(calls[0][0]) < len(local_curve_samples(curve, 0.5))
+        calls.clear()
+        # The front circle's rim lies on the face of ``ahead``, within any cell's
+        # half-diagonal of the hit threshold.
+        face = 4.0 + max(spec.center_offsets) + spec.radius + 0.15
+        ahead = ObstacleShape.polygon([(face, -5.0), (face + 1.0, -5.0), (face + 1.0, 5.0),
+                                       (face, 5.0)])
+        assert curve_in_collision(spec, curve, Pose(0.0, 0.0, 0.0), (ahead,), 0.5, 0.15)
         assert calls
+
+    def test_decided_extension_skips_the_curve_check(self, monkeypatch, library):
+        exact_calls, curve_checks = [], []
+        exact, curve_check = collision._world_hits, rrt.curve_in_collision
+        monkeypatch.setattr(collision, "_world_hits",
+                            lambda *a: exact_calls.append(a) or exact(*a))
+        monkeypatch.setattr(rrt, "curve_in_collision",
+                            lambda *a: curve_checks.append(a) or curve_check(*a))
+        spec, cfg = default_robot_footprint(), rrt.PlannerConfig()
+        target = np.array([4.0, 0.0])
+        far = ObstacleShape.polygon([(14.5, -5.0), (16.0, -5.0), (16.0, 5.0), (14.5, 5.0)])
+        assert rrt.extend(rrt.Tree(Pose(0.0, 0.0, 0.0), "forward"), 0, target, library,
+                          (far,), spec, cfg) is not None
+        assert not exact_calls and not curve_checks
+        entry = library.lookup(4.0, 0.0)
+        ex = entry.dx + max(spec.center_offsets) * math.cos(entry.dtheta)
+        face = ex + spec.radius + cfg.static_margin
+        ahead = ObstacleShape.polygon([(face, -5.0), (face + 1.0, -5.0), (face + 1.0, 5.0),
+                                       (face, 5.0)])
+        rrt.extend(rrt.Tree(Pose(0.0, 0.0, 0.0), "forward"), 0, target, library, (ahead,),
+                   spec, cfg)
+        assert exact_calls and curve_checks
+
+
+class TestSweptCovers:
+    """``CurveLibrary.swept_covers`` placed at a base against the centers the
+    exact pass builds there: within the stated 1e-9 m while coordinates stay
+    under 1e5 m."""
+
+    @staticmethod
+    def assert_within_bound(spec, params, cover, ds, bases):
+        for base in bases:
+            want = curve_centers(spec, params, base, ds).reshape(-1, 2)
+            assert np.max(np.abs(collision.place_at(cover, base) - want)) <= 1e-9
+
+    @pytest.mark.parametrize("spec", ROBOT_COVERS)
+    @pytest.mark.parametrize("ds", [0.25, 0.5])
+    def test_every_default_entry(self, library, spec, ds):
+        rng = np.random.default_rng(2)
+        covers = library.swept_covers(ds, spec.center_offsets)
+        assert covers.keys() == library.entries.keys()
+        for cell, cover in covers.items():
+            bases = [Pose(*rng.uniform(-scale, scale, 2), rng.uniform(-4.0, 4.0))
+                     for scale in (10.0, 1e3, 9e4)]
+            self.assert_within_bound(spec, library.entries[cell].params, cover, ds, bases)
+
+    @given(screen_curves, st.tuples(st.floats(-9e4, 9e4), st.floats(-9e4, 9e4),
+                                    st.floats(-4.0, 4.0)),
+           st.sampled_from(ROBOT_COVERS), st.sampled_from([0.1, 0.25, 0.5]))
+    @settings(max_examples=300, deadline=None)
+    def test_random_cubics(self, params, pose, spec, ds):
+        cover = one_entry_sweep(params, ds, spec.center_offsets)
+        self.assert_within_bound(spec, params, cover, ds, [Pose(*pose)])
+
+    def test_built_once_per_step_and_cover(self, library):
+        offsets = default_robot_footprint().center_offsets
+        first = library.swept_covers(0.5, offsets)
+        assert library.swept_covers(0.5, offsets) is first
+        cover = next(iter(first.values()))
+        assert not cover.flags.writeable

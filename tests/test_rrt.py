@@ -8,6 +8,7 @@ import pytest
 
 from kinoplan.collision import ObstacleShape, default_robot_footprint
 from kinoplan.geometry import CurveParams, Pose, normalize_angle
+from kinoplan import rrt
 from kinoplan.rrt import (Path, PlannerConfig, Tree, TreeNode, extend,
                           gmm_sample, plan_path, random_sample)
 
@@ -99,6 +100,28 @@ class TestExtend:
 
 
 class TestPlanPath:
+    def test_bridge_rebuilt_only_when_the_pair_changes(self, library, monkeypatch):
+        """GMM draws reuse the bridging path until the nearest pair moves."""
+        builds, draws = [], []
+        bridge_nodes, gmm = rrt._bridge_nodes, rrt.gmm_sample
+
+        def counted(t_f, t_b, pair):
+            builds.append((pair.f_idx, pair.b_idx))
+            return bridge_nodes(t_f, t_b, pair)
+
+        def checked(nodes, config, rng):
+            draws.append(nodes)
+            return gmm(nodes, config, rng)
+
+        monkeypatch.setattr(rrt, "_bridge_nodes", counted)
+        monkeypatch.setattr(rrt, "gmm_sample", checked)
+        obs = [ObstacleShape.disk(6.0, 0.0, 1.5), ObstacleShape.disk(12.0, 3.0, 1.5)]
+        cfg = PlannerConfig(rng_seed=2, world_bounds=(-10.0, -10.0, 25.0, 15.0))
+        assert plan_path(Pose(0.0, 0.0, 0.0), Pose(18.0, 0.0, 0.0), obs, cfg, library,
+                         FOOTPRINT) is not None
+        assert len(draws) > len(builds) > 0
+        assert len(builds) == len(set(builds))
+
     def test_empty_world_length_bound(self, library):
         lengths = []
         for seed in range(50):
@@ -210,6 +233,30 @@ class TestPlannerConfig:
             with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
                 PlannerConfig(**bad)
         PlannerConfig(static_margin=0.0, goal_bias=1.0, extend_candidates=1)
+
+    @pytest.mark.parametrize("bad", [
+        {"eccentricity": 0.5, "ellipse_margin": -20.0},
+        {"eccentricity": 0.999, "ellipse_margin": -1e-9},
+        {"connect_dist_min": -0.1},
+        {"connect_dist_min": 4.6, "connect_dist_max": 4.5},
+        {"connect_dist_min": -2.0, "connect_dist_max": -1.0},
+        {"connect_heading_tol": -0.1},
+        {"gmm_sigma": -1.0},
+    ])
+    def test_rejects_values_that_fail_every_plan(self, bad):
+        """Values that make ``random_sample`` raise or every connection
+        impossible; each is named in the message."""
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
+            PlannerConfig(**bad)
+
+    def test_accepts_the_edges_of_those_ranges(self):
+        PlannerConfig(eccentricity=0.5, ellipse_margin=0.0)
+        PlannerConfig(eccentricity=1.0, ellipse_margin=-20.0)
+        PlannerConfig(connect_dist_min=0.0, connect_heading_tol=0.0, gmm_sigma=0.0)
+        PlannerConfig(connect_dist_min=4.5, connect_dist_max=4.5)
+        rng = np.random.default_rng(0)
+        for ecc, margin in ((0.5, 0.0), (1.0, -20.0)):
+            random_sample(Pose(0.0, 0.0, 0.0), Pose(10.0, 0.0, 0.0), ecc, rng, margin)
 
     def test_file_roundtrip(self, tmp_path):
         cfg = PlannerConfig(p_th=0.25, max_iterations=1234,

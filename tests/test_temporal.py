@@ -181,14 +181,36 @@ def reference_safe_intervals(path, tracks, config, footprint, t0):
         free &= ~np.any(d <= footprint.radius + cover.radius + margin, axis=(1, 3))
     result = [[] for _ in poses]
     for i, first, last in naive_runs(free):
-        if last == len(times) - 1 and _open_horizon(i, robot_circles, footprint,
-                                                    obstacle_circles, config, margin):
+        # The per-node means that compute_safe_intervals takes once per call.
+        last_centers = [cover.centers[-1].mean(axis=0) for cover in obstacle_circles]
+        if last == len(times) - 1 and _open_horizon(robot_circles[i].mean(axis=0), footprint,
+                                                    obstacle_circles, last_centers, margin):
             end = math.inf
         else:
             end = times[last]
         if end > times[first]:
             result[i].append((float(times[first]), float(end)))
     return result
+
+
+def assert_matches_reference(spec, rng):
+    """``compute_safe_intervals`` for a robot of cover ``spec`` equals
+    ``reference_safe_intervals`` on 30 random cases, some open-ended."""
+    open_ended = 0
+    for case in range(30):
+        n = int(rng.integers(2, 15))
+        path = straight_path(n, float(rng.uniform(0.5, 2.5)))
+        tracks = [cv_track(*rng.uniform([-20.0, -15.0, -2.0, -2.0], [30.0, 15.0, 2.0, 2.0]),
+                           footprint=CAR if k % 2 else ROBOT, t0=float(rng.uniform(0, 3)))
+                  for k in range(int(rng.integers(0, 4)))]
+        cfg = TemporalConfig(horizon=float(rng.uniform(5.0, 30.0)))
+        t0 = float(rng.uniform(0.0, 5.0))
+        nis = compute_safe_intervals(path, tracks, [], cfg, spec, t0=t0)
+        got = [[(si.start, si.end) for si in ni.intervals] for ni in nis]
+        assert got == reference_safe_intervals(path, tracks, cfg, spec, t0), case
+        open_ended += tracks != [] and any(ni.intervals and ni.intervals[-1].end == math.inf
+                                           for ni in nis)
+    assert open_ended
 
 
 class TestVectorizedKernels:
@@ -203,18 +225,14 @@ class TestVectorizedKernels:
     def test_safe_intervals_match_reference(self):
         """Bit-identical to the per-obstacle norm and per-sample scan on
         random crossing, following and parked cars, some open-ended."""
-        rng = np.random.default_rng(7)
-        for case in range(30):
-            n = int(rng.integers(2, 15))
-            path = straight_path(n, float(rng.uniform(0.5, 2.5)))
-            tracks = [cv_track(*rng.uniform([-20.0, -15.0, -2.0, -2.0], [30.0, 15.0, 2.0, 2.0]),
-                               footprint=CAR if k % 2 else ROBOT, t0=float(rng.uniform(0, 3)))
-                      for k in range(int(rng.integers(0, 4)))]
-            cfg = TemporalConfig(horizon=float(rng.uniform(5.0, 30.0)))
-            t0 = float(rng.uniform(0.0, 5.0))
-            nis = compute_safe_intervals(path, tracks, [], cfg, ROBOT, t0=t0)
-            got = [[(si.start, si.end) for si in ni.intervals] for ni in nis]
-            assert got == reference_safe_intervals(path, tracks, cfg, ROBOT, t0), case
+        assert_matches_reference(ROBOT, np.random.default_rng(7))
+
+    @pytest.mark.parametrize("spec", [FootprintSpec.from_dimensions(0.6, 0.6, True), CAR])
+    def test_safe_intervals_match_reference_per_cover(self, spec):
+        """The same for a one-circle robot and another three-circle one:
+        the node and cover-end means taken once per call have the bits of
+        the reference's per-node means."""
+        assert_matches_reference(spec, np.random.default_rng(8))
 
     @pytest.mark.parametrize("clearance", [0.0, 0.3])
     def test_predicted_hits_per_sample_matches_norm(self, clearance):
