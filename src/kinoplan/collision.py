@@ -6,7 +6,8 @@ footprints, l/w < 1.3) or three overlapped circles along the body axis
 conservative.  All checks are pure functions over immutable snapshots.  They
 read a static obstacle set as a ``World``, prepared once: its obstacles
 stacked by kind, and a clearance grid whose lookups prove most verdicts
-without the exact pass.
+without the exact pass.  ``_cover`` is the one formula for a cover's circles,
+whether at one pose, along a curve (``swept_covers``) or along a prediction.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geometry import CurveParams, Pose, local_curve_samples
+from .geometry import CurveLibrary, CurveParams, Pose, local_curve_samples
 
 # Widening of the proven bounds (``World.proven``, ``ClearanceGrid`` and the
 # broad phase of ``temporal.predicted_hits``) past floating-point rounding, m.
@@ -53,6 +54,16 @@ class FootprintSpec:
                 radius = math.sqrt(length**2 + width**2) / 2.0
             return cls(length, width, "one-circle", radius, (0.0,))
         return cls(length, width, "three-circle", radius, (-length / 3.0, 0.0, length / 3.0))
+
+    @cached_property
+    def anchor(self) -> int:
+        """The circle nearest the pose (offset 0 in every built-in cover)."""
+        return min(range(len(self.center_offsets)), key=lambda i: abs(self.center_offsets[i]))
+
+    @cached_property
+    def reach(self) -> float:
+        """The farthest any center of the cover lies from the anchor's."""
+        return max(abs(o - self.center_offsets[self.anchor]) for o in self.center_offsets)
 
 
 def default_robot_footprint() -> FootprintSpec:
@@ -358,8 +369,8 @@ class World:
         center's lower grid bound is above thr and every distance is more
         than ``SCREEN_SLACK`` above thr + R_j.  The slack covers the rounding
         of the distances and of the sums, and centers that differ from the
-        exact pass's by rounding alone (``CurveLibrary.swept_covers`` placed
-        at a base), so the verdicts hold for those too.
+        exact pass's by rounding alone (``swept_covers`` placed at a base),
+        so the verdicts hold for those too.
         """
         thr = radius + margin
         hit = free = None
@@ -392,16 +403,10 @@ class World:
     def sweep_hits(self, cover: np.ndarray, base: Pose, radius: float,
                    margin: float) -> bool | None:
         """Whether the circles ``cover`` (n, 2), given in the frame of ``base``,
-        touch an obstacle once placed there (``place_at``): True or False
+        touch an obstacle once placed there (``Pose.place``): True or False
         where ``proven`` decides, None where it leaves the set undecided."""
-        hit, free = self.proven(place_at(cover, base), radius, margin)
+        hit, free = self.proven(base.place(cover), radius, margin)
         return True if hit else False if free else None
-
-
-def place_at(points: np.ndarray, base: Pose) -> np.ndarray:
-    """Points (n, 2) given in the frame of ``base``, in the world frame."""
-    c, s = math.cos(base.theta), math.sin(base.theta)
-    return points @ np.array([[c, s], [-s, c]]) + (base.x, base.y)
 
 
 @lru_cache(maxsize=64)
@@ -472,13 +477,6 @@ def pose_in_collision(spec: FootprintSpec, pose: Pose, obstacles, margin: float 
     return bool(circles_hit(footprint_circles(spec, pose), spec.radius, obstacles, margin))
 
 
-def poses_in_collision(spec: FootprintSpec, poses: np.ndarray, obstacles,
-                       margin: float = 0.0) -> np.ndarray:
-    """Vectorized pose_in_collision for an (N, 3) pose array; returns (N,) bools."""
-    centers = footprint_circles_batch(spec, np.asarray(poses, dtype=float))
-    return circles_hit(centers, spec.radius, obstacles, margin)
-
-
 def curve_in_collision(spec: FootprintSpec, params: CurveParams, base: Pose, obstacles,
                        ds: float, margin: float = 0.0) -> bool:
     """True iff any pose sampled along the curve collides with the obstacle set.
@@ -491,11 +489,30 @@ def curve_in_collision(spec: FootprintSpec, params: CurveParams, base: Pose, obs
     """
     if ds > spec.radius:
         raise ValueError("ds must not exceed the footprint circle radius")
-    offsets = local_curve_samples(params, ds)
-    c, s = math.cos(base.theta), math.sin(base.theta)
-    poses = np.empty_like(offsets)
-    poses[:, 0] = base.x + c * offsets[:, 0] - s * offsets[:, 1]
-    poses[:, 1] = base.y + s * offsets[:, 0] + c * offsets[:, 1]
-    poses[:, 2] = base.theta + offsets[:, 2]
-    centers = footprint_circles_batch(spec, poses)
+    centers = footprint_circles_batch(spec, base.place(local_curve_samples(params, ds)))
     return bool(as_world(obstacles).hits(centers, spec.radius, margin).any())
+
+
+@lru_cache(maxsize=8)
+def swept_covers(library: CurveLibrary, spec: FootprintSpec,
+                 ds: float) -> dict[tuple[int, int], np.ndarray]:
+    """Per library cell, the cover of ``spec`` swept along its entry's curve,
+    in the entry's start frame: a read-only (n k, 2) array, built for every
+    entry on the first call and cached.
+
+    The sweep is the cover at every row of ``local_curve_samples(params,
+    ds)``, read without that function's cache.  Placed at a base
+    (``Pose.place``), it is, in exact arithmetic, the cover
+    ``curve_in_collision`` builds there, as cos(theta + dtheta) = cos(theta)
+    cos(dtheta) - sin(theta) sin(dtheta), and likewise for the sine.  The
+    two differ by rounding alone, a few ulps of the largest coordinate
+    involved (below 1e-9 m while coordinates stay under 1e5 m).
+    """
+    sweeps = {}
+    for cell, entry in library.entries.items():
+        rows = local_curve_samples.__wrapped__(entry.params, ds)
+        cover = _cover(spec, rows[:, 0:1], rows[:, 1:2], np.cos(rows[:, 2:3]),
+                       np.sin(rows[:, 2:3])).reshape(-1, 2)
+        cover.flags.writeable = False
+        sweeps[cell] = cover
+    return sweeps

@@ -61,16 +61,21 @@ def load_config(cls, path):
     """Build the dataclass ``cls`` from the ``key = value`` lines of ``path``.
 
     ``#`` starts a comment.  Each value is cast by its field's type
-    (``cast``).  A line without one ``=``, an unknown key or a value that
-    does not cast raises ValueError naming ``file:line``; a value the
-    dataclass itself rejects raises ValueError naming the file.
+    (``cast``).  A line without one ``=``, an unknown key, a key already set
+    on an earlier line or a value that does not cast raises ValueError naming
+    ``file:line``; a value the dataclass itself rejects raises ValueError
+    naming the file.
     """
     readers = {name: partial(cast, tp) for name, tp in typing.get_type_hints(cls).items()}
-    kwargs = {}
+    kwargs, lines = {}, {}
     for lineno, fields in read_lines(path, sep="="):
         with at_line(path, lineno):
             if len(fields) != 2:
                 raise ValueError("expected 'key = value'")
-            kwargs[fields[0]] = parse_field(readers, fields[0], fields[1].split())
+            key = fields[0]
+            if key in lines:
+                raise ValueError(f"{key} already set on line {lines[key]}")
+            kwargs[key] = parse_field(readers, key, fields[1].split())
+            lines[key] = lineno
     with at_line(path):
         return cls(**kwargs)

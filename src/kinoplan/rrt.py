@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .collision import FootprintSpec, as_world, curve_in_collision, pose_in_collision
+from .collision import (FootprintSpec, as_world, curve_in_collision, pose_in_collision,
+                        swept_covers)
 from .configfile import load_config, write_lines
 from .geometry import (
     CurveLibrary,
@@ -25,7 +26,6 @@ from .geometry import (
     Pose,
     curvature_at,
     fit_curve,
-    integrate_endpoint,
     local_curve_samples,
     normalize_angle,
     reachable_within,
@@ -89,9 +89,14 @@ class PlannerConfig:
                              f"got {self.connect_heading_tol}")
         if self.gmm_sigma < 0.0:
             raise ValueError(f"gmm_sigma must be non-negative, got {self.gmm_sigma}")
-        if self.world_bounds is not None and len(self.world_bounds) != 4:
-            raise ValueError(f"world_bounds needs 4 values (xmin ymin xmax ymax), "
-                             f"got {len(self.world_bounds)}")
+        if self.world_bounds is not None:
+            if len(self.world_bounds) != 4:
+                raise ValueError(f"world_bounds needs 4 values (xmin ymin xmax ymax), "
+                                 f"got {len(self.world_bounds)}")
+            xmin, ymin, xmax, ymax = self.world_bounds
+            if not (xmin < xmax and ymin < ymax):
+                raise ValueError(f"world_bounds must have xmin < xmax and ymin < ymax, "
+                                 f"got {self.world_bounds}")
 
     def check_footprint(self, footprint: FootprintSpec) -> None:
         """Raise ValueError unless curve samples ``collision_ds`` apart are
@@ -114,7 +119,6 @@ class TreeNode:
     end_kappa: float
     parent: int | None
     incoming_curve: CurveParams | None
-    cost_from_root: float
     visited_entries: set = field(default_factory=set)
     base: Pose | None = None  # the frame extensions grow in; set by ``Tree.add``
 
@@ -132,7 +136,7 @@ class Tree:
         self.direction = direction
         self.nodes: list[TreeNode] = []
         self._pos = np.empty((64, 2))
-        self.add(TreeNode(root, 0.0, None, None, 0.0))
+        self.add(TreeNode(root, 0.0, None, None))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -236,13 +240,9 @@ class Path:
         for i, curve in enumerate(self.curves):
             base = self.poses[i]
             offs = local_curve_samples(curve, DENSE_DS)
-            c, sn = math.cos(base.theta), math.sin(base.theta)
-            xs = base.x + c * offs[1:, 0] - sn * offs[1:, 1]
-            ys = base.y + sn * offs[1:, 0] + c * offs[1:, 1]
-            ths = base.theta + offs[1:, 2]
             svals = np.linspace(0.0, curve.s_f, len(offs))[1:] + self.arc_lengths[i]
             s_list.extend(svals.tolist())
-            p_list.extend(np.stack([xs, ys, ths], axis=-1).tolist())
+            p_list.extend(base.place(offs[1:]).tolist())
         self._dense = (np.asarray(s_list), np.asarray(p_list))
         return self._dense
 
@@ -304,7 +304,7 @@ def extend(tree: Tree, n_rst: int, x_rand, library: CurveLibrary, obstacles,
     Returns the new node index, or None when the grid entry was already
     visited, is absent, or the curve collides.  Growth runs in the node's
     ``base`` frame (see ``Tree``).  The entry's swept cover
-    (``CurveLibrary.swept_covers``) placed at ``base`` decides the collision
+    (``collision.swept_covers``) placed at ``base`` decides the collision
     check where ``World.sweep_hits`` proves a verdict; only an undecided
     one runs ``curve_in_collision``.  ``obstacles`` is a ``World`` or a
     sequence of obstacles.
@@ -326,7 +326,7 @@ def extend(tree: Tree, n_rst: int, x_rand, library: CurveLibrary, obstacles,
     if entry is None:
         return None
     world = as_world(obstacles)
-    cover = library.swept_covers(config.collision_ds, footprint.center_offsets)[cell]
+    cover = swept_covers(library, footprint, config.collision_ds)[cell]
     hit = world.sweep_hits(cover, base, footprint.radius, config.static_margin)
     if hit is None:
         hit = curve_in_collision(footprint, entry.params, base, world, config.collision_ds,
@@ -341,8 +341,7 @@ def extend(tree: Tree, n_rst: int, x_rand, library: CurveLibrary, obstacles,
         pose = _flip(base.transform(entry.dx, entry.dy, entry.dtheta))
         incoming = entry.params.reversed()
         end_kappa = incoming.kappa0
-    return tree.add(TreeNode(pose, end_kappa, n_rst, incoming,
-                             node.cost_from_root + entry.params.s_f))
+    return tree.add(TreeNode(pose, end_kappa, n_rst, incoming))
 
 
 def _chain_path(t_f: Tree, f_idx: int, t_b: Tree, b_idx: int,

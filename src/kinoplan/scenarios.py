@@ -99,6 +99,9 @@ class Scenario:
     def __post_init__(self):
         for name in _POSITIVE + _NON_NEGATIVE + _FINITE:
             _check_field(name, getattr(self, name))
+        ids = [mob.id for mob in self.moving]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"moving obstacle ids must be distinct, got {ids}")
 
 
 _POSITIVE = ("v_max", "a_max", "horizon", "sim_dt", "perception_dt", "time_limit",
@@ -109,8 +112,9 @@ _FINITE = ("start", "goal", "bounds")
 
 def _check_field(name: str, value) -> None:
     """The fields the runner divides or loops by must be positive and finite,
-    the observation noise finite and non-negative (0 is noise-free), and the
-    start, goal and bounds finite."""
+    the observation noise finite and non-negative (0 is noise-free), the
+    start, goal and bounds finite, and the bounds a box with xmin < xmax and
+    ymin < ymax."""
     if name in _POSITIVE and not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
     if name in _NON_NEGATIVE and not 0.0 <= value < math.inf:
@@ -119,6 +123,10 @@ def _check_field(name: str, value) -> None:
         nums = (value.x, value.y, value.theta) if isinstance(value, Pose) else value
         if not all(math.isfinite(v) for v in nums):
             raise ValueError(f"{name} must be finite, got {value}")
+    if name == "bounds" and not (len(value) == 4 and value[0] < value[2]
+                                 and value[1] < value[3]):
+        raise ValueError(f"bounds must be xmin ymin xmax ymax with xmin < xmax and "
+                         f"ymin < ymax, got {value}")
 
 
 def _wall(x0: float, y0: float, x1: float, y1: float) -> ObstacleShape:

@@ -36,7 +36,7 @@ from .temporal import (NodeIntervals, TemporalConfig, Trajectory,
                        _predicted_obstacle_circles, compute_safe_intervals,
                        optimize_timestamps, predicted_hits, select_interval_sequence,
                        validate_trajectory)
-from .tracking import Observation, TrackerConfig, TrackStore
+from .tracking import Observation, TrackStore
 
 PLANNING = "planning"
 EXECUTING = "executing"
@@ -227,7 +227,7 @@ class _Runner:
                                    horizon=scenario.horizon)
         biggest = max((m.footprint for m in scenario.moving),
                       key=lambda f: f.radius, default=None)
-        self.store = TrackStore(TrackerConfig(default_footprint=biggest))
+        self.store = TrackStore(biggest)
         self.plan_count = 0
         self.trace = TraceLog(scenario.name, seed, scenario.sim_dt,
                               obstacle_ids=[m.id for m in scenario.moving])

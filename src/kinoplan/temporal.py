@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .collision import (SCREEN_SLACK, FootprintSpec, _pair_distances, circles_hit,
+from .collision import (SCREEN_SLACK, FootprintSpec, _cover, _pair_distances, circles_hit,
                         footprint_circles_batch)
 from .configfile import write_lines
 from .rrt import Path
@@ -24,6 +23,8 @@ from .tracking import track_heading
 
 # Minimum timestamp gap; true stopping is a long dwell, never equal stamps.
 DT_MIN = 1e-3
+# Time step of safe-interval estimation, s.
+SI_DT = 0.1
 # The interior-point solver's KKT tolerance, iteration cap, starting slack
 # and multiplier, and fraction-to-boundary factor.
 IP_TOLERANCE = 1e-9
@@ -64,16 +65,12 @@ class TemporalConfig:
     v_max: float = 2.0
     a_max: float = 1.0
     horizon: float = 30.0
-    si_dt: float = 0.1
     overlap_min: float = 2.0 * (4.6 / 2.0)  # 2 x vehicle length / v_max
-    si_margin: float | None = None  # obstacle inflation during SI estimation; None = half the longest edge
 
     def __post_init__(self):
-        for name in ("v_max", "a_max", "horizon", "si_dt"):
+        for name in ("v_max", "a_max", "horizon"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.si_dt > 0.2:
-            raise ValueError("si_dt must not exceed 0.2 s")
 
 
 @dataclass
@@ -112,14 +109,12 @@ class Trajectory:
         write_lines(path, lines)
 
 
-def _effective_margin(path: Path, config: TemporalConfig) -> float:
-    """SI inflation: half the longest edge, unless the config pins a value.
+def _effective_margin(path: Path) -> float:
+    """SI inflation: half the longest edge.
 
     Node poses stand in for the whole edge during interval estimation, and a
     pose between two nodes can sit up to half an edge away from either one.
     """
-    if config.si_margin is not None:
-        return config.si_margin
     edges = np.diff(path.arc_lengths)
     # Capped: past 1 m the inflation starts erasing genuinely usable windows,
     # and the executor revalidates against fresh predictions every tick anyway.
@@ -132,28 +127,8 @@ class PredictedCover(NamedTuple):
     centers: np.ndarray  # (T, k, 2)
     radius: float
     velocity: np.ndarray  # (vx, vy)
-    anchor: int  # the circle the reach is measured from
+    anchor: int  # the circle the reach is measured from (``FootprintSpec.anchor``)
     reach: float  # largest distance from the anchor's center to another center
-
-
-@lru_cache(maxsize=64)
-def _anchor_reach(offsets: tuple[float, ...]) -> tuple[int, float]:
-    """The anchor of a cover with these center offsets, and its reach.
-
-    The anchor is the circle nearest the pose (offset 0 in every built-in
-    cover); the reach is the largest |offset - anchor offset|, which bounds
-    how far any center of the cover lies from the anchor's center.
-    """
-    anchor = min(range(len(offsets)), key=lambda i: abs(offsets[i]))
-    return anchor, max(abs(o - offsets[anchor]) for o in offsets)
-
-
-@lru_cache(maxsize=64)
-def _offset_row(offsets: tuple[float, ...]) -> np.ndarray:
-    """The center offsets of a cover as a read-only (1, k) row."""
-    row = np.asarray(offsets)[None, :]
-    row.flags.writeable = False
-    return row
 
 
 def _predicted_obstacle_circles(tracks, times: np.ndarray, t0: float) -> list[PredictedCover]:
@@ -164,11 +139,9 @@ def _predicted_obstacle_circles(tracks, times: np.ndarray, t0: float) -> list[Pr
         px = track.state[0] + track.state[2] * dt
         py = track.state[1] + track.state[3] * dt
         heading = track_heading(track)
-        c, s = math.cos(heading), math.sin(heading)
-        offs = _offset_row(track.footprint.center_offsets)
-        centers = np.stack([px[:, None] + c * offs, py[:, None] + s * offs], axis=-1)
-        out.append(PredictedCover(centers, track.footprint.radius, track.velocity,
-                                  *_anchor_reach(track.footprint.center_offsets)))
+        fp = track.footprint
+        centers = _cover(fp, px[:, None], py[:, None], math.cos(heading), math.sin(heading))
+        out.append(PredictedCover(centers, fp.radius, track.velocity, fp.anchor, fp.reach))
     return out
 
 
@@ -196,7 +169,7 @@ def predicted_hits(robot_circles: np.ndarray, footprint: FootprintSpec,
     on the same values as without the screen, so every decision has the same
     bits.
     """
-    anchor, reach = _anchor_reach(footprint.center_offsets)
+    anchor, reach = footprint.anchor, footprint.reach
     robot_anchor = robot_circles[..., anchor, :]
     hit = np.zeros(robot_circles.shape[:-2], dtype=bool)
     for cover in obstacle_circles:
@@ -228,15 +201,15 @@ def free_runs(free: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def compute_safe_intervals(path: Path, tracks, static_obstacles, config: TemporalConfig,
                            footprint: FootprintSpec, t0: float = 0.0) -> list[NodeIntervals]:
-    """Safe intervals per node over [0, horizon], sampled every si_dt.
+    """Safe intervals per node over [0, horizon], sampled every ``SI_DT``.
 
     Times are relative to ``t0`` (the moment the trajectory would start); the
     last interval is open-ended when the node is free at the horizon and every
     tracked obstacle has left its influence disk by then.  ``static_obstacles``
     is a ``collision.World`` or a sequence of obstacles.
     """
-    times = np.arange(0.0, config.horizon + config.si_dt / 2.0, config.si_dt)
-    margin = _effective_margin(path, config)
+    times = np.arange(0.0, config.horizon + SI_DT / 2.0, SI_DT)
+    margin = _effective_margin(path)
     poses = np.array([[p.x, p.y, p.theta] for p in path.poses])
     n = len(poses)
     robot_circles = footprint_circles_batch(footprint, poses)  # (n, k, 2)
@@ -281,24 +254,21 @@ def _open_horizon(node_center: np.ndarray, footprint, obstacle_circles, last_cen
 
 
 def select_interval_sequence(node_intervals: list[NodeIntervals],
-                             config: TemporalConfig,
-                             edge_lengths=None) -> IntervalSequence | None:
+                             config: TemporalConfig, edge_lengths) -> IntervalSequence | None:
     """Layer-by-layer growth of the interval sequence (Fig.-7 style structure).
 
     A child interval is valid when it overlaps its parent's narrowed interval
     by at least overlap_min and is reachable before it closes; its effective
     start becomes max(child.start, parent.start + minimum edge travel time),
-    so branches the car cannot physically reach in time die early.  At the
-    last layer the valid leaf with the smallest reachable start wins (ties by
-    interval index), and the sequence is recovered by walking parents.
-    Returns None when no leaf survives.
+    so branches the car cannot physically reach in time die early.  An
+    edge's minimum travel time is its length (``edge_lengths``) over v_max,
+    at least ``DT_MIN``.  At the last layer the valid leaf with the smallest
+    reachable start wins (ties by interval index), and the sequence is
+    recovered by walking parents.  Returns None when no leaf survives.
     """
     if any(len(ni.intervals) == 0 for ni in node_intervals):
         return None
-    if edge_lengths is None:
-        travel = [DT_MIN] * (len(node_intervals) - 1)
-    else:
-        travel = [max(float(d) / config.v_max, DT_MIN) for d in edge_lengths]
+    travel = [max(float(d) / config.v_max, DT_MIN) for d in edge_lengths]
     # best[j] = (narrowed_start, parent_choice_index) for interval j of this layer
     first = node_intervals[0].intervals
     layers: list[list[tuple[float, int] | None]] = [[(si.start, -1) for si in first]]

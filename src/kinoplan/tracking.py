@@ -185,23 +185,18 @@ def track_heading(track: ObstacleTrack) -> float:
     return normalize_angle(track.last_heading)
 
 
-@dataclass
-class TrackerConfig:
-    q: float = 0.5  # process noise intensity, m^2/s^3
-    default_footprint: FootprintSpec | None = None
-
-
 class TrackStore:
-    """Multi-object track bookkeeping: predict, associate, update, spawn, prune."""
+    """Multi-object track bookkeeping: predict, associate, update, spawn, prune.
+    A spawned track gets ``default_footprint``, or a 0.8 m one-circle cover."""
 
-    def __init__(self, config: TrackerConfig | None = None):
-        self.config = config or TrackerConfig()
+    def __init__(self, default_footprint: FootprintSpec | None = None):
+        self.default_footprint = (default_footprint
+                                  or FootprintSpec.from_dimensions(0.8, 0.8, single_circle=True))
         self.tracks: list[ObstacleTrack] = []
         self._next_id = 0
 
     def step(self, observations: list[Observation], now: float) -> None:
-        cfg = self.config
-        predicted = [kf_predict(t, max(0.0, now - t.last_update), cfg.q) for t in self.tracks]
+        predicted = [kf_predict(t, max(0.0, now - t.last_update)) for t in self.tracks]
         pairs, unmatched_t, unmatched_o = associate(predicted, observations, GATE)
         new_tracks = [kf_update(predicted[ti], observations[oi]) for ti, oi in pairs]
         for ti in unmatched_t:
@@ -210,10 +205,10 @@ class TrackStore:
                 new_tracks.append(self.tracks[ti])
         for oi in unmatched_o:
             obs = observations[oi]
-            fp = cfg.default_footprint or FootprintSpec.from_dimensions(0.8, 0.8, single_circle=True)
             new_tracks.append(ObstacleTrack(
                 self._next_id, np.array([obs.position[0], obs.position[1], 0.0, 0.0]),
-                _per_axis(INIT_POS_VAR, 0.0, INIT_VEL_VAR), fp, obs.timestamp))
+                _per_axis(INIT_POS_VAR, 0.0, INIT_VEL_VAR), self.default_footprint,
+                obs.timestamp))
             self._next_id += 1
         self.tracks = sorted(new_tracks, key=lambda t: t.id)
 

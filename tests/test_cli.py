@@ -13,7 +13,7 @@ from kinoplan import cli
 from kinoplan.cli import EXIT_ERROR, EXIT_NO_PATH, EXIT_OK, EXIT_SCENARIO_FAILED
 from kinoplan.collision import footprint_circles
 from kinoplan.geometry import CurveLibrary
-from kinoplan.scenarios import get_scenario
+from kinoplan.scenarios import get_scenario, save_scenario
 from kinoplan.svg import SvgCanvas
 
 TINY_CONFIG = """\
@@ -223,6 +223,22 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert where in err
         assert "Traceback" not in err
+
+    def test_inverted_bounds(self, tmp_path, capsys):
+        """A saved ``cross`` with its bounds turned around fails on that line
+        and writes nothing."""
+        sc = tmp_path / "cross.txt"
+        save_scenario(get_scenario("cross"), sc)
+        lines = sc.read_text().splitlines()
+        k = next(i for i, line in enumerate(lines) if line.startswith("bounds "))
+        lines[k] = "bounds 30 20 -6 -8"
+        sc.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        code = cli.main(["simulate", "--scenario", str(sc), "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"cross.txt:{k + 1}: bounds must be" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_cross_run_exports(self, tmp_path, library_csv):
         out = tmp_path / "run"

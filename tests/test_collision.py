@@ -12,8 +12,7 @@ from kinoplan.collision import (FootprintSpec, ObstacleShape, _polygon_pass, _wo
                                 circles_hit, clearance_to_obstacle, curve_in_collision,
                                 default_robot_footprint, disc_radius,
                                 footprint_circles, footprint_circles_batch,
-                                min_clearance, polygon_edges, pose_in_collision,
-                                poses_in_collision)
+                                min_clearance, polygon_edges, pose_in_collision)
 from kinoplan.geometry import (CurveEntry, CurveLibrary, CurveParams, LibraryConfig, Pose,
                                local_curve_samples)
 
@@ -101,6 +100,18 @@ class TestFootprintCircles:
         assert spec.mode == "one-circle"
         assert spec.center_offsets == (0.0,)
 
+    @pytest.mark.parametrize("spec,anchor,reach", [
+        (FootprintSpec.from_dimensions(1.2, 1.0), 0, 0.0),
+        (FootprintSpec.from_dimensions(4.6, 1.9), 1, 4.6 / 3.0),
+        (FootprintSpec.from_dimensions(4.6, 1.9, single_circle=True), 0, 0.0),
+    ])
+    def test_anchor_and_reach(self, spec, anchor, reach):
+        """The anchor is the middle circle and the reach the farthest center
+        from it; every center lies within the reach of the anchor's."""
+        assert (spec.anchor, spec.reach) == (anchor, reach)
+        centers = footprint_circles(spec, Pose(1.0, -2.0, 0.7))
+        assert np.all(np.hypot(*(centers - centers[spec.anchor]).T) <= reach + 1e-12)
+
 
 class TestPoseInCollision:
     spec = default_robot_footprint()
@@ -166,7 +177,7 @@ class TestPoseInCollision:
                ObstacleShape.polygon([(0.0, 4.0), (2.0, 4.0), (1.0, 6.0)])]
         rng = np.random.default_rng(1)
         poses = rng.uniform(-5, 5, size=(50, 3))
-        batch = poses_in_collision(self.spec, poses, obs)
+        batch = circles_hit(footprint_circles_batch(self.spec, poses), self.spec.radius, obs)
         for k, row in enumerate(poses):
             assert batch[k] == pose_in_collision(self.spec, Pose(*row), obs)
 
@@ -458,7 +469,7 @@ class TestCirclesHit:
         want = np.zeros(len(poses), dtype=bool)
         for obs in obstacles:
             want |= reference_hits(centers, spec.radius, obs, margin)
-        np.testing.assert_array_equal(poses_in_collision(spec, poses, obstacles, margin), want)
+        np.testing.assert_array_equal(circles_hit(centers, spec.radius, obstacles, margin), want)
         for pose in poses:
             one = footprint_circles(spec, Pose(*pose))[None]
             hit = any(reference_hits(one, spec.radius, obs, margin)[0] for obs in obstacles)
@@ -557,14 +568,15 @@ class TestCurveScreen:
         want = exact_curve_hit(spec, params, base, (obstacle,), ds, margin)
         assert curve_in_collision(spec, params, base, (obstacle,), ds, margin) == want
         sweep = collision.as_world((obstacle,)).sweep_hits(
-            one_entry_sweep(params, ds, spec.center_offsets), base, spec.radius, margin)
+            one_entry_sweep(params, ds, spec), base, spec.radius, margin)
         assert sweep is None or sweep == want
 
 
-def one_entry_sweep(params, ds, offsets):
+def one_entry_sweep(params, ds, spec):
     """The swept cover of ``params`` as a library holding only it builds it."""
     entry = CurveEntry(r=1.0, beta=0.0, params=params, dx=0.0, dy=0.0, dtheta=0.0)
-    return CurveLibrary(LibraryConfig(), {(0, 0): entry}).swept_covers(ds, offsets)[(0, 0)]
+    return collision.swept_covers(CurveLibrary(LibraryConfig(), {(0, 0): entry}), spec,
+                                  ds)[(0, 0)]
 
 
 # A tiny polygon that puts the clearance grid's corner at ANCHOR - GRID_PAD
@@ -605,7 +617,7 @@ class TestWorldVerdicts:
         want = exact_hits(centers, spec.radius, obstacles + tuple(blockers), margin)
         hit, free = world.proven(centers, spec.radius, margin)
         assert not np.any(hit & ~want) and not np.any(free & want)
-        sweep = world.sweep_hits(one_entry_sweep(curve, ds, spec.center_offsets), base,
+        sweep = world.sweep_hits(one_entry_sweep(curve, ds, spec), base,
                                  spec.radius, margin)
         assert sweep is None or sweep == want.any()
         assert curve_in_collision(spec, curve, base, world, ds, margin) == want.any()
@@ -658,8 +670,8 @@ class TestWorldVerdicts:
     def test_swept_circles_at_the_bound(self, params, pose, r, margin, spec, offset, ulps):
         """A disk ahead of the front circle of a curve's last pose, its rim at
         radius + margin + ``offset`` (moved by a few ulps) from that circle as
-        the exact pass places it; the swept cover, placed by a rotation, sits
-        a few ulps away."""
+        the exact pass places it; the swept cover, placed by ``Pose.place``,
+        sits a few ulps away."""
         ds = min(0.5, spec.radius)
         base = Pose(*pose)
         centers = curve_centers(spec, params, base, ds)
@@ -670,7 +682,7 @@ class TestWorldVerdicts:
                                   front[1] + dist * math.sin(heading), r)
         want = exact_curve_hit(spec, params, base, (disk,), ds, margin)
         sweep = collision.as_world((disk,)).sweep_hits(
-            one_entry_sweep(params, ds, spec.center_offsets), base, spec.radius, margin)
+            one_entry_sweep(params, ds, spec), base, spec.radius, margin)
         assert sweep is None or sweep == want
 
     def test_grid_bounds_hold_everywhere(self):
@@ -707,7 +719,7 @@ class TestWorldVerdicts:
                                library, spec) for obstacles in (world, (near,))]
         assert plans[0] is not None and plans[0].path.poses == plans[1].path.poses
         _, dense = plans[0].path.dense_samples()
-        assert not collision.poses_in_collision(spec, dense, world).any()
+        assert not circles_hit(footprint_circles_batch(spec, dense), spec.radius, world).any()
 
     def test_decided_checks_skip_the_exact_pass(self, monkeypatch):
         calls = []
@@ -764,7 +776,7 @@ class TestWorldVerdicts:
 
 
 class TestSweptCovers:
-    """``CurveLibrary.swept_covers`` placed at a base against the centers the
+    """``collision.swept_covers`` placed at a base against the centers the
     exact pass builds there: within the stated 1e-9 m while coordinates stay
     under 1e5 m."""
 
@@ -772,13 +784,13 @@ class TestSweptCovers:
     def assert_within_bound(spec, params, cover, ds, bases):
         for base in bases:
             want = curve_centers(spec, params, base, ds).reshape(-1, 2)
-            assert np.max(np.abs(collision.place_at(cover, base) - want)) <= 1e-9
+            assert np.max(np.abs(base.place(cover) - want)) <= 1e-9
 
     @pytest.mark.parametrize("spec", ROBOT_COVERS)
     @pytest.mark.parametrize("ds", [0.25, 0.5])
     def test_every_default_entry(self, library, spec, ds):
         rng = np.random.default_rng(2)
-        covers = library.swept_covers(ds, spec.center_offsets)
+        covers = collision.swept_covers(library, spec, ds)
         assert covers.keys() == library.entries.keys()
         for cell, cover in covers.items():
             bases = [Pose(*rng.uniform(-scale, scale, 2), rng.uniform(-4.0, 4.0))
@@ -790,12 +802,12 @@ class TestSweptCovers:
            st.sampled_from(ROBOT_COVERS), st.sampled_from([0.1, 0.25, 0.5]))
     @settings(max_examples=300, deadline=None)
     def test_random_cubics(self, params, pose, spec, ds):
-        cover = one_entry_sweep(params, ds, spec.center_offsets)
+        cover = one_entry_sweep(params, ds, spec)
         self.assert_within_bound(spec, params, cover, ds, [Pose(*pose)])
 
     def test_built_once_per_step_and_cover(self, library):
-        offsets = default_robot_footprint().center_offsets
-        first = library.swept_covers(0.5, offsets)
-        assert library.swept_covers(0.5, offsets) is first
+        spec = default_robot_footprint()
+        first = collision.swept_covers(library, spec, 0.5)
+        assert collision.swept_covers(library, spec, 0.5) is first
         cover = next(iter(first.values()))
         assert not cover.flags.writeable

@@ -36,6 +36,23 @@ class TestPose:
         dx, dy, dth = base.local_offset(other)
         assert (dx, dy, dth) == pytest.approx((3.0, 0.5, -0.2))
 
+    @given(st.tuples(st.floats(-1e5, 1e5), st.floats(-1e5, 1e5), st.floats(-10.0, 10.0)),
+           st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
+                              st.floats(-10.0, 10.0)), min_size=1, max_size=6),
+           st.booleans())
+    def test_place_is_transform_per_row(self, pose, rows, with_heading):
+        """x and y of each placed row are ``transform``'s to the bit; the
+        heading is theta + dtheta, not wrapped."""
+        base = Pose(*pose)
+        rows = np.array(rows)
+        placed = base.place(rows if with_heading else rows[:, :2])
+        assert placed.shape == (len(rows), 3 if with_heading else 2)
+        for row, got in zip(rows.tolist(), placed.tolist()):
+            want = base.transform(*row)
+            assert got[:2] == [want.x, want.y]
+            if with_heading:
+                assert got[2] == base.theta + row[2]
+
     @given(st.floats(-100.0, 100.0))
     def test_normalize_angle_range(self, theta):
         t = normalize_angle(theta)

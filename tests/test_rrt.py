@@ -83,7 +83,7 @@ class TestExtend:
         node = tree.nodes[idx]
         assert node.pose.y == pytest.approx(0.0, abs=1e-3)
         assert node.pose.theta == pytest.approx(0.0, abs=1e-3)
-        assert node.cost_from_root == pytest.approx(node.incoming_curve.s_f)
+        assert node.parent == 0
 
     def test_far_sample_clamped_to_r_max(self, library):
         tree = Tree(Pose(0.0, 0.0, 0.0), "forward")
@@ -289,6 +289,19 @@ class TestPlannerConfig:
         path = tmp_path / "planner.cfg"
         path.write_text("world_bounds = 0 0 5\n")
         with pytest.raises(ValueError, match="planner.cfg: world_bounds needs 4 values"):
+            PlannerConfig.from_file(path)
+
+    @pytest.mark.parametrize("bounds", [(30.0, 20.0, -6.0, -8.0), (0.0, 0.0, 0.0, 5.0),
+                                        (0.0, 5.0, 5.0, 5.0)])
+    def test_bounds_must_span_a_box(self, bounds):
+        with pytest.raises(ValueError, match="^world_bounds must have xmin < xmax and "
+                                             "ymin < ymax"):
+            PlannerConfig(world_bounds=bounds)
+
+    def test_duplicate_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "planner.cfg"
+        path.write_text("p_th = 0.5\nmax_iterations = 10\n# again\np_th = 0.9\n")
+        with pytest.raises(ValueError, match=r"planner\.cfg:4: p_th already set on line 1"):
             PlannerConfig.from_file(path)
 
     def test_bad_file_reports_line(self, tmp_path):

@@ -192,6 +192,25 @@ class TestScenarioFiles:
             replace(get_scenario("cross"), obs_noise=-0.5)
         assert replace(get_scenario("cross"), obs_noise=0.0).obs_noise == 0.0
 
+    @pytest.mark.parametrize("bounds", ["30 20 -6 -8", "5 -5 5 5", "-5 5 15 5"])
+    def test_bounds_must_span_a_box(self, tmp_path, bounds):
+        """xmin >= xmax or ymin >= ymax fails on the bounds line, and in code."""
+        p = tmp_path / "s.txt"
+        p.write_text(f"name x\nbounds {bounds}\nstart 0 0 0\ngoal 10 0 0\n")
+        with pytest.raises(ValueError, match=r"s\.txt:2: bounds must be xmin ymin xmax ymax "
+                                             r"with xmin < xmax and ymin < ymax"):
+            load_scenario(p)
+        with pytest.raises(ValueError, match="bounds must be"):
+            replace(get_scenario("cross"), bounds=tuple(map(float, bounds.split())))
+
+    def test_moving_ids_must_be_distinct(self):
+        """Two moving obstacles with one id would share one trace column."""
+        sc = get_scenario("cross")
+        twin = ScriptedObstacle(sc.moving[0].id, sc.moving[0].footprint, [(0.0, 0.0, 9.0)])
+        with pytest.raises(ValueError, match=r"ids must be distinct, got \[0, 0\]"):
+            replace(sc, moving=sc.moving + [twin])
+        replace(sc, moving=sc.moving + [replace(twin, id=1)])
+
     def test_comments_and_blank_lines(self, tmp_path):
         p = tmp_path / "s.txt"
         save_scenario(get_scenario("cross"), p)

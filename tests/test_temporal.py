@@ -17,7 +17,7 @@ from kinoplan.collision import (FootprintSpec, ObstacleShape, _pair_distances,
                                 default_robot_footprint, footprint_circles_batch)
 from kinoplan.geometry import CurveParams, Pose
 from kinoplan.rrt import Path
-from kinoplan.temporal import (DT_MIN, IntervalSequence, NodeIntervals, SafeInterval,
+from kinoplan.temporal import (DT_MIN, SI_DT, IntervalSequence, NodeIntervals, SafeInterval,
                                TemporalConfig, TimingProblem, Trajectory,
                                _effective_margin, _open_horizon,
                                _predicted_obstacle_circles, compute_safe_intervals,
@@ -63,19 +63,12 @@ class TestSafeInterval:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TemporalConfig(v_max=0.0)
-        with pytest.raises(ValueError):
-            TemporalConfig(si_dt=0.3)
 
 
 class TestEffectiveMargin:
-    def test_pinned_value_wins(self):
-        cfg = TemporalConfig(si_margin=0.25)
-        assert _effective_margin(straight_path(5, 3.0), cfg) == 0.25
-
     def test_auto_is_half_longest_edge_capped(self):
-        cfg = TemporalConfig()
-        assert _effective_margin(straight_path(5, 1.2), cfg) == pytest.approx(0.6)
-        assert _effective_margin(straight_path(5, 4.0), cfg) == 1.0
+        assert _effective_margin(straight_path(5, 1.2)) == pytest.approx(0.6)
+        assert _effective_margin(straight_path(5, 4.0)) == 1.0
 
 
 class TestComputeSafeIntervals:
@@ -95,11 +88,12 @@ class TestComputeSafeIntervals:
         assert nis[2].intervals == []
 
     def test_crossing_obstacle_against_dense_oracle(self):
-        """Reported SIs must agree with brute-force sampling at si_dt/10."""
+        """Reported SIs must agree with brute-force sampling at SI_DT/10."""
         path = straight_path(6, 2.0)
         # Car crossing the path at x = 5 around t ~ 10.
         track = cv_track(5.0, -10.0, 0.0, 1.0)
-        cfg = TemporalConfig(horizon=20.0, si_margin=0.3)
+        cfg = TemporalConfig(horizon=20.0)
+        margin = _effective_margin(path)
         nis = compute_safe_intervals(path, [track], [], cfg, ROBOT)
 
         def hit(node_pose, t):
@@ -108,16 +102,16 @@ class TestComputeSafeIntervals:
                             track.state[1] + track.state[3] * dt, math.pi / 2.0)
             shape = ObstacleShape.footprint_at(CAR, obs_pose)
             from kinoplan.collision import pose_in_collision
-            return pose_in_collision(ROBOT, node_pose, [shape], margin=cfg.si_margin)
+            return pose_in_collision(ROBOT, node_pose, [shape], margin=margin)
 
         for i, ni in enumerate(nis):
-            for t in np.arange(0.0, cfg.horizon, cfg.si_dt / 10.0):
+            for t in np.arange(0.0, cfg.horizon, SI_DT / 10.0):
                 inside = any(si.start <= t <= si.end for si in ni.intervals)
                 blocked = hit(path.poses[i], t)
                 if inside:
                     assert not blocked, f"node {i} unsafe at t={t} inside an SI"
                 elif min(abs(t - b) for si in ni.intervals
-                         for b in (si.start, si.end)) > cfg.si_dt:
+                         for b in (si.start, si.end)) > SI_DT:
                     assert blocked, f"node {i} free at t={t} outside every SI"
 
     def test_line_pattern_of_along_path_obstacle(self):
@@ -125,7 +119,7 @@ class TestComputeSafeIntervals:
         near-affine interval start times."""
         path = straight_path(8, 2.0)
         track = cv_track(-10.0, 0.0, 1.0, 0.0)
-        cfg = TemporalConfig(horizon=40.0, si_margin=0.2)
+        cfg = TemporalConfig(horizon=40.0)
         nis = compute_safe_intervals(path, [track], [], cfg, ROBOT)
         starts = []
         for i, ni in enumerate(nis):
@@ -135,7 +129,7 @@ class TestComputeSafeIntervals:
         assert np.all(d > 0.0)
         # Affine in arc length: equal node spacing gives equal increments
         # up to one sampling step.
-        assert np.max(d) - np.min(d) <= cfg.si_dt + 1e-9
+        assert np.max(d) - np.min(d) <= SI_DT + 1e-9
 
     def test_open_horizon_requires_receding_obstacle(self):
         path = straight_path(3, 2.0)
@@ -169,8 +163,8 @@ def naive_runs(free):
 def reference_safe_intervals(path, tracks, config, footprint, t0):
     """compute_safe_intervals as a per-obstacle norm and a per-sample scan,
     without static obstacles; the reference for the vectorized version."""
-    times = np.arange(0.0, config.horizon + config.si_dt / 2.0, config.si_dt)
-    margin = _effective_margin(path, config)
+    times = np.arange(0.0, config.horizon + SI_DT / 2.0, SI_DT)
+    margin = _effective_margin(path)
     poses = np.array([[p.x, p.y, p.theta] for p in path.poses])
     robot_circles = footprint_circles_batch(footprint, poses)
     free = np.ones((len(poses), len(times)), dtype=bool)
@@ -365,7 +359,7 @@ class TestBroadPhase:
         monkeypatch.setattr(temporal, "_pair_distances", counting)
         cfg = TemporalConfig(horizon=sc.horizon)
         nis = compute_safe_intervals(path, [track], sc.static_obstacles, cfg, sc.robot)
-        pairs = len(path.poses) * len(np.arange(0.0, cfg.horizon + cfg.si_dt / 2.0, cfg.si_dt))
+        pairs = len(path.poses) * len(np.arange(0.0, cfg.horizon + SI_DT / 2.0, SI_DT))
         assert pairs == 17 * 601
         assert 0 < sum(seen) <= 0.08 * pairs
         # The crossing blocks some nodes for a while: the pass had work to do.
@@ -587,7 +581,7 @@ class TestBandedLDL:
 class TestSelectSequence:
     def test_all_open(self):
         cfg = TemporalConfig(overlap_min=0.5)
-        seq = select_interval_sequence(unconstrained(4), cfg)
+        seq = select_interval_sequence(unconstrained(4), cfg, [0.0] * 3)
         assert seq is not None
         assert all(si.end == math.inf for si in seq.chosen)
         assert seq.source_indices == [0, 0, 0, 0]
@@ -599,7 +593,7 @@ class TestSelectSequence:
             NodeIntervals(1, [SafeInterval(0.0, 3.0), SafeInterval(5.0, math.inf)]),
             NodeIntervals(2, [SafeInterval(6.0, math.inf)]),
         ]
-        seq = select_interval_sequence(nis, cfg)
+        seq = select_interval_sequence(nis, cfg, [0.0, 0.0])
         assert seq is not None
         assert seq.source_indices == [0, 1, 0]  # the [0, 3] branch dies
         assert seq.chosen[1].start == 5.0
@@ -609,7 +603,7 @@ class TestSelectSequence:
         cfg = TemporalConfig()
         nis = unconstrained(3)
         nis[1] = NodeIntervals(1, [])
-        assert select_interval_sequence(nis, cfg) is None
+        assert select_interval_sequence(nis, cfg, [0.0, 0.0]) is None
 
     def test_nesting_invariant(self):
         cfg = TemporalConfig(overlap_min=0.3)
@@ -731,7 +725,7 @@ class TestVelocityProfile:
         path = straight_path(4)
         cfg = TemporalConfig()
         traj = optimize_timestamps(path, select_interval_sequence(
-            unconstrained(4), cfg), cfg)
+            unconstrained(4), cfg, [0.0] * 3), cfg)
         v, a = velocity_profile(traj.path, traj.timestamps)
         assert np.array_equal(v, traj.velocities)
         assert np.array_equal(a, traj.accelerations)
@@ -742,7 +736,7 @@ class TestOptimizeTimestamps:
         path = straight_path(2, 5.0)
         cfg = TemporalConfig(v_max=2.0)
         traj = optimize_timestamps(path, select_interval_sequence(
-            unconstrained(2), cfg), cfg)
+            unconstrained(2), cfg, [0.0] * 1), cfg)
         assert traj is not None
         assert traj.timestamps[0] == 0.0
         assert traj.timestamps[1] == pytest.approx(2.5, abs=1e-6)
@@ -751,7 +745,7 @@ class TestOptimizeTimestamps:
         path = straight_path(10)
         cfg = TemporalConfig(v_max=2.0, a_max=1.0)
         traj = optimize_timestamps(path, select_interval_sequence(
-            unconstrained(10), cfg), cfg)
+            unconstrained(10), cfg, [0.0] * 9), cfg)
         assert traj is not None
         assert np.all(traj.velocities[1:] <= cfg.v_max + 1e-6)
         assert np.all(np.abs(traj.accelerations[2:]) <= cfg.a_max + 1e-6)
@@ -834,7 +828,7 @@ class TestOptimizeTimestamps:
         path = straight_path(4)
         cfg = TemporalConfig()
         traj = optimize_timestamps(path, select_interval_sequence(
-            unconstrained(4), cfg), cfg)
+            unconstrained(4), cfg, [0.0] * 3), cfg)
         out = tmp_path / "traj.csv"
         traj.to_csv(out)
         lines = out.read_text().strip().split("\n")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import kinoplan
 from kinoplan.collision import FootprintSpec
 from kinoplan.geometry import Pose
-from kinoplan.tracking import (Observation, ObstacleTrack, TrackerConfig, TrackStore,
+from kinoplan.tracking import (Observation, ObstacleTrack, TrackStore,
                                associate, kf_predict, kf_update, predict_pose,
                                track_heading)
 
@@ -307,7 +307,7 @@ class TestPredictPose:
 
 class TestTrackStore:
     def test_spawn_match_count(self):
-        store = TrackStore(TrackerConfig(default_footprint=FP))
+        store = TrackStore(FP)
         # Two obstacles separated far beyond 2x gate.
         for k in range(20):
             t = 0.1 * k
@@ -326,20 +326,27 @@ class TestTrackStore:
         """CV target, sigma = 0.1 m at 10 Hz: velocity error < 0.1 m/s after
         3 s in at least 95 of 100 seeds.
 
-        Uses q = 0.05: the target really is constant-velocity here, so the
-        filter gets a matched process noise (the larger default q keeps the
-        tracker responsive to maneuvers at the cost of steady-state accuracy).
+        The store spawns the track; the filter then runs with q = 0.05: the
+        target really is constant-velocity here, so the filter gets a matched
+        process noise (the store's default q keeps the tracker responsive to
+        maneuvers at the cost of steady-state accuracy).
         """
         passed = 0
         for seed in range(100):
             rng = np.random.default_rng(seed)
-            store = TrackStore(TrackerConfig(q=0.05, default_footprint=FP))
+            store = TrackStore(FP)
             vx, vy = 1.0, 0.5
             for k in range(31):
                 t = 0.1 * k
                 p = np.array([vx * t, vy * t]) + rng.normal(0.0, 0.1, 2)
-                store.step([Observation((p[0], p[1]), t, 0.01)], t)
-            est = store.tracks[0].velocity
+                observation = Observation((p[0], p[1]), t, 0.01)
+                if k == 0:
+                    store.step([observation], t)
+                    track = store.tracks[0]
+                else:
+                    track = kf_update(kf_predict(track, t - track.last_update, q=0.05),
+                                      observation)
+            est = track.velocity
             if math.hypot(est[0] - vx, est[1] - vy) < 0.1:
                 passed += 1
         assert passed >= 95
