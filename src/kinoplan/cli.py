@@ -17,15 +17,14 @@ import math
 import os
 import sys
 import time
-from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
 
 from .collision import default_robot_footprint
-from .configfile import at_line, write_lines
+from .configfile import write_lines
 from .geometry import CurveLibrary, LibraryConfig, Pose, build_curve_library
-from .rrt import PlannerConfig, plan_path
+from .rrt import EndpointInCollision, PlannerConfig, plan_path
 from .scenarios import (Scenario, builtin_scenarios, get_scenario,
                         load_scenario, random_disk_world)
 from .simulator import (TraceLog, derive_trace, draw_obstacles, export_artifacts, metrics,
@@ -37,6 +36,12 @@ EXIT_ERROR = 1
 EXIT_NO_PATH = 2
 EXIT_SCENARIO_FAILED = 3
 SAMPLING_MODES = ("gmm", "random", "both")
+PLANNER_CONFIG_HELP = (
+    "planner config file: 'key = value' lines setting p_th, goal_bias, max_iterations, "
+    "rng_seed or world_bounds; --seed and the world's bounds replace the last two.  The "
+    "constants D_TH, GMM_SIGMA, ECCENTRICITY, ELLIPSE_MARGIN, CONNECT_RADIUS, "
+    "CONNECT_DIST_MIN, CONNECT_DIST_MAX, CONNECT_HEADING_TOL, COLLISION_DS, STATIC_MARGIN "
+    "and EXTEND_CANDIDATES of kinoplan.rrt fix the rest")
 
 
 def _env_default(name: str, fallback):
@@ -103,15 +108,6 @@ def _resolve_scenario(name_or_path: str) -> Scenario:
         raise ValueError(exc.args[0]) from None
 
 
-def _planner_config(args, footprint) -> PlannerConfig:
-    """The ``--config`` planner config (defaults without one), checked against
-    the robot's ``footprint`` before any planning; an error names the file."""
-    pcfg = PlannerConfig.from_file(args.config) if args.config else PlannerConfig()
-    with at_line(args.config) if args.config else nullcontext():
-        pcfg.check_footprint(footprint)
-    return pcfg
-
-
 def _print_config(args, extra: dict | None = None) -> None:
     shown = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     if extra:
@@ -149,11 +145,12 @@ def cmd_plan(args) -> int:
         bounds = (min(start.x, goal.x) - pad, min(start.y, goal.y) - pad,
                   max(start.x, goal.x) + pad, max(start.y, goal.y) + pad)
         footprint = default_robot_footprint()
-    pcfg = replace(_planner_config(args, footprint), rng_seed=args.seed, world_bounds=bounds)
+    pcfg = PlannerConfig.from_file(args.config) if args.config else PlannerConfig()
+    pcfg = replace(pcfg, rng_seed=args.seed, world_bounds=bounds)
     library = CurveLibrary.load_csv(args.library) if args.library else build_curve_library()
     try:
         result = plan_path(start, goal, obstacles, pcfg, library, footprint)
-    except ValueError as exc:
+    except EndpointInCollision as exc:
         print(f"plan: {exc}", file=sys.stderr)
         return EXIT_NO_PATH
     if result is None:
@@ -180,7 +177,7 @@ def _plot_path(path, obstacles, bounds, out) -> None:
 def cmd_simulate(args) -> int:
     scenario = _resolve_scenario(args.scenario)
     _print_config(args)
-    pcfg = _planner_config(args, scenario.robot)
+    pcfg = PlannerConfig.from_file(args.config) if args.config else None
     library = CurveLibrary.load_csv(args.library) if args.library else None
     trace = run_scenario(scenario, planner_config=pcfg, seed=args.seed,
                          library=library,
@@ -317,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--goal", type=_parse_pose, default=None,
                    help="goal pose 'x,y,theta' (radians)")
     p.add_argument("--config", default=_env_default("config", None),
-                   help="planner config file (key = value lines)")
+                   help=PLANNER_CONFIG_HELP)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("simulate", help="execute a scenario with the full loop")
@@ -327,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="builtin name (%s) or scenario file"
                         % "/".join(s.name for s in builtin_scenarios()))
     p.add_argument("--config", default=_env_default("config", None),
-                   help="planner config file")
+                   help=PLANNER_CONFIG_HELP)
     p.add_argument("--ground-truth-tracks", action="store_true",
                    help="feed the tracker noise-free observations")
     p.add_argument("--replan-timeout", type=_positive_seconds,

@@ -32,23 +32,45 @@ from .geometry import (
 )
 
 
+# The planner's fixed parameters, which no workload sets.
+D_TH = 6.0  # inter-tree distance below which GMM sampling starts (Alg. 2), m
+GMM_SIGMA = 1.0  # per-axis spread of each GMM component, m
+# random_sample's ellipse has semi-major axis max(ECCENTRICITY c, c +
+# ELLIPSE_MARGIN) for half the start-goal distance c: room for detours on
+# short queries, and never an empty minor axis.
+ECCENTRICITY = 1.5
+ELLIPSE_MARGIN = 5.0
+# try_connect fits bridges only to nodes this near and this well aligned, so
+# most pairs go without a fit; a bridge must be shorter than the robot, so
+# CONNECT_DIST_MAX stays below the 4.6 m car.
+CONNECT_RADIUS = 5.0
+CONNECT_DIST_MIN = 0.8
+CONNECT_DIST_MAX = 4.5
+CONNECT_HEADING_TOL = 0.8  # rad
+# Curve-check step, m; a robot with a smaller cover radius is checked at its
+# radius (``collision_step``), so no obstacle fits between two samples' circles.
+COLLISION_DS = 0.5
+STATIC_MARGIN = 0.15  # extra clearance kept from obstacles while steering, m
+# Nearest nodes an extension tries per sample: with the nearest alone, a tree
+# stalls once the nodes around a sampling hotspot saturate.
+EXTEND_CANDIDATES = 8
+
+
+def collision_step(footprint: FootprintSpec) -> float:
+    """``COLLISION_DS``, or ``footprint``'s cover radius when that is smaller."""
+    return min(COLLISION_DS, footprint.radius)
+
+
+class EndpointInCollision(ValueError):
+    """``plan_path``'s start or goal pose is in collision."""
+
+
 @dataclass
 class PlannerConfig:
-    d_th: float = 6.0  # inter-tree distance below which GMM sampling activates
     p_th: float = 0.5  # probability of a GMM draw once the trees are close
-    connect_radius: float = 5.0
     max_iterations: int = 6000
-    gmm_sigma: float = 1.0
-    eccentricity: float = 1.5
     rng_seed: int = 0
-    connect_heading_tol: float = 0.8
-    connect_dist_min: float = 0.8
-    connect_dist_max: float = 4.5
     goal_bias: float = 0.05
-    collision_ds: float = 0.5
-    static_margin: float = 0.15  # extra clearance kept from obstacles while steering
-    ellipse_margin: float = 5.0
-    extend_candidates: int = 8  # nearest nodes tried per sample before giving up
     world_bounds: tuple[float, float, float, float] | None = None  # xmin, ymin, xmax, ymax
 
     def __post_init__(self):
@@ -58,37 +80,10 @@ class PlannerConfig:
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if not (0.0 <= self.p_th <= 1.0):
             raise ValueError("p_th must lie in [0, 1]")
-        if self.d_th <= 0.0:
-            raise ValueError("d_th must be positive")
-        if self.collision_ds <= 0.0:
-            raise ValueError(f"collision_ds must be positive, got {self.collision_ds}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        if self.static_margin < 0.0:
-            raise ValueError(f"static_margin must be non-negative, got {self.static_margin}")
-        if self.extend_candidates < 1:
-            raise ValueError(f"extend_candidates must be at least 1, "
-                             f"got {self.extend_candidates}")
         if not 0.0 <= self.goal_bias <= 1.0:
             raise ValueError(f"goal_bias must be in [0, 1], got {self.goal_bias}")
-        if self.connect_radius <= 0.0:
-            raise ValueError(f"connect_radius must be positive, got {self.connect_radius}")
-        # random_sample's ellipse has semi-major axis max(eccentricity c,
-        # c + ellipse_margin) for half the start-goal distance c; below c its
-        # minor axis is the square root of a negative number.
-        if self.eccentricity < 1.0 and self.ellipse_margin < 0.0:
-            raise ValueError(f"eccentricity must be at least 1 when ellipse_margin is "
-                             f"negative, got {self.eccentricity} and {self.ellipse_margin}")
-        # Outside these a connection can never be made, and every plan spends
-        # its whole iteration budget.
-        if not 0.0 <= self.connect_dist_min <= self.connect_dist_max:
-            raise ValueError(f"connect_dist_min must be in [0, connect_dist_max = "
-                             f"{self.connect_dist_max}], got {self.connect_dist_min}")
-        if self.connect_heading_tol < 0.0:
-            raise ValueError(f"connect_heading_tol must be non-negative, "
-                             f"got {self.connect_heading_tol}")
-        if self.gmm_sigma < 0.0:
-            raise ValueError(f"gmm_sigma must be non-negative, got {self.gmm_sigma}")
         if self.world_bounds is not None:
             if len(self.world_bounds) != 4:
                 raise ValueError(f"world_bounds needs 4 values (xmin ymin xmax ymax), "
@@ -97,13 +92,6 @@ class PlannerConfig:
             if not (xmin < xmax and ymin < ymax):
                 raise ValueError(f"world_bounds must have xmin < xmax and ymin < ymax, "
                                  f"got {self.world_bounds}")
-
-    def check_footprint(self, footprint: FootprintSpec) -> None:
-        """Raise ValueError unless curve samples ``collision_ds`` apart are
-        close enough for ``footprint``'s cover circles to see every obstacle."""
-        if self.collision_ds > footprint.radius:
-            raise ValueError(f"collision_ds = {self.collision_ds} exceeds the robot's "
-                             f"cover radius {footprint.radius:.6g} m")
 
     def to_file(self, path) -> None:
         values = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -175,19 +163,20 @@ def _nearest_indices(tree: Tree, point, k: int) -> np.ndarray:
     return idx[np.argsort(dist2[idx], kind="stable")]
 
 
-def random_sample(start: Pose, goal: Pose, eccentricity: float, rng: np.random.Generator,
-                  margin: float = 5.0, world_bounds=None, d_th: float = 6.0) -> np.ndarray:
-    """Uniform sample inside the informed ellipse with foci at start and goal."""
+def random_sample(start: Pose, goal: Pose, rng: np.random.Generator,
+                  world_bounds=None) -> np.ndarray:
+    """Uniform sample inside the informed ellipse with foci at start and goal
+    (a disk of radius ``D_TH`` when they coincide), clamped to ``world_bounds``."""
     fx, fy = (start.x + goal.x) / 2.0, (start.y + goal.y) / 2.0
     dx, dy = goal.x - start.x, goal.y - start.y
     d = math.hypot(dx, dy)
     if d < 1e-9:
-        rad = d_th * math.sqrt(rng.random())
+        rad = D_TH * math.sqrt(rng.random())
         ang = 2.0 * math.pi * rng.random()
         p = np.array([start.x + rad * math.cos(ang), start.y + rad * math.sin(ang)])
     else:
         c = d / 2.0
-        A = max(eccentricity * c, c + margin)
+        A = max(ECCENTRICITY * c, c + ELLIPSE_MARGIN)
         B = math.sqrt(A * A - c * c)
         rad = math.sqrt(rng.random())
         ang = 2.0 * math.pi * rng.random()
@@ -200,11 +189,11 @@ def random_sample(start: Pose, goal: Pose, eccentricity: float, rng: np.random.G
     return p
 
 
-def gmm_sample(bridge_nodes, config: PlannerConfig, rng: np.random.Generator) -> np.ndarray:
+def gmm_sample(bridge_nodes, rng: np.random.Generator) -> np.ndarray:
     """Isotropic-Gaussian mixture draw centered on the bridging-path nodes."""
     k = int(rng.integers(len(bridge_nodes)))
     center = bridge_nodes[k]
-    return np.asarray(center, dtype=float) + config.gmm_sigma * rng.standard_normal(2)
+    return np.asarray(center, dtype=float) + GMM_SIGMA * rng.standard_normal(2)
 
 
 DENSE_DS = 0.1  # arc-length step of a path's dense sample table, m
@@ -297,7 +286,7 @@ def _flip(pose: Pose) -> Pose:
 
 
 def extend(tree: Tree, n_rst: int, x_rand, library: CurveLibrary, obstacles,
-           footprint: FootprintSpec, config: PlannerConfig) -> int | None:
+           footprint: FootprintSpec) -> int | None:
     """Attempt one lookup-table extension of ``tree`` from node ``n_rst`` toward
     the sample ``x_rand`` = (x, y).
 
@@ -326,11 +315,11 @@ def extend(tree: Tree, n_rst: int, x_rand, library: CurveLibrary, obstacles,
     if entry is None:
         return None
     world = as_world(obstacles)
-    cover = swept_covers(library, footprint, config.collision_ds)[cell]
-    hit = world.sweep_hits(cover, base, footprint.radius, config.static_margin)
+    ds = collision_step(footprint)
+    hit = world.sweep_hits(swept_covers(library, footprint, ds)[cell], base, footprint.radius,
+                           STATIC_MARGIN)
     if hit is None:
-        hit = curve_in_collision(footprint, entry.params, base, world, config.collision_ds,
-                                 config.static_margin)
+        hit = curve_in_collision(footprint, entry.params, base, world, ds, STATIC_MARGIN)
     if hit:
         return None
     if tree.direction == "forward":
@@ -359,11 +348,10 @@ def _chain_path(t_f: Tree, f_idx: int, t_b: Tree, b_idx: int,
 
 
 def try_connect(tree_a: Tree, tree_b: Tree, new_idx: int, library: CurveLibrary,
-                obstacles, footprint: FootprintSpec, config: PlannerConfig,
-                d: np.ndarray) -> Path | None:
+                obstacles, footprint: FootprintSpec, d: np.ndarray) -> Path | None:
     """Try to join the freshly extended node with a nearby opposite-tree node.
 
-    Candidates within ``connect_radius`` are taken nearest first, ties in
+    Candidates within ``CONNECT_RADIUS`` are taken nearest first, ties in
     index order; ``d`` holds every ``tree_b`` node's distance to the new
     node (``_node_distances``).  A candidate is skipped without a fit when
     its heading differs too much, when it lies behind, or when no curve
@@ -371,10 +359,10 @@ def try_connect(tree_a: Tree, tree_b: Tree, new_idx: int, library: CurveLibrary,
     (``reachable_within``), since a longer fit would be discarded.
     """
     new_node = tree_a.nodes[new_idx]
-    near = np.flatnonzero(d <= config.connect_radius)
+    near = np.flatnonzero(d <= CONNECT_RADIUS)
     for j in near[np.argsort(d[near], kind="stable")].tolist():
         cand = tree_b.nodes[j]
-        if not (config.connect_dist_min <= d[j] <= config.connect_dist_max):
+        if not (CONNECT_DIST_MIN <= d[j] <= CONNECT_DIST_MAX):
             continue
         if tree_a.direction == "forward":
             f_tree, f_idx, f_node = tree_a, new_idx, new_node
@@ -382,7 +370,7 @@ def try_connect(tree_a: Tree, tree_b: Tree, new_idx: int, library: CurveLibrary,
         else:
             f_tree, f_idx, f_node = tree_b, j, cand
             b_tree, b_idx, b_node = tree_a, new_idx, new_node
-        if abs(normalize_angle(b_node.pose.theta - f_node.pose.theta)) > config.connect_heading_tol:
+        if abs(normalize_angle(b_node.pose.theta - f_node.pose.theta)) > CONNECT_HEADING_TOL:
             continue
         offset = f_node.pose.local_offset(b_node.pose)
         if offset[0] <= 0.0:
@@ -395,8 +383,8 @@ def try_connect(tree_a: Tree, tree_b: Tree, new_idx: int, library: CurveLibrary,
                            seed=seed_entry.params if seed_entry else None)
         if params is None or params.s_f >= footprint.length:
             continue
-        if curve_in_collision(footprint, params, f_node.pose, obstacles, config.collision_ds,
-                              config.static_margin):
+        if curve_in_collision(footprint, params, f_node.pose, obstacles,
+                              collision_step(footprint), STATIC_MARGIN):
             continue
         return _chain_path(f_tree, f_idx, b_tree, b_idx, params)
     return None
@@ -454,12 +442,11 @@ def sample(t_f: Tree, t_b: Tree, pair: _NearestPair, start: Pose, goal: Pose,
            config: PlannerConfig, rng: np.random.Generator, target_root: Pose) -> np.ndarray:
     """One Alg.-2 draw: GMM near connection, informed-ellipse sample otherwise."""
     p = rng.random()
-    if pair.dist < config.d_th and p < config.p_th:
-        return gmm_sample(pair.bridge(t_f, t_b), config, rng)
+    if pair.dist < D_TH and p < config.p_th:
+        return gmm_sample(pair.bridge(t_f, t_b), rng)
     if config.goal_bias > 0.0 and rng.random() < config.goal_bias:
         return np.array([target_root.x, target_root.y])
-    return random_sample(start, goal, config.eccentricity, rng,
-                         config.ellipse_margin, config.world_bounds, config.d_th)
+    return random_sample(start, goal, rng, config.world_bounds)
 
 
 @dataclass
@@ -475,16 +462,15 @@ def plan_path(start: Pose, goal: Pose, static_obstacles, config: PlannerConfig,
 
     ``static_obstacles`` is a ``World`` or a sequence of obstacles; it is
     resolved to its ``World`` once, and every check of the plan uses that.
-    Raises ValueError when ``config.collision_ds`` is too coarse for
-    ``footprint`` or start or goal is already in collision; returns None when
-    the iteration budget is exhausted without a connection.
+    Raises ``EndpointInCollision`` when start or goal is already in
+    collision; returns None when the iteration budget is exhausted without a
+    connection.
     """
-    config.check_footprint(footprint)
     world = as_world(static_obstacles)
     if pose_in_collision(footprint, start, world):
-        raise ValueError("start pose is in collision")
+        raise EndpointInCollision("start pose is in collision")
     if pose_in_collision(footprint, goal, world):
-        raise ValueError("goal pose is in collision")
+        raise EndpointInCollision("goal pose is in collision")
     rng = np.random.default_rng(config.rng_seed)
     t_f = Tree(start, "forward")
     t_b = Tree(goal, "backward")
@@ -495,18 +481,17 @@ def plan_path(start: Pose, goal: Pose, static_obstacles, config: PlannerConfig,
         target_root = other.nodes[0].pose
         x_rand = sample(t_f, t_b, pair, start, goal, config, rng, target_root)
         # Fall back to the next-nearest nodes when the nearest one has already
-        # visited (or lacks) the sample's lookup cell; without this the tree
-        # stalls once the nodes around a sampling hotspot saturate.
+        # visited (or lacks) the sample's lookup cell (``EXTEND_CANDIDATES``).
         new_idx = None
         xy = x_rand.tolist()
-        for n_rst in _nearest_indices(active, x_rand, config.extend_candidates).tolist():
-            new_idx = extend(active, n_rst, xy, library, world, footprint, config)
+        for n_rst in _nearest_indices(active, x_rand, EXTEND_CANDIDATES).tolist():
+            new_idx = extend(active, n_rst, xy, library, world, footprint)
             if new_idx is not None:
                 break
         if new_idx is not None:
             d = _node_distances(active, new_idx, other)
             pair.update_new_node(active, new_idx, other, d)
-            path = try_connect(active, other, new_idx, library, world, footprint, config, d)
+            path = try_connect(active, other, new_idx, library, world, footprint, d)
             if path is not None:
                 return PlanResult(path, it + 1, len(t_f) + len(t_b))
         active, other = other, active

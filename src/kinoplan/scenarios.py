@@ -368,11 +368,14 @@ def save_scenario(scenario: Scenario, path) -> None:
 def load_scenario(path) -> Scenario:
     """Parse the schema written by save_scenario.  Errors name the file and,
     where one line is at fault, its number (a moving obstacle's ``obstacle``
-    line for an error in its script)."""
+    line for an error in its script; both lines for a key set twice)."""
     kwargs: dict = {"static_obstacles": [], "moving": []}
     obstacles: dict[int, tuple[int, FootprintSpec, list]] = {}
+    set_on: dict[str, int] = {}  # the line of each scalar key read
     for lineno, (key, *args) in configfile.read_lines(path):
         with configfile.at_line(path, lineno):
+            if key in set_on:
+                raise ValueError(f"{key} already set on line {set_on[key]}")
             value = configfile.parse_field(_READERS, key, args)
             if isinstance(value, ObstacleShape):
                 kwargs["static_obstacles"].append(value)
@@ -389,6 +392,7 @@ def load_scenario(path) -> Scenario:
             else:
                 _check_field(key, value)
                 kwargs[key] = value
+                set_on[key] = lineno
     for oid in sorted(obstacles):
         lineno, footprint, rows = obstacles[oid]
         with configfile.at_line(path, lineno):

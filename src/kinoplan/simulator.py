@@ -1,16 +1,17 @@
 """Deterministic scenario execution: the tick loop and the replan loop.
 
-The control loop alternates between four states.  PLANNING builds a geometric
+Each tick carries one of four flags.  PLANNING (tick 0) builds a geometric
 path and times it against the current obstacle predictions; EXECUTING follows
 the timed trajectory and revalidates it at every perception tick, re-timing
 the rest of the path when the fresh predictions make it unsafe.  An adopted
 trajectory is evaluated once, at every tick time it can be driven at
 (``TickTable``): the executor reads each tick's pose from that table, and
 revalidation its robot covers from the current tick on, so a perception
-tick builds only the obstacle predictions.  WAITING holds
-position when no safe timing exists and tries nothing until ``replan_timeout``
-has passed, when the path itself is replanned (REPLANNING), treating
-obstacles that have stopped as static blockers.  Every planning attempt is
+tick builds only the obstacle predictions.  WAITING holds position when no
+safe timing exists and tries nothing until ``replan_timeout`` has passed,
+when the path itself is replanned (REPLANNING), treating obstacles that have
+stopped as static blockers.  The loop keeps no state beyond the trajectory it
+executes: after tick 0, none means waiting.  Every planning attempt is
 recorded in one place (``_Runner._attempt``).  Each tick logs only what the
 loop decides: its time, the robot pose and the state flag; after the run,
 ``derive_trace`` fills in the obstacle poses, speeds, clearances and success
@@ -30,7 +31,7 @@ from .collision import (FootprintSpec, ObstacleShape, as_world, circle_gaps,
                         min_clearance)
 from .configfile import at_line, read_lines, write_lines
 from .geometry import CurveLibrary, Pose, build_curve_library, normalize_angle
-from .rrt import Path, PlannerConfig, plan_path
+from .rrt import EndpointInCollision, Path, PlannerConfig, plan_path
 from .scenarios import Scenario
 from .temporal import (NodeIntervals, TemporalConfig, Trajectory,
                        _predicted_obstacle_circles, compute_safe_intervals,
@@ -216,7 +217,6 @@ class _Runner:
         self.sc = scenario
         self.world = as_world(scenario.static_obstacles)  # for the timing layer's checks
         self.pcfg = planner_config or PlannerConfig()
-        self.pcfg.check_footprint(scenario.robot)
         self.lib = library if library is not None else build_curve_library()
         self.seed = seed
         self.noise_rng = np.random.default_rng(seed)
@@ -251,7 +251,7 @@ class _Runner:
                       world_bounds=self.sc.bounds)
         try:
             result = plan_path(start, self.sc.goal, obstacles, cfg, self.lib, self.sc.robot)
-        except ValueError:
+        except EndpointInCollision:
             result = None
         # A failed plan takes three seeds, as when two narrower retries
         # followed it, so every later plan keeps its seed.
@@ -334,28 +334,24 @@ class _Runner:
         for k in range(10):
             self.observe(-1.0 + 0.1 * k)
         pose = sc.start
-        state = PLANNING
-        table: TickTable | None = None  # the trajectory being executed
+        table: TickTable | None = None  # the trajectory being executed; None while waiting
         since = 0.0  # time of the last planning attempt
         for tick in range(int(round(sc.time_limit / dt)) + 1):
             t = tick * dt
             perceive = tick % per_ticks == 0
             if perceive and tick > 0:
                 self.observe(t)
-            flag = state
-            if state == PLANNING:
+            flag = PLANNING if tick == 0 else EXECUTING if table is not None else WAITING
+            if tick == 0:
                 table, since = self._adopt(tick, "initial", self._plan, pose, t), t
-                state = EXECUTING if table is not None else WAITING
-            elif state == EXECUTING and perceive and not self._future_safe(table, tick):
+            elif table is not None and perceive and not self._future_safe(table, tick):
                 table, since = self._adopt(tick, "retime", self._retime,
                                            table.trajectory, since, t), t
-                state = EXECUTING if table is not None else WAITING
                 flag = REPLANNING if table is not None else WAITING
-            elif state == WAITING and perceive and t - since >= self.replan_timeout:
+            elif table is None and perceive and t - since >= self.replan_timeout:
                 table, since = self._adopt(tick, "replan", self._plan, pose, t), t
-                state = EXECUTING if table is not None else WAITING
                 flag = REPLANNING
-            if state == EXECUTING:
+            if table is not None:
                 pose = table.pose(tick)
             self.trace.times.append(t)
             self.trace.poses.append((pose.x, pose.y, pose.theta))

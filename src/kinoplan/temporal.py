@@ -31,6 +31,9 @@ IP_TOLERANCE = 1e-9
 IP_MAX_ITERS = 100
 IP_START = 1.0
 IP_STEP_TO_BOUNDARY = 0.995
+# Least overlap, s, between the intervals that selection takes at consecutive
+# nodes: 2 x vehicle length / v_max for the 4.6 m car at 2 m/s.
+OVERLAP_MIN = 2.0 * (4.6 / 2.0)
 # Slack added to a node's influence radius when deciding whether an obstacle
 # has left it for good (an open-ended last interval), m.
 INFLUENCE_EXTRA = 0.5
@@ -65,7 +68,6 @@ class TemporalConfig:
     v_max: float = 2.0
     a_max: float = 1.0
     horizon: float = 30.0
-    overlap_min: float = 2.0 * (4.6 / 2.0)  # 2 x vehicle length / v_max
 
     def __post_init__(self):
         for name in ("v_max", "a_max", "horizon"):
@@ -258,7 +260,7 @@ def select_interval_sequence(node_intervals: list[NodeIntervals],
     """Layer-by-layer growth of the interval sequence (Fig.-7 style structure).
 
     A child interval is valid when it overlaps its parent's narrowed interval
-    by at least overlap_min and is reachable before it closes; its effective
+    by at least ``OVERLAP_MIN`` and is reachable before it closes; its effective
     start becomes max(child.start, parent.start + minimum edge travel time),
     so branches the car cannot physically reach in time die early.  An
     edge's minimum travel time is its length (``edge_lengths``) over v_max,
@@ -284,7 +286,7 @@ def select_interval_sequence(node_intervals: list[NodeIntervals],
                 p_start = state[0]
                 p_end = prev_ints[pj].end
                 overlap = min(p_end, child.end) - max(p_start, child.start)
-                if overlap < config.overlap_min:
+                if overlap < OVERLAP_MIN:
                     continue
                 eff = max(child.start, p_start + travel[layer_i - 1])
                 if eff >= child.end:

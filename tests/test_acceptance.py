@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from kinoplan import cli
+from kinoplan import cli, temporal
 from kinoplan.collision import FootprintSpec, disc_radius
 from kinoplan.geometry import CurveParams, Pose, fit_curve, integrate_endpoint
 from kinoplan.rrt import Path
@@ -126,10 +126,10 @@ def _node_grids(nis, dt):
     return out
 
 
-def _overlap_ok(nis, i, j, k, overlap_min):
+def _overlap_ok(nis, i, j, k):
     a = nis[i].intervals[j]
     b = nis[i + 1].intervals[k]
-    return min(a.end, b.end) - max(a.start, b.start) >= overlap_min
+    return min(a.end, b.end) - max(a.start, b.start) >= temporal.OVERLAP_MIN
 
 
 def _grid_oracle(edges, nis, config, w_t, w_a, dt=0.01):
@@ -146,7 +146,7 @@ def _grid_oracle(edges, nis, config, w_t, w_a, dt=0.01):
     if not np.any(np.abs(grids[0][0]) < EPS):
         return math.inf
     t2, id2 = grids[1]
-    pair01 = np.array([_overlap_ok(nis, 0, 0, int(k), config.overlap_min) for k in id2])
+    pair01 = np.array([_overlap_ok(nis, 0, 0, int(k)) for k in id2])
     with np.errstate(divide="ignore", invalid="ignore"):
         v2 = edges[0] / t2
     ok2 = pair01 & (t2 >= 1e-3) & (v2 <= v_max + EPS)
@@ -154,7 +154,7 @@ def _grid_oracle(edges, nis, config, w_t, w_a, dt=0.01):
         vals = w_t * t2[ok2] ** 2
         return float(vals.min()) if vals.size else math.inf
     t3, id3 = grids[2]
-    pair12 = np.array([[_overlap_ok(nis, 1, a, b, config.overlap_min)
+    pair12 = np.array([[_overlap_ok(nis, 1, a, b)
                         for b in range(len(nis[2].intervals))]
                        for a in range(len(nis[1].intervals))])
     DT = t3[None, :] - t2[:, None]
@@ -167,7 +167,7 @@ def _grid_oracle(edges, nis, config, w_t, w_a, dt=0.01):
     for i in range(3, n):
         tprev, idprev = grids[i - 1]
         tcur, idcur = grids[i]
-        pair = np.array([[_overlap_ok(nis, i - 1, a, b, config.overlap_min)
+        pair = np.array([[_overlap_ok(nis, i - 1, a, b)
                           for b in range(len(nis[i].intervals))]
                          for a in range(len(nis[i - 1].intervals))])
         pair_pts = pair[idprev][:, idcur]
@@ -217,8 +217,11 @@ def _objective(path, traj, config):
         w_a * float(traj.accelerations @ traj.accelerations)
 
 
-def test_optimizer_matches_brute_force():
-    config = TemporalConfig(v_max=2.0, a_max=1.0, overlap_min=0.2)
+def test_optimizer_matches_brute_force(monkeypatch):
+    # The instances' intervals last 0.6-1.5 s, far below the car's 4.6 s
+    # OVERLAP_MIN, so selection and the oracle use the 0.2 s they are drawn for.
+    monkeypatch.setattr(temporal, "OVERLAP_MIN", 0.2)
+    config = TemporalConfig(v_max=2.0, a_max=1.0)
     t0 = time.perf_counter()
     done = 0
     seed = 0

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from kinoplan import cli
 from kinoplan.cli import EXIT_ERROR, EXIT_NO_PATH, EXIT_OK, EXIT_SCENARIO_FAILED
 from kinoplan.collision import footprint_circles
 from kinoplan.geometry import CurveLibrary
+from kinoplan.rrt import PlannerConfig
 from kinoplan.scenarios import get_scenario, save_scenario
 from kinoplan.svg import SvgCanvas
 
@@ -127,44 +129,34 @@ class TestPlan:
                                       "goal_bias = 2", "gmm_sigma = nan",
                                       "connect_radius = -1"])
     def test_bad_planner_config(self, tmp_path, library_csv, capsys, command, line):
-        """A value that would weaken or misreport planning fails with the file's name."""
+        """A value that would weaken or misreport planning fails with the file's
+        name; so does a key that is now a constant in ``rrt``."""
         cfg = tmp_path / "planner.cfg"
         cfg.write_text(line + "\n")
         code = cli.main(command + ["--config", str(cfg), "--library", str(library_csv),
                                    "--out", str(tmp_path / "o")])
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
-        assert f"planner.cfg: {line.split()[0]} must be" in err
+        key = line.split()[0]
+        if key in {f.name for f in fields(PlannerConfig)}:
+            assert f"planner.cfg: {key} must be" in err
+        else:
+            assert f"planner.cfg:1: unknown key {key!r}" in err
         assert "Traceback" not in err
-
-    def test_config_that_fails_every_plan(self, tmp_path, library_csv, capsys):
-        """An ellipse with no minor axis used to make every plan raise inside
-        the sampler, which the runner counted as a failed plan: 60 s of
-        simulated time, exit 3 and no message."""
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("eccentricity = 0.5\nellipse_margin = -20\n")
-        out = tmp_path / "o"
-        code = cli.main(["simulate", "--scenario", "cross", "--config", str(cfg),
-                         "--library", str(library_csv), "--out", str(out)])
-        assert code == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert "bad.cfg: eccentricity must be at least 1 when ellipse_margin is negative" in err
-        assert "Traceback" not in err
-        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["plan", "--scenario", "cross"],
                                          ["simulate", "--scenario", "cross"]])
-    def test_collision_ds_beyond_cover_radius(self, tmp_path, library_csv, capsys, command):
-        """Samples farther apart than the robot's cover radius fail before any
-        planning, naming the file."""
+    def test_removed_planner_key(self, tmp_path, library_csv, capsys, command):
+        """A key that is now a constant in ``rrt`` is an unknown key, even
+        with a valid value, and fails before any planning."""
         cfg = tmp_path / "planner.cfg"
-        cfg.write_text("collision_ds = 2.0\n")
+        cfg.write_text("gmm_sigma = 0.5\n")
         out = tmp_path / "o"
         code = cli.main(command + ["--config", str(cfg), "--library", str(library_csv),
                                    "--out", str(out)])
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
-        assert "planner.cfg: collision_ds = 2.0 exceeds the robot's cover radius 1.2" in err
+        assert "planner.cfg:1: unknown key 'gmm_sigma'" in err
         assert "Traceback" not in err
         assert not out.exists()
 

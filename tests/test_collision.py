@@ -759,19 +759,19 @@ class TestWorldVerdicts:
                             lambda *a: exact_calls.append(a) or exact(*a))
         monkeypatch.setattr(rrt, "curve_in_collision",
                             lambda *a: curve_checks.append(a) or curve_check(*a))
-        spec, cfg = default_robot_footprint(), rrt.PlannerConfig()
+        spec = default_robot_footprint()
         target = np.array([4.0, 0.0])
         far = ObstacleShape.polygon([(14.5, -5.0), (16.0, -5.0), (16.0, 5.0), (14.5, 5.0)])
         assert rrt.extend(rrt.Tree(Pose(0.0, 0.0, 0.0), "forward"), 0, target, library,
-                          (far,), spec, cfg) is not None
+                          (far,), spec) is not None
         assert not exact_calls and not curve_checks
         entry = library.lookup(4.0, 0.0)
         ex = entry.dx + max(spec.center_offsets) * math.cos(entry.dtheta)
-        face = ex + spec.radius + cfg.static_margin
+        face = ex + spec.radius + rrt.STATIC_MARGIN
         ahead = ObstacleShape.polygon([(face, -5.0), (face + 1.0, -5.0), (face + 1.0, 5.0),
                                        (face, 5.0)])
         rrt.extend(rrt.Tree(Pose(0.0, 0.0, 0.0), "forward"), 0, target, library, (ahead,),
-                   spec, cfg)
+                   spec)
         assert exact_calls and curve_checks
 
 

@@ -1,11 +1,18 @@
-"""Dead code in ``src/kinoplan``: imports a module never uses, and private
-module-level names that nothing in the package refers to.
+"""Dead code in ``src/kinoplan``: imports a module never uses, private
+module-level names that nothing in the package refers to, and config fields
+that no program sets.
 
 Both checks read the source with ``ast``, so a name that only a docstring or a
 comment mentions counts as unused.  A name counts as used where the code loads
 it (``name``), reads it as an attribute (``module.name``) or imports it from
 another module.  The package's ``__init__`` only re-exports, and
 ``from __future__`` imports are directives, so neither is checked.
+
+A field of ``PlannerConfig`` or ``TemporalConfig`` is a dead knob when no call
+in ``src/``, ``perfbench/`` or ``tools/`` passes it by keyword, to the class or
+to ``dataclasses.replace``: only a config file or a test could set it, so it
+belongs in a module constant.  ``LibraryConfig`` and ``Scenario`` are the
+schemas of saved files, so they are not checked.
 """
 
 import ast
@@ -15,6 +22,10 @@ from pathlib import Path
 import kinoplan
 
 SRC = Path(kinoplan.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
+PROGRAMS = [ast.parse(path.read_text(), str(path)) for folder in ("src", "perfbench", "tools")
+            for path in sorted((ROOT / folder).rglob("*.py"))]
+KNOBS = {"rrt": "PlannerConfig", "temporal": "TemporalConfig"}  # module: config class
 MODULES = {path.stem: ast.parse(path.read_text(), str(path))
            for path in sorted(SRC.glob("*.py"))}
 DUNDER = re.compile(r"^__\w+__$")
@@ -64,6 +75,29 @@ def _private_definitions(tree: ast.Module) -> dict[str, int]:
     return names
 
 
+def _fields(tree: ast.Module, cls: str) -> list[str]:
+    """The annotated fields of class ``cls`` in ``tree``."""
+    body = next(node.body for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == cls)
+    return [node.target.id for node in body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+
+
+def _keywords_set(trees, classes) -> set[str]:
+    """The keywords that calls in ``trees`` pass to one of ``classes`` or to
+    ``replace``, by name or as an attribute."""
+    names = set(classes) | {"replace"}
+    set_ = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in names:
+                    set_.update(kw.arg for kw in node.keywords if kw.arg)
+    return set_
+
+
 def test_every_import_is_used():
     unused = []
     for module, tree in MODULES.items():
@@ -91,3 +125,19 @@ def test_the_checks_see_dead_code():
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert {n for n in _imported(tree) if n not in used} == {"os", "tau"}
     assert {n for n in _private_definitions(tree) if n not in _uses(tree)} == {"_DEAD", "_gone"}
+
+
+def test_every_config_field_is_set_by_a_program():
+    set_ = _keywords_set(PROGRAMS, KNOBS.values())
+    dead = [f"{cls}.{name}" for module, cls in KNOBS.items()
+            for name in _fields(MODULES[module], cls) if name not in set_]
+    assert not dead, ("config fields that no call in src/, perfbench/ or tools/ sets "
+                      "(make them module constants):\n" + "\n".join(dead))
+
+
+def test_the_knob_check_sees_a_dead_knob():
+    """A field set only through ``replace``, one set by the constructor and
+    one set nowhere; another class's keywords do not count."""
+    tree = ast.parse("class Cfg:\n    a: int = 0\n    b: int = 1\n    c: int = 2\n"
+                     "x = dataclasses.replace(Cfg(b=2), a=1)\nOther(c=3)\n")
+    assert [f for f in _fields(tree, "Cfg") if f not in _keywords_set([tree], ["Cfg"])] == ["c"]

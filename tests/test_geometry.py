@@ -19,7 +19,6 @@ from kinoplan.geometry import (FIT_TOL, SIMPSON_STEP, CurveLibrary, CurveParams,
                                endpoint_jacobian, fit_curve, heading_change,
                                integrate_endpoint, local_curve_samples,
                                max_abs_curvature, normalize_angle, reachable_within)
-from kinoplan.rrt import PlannerConfig
 
 
 def straight(s_f):
@@ -212,17 +211,13 @@ class TestSampleCurvePoses:
     def test_bad_ds(self):
         """A step that is not positive and finite raises ValueError in the
         sampler and in the curve check, which would otherwise check the end
-        pose alone (negative), divide by zero or fail inside numpy (nan).
-        The planner config rejects such a ``collision_ds`` up front."""
+        pose alone (negative), divide by zero or fail inside numpy (nan)."""
         spec = default_robot_footprint()
         for ds in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="sampling step"):
                 local_curve_samples(straight(2.0), ds)
             with pytest.raises(ValueError, match="sampling step"):
                 curve_in_collision(spec, straight(2.0), Pose(0.0, 0.0, 0.0), (), ds)
-        for ds in (0.0, -0.5, math.inf, math.nan):
-            with pytest.raises(ValueError, match="collision_ds"):
-                PlannerConfig(collision_ds=ds)
 
 
 class TestFitCurve:

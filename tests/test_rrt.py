@@ -6,11 +6,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from kinoplan.collision import ObstacleShape, default_robot_footprint
+from kinoplan.collision import FootprintSpec, ObstacleShape, default_robot_footprint
 from kinoplan.geometry import CurveParams, Pose, normalize_angle
 from kinoplan import rrt
-from kinoplan.rrt import (Path, PlannerConfig, Tree, TreeNode, extend,
-                          gmm_sample, plan_path, random_sample)
+from kinoplan.rrt import (EXTEND_CANDIDATES, GMM_SIGMA, Path, PlannerConfig, Tree, TreeNode,
+                          extend, gmm_sample, plan_path, random_sample)
 
 FOOTPRINT = default_robot_footprint()
 
@@ -25,12 +25,11 @@ class TestSampling:
         rng = np.random.default_rng(0)
         start = Pose(0.0, 0.0, 0.0)
         goal = Pose(10.0, 0.0, 0.0)
-        ecc = 1.5
         # Semi-major axis: max(eccentricity-scaled half focal distance,
         # half distance + margin); sum of focal distances is at most 2A.
-        semi_major = max(ecc * 5.0, 5.0 + 5.0)
+        semi_major = max(rrt.ECCENTRICITY * 5.0, 5.0 + rrt.ELLIPSE_MARGIN)
         for _ in range(10000):
-            x, y = random_sample(start, goal, ecc, rng, 5.0, None, 6.0)
+            x, y = random_sample(start, goal, rng)
             d = math.hypot(x - 0.0, y - 0.0) + math.hypot(x - 10.0, y - 0.0)
             assert d <= 2.0 * semi_major + 1e-9
 
@@ -38,48 +37,43 @@ class TestSampling:
         rng = np.random.default_rng(1)
         p = Pose(3.0, 3.0, 0.0)
         for _ in range(1000):
-            x, y = random_sample(p, p, 1.5, rng, 5.0, None, 6.0)
-            assert math.hypot(x - 3.0, y - 3.0) <= 6.0 + 1e-9
+            x, y = random_sample(p, p, rng)
+            assert math.hypot(x - 3.0, y - 3.0) <= rrt.D_TH + 1e-9
 
     def test_random_sample_respects_world_bounds(self):
         rng = np.random.default_rng(2)
         bounds = (-1.0, -1.0, 11.0, 1.0)
         for _ in range(2000):
-            x, y = random_sample(Pose(0.0, 0.0, 0.0), Pose(10.0, 0.0, 0.0),
-                                 1.5, rng, 5.0, bounds, 6.0)
+            x, y = random_sample(Pose(0.0, 0.0, 0.0), Pose(10.0, 0.0, 0.0), rng, bounds)
             assert bounds[0] - 1e-9 <= x <= bounds[2] + 1e-9
             assert bounds[1] - 1e-9 <= y <= bounds[3] + 1e-9
 
     def test_gmm_sample_moments(self):
         rng = np.random.default_rng(3)
-        cfg = PlannerConfig(gmm_sigma=0.5)
-        pts = np.array([gmm_sample([(2.0, -1.0)], cfg, rng) for _ in range(10000)])
-        assert pts.mean(axis=0) == pytest.approx([2.0, -1.0], abs=0.03)
-        assert pts.std(axis=0) == pytest.approx([0.5, 0.5], abs=0.03)
+        pts = np.array([gmm_sample([(2.0, -1.0)], rng) for _ in range(10000)])
+        assert pts.mean(axis=0) == pytest.approx([2.0, -1.0], abs=0.06 * GMM_SIGMA)
+        assert pts.std(axis=0) == pytest.approx([GMM_SIGMA] * 2, abs=0.06 * GMM_SIGMA)
 
     def test_gmm_component_frequencies(self):
         rng = np.random.default_rng(4)
-        cfg = PlannerConfig(gmm_sigma=0.1)
-        centers = [(0.0, 0.0), (100.0, 0.0)]
-        pts = np.array([gmm_sample(centers, cfg, rng) for _ in range(10000)])
-        frac = float(np.mean(pts[:, 0] > 50.0))
+        centers = [(0.0, 0.0), (100.0 * GMM_SIGMA, 0.0)]
+        pts = np.array([gmm_sample(centers, rng) for _ in range(10000)])
+        frac = float(np.mean(pts[:, 0] > 50.0 * GMM_SIGMA))
         assert abs(frac - 0.5) < 0.03
 
 
 class TestExtend:
     def test_duplicate_cell_rejected(self, library):
         tree = Tree(Pose(0.0, 0.0, 0.0), "forward")
-        cfg = PlannerConfig()
         target = np.array([2.0, 0.0])
-        first = extend(tree, 0, target, library, [], FOOTPRINT, cfg)
+        first = extend(tree, 0, target, library, [], FOOTPRINT)
         assert first is not None
-        second = extend(tree, 0, target, library, [], FOOTPRINT, cfg)
+        second = extend(tree, 0, target, library, [], FOOTPRINT)
         assert second is None  # same lookup cell already visited at this node
 
     def test_straight_ahead_extension(self, library):
         tree = Tree(Pose(0.0, 0.0, 0.0), "forward")
-        cfg = PlannerConfig()
-        idx = extend(tree, 0, np.array([2.0, 0.0]), library, [], FOOTPRINT, cfg)
+        idx = extend(tree, 0, np.array([2.0, 0.0]), library, [], FOOTPRINT)
         node = tree.nodes[idx]
         assert node.pose.y == pytest.approx(0.0, abs=1e-3)
         assert node.pose.theta == pytest.approx(0.0, abs=1e-3)
@@ -87,16 +81,14 @@ class TestExtend:
 
     def test_far_sample_clamped_to_r_max(self, library):
         tree = Tree(Pose(0.0, 0.0, 0.0), "forward")
-        cfg = PlannerConfig()
-        idx = extend(tree, 0, np.array([100.0, 0.0]), library, [], FOOTPRINT, cfg)
+        idx = extend(tree, 0, np.array([100.0, 0.0]), library, [], FOOTPRINT)
         node = tree.nodes[idx]
         assert node.pose.x == pytest.approx(library.config.r_max, abs=1e-3)
 
     def test_collision_rejected(self, library):
         tree = Tree(Pose(0.0, 0.0, 0.0), "forward")
-        cfg = PlannerConfig()
         obs = [ObstacleShape.disk(2.0, 0.0, 1.0)]
-        assert extend(tree, 0, np.array([4.0, 0.0]), library, obs, FOOTPRINT, cfg) is None
+        assert extend(tree, 0, np.array([4.0, 0.0]), library, obs, FOOTPRINT) is None
 
 
 class TestPlanPath:
@@ -109,9 +101,9 @@ class TestPlanPath:
             builds.append((pair.f_idx, pair.b_idx))
             return bridge_nodes(t_f, t_b, pair)
 
-        def checked(nodes, config, rng):
+        def checked(nodes, rng):
             draws.append(nodes)
-            return gmm(nodes, config, rng)
+            return gmm(nodes, rng)
 
         monkeypatch.setattr(rrt, "_bridge_nodes", counted)
         monkeypatch.setattr(rrt, "gmm_sample", checked)
@@ -134,12 +126,33 @@ class TestPlanPath:
     def test_start_or_goal_in_collision(self, library):
         cfg = PlannerConfig(world_bounds=(-10.0, -10.0, 20.0, 10.0))
         obs = [ObstacleShape.disk(10.0, 0.0, 2.0)]
-        with pytest.raises(ValueError):
+        with pytest.raises(rrt.EndpointInCollision, match="goal pose"):
             plan_path(Pose(0.0, 0.0, 0.0), Pose(10.0, 0.0, 0.0), obs, cfg,
                       library, FOOTPRINT)
-        with pytest.raises(ValueError):
+        with pytest.raises(rrt.EndpointInCollision, match="start pose"):
             plan_path(Pose(10.0, 0.0, 0.0), Pose(20.0, 0.0, 0.0), obs, cfg,
                       library, FOOTPRINT)
+
+    def test_small_robot_is_checked_at_its_cover_radius(self, library, monkeypatch):
+        """A robot whose cover radius is below ``COLLISION_DS`` plans, and
+        every curve check samples it at that radius, so no obstacle fits
+        between two samples' circles.  (A 2 m robot: a bridge must be shorter
+        than the robot and at least ``CONNECT_DIST_MIN`` long.)"""
+        robot = FootprintSpec.from_dimensions(2.0, 0.6)
+        assert robot.radius < rrt.COLLISION_DS
+        steps = []
+        swept, curve_check = rrt.swept_covers, rrt.curve_in_collision
+        monkeypatch.setattr(rrt, "swept_covers",
+                            lambda lib, fp, ds: steps.append(ds) or swept(lib, fp, ds))
+        monkeypatch.setattr(rrt, "curve_in_collision",
+                            lambda fp, c, p, o, ds, m: steps.append(ds)
+                            or curve_check(fp, c, p, o, ds, m))
+        cfg = PlannerConfig(rng_seed=2, world_bounds=(-10.0, -10.0, 25.0, 15.0))
+        obs = [ObstacleShape.disk(6.0, 0.0, 1.5), ObstacleShape.disk(12.0, 3.0, 1.5)]
+        result = plan_path(Pose(0.0, 0.0, 0.0), Pose(18.0, 0.0, 0.0), obs, cfg, library,
+                           robot)
+        assert result is not None and steps
+        assert set(steps) == {robot.radius}
 
     def test_determinism(self, library):
         a = plan_empty(library, 5)
@@ -221,42 +234,14 @@ class TestPlannerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             PlannerConfig(p_th=1.5)
-        with pytest.raises(ValueError):
-            PlannerConfig(d_th=0.0)
         for n in (0, -3):
             with pytest.raises(ValueError, match="max_iterations"):
                 PlannerConfig(max_iterations=n)
-        for bad in ({"static_margin": -0.01}, {"extend_candidates": 0},
-                    {"goal_bias": -0.1}, {"goal_bias": 1.5}, {"connect_radius": 0.0},
-                    {"gmm_sigma": math.nan}, {"d_th": math.inf},
+        for bad in ({"goal_bias": -0.1}, {"goal_bias": 1.5}, {"p_th": math.nan},
                     {"world_bounds": (0.0, 0.0, math.nan, 5.0)}):
-            with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
+            with pytest.raises(ValueError, match=f"^{next(iter(bad))} must"):
                 PlannerConfig(**bad)
-        PlannerConfig(static_margin=0.0, goal_bias=1.0, extend_candidates=1)
-
-    @pytest.mark.parametrize("bad", [
-        {"eccentricity": 0.5, "ellipse_margin": -20.0},
-        {"eccentricity": 0.999, "ellipse_margin": -1e-9},
-        {"connect_dist_min": -0.1},
-        {"connect_dist_min": 4.6, "connect_dist_max": 4.5},
-        {"connect_dist_min": -2.0, "connect_dist_max": -1.0},
-        {"connect_heading_tol": -0.1},
-        {"gmm_sigma": -1.0},
-    ])
-    def test_rejects_values_that_fail_every_plan(self, bad):
-        """Values that make ``random_sample`` raise or every connection
-        impossible; each is named in the message."""
-        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
-            PlannerConfig(**bad)
-
-    def test_accepts_the_edges_of_those_ranges(self):
-        PlannerConfig(eccentricity=0.5, ellipse_margin=0.0)
-        PlannerConfig(eccentricity=1.0, ellipse_margin=-20.0)
-        PlannerConfig(connect_dist_min=0.0, connect_heading_tol=0.0, gmm_sigma=0.0)
-        PlannerConfig(connect_dist_min=4.5, connect_dist_max=4.5)
-        rng = np.random.default_rng(0)
-        for ecc, margin in ((0.5, 0.0), (1.0, -20.0)):
-            random_sample(Pose(0.0, 0.0, 0.0), Pose(10.0, 0.0, 0.0), ecc, rng, margin)
+        PlannerConfig(p_th=0.0, goal_bias=1.0, max_iterations=1)
 
     def test_file_roundtrip(self, tmp_path):
         cfg = PlannerConfig(p_th=0.25, max_iterations=1234,
@@ -277,11 +262,11 @@ class TestPlannerConfig:
         result = plan_path(Pose(0.0, 0.0, 0.0), Pose(18.0, 0.0, 0.0), obs, cfg,
                            library, FOOTPRINT)
         assert result is not None
-        assert result.node_count > cfg.extend_candidates
+        assert result.node_count > EXTEND_CANDIDATES
 
     def test_bad_value_reports_line(self, tmp_path):
         path = tmp_path / "planner.cfg"
-        path.write_text("p_th = 0.5\nextend_candidates = 8.5\n")
+        path.write_text("p_th = 0.5\nmax_iterations = 8.5\n")
         with pytest.raises(ValueError, match=":2"):
             PlannerConfig.from_file(path)
 

@@ -14,6 +14,7 @@ from kinoplan.scenarios import (Scenario, ScriptedObstacle, builtin_scenarios,
                                 wait_scenario)
 
 CAR = FootprintSpec.from_dimensions(4.0, 2.0)
+HEADER = ["name x", "bounds -5 -5 15 5", "start 0 0 0", "goal 10 0 0"]
 
 
 class TestScriptedObstacle:
@@ -177,9 +178,26 @@ class TestScenarioFiles:
         (["obs_noise -0.5"], r"s\.txt:5: obs_noise must be finite and non-negative, got -0.5"),
     ])
     def test_bad_value_names_its_line(self, tmp_path, lines, message):
+        """Each case's own header leaves out the keys its lines set (as a
+        comment, so the line numbers hold): a key set twice fails on its own."""
+        keys = {line.split()[0] for line in lines}
+        header = [f"# {h}" if h.split()[0] in keys else h for h in HEADER]
         p = tmp_path / "s.txt"
-        p.write_text("name x\nbounds -5 -5 15 5\nstart 0 0 0\ngoal 10 0 0\n"
-                     + "\n".join(lines) + "\n")
+        p.write_text("\n".join(header + lines) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_scenario(p)
+
+    @pytest.mark.parametrize("line,message", [
+        ("v_max 3", r"s\.txt:7: v_max already set on line 5"),
+        ("v_max 2", r"s\.txt:7: v_max already set on line 5"),
+        ("bounds -6 -6 16 6", r"s\.txt:7: bounds already set on line 2"),
+    ])
+    def test_repeated_key_names_both_lines(self, tmp_path, line, message):
+        """A scalar key set twice fails on the second line, naming the first,
+        as a repeated key in a planner or library config does; obstacle lines
+        may repeat."""
+        p = tmp_path / "s.txt"
+        p.write_text("\n".join(HEADER + ["v_max 2", "disk 5 3 1", line, "disk 5 3 1"]) + "\n")
         with pytest.raises(ValueError, match=message):
             load_scenario(p)
 

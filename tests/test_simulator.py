@@ -7,11 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kinoplan import simulator
+from kinoplan import rrt, simulator
 from kinoplan.collision import (ObstacleShape, clearance_to_obstacle, footprint_circles,
                                 footprint_circles_batch, min_clearance)
 from kinoplan.geometry import CurveParams, Pose
-from kinoplan.rrt import Path, PlannerConfig, plan_path
+from kinoplan.rrt import Path, plan_path
 from kinoplan.scenarios import Scenario, get_scenario
 from kinoplan.simulator import (BLOCKER_INFLATION, EXECUTING, PLANNING, REPLANNING,
                                 REVALIDATE_MARGIN, WAITING, TickTable, TraceLog, _Runner,
@@ -249,9 +249,15 @@ class TestFullRuns:
         assert trace.failure_reason == "time limit exceeded"
         assert trace.times[-1] == pytest.approx(2.0)
 
-    def test_collision_ds_beyond_cover_radius(self, library):
-        with pytest.raises(ValueError, match="collision_ds = 2.0 exceeds the robot's cover"):
-            run_scenario(empty_scenario(), PlannerConfig(collision_ds=2.0), library=library)
+    def test_planning_bug_is_not_a_failed_plan(self, library, monkeypatch):
+        """Only start or goal in collision counts as a failed plan; any other
+        ValueError raised while planning comes out of the run."""
+        def broken(*args):
+            raise ValueError("broken extension")
+
+        monkeypatch.setattr(rrt, "extend", broken)
+        with pytest.raises(ValueError, match="broken extension"):
+            run_scenario(empty_scenario(), library=library)
 
     def test_short_remainder_retime_is_recorded(self, library):
         """A retime with less than one edge left is a failed attempt, and recorded."""

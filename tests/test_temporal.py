@@ -17,8 +17,8 @@ from kinoplan.collision import (FootprintSpec, ObstacleShape, _pair_distances,
                                 default_robot_footprint, footprint_circles_batch)
 from kinoplan.geometry import CurveParams, Pose
 from kinoplan.rrt import Path
-from kinoplan.temporal import (DT_MIN, SI_DT, IntervalSequence, NodeIntervals, SafeInterval,
-                               TemporalConfig, TimingProblem, Trajectory,
+from kinoplan.temporal import (DT_MIN, OVERLAP_MIN, SI_DT, IntervalSequence, NodeIntervals,
+                               SafeInterval, TemporalConfig, TimingProblem, Trajectory,
                                _effective_margin, _open_horizon,
                                _predicted_obstacle_circles, compute_safe_intervals,
                                free_runs, optimize_timestamps, predicted_hits,
@@ -387,6 +387,11 @@ def timing_instances(draw):
     return edges, nis
 
 
+# The least overlap for instances like ``timing_instances``, whose intervals
+# are far shorter than ``OVERLAP_MIN``, the car's 4.6 s.
+SUB_SECOND_OVERLAP = 0.2
+
+
 def timing_problem_case(ends):
     """A TimingProblem on a path with uneven edges and the given interval
     ends (node 0 first), plus random stamps feasible for it."""
@@ -580,24 +585,25 @@ class TestBandedLDL:
 
 class TestSelectSequence:
     def test_all_open(self):
-        cfg = TemporalConfig(overlap_min=0.5)
+        cfg = TemporalConfig()
         seq = select_interval_sequence(unconstrained(4), cfg, [0.0] * 3)
         assert seq is not None
         assert all(si.end == math.inf for si in seq.chosen)
         assert seq.source_indices == [0, 0, 0, 0]
 
     def test_dead_branch_terminates(self):
-        cfg = TemporalConfig(overlap_min=0.5)
+        cfg = TemporalConfig()
+        assert OVERLAP_MIN < 10.0
         nis = [
             NodeIntervals(0, [SafeInterval(0.0, math.inf)]),
-            NodeIntervals(1, [SafeInterval(0.0, 3.0), SafeInterval(5.0, math.inf)]),
-            NodeIntervals(2, [SafeInterval(6.0, math.inf)]),
+            NodeIntervals(1, [SafeInterval(0.0, 10.0), SafeInterval(15.0, math.inf)]),
+            NodeIntervals(2, [SafeInterval(18.0, math.inf)]),
         ]
         seq = select_interval_sequence(nis, cfg, [0.0, 0.0])
         assert seq is not None
-        assert seq.source_indices == [0, 1, 0]  # the [0, 3] branch dies
-        assert seq.chosen[1].start == 5.0
-        assert seq.chosen[2].start == 6.0
+        assert seq.source_indices == [0, 1, 0]  # the [0, 10] branch dies
+        assert seq.chosen[1].start == 15.0
+        assert seq.chosen[2].start == 18.0
 
     def test_empty_node_infeasible(self):
         cfg = TemporalConfig()
@@ -606,13 +612,14 @@ class TestSelectSequence:
         assert select_interval_sequence(nis, cfg, [0.0, 0.0]) is None
 
     def test_nesting_invariant(self):
-        cfg = TemporalConfig(overlap_min=0.3)
+        cfg = TemporalConfig()
+        assert OVERLAP_MIN < 15.0
         nis = [
-            NodeIntervals(0, [SafeInterval(0.0, 4.0)]),
-            NodeIntervals(1, [SafeInterval(1.0, 5.0)]),
-            NodeIntervals(2, [SafeInterval(2.0, 9.0)]),
+            NodeIntervals(0, [SafeInterval(0.0, 20.0)]),
+            NodeIntervals(1, [SafeInterval(5.0, 25.0)]),
+            NodeIntervals(2, [SafeInterval(10.0, 45.0)]),
         ]
-        seq = select_interval_sequence(nis, cfg, edge_lengths=[2.0, 2.0])
+        seq = select_interval_sequence(nis, cfg, edge_lengths=[10.0, 10.0])
         assert seq is not None
         for chosen, idx, ni in zip(seq.chosen, seq.source_indices, nis):
             orig = ni.intervals[idx]
@@ -620,20 +627,25 @@ class TestSelectSequence:
 
     def test_zero_length_window_unreachable(self):
         """A child whose narrowed start equals its end is unreachable: these
-        intervals made selection raise on a degenerate [2.7, 2.7]."""
-        cfg = TemporalConfig(v_max=2.0, a_max=1.0, overlap_min=0.2)
+        intervals made selection raise on a degenerate [2.7, 2.7] (times in
+        units of 1/32 s; a power of two scales every sum exactly)."""
+        cfg = TemporalConfig(v_max=2.0, a_max=1.0)
+        k = 32.0
+        assert OVERLAP_MIN / k < 0.2
         ivs = [[(0.0, 1.4)], [(1.0, 2.0), (2.6, 4.1)], [(1.6, 2.8)],
                [(2.2, 3.1), (3.5, 4.3)], [(2.0, 2.7), (3.9, 4.6), (5.8, 6.7)]]
-        nis = [NodeIntervals(i, [SafeInterval(a, b) for a, b in iv]) for i, iv in enumerate(ivs)]
-        assert select_interval_sequence(nis, cfg, edge_lengths=[0.9, 1.2, 1.2, 1.0]) is None
+        nis = [NodeIntervals(i, [SafeInterval(k * a, k * b) for a, b in iv])
+               for i, iv in enumerate(ivs)]
+        edges = [k * d for d in (0.9, 1.2, 1.2, 1.0)]
+        assert select_interval_sequence(nis, cfg, edge_lengths=edges) is None
         # One child ends exactly when the robot can first get there; the
         # later one is taken.
         nis = [NodeIntervals(0, [SafeInterval(0.0, math.inf)]),
-               NodeIntervals(1, [SafeInterval(0.0, 1.0), SafeInterval(1.5, math.inf)])]
-        seq = select_interval_sequence(nis, TemporalConfig(overlap_min=0.2), edge_lengths=[2.0])
+               NodeIntervals(1, [SafeInterval(0.0, k), SafeInterval(1.5 * k, math.inf)])]
+        seq = select_interval_sequence(nis, cfg, edge_lengths=[2.0 * k])
         assert seq is not None and seq.source_indices == [0, 1]
 
-    def _brute_force_final_start(self, nis, cfg, travel):
+    def _brute_force_final_start(self, nis, travel):
         """Independent enumeration of every interval combination."""
         best = None
         for combo in itertools.product(*(range(len(ni.intervals)) for ni in nis)):
@@ -642,7 +654,7 @@ class TestSelectSequence:
             for layer in range(1, len(nis)):
                 parent = nis[layer - 1].intervals[combo[layer - 1]]
                 child = nis[layer].intervals[combo[layer]]
-                if min(parent.end, child.end) - max(start, child.start) < cfg.overlap_min:
+                if min(parent.end, child.end) - max(start, child.start) < OVERLAP_MIN:
                     feasible = False
                     break
                 start = max(child.start, start + travel[layer - 1])
@@ -654,24 +666,25 @@ class TestSelectSequence:
         return best
 
     def test_matches_exhaustive_enumeration(self):
-        cfg = TemporalConfig(overlap_min=0.4)
+        cfg = TemporalConfig()
+        scale = 16.0  # lengths and times, so intervals outlast OVERLAP_MIN
         rng = np.random.default_rng(11)
         agreements = 0
         for trial in range(200):
             n = int(rng.integers(2, 7))
-            edges = rng.uniform(0.5, 2.0, n - 1)
+            edges = scale * rng.uniform(0.5, 2.0, n - 1)
             travel = [max(d / cfg.v_max, DT_MIN) for d in edges]
             nis = []
             for i in range(n):
                 k = int(rng.integers(1, 4))
-                t = float(rng.uniform(0.0, 1.0)) if i else 0.0
+                t = scale * float(rng.uniform(0.0, 1.0)) if i else 0.0
                 ints = []
                 for _ in range(k):
-                    length = float(rng.uniform(0.5, 2.5))
+                    length = scale * float(rng.uniform(0.5, 2.5))
                     ints.append(SafeInterval(t, t + length))
-                    t += length + float(rng.uniform(0.3, 1.0))
+                    t += length + scale * float(rng.uniform(0.3, 1.0))
                 nis.append(NodeIntervals(i, ints))
-            expected = self._brute_force_final_start(nis, cfg, travel)
+            expected = self._brute_force_final_start(nis, travel)
             seq = select_interval_sequence(nis, cfg, edge_lengths=edges)
             if expected is None:
                 assert seq is None
@@ -683,17 +696,20 @@ class TestSelectSequence:
 
     def test_scale_consistency(self):
         """Doubling speed limits while halving lengths and times keeps the
-        chosen interval indices identical."""
-        cfg = TemporalConfig(v_max=2.0, a_max=1.0, overlap_min=0.4)
+        chosen interval indices identical, where every overlap clears
+        ``OVERLAP_MIN`` at both scales (times in units of 1/64 s)."""
+        cfg = TemporalConfig(v_max=2.0, a_max=1.0)
+        k = 64.0
         nis = [
-            NodeIntervals(0, [SafeInterval(0.0, 2.0)]),
-            NodeIntervals(1, [SafeInterval(0.0, 1.0), SafeInterval(1.5, 4.0)]),
-            NodeIntervals(2, [SafeInterval(2.0, 3.0), SafeInterval(3.5, 8.0)]),
+            NodeIntervals(0, [SafeInterval(0.0, 2.0 * k)]),
+            NodeIntervals(1, [SafeInterval(0.0, 1.0 * k), SafeInterval(1.5 * k, 4.0 * k)]),
+            NodeIntervals(2, [SafeInterval(2.0 * k, 3.0 * k), SafeInterval(3.5 * k, 8.0 * k)]),
         ]
-        edges = [2.0, 2.0]
+        edges = [2.0 * k, 2.0 * k]
         seq = select_interval_sequence(nis, cfg, edge_lengths=edges)
         scale = 0.25  # halved lengths at doubled v_max quarter the times
-        cfg2 = TemporalConfig(v_max=4.0, a_max=2.0, overlap_min=0.4 * scale)
+        assert OVERLAP_MIN < 0.5 * k * scale  # the smallest overlap, 0.5 s unscaled
+        cfg2 = TemporalConfig(v_max=4.0, a_max=2.0)
         nis2 = [NodeIntervals(ni.node_index,
                               [SafeInterval(si.start * scale, si.end * scale)
                                for si in ni.intervals]) for ni in nis]
@@ -754,7 +770,7 @@ class TestOptimizeTimestamps:
 
     def test_delayed_interval_forces_slowdown(self):
         path = straight_path(7)
-        cfg = TemporalConfig(v_max=2.0, a_max=1.0, overlap_min=0.2)
+        cfg = TemporalConfig(v_max=2.0, a_max=1.0)
         nis = unconstrained(7)
         nis[4] = NodeIntervals(4, [SafeInterval(6.0, math.inf)])
         seq = select_interval_sequence(nis, cfg, np.diff(path.arc_lengths))
@@ -764,12 +780,14 @@ class TestOptimizeTimestamps:
         assert validate_trajectory(traj, [], [], 0.05, ROBOT)
 
     def test_incompatible_interval_infeasible(self):
-        path = straight_path(2, 5.0)
-        cfg = TemporalConfig(v_max=2.0, overlap_min=0.2)
-        # The node must be reached before free flow can arrive there.
-        nis = [NodeIntervals(0, [SafeInterval(0.0, 1.0)]),
-               NodeIntervals(1, [SafeInterval(0.0, 1.0)])]
-        seq = select_interval_sequence(nis, cfg, [5.0])
+        path = straight_path(2, 40.0)
+        cfg = TemporalConfig(v_max=2.0)
+        # The node must be reached before free flow can arrive there: 40 m
+        # at 2 m/s take 20 s, and both windows close at 8 s.
+        assert OVERLAP_MIN < 8.0
+        nis = [NodeIntervals(0, [SafeInterval(0.0, 8.0)]),
+               NodeIntervals(1, [SafeInterval(0.0, 8.0)])]
+        seq = select_interval_sequence(nis, cfg, [40.0])
         assert seq is None or optimize_timestamps(path, seq, cfg) is None
 
     def test_start_breaking_a_max_is_feasible(self):
@@ -806,10 +824,14 @@ class TestOptimizeTimestamps:
     def test_never_worse_than_slsqp(self, instance):
         """On instances drawn like the acceptance suite's brute-force ones,
         the objective is never worse than SLSQP's (SciPy, a test-only
-        reference) from the same start by more than 1e-6 relative."""
+        reference) from the same start by more than 1e-6 relative.  The
+        instances' intervals last 0.6-1.5 s, so selection runs at the 0.2 s
+        overlap they are drawn for (``SUB_SECOND_OVERLAP``)."""
         edges, nis = instance
-        cfg = TemporalConfig(v_max=2.0, a_max=1.0, overlap_min=0.2)
-        seq = select_interval_sequence(nis, cfg, edge_lengths=edges)
+        cfg = TemporalConfig(v_max=2.0, a_max=1.0)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(temporal, "OVERLAP_MIN", SUB_SECOND_OVERLAP)
+            seq = select_interval_sequence(nis, cfg, edge_lengths=edges)
         assume(seq is not None)
         path = edge_path(edges)
         init = temporal._feasible_init(path, seq, cfg)
