@@ -1,12 +1,59 @@
 """kinoplan's text files: each is read by ``read_lines`` and written by
 ``write_lines``; an error in parsing a line, wrapped by ``at_line``, reads
-``file:line: message``."""
+``file:line: message``.  ``FIELD_RULES`` gives each config and scenario field
+name its one rule, which ``check`` applies in code and at a file's line."""
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import typing
 from contextlib import contextmanager
 from functools import partial
+from numbers import Integral
+
+
+def _finite(value) -> bool:
+    """``value`` (a Pose's x, y, theta, a tuple or a number) holds numbers, all finite."""
+    nums = ((value.x, value.y, value.theta) if hasattr(value, "theta")
+            else value if isinstance(value, tuple) else (value,))
+    return len(nums) > 0 and all(math.isfinite(v) for v in nums)
+
+
+# What each field must be: (rule, its test, the fields it governs).  A field
+# name has one rule wherever it appears.
+_RULES = (
+    ("positive and finite", lambda v: 0.0 < v < math.inf,
+     "v_max a_max horizon sim_dt perception_dt time_limit goal_pos_tol goal_heading_tol "
+     "kappa_max max_arc_length"),
+    ("finite and non-negative", lambda v: 0.0 <= v < math.inf, "obs_noise"),
+    ("in [0, 1]", lambda v: 0.0 <= v <= 1.0, "p_th goal_bias"),
+    ("an integer >= 1", lambda v: isinstance(v, Integral) and v >= 1,
+     "max_iterations n_r n_beta"),
+    ("a non-negative integer", lambda v: isinstance(v, Integral) and v >= 0, "rng_seed"),
+    ("finite", _finite, "start goal r_min r_max beta_min beta_max dtheta_factors"),
+    ("finite xmin ymin xmax ymax with xmin < xmax and ymin < ymax",
+     lambda v: v is not None and len(v) == 4 and _finite(v) and v[0] < v[2] and v[1] < v[3],
+     "bounds world_bounds"),
+)
+FIELD_RULES = {name: (rule, test) for rule, test, names in _RULES for name in names.split()}
+
+
+def check(name: str, value) -> None:
+    """Raise ValueError ``<name> must be <rule>, got <value>`` unless ``value``
+    keeps the rule of field ``name``; a name with no rule passes."""
+    if name in FIELD_RULES:
+        rule, test = FIELD_RULES[name]
+        if not test(value):
+            raise ValueError(f"{name} must be {rule}, got {value}")
+
+
+def check_fields(obj) -> None:
+    """``check`` each field of the dataclass ``obj``; one that defaults to None may be None."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if value is not None or f.default is not None:
+            check(f.name, value)
 
 
 def read_lines(path, sep=None, comment="#"):
@@ -48,23 +95,26 @@ def cast(tp, tokens):
 
 
 def parse_field(readers, key, tokens):
-    """``readers[key](tokens)``, naming ``key`` in any error."""
+    """``readers[key](tokens)``, naming ``key`` in any error, and ``check``ed."""
     if key not in readers:
         raise ValueError(f"unknown key {key!r}")
     try:
-        return readers[key](tokens)
+        value = readers[key](tokens)
     except (ValueError, IndexError) as exc:
         raise ValueError(f"{key}: {exc}") from None
+    check(key, value)
+    return value
 
 
 def load_config(cls, path):
     """Build the dataclass ``cls`` from the ``key = value`` lines of ``path``.
 
     ``#`` starts a comment.  Each value is cast by its field's type
-    (``cast``).  A line without one ``=``, an unknown key, a key already set
-    on an earlier line or a value that does not cast raises ValueError naming
-    ``file:line``; a value the dataclass itself rejects raises ValueError
-    naming the file.
+    (``cast``) and checked by its rule (``parse_field``).  A line without one
+    ``=``, an unknown key, a key already set on an earlier line or a value
+    that does not cast or breaks its rule raises ValueError naming
+    ``file:line``; values that the dataclass rejects together raise
+    ValueError naming the file.
     """
     readers = {name: partial(cast, tp) for name, tp in typing.get_type_hints(cls).items()}
     kwargs, lines = {}, {}

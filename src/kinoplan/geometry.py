@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .configfile import at_line, cast, load_config, read_lines, write_lines
+from .configfile import at_line, cast, check_fields, load_config, read_lines, write_lines
 
 # Quadrature step for position integrals (m).
 SIMPSON_STEP = 0.01
@@ -517,8 +517,7 @@ class LibraryConfig:
     dtheta_factors: tuple[float, ...] = (1.0, 1.5, 2.0, 2.5)
 
     def __post_init__(self):
-        if self.n_r < 1 or self.n_beta < 1:
-            raise ValueError(f"n_r ({self.n_r}) and n_beta ({self.n_beta}) must be at least 1")
+        check_fields(self)
         # A one-point axis may have equal bounds; a longer one must rise.
         if not (self.r_min < self.r_max or self.n_r == 1 and self.r_min == self.r_max):
             raise ValueError(f"r_min ({self.r_min}) must be below r_max ({self.r_max})")
@@ -526,13 +525,8 @@ class LibraryConfig:
                 or self.n_beta == 1 and self.beta_min == self.beta_max):
             raise ValueError(f"beta_min ({self.beta_min}) must be below "
                              f"beta_max ({self.beta_max})")
-        if not (self.kappa_max > 0.0 and self.max_arc_length > 0.0):
-            raise ValueError(f"kappa_max ({self.kappa_max}) and max_arc_length "
-                             f"({self.max_arc_length}) must be positive")
-        if not self.dtheta_factors:
-            raise ValueError("dtheta_factors needs at least one value")
 
-    from_file = classmethod(load_config)  # key = value lines, each cast by its field's type
+    from_file = classmethod(load_config)  # key = value lines, each cast and checked
 
 
 _LIBRARY_VERSION = "# kinoplan curve library v1"

@@ -13,13 +13,13 @@ longer (``geometry.reachable_within``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .collision import (FootprintSpec, as_world, curve_in_collision, pose_in_collision,
                         swept_covers)
-from .configfile import load_config, write_lines
+from .configfile import check_fields, load_config, write_lines
 from .geometry import (
     CurveLibrary,
     CurveParams,
@@ -42,7 +42,7 @@ ECCENTRICITY = 1.5
 ELLIPSE_MARGIN = 5.0
 # try_connect fits bridges only to nodes this near and this well aligned, so
 # most pairs go without a fit; a bridge must be shorter than the robot, so
-# CONNECT_DIST_MAX stays below the 4.6 m car.
+# CONNECT_DIST_MAX stays below the 4.6 m car (``connect_dist_min``).
 CONNECT_RADIUS = 5.0
 CONNECT_DIST_MIN = 0.8
 CONNECT_DIST_MAX = 4.5
@@ -61,6 +61,11 @@ def collision_step(footprint: FootprintSpec) -> float:
     return min(COLLISION_DS, footprint.radius)
 
 
+def connect_dist_min(footprint: FootprintSpec) -> float:
+    """``CONNECT_DIST_MIN``, or half ``footprint``'s length when that is smaller."""
+    return min(CONNECT_DIST_MIN, footprint.length / 2.0)
+
+
 class EndpointInCollision(ValueError):
     """``plan_path``'s start or goal pose is in collision."""
 
@@ -73,32 +78,9 @@ class PlannerConfig:
     goal_bias: float = 0.05
     world_bounds: tuple[float, float, float, float] | None = None  # xmin, ymin, xmax, ymax
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None and not np.all(np.isfinite(value)):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        if not (0.0 <= self.p_th <= 1.0):
-            raise ValueError("p_th must lie in [0, 1]")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        if not 0.0 <= self.goal_bias <= 1.0:
-            raise ValueError(f"goal_bias must be in [0, 1], got {self.goal_bias}")
-        if self.world_bounds is not None:
-            if len(self.world_bounds) != 4:
-                raise ValueError(f"world_bounds needs 4 values (xmin ymin xmax ymax), "
-                                 f"got {len(self.world_bounds)}")
-            xmin, ymin, xmax, ymax = self.world_bounds
-            if not (xmin < xmax and ymin < ymax):
-                raise ValueError(f"world_bounds must have xmin < xmax and ymin < ymax, "
-                                 f"got {self.world_bounds}")
+    __post_init__ = check_fields  # each field keeps its rule (configfile.FIELD_RULES)
 
-    def to_file(self, path) -> None:
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        write_lines(path, [f"{k} = {' '.join(map(str, v)) if isinstance(v, tuple) else v}"
-                           for k, v in values.items() if v is not None])
-
-    from_file = classmethod(load_config)  # key = value lines, each cast by its field's type
+    from_file = classmethod(load_config)  # key = value lines, each cast and checked
 
 
 @dataclass
@@ -354,15 +336,16 @@ def try_connect(tree_a: Tree, tree_b: Tree, new_idx: int, library: CurveLibrary,
     Candidates within ``CONNECT_RADIUS`` are taken nearest first, ties in
     index order; ``d`` holds every ``tree_b`` node's distance to the new
     node (``_node_distances``).  A candidate is skipped without a fit when
-    its heading differs too much, when it lies behind, or when no curve
-    shorter than ``footprint.length`` within ``kappa_max`` reaches it
+    it lies outside [``connect_dist_min``, ``CONNECT_DIST_MAX``], when its
+    heading differs too much, when it lies behind, or when no curve shorter
+    than ``footprint.length`` within ``kappa_max`` reaches it
     (``reachable_within``), since a longer fit would be discarded.
     """
     new_node = tree_a.nodes[new_idx]
     near = np.flatnonzero(d <= CONNECT_RADIUS)
     for j in near[np.argsort(d[near], kind="stable")].tolist():
         cand = tree_b.nodes[j]
-        if not (CONNECT_DIST_MIN <= d[j] <= CONNECT_DIST_MAX):
+        if not (connect_dist_min(footprint) <= d[j] <= CONNECT_DIST_MAX):
             continue
         if tree_a.direction == "forward":
             f_tree, f_idx, f_node = tree_a, new_idx, new_node

@@ -97,36 +97,10 @@ class Scenario:
     goal_heading_tol: float = 0.2
 
     def __post_init__(self):
-        for name in _POSITIVE + _NON_NEGATIVE + _FINITE:
-            _check_field(name, getattr(self, name))
+        configfile.check_fields(self)
         ids = [mob.id for mob in self.moving]
         if len(set(ids)) != len(ids):
             raise ValueError(f"moving obstacle ids must be distinct, got {ids}")
-
-
-_POSITIVE = ("v_max", "a_max", "horizon", "sim_dt", "perception_dt", "time_limit",
-             "goal_pos_tol", "goal_heading_tol")
-_NON_NEGATIVE = ("obs_noise",)
-_FINITE = ("start", "goal", "bounds")
-
-
-def _check_field(name: str, value) -> None:
-    """The fields the runner divides or loops by must be positive and finite,
-    the observation noise finite and non-negative (0 is noise-free), the
-    start, goal and bounds finite, and the bounds a box with xmin < xmax and
-    ymin < ymax."""
-    if name in _POSITIVE and not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-    if name in _NON_NEGATIVE and not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and non-negative, got {value}")
-    if name in _FINITE:
-        nums = (value.x, value.y, value.theta) if isinstance(value, Pose) else value
-        if not all(math.isfinite(v) for v in nums):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if name == "bounds" and not (len(value) == 4 and value[0] < value[2]
-                                 and value[1] < value[3]):
-        raise ValueError(f"bounds must be xmin ymin xmax ymax with xmin < xmax and "
-                         f"ymin < ymax, got {value}")
 
 
 def _wall(x0: float, y0: float, x1: float, y1: float) -> ObstacleShape:
@@ -257,19 +231,21 @@ def blocked_corridor_scenario() -> Scenario:
     )
 
 
+# Each named world's constructor: the five interaction scenarios, then
+# "blocked", which ``get_scenario`` builds but ``builtin_scenarios`` leaves out.
+_SCENARIOS = {"cross": cross_scenario, "overtake": overtake_scenario,
+              "bypass": bypass_scenario, "follow": follow_scenario, "wait": wait_scenario,
+              "blocked": blocked_corridor_scenario}
+
+
 def builtin_scenarios() -> list[Scenario]:
-    return [cross_scenario(), overtake_scenario(), bypass_scenario(),
-            follow_scenario(), wait_scenario()]
+    return [make() for name, make in _SCENARIOS.items() if name != "blocked"]
 
 
 def get_scenario(name: str) -> Scenario:
-    extra = {"blocked": blocked_corridor_scenario}
-    for sc in builtin_scenarios():
-        if sc.name == name:
-            return sc
-    if name in extra:
-        return extra[name]()
-    raise KeyError(f"unknown scenario {name!r}")
+    if name not in _SCENARIOS:
+        raise KeyError(f"unknown scenario {name!r}")
+    return _SCENARIOS[name]()
 
 
 def random_disk_world(seed: int, start_heading: float = 0.0):
@@ -390,7 +366,6 @@ def load_scenario(path) -> Scenario:
                     raise ValueError(f"waypoint before obstacle {oid}")
                 obstacles[oid][2].append(row)
             else:
-                _check_field(key, value)
                 kwargs[key] = value
                 set_on[key] = lineno
     for oid in sorted(obstacles):

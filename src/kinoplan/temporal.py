@@ -17,7 +17,7 @@ import numpy as np
 
 from .collision import (SCREEN_SLACK, FootprintSpec, _cover, _pair_distances, circles_hit,
                         footprint_circles_batch)
-from .configfile import write_lines
+from .configfile import check_fields, write_lines
 from .rrt import Path
 from .tracking import track_heading
 
@@ -69,10 +69,7 @@ class TemporalConfig:
     a_max: float = 1.0
     horizon: float = 30.0
 
-    def __post_init__(self):
-        for name in ("v_max", "a_max", "horizon"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+    __post_init__ = check_fields  # each field keeps its rule (configfile.FIELD_RULES)
 
 
 @dataclass

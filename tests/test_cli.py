@@ -55,8 +55,16 @@ class TestGenLibrary:
     @pytest.mark.parametrize("text,message", [
         ("r_min = 1.0\nn_r = 2.5\n", "lib.cfg:2: n_r: invalid literal for int()"),
         ("r_min = 3\nr_max = 1\n", "lib.cfg: r_min (3.0) must be below r_max (1.0)"),
+        ("kappa_max = inf\n", "lib.cfg:1: kappa_max must be positive and finite, got inf"),
+        ("r_max = inf\n", "lib.cfg:1: r_max must be finite, got inf"),
+        ("beta_max = inf\n", "lib.cfg:1: beta_max must be finite, got inf"),
+        ("dtheta_factors = nan\n", "lib.cfg:1: dtheta_factors must be finite, got (nan,)"),
+        ("max_arc_length = inf\n",
+         "lib.cfg:1: max_arc_length must be positive and finite, got inf"),
     ])
     def test_bad_config_value(self, tmp_path, capsys, text, message):
+        """A bad value fails on its line, and values bad together name the
+        file; either way no library is written."""
         cfg = tmp_path / "lib.cfg"
         cfg.write_text(text)
         out = tmp_path / "x.csv"
@@ -139,10 +147,29 @@ class TestPlan:
         err = capsys.readouterr().err
         key = line.split()[0]
         if key in {f.name for f in fields(PlannerConfig)}:
-            assert f"planner.cfg: {key} must be" in err
+            assert f"planner.cfg:1: {key} must be" in err
         else:
             assert f"planner.cfg:1: unknown key {key!r}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,text,message", [
+        (["plan", "--start", "0,0,0", "--goal", "10,0,0"], "max_iterations = 100\np_th = 2\n",
+         "planner.cfg:2: p_th must be in [0, 1], got 2.0"),
+        (["simulate", "--scenario", "cross"],
+         "p_th = 0.5\ngoal_bias = 0.1\nworld_bounds = 30 20 -6 -8\n",
+         "planner.cfg:3: world_bounds must be finite xmin ymin xmax ymax"),
+    ])
+    def test_bad_planner_value_names_its_line(self, tmp_path, library_csv, capsys, command,
+                                              text, message):
+        cfg = tmp_path / "planner.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        code = cli.main(command + ["--config", str(cfg), "--library", str(library_csv),
+                                   "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("command", [["plan", "--scenario", "cross"],
                                          ["simulate", "--scenario", "cross"]])

@@ -13,6 +13,10 @@ in ``src/``, ``perfbench/`` or ``tools/`` passes it by keyword, to the class or
 to ``dataclasses.replace``: only a config file or a test could set it, so it
 belongs in a module constant.  ``LibraryConfig`` and ``Scenario`` are the
 schemas of saved files, so they are not checked.
+
+Every field of the four config classes has a rule in
+``configfile.FIELD_RULES``, so a new field cannot skip validation, and every
+rule governs a field; a field whose own type checks it is exempt.
 """
 
 import ast
@@ -20,12 +24,15 @@ import re
 from pathlib import Path
 
 import kinoplan
+from kinoplan.configfile import FIELD_RULES
 
 SRC = Path(kinoplan.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAMS = [ast.parse(path.read_text(), str(path)) for folder in ("src", "perfbench", "tools")
             for path in sorted((ROOT / folder).rglob("*.py"))]
 KNOBS = {"rrt": "PlannerConfig", "temporal": "TemporalConfig"}  # module: config class
+CONFIGS = {**KNOBS, "geometry": "LibraryConfig", "scenarios": "Scenario"}
+CHECKED_BY_TYPE = {"name", "robot", "static_obstacles", "moving"}
 MODULES = {path.stem: ast.parse(path.read_text(), str(path))
            for path in sorted(SRC.glob("*.py"))}
 DUNDER = re.compile(r"^__\w+__$")
@@ -141,3 +148,12 @@ def test_the_knob_check_sees_a_dead_knob():
     tree = ast.parse("class Cfg:\n    a: int = 0\n    b: int = 1\n    c: int = 2\n"
                      "x = dataclasses.replace(Cfg(b=2), a=1)\nOther(c=3)\n")
     assert [f for f in _fields(tree, "Cfg") if f not in _keywords_set([tree], ["Cfg"])] == ["c"]
+
+
+def test_every_config_field_has_a_rule():
+    names = {f"{cls}.{name}": name for module, cls in CONFIGS.items()
+             for name in _fields(MODULES[module], cls) if name not in CHECKED_BY_TYPE}
+    unruled = [field for field, name in names.items() if name not in FIELD_RULES]
+    assert not unruled, "config fields with no rule in configfile.FIELD_RULES:\n" + "\n".join(
+        unruled)
+    assert not set(FIELD_RULES) - set(names.values()), "rules that govern no field"

@@ -22,18 +22,24 @@ JUNK = ["", "nan", "-nan", "inf", "-1", "0", "2.5", "1e999", "x", "#", ",", "="]
 SEPARATORS = re.compile(r"([\s,=]+)")
 
 
-def _library_config_text(tmp) -> None:
-    cfg = LibraryConfig(r_min=1.5, r_max=3.0, n_r=2, beta_min=-0.3, beta_max=0.3, n_beta=3)
+def _config_text(cfg) -> str:
+    """``cfg`` as ``key = value`` lines, a tuple's values space-separated."""
     lines = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         lines.append(f"{f.name} = " + (" ".join(map(str, value))
                                        if isinstance(value, tuple) else str(value)))
-    tmp.write_text("# a small grid\n" + "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _planner_config(tmp) -> None:
-    PlannerConfig(world_bounds=(-1.0, -2.0, 30.0, 12.5), max_iterations=300).to_file(tmp)
+def _library_config_text(tmp) -> None:
+    cfg = LibraryConfig(r_min=1.5, r_max=3.0, n_r=2, beta_min=-0.3, beta_max=0.3, n_beta=3)
+    tmp.write_text("# a small grid\n" + _config_text(cfg))
+
+
+def _planner_config_text(tmp) -> None:
+    tmp.write_text(_config_text(PlannerConfig(world_bounds=(-1.0, -2.0, 30.0, 12.5),
+                                              max_iterations=300)))
 
 
 def _scenario(tmp) -> None:
@@ -60,7 +66,7 @@ def _trace(tmp) -> None:
 
 
 LOADERS = {
-    "planner-config": (_planner_config, PlannerConfig.from_file),
+    "planner-config": (_planner_config_text, PlannerConfig.from_file),
     "library-config": (_library_config_text, LibraryConfig.from_file),
     "scenario": (_scenario, load_scenario),
     "library-csv": (_library, CurveLibrary.load_csv),

@@ -136,8 +136,9 @@ class TestPlanPath:
     def test_small_robot_is_checked_at_its_cover_radius(self, library, monkeypatch):
         """A robot whose cover radius is below ``COLLISION_DS`` plans, and
         every curve check samples it at that radius, so no obstacle fits
-        between two samples' circles.  (A 2 m robot: a bridge must be shorter
-        than the robot and at least ``CONNECT_DIST_MIN`` long.)"""
+        between two samples' circles.  (A 2 m robot, whose bridges keep
+        ``CONNECT_DIST_MIN``; ``test_robot_shorter_than_a_bridge_plans``
+        covers a robot that bridges from half its length.)"""
         robot = FootprintSpec.from_dimensions(2.0, 0.6)
         assert robot.radius < rrt.COLLISION_DS
         steps = []
@@ -153,6 +154,19 @@ class TestPlanPath:
                            robot)
         assert result is not None and steps
         assert set(steps) == {robot.radius}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_robot_shorter_than_a_bridge_plans(self, library, seed):
+        """A 0.6 m one-circle robot, shorter than ``CONNECT_DIST_MIN``, bridges
+        from half its length (``connect_dist_min``), so its bridges can be
+        shorter than itself, and it plans in an empty world."""
+        robot = FootprintSpec.from_dimensions(0.6, 0.6, single_circle=True)
+        assert robot.length < rrt.CONNECT_DIST_MIN
+        assert rrt.connect_dist_min(robot) == 0.3
+        assert rrt.connect_dist_min(FOOTPRINT) == rrt.CONNECT_DIST_MIN
+        cfg = PlannerConfig(rng_seed=seed, world_bounds=(-10.0, -10.0, 20.0, 10.0))
+        result = plan_path(Pose(0.0, 0.0, 0.0), Pose(10.0, 0.0, 0.0), [], cfg, library, robot)
+        assert result is not None and result.path.poses[-1] == Pose(10.0, 0.0, 0.0)
 
     def test_determinism(self, library):
         a = plan_empty(library, 5)
@@ -244,10 +258,11 @@ class TestPlannerConfig:
         PlannerConfig(p_th=0.0, goal_bias=1.0, max_iterations=1)
 
     def test_file_roundtrip(self, tmp_path):
+        """The file text of a config parses back to that config."""
         cfg = PlannerConfig(p_th=0.25, max_iterations=1234,
                             world_bounds=(0.0, 0.0, 5.0, 5.0))
         path = tmp_path / "planner.cfg"
-        cfg.to_file(path)
+        path.write_text("p_th = 0.25\nmax_iterations = 1234\nworld_bounds = 0.0 0.0 5.0 5.0\n")
         loaded = PlannerConfig.from_file(path)
         assert loaded == cfg
         # == alone would accept 8.0 for 8.
@@ -256,8 +271,9 @@ class TestPlannerConfig:
 
     def test_loaded_config_plans_past_candidate_count(self, library, tmp_path):
         path = tmp_path / "planner.cfg"
-        PlannerConfig(rng_seed=2, world_bounds=(-10.0, -10.0, 25.0, 15.0)).to_file(path)
+        path.write_text("rng_seed = 2\nworld_bounds = -10 -10 25 15\n")
         cfg = PlannerConfig.from_file(path)
+        assert cfg == PlannerConfig(rng_seed=2, world_bounds=(-10.0, -10.0, 25.0, 15.0))
         obs = [ObstacleShape.disk(6.0, 0.0, 1.5), ObstacleShape.disk(12.0, 3.0, 1.5)]
         result = plan_path(Pose(0.0, 0.0, 0.0), Pose(18.0, 0.0, 0.0), obs, cfg,
                            library, FOOTPRINT)
@@ -273,14 +289,15 @@ class TestPlannerConfig:
     def test_bounds_need_four_values(self, tmp_path):
         path = tmp_path / "planner.cfg"
         path.write_text("world_bounds = 0 0 5\n")
-        with pytest.raises(ValueError, match="planner.cfg: world_bounds needs 4 values"):
+        with pytest.raises(ValueError, match=r"planner\.cfg:1: world_bounds must be finite "
+                                             r"xmin ymin xmax ymax .*, got \(0\.0, 0\.0, 5\.0\)"):
             PlannerConfig.from_file(path)
 
     @pytest.mark.parametrize("bounds", [(30.0, 20.0, -6.0, -8.0), (0.0, 0.0, 0.0, 5.0),
                                         (0.0, 5.0, 5.0, 5.0)])
     def test_bounds_must_span_a_box(self, bounds):
-        with pytest.raises(ValueError, match="^world_bounds must have xmin < xmax and "
-                                             "ymin < ymax"):
+        with pytest.raises(ValueError, match="^world_bounds must be finite xmin ymin xmax ymax "
+                                             "with xmin < xmax and ymin < ymax"):
             PlannerConfig(world_bounds=bounds)
 
     def test_duplicate_key_names_both_lines(self, tmp_path):

@@ -215,8 +215,8 @@ class TestScenarioFiles:
         """xmin >= xmax or ymin >= ymax fails on the bounds line, and in code."""
         p = tmp_path / "s.txt"
         p.write_text(f"name x\nbounds {bounds}\nstart 0 0 0\ngoal 10 0 0\n")
-        with pytest.raises(ValueError, match=r"s\.txt:2: bounds must be xmin ymin xmax ymax "
-                                             r"with xmin < xmax and ymin < ymax"):
+        with pytest.raises(ValueError, match=r"s\.txt:2: bounds must be finite xmin ymin xmax "
+                                             r"ymax with xmin < xmax and ymin < ymax"):
             load_scenario(p)
         with pytest.raises(ValueError, match="bounds must be"):
             replace(get_scenario("cross"), bounds=tuple(map(float, bounds.split())))
