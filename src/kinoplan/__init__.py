@@ -17,7 +17,7 @@ from .simulator import TraceLog, export_artifacts, metrics, run_scenario
 from .temporal import (SafeInterval, TemporalConfig, Trajectory,
                        compute_safe_intervals, optimize_timestamps,
                        select_interval_sequence, validate_trajectory)
-from .tracking import Observation, ObstacleTrack, TrackStore, predict_pose
+from .tracking import Observation, ObstacleTrack, TrackStore
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,6 @@ __all__ = [
     "build_curve_library", "builtin_scenarios", "compute_safe_intervals",
     "default_robot_footprint", "disc_radius", "export_artifacts", "fit_curve",
     "get_scenario", "load_scenario", "metrics", "optimize_timestamps",
-    "plan_path", "pose_in_collision", "predict_pose", "random_disk_world",
-    "run_scenario", "save_scenario", "select_interval_sequence",
-    "validate_trajectory",
+    "plan_path", "pose_in_collision", "random_disk_world", "run_scenario",
+    "save_scenario", "select_interval_sequence", "validate_trajectory",
 ]

@@ -93,19 +93,6 @@ def footprint_circles_batch(spec: FootprintSpec, poses: np.ndarray) -> np.ndarra
                   np.sin(poses[:, 2])[:, None])
 
 
-def footprint_circles_each(spec: FootprintSpec, poses) -> np.ndarray:
-    """``footprint_circles`` of each (x, y, theta) row, to the bit, stacked (N, k, 2).
-
-    Unlike ``footprint_circles_batch`` it takes cos and sin from ``math``, as
-    ``footprint_circles`` does, so the result never depends on how numpy
-    vectorises them.
-    """
-    xyt = np.asarray(poses, dtype=float).reshape(-1, 3)
-    c = np.array([math.cos(th) for th in xyt[:, 2].tolist()])[:, None]
-    s = np.array([math.sin(th) for th in xyt[:, 2].tolist()])[:, None]
-    return _cover(spec, xyt[:, 0:1], xyt[:, 1:2], c, s)
-
-
 @dataclass(frozen=True)
 class ObstacleShape:
     """A static obstacle: disk, simple polygon, or a footprint at a fixed pose."""
@@ -510,9 +497,8 @@ def swept_covers(library: CurveLibrary, spec: FootprintSpec,
     """
     sweeps = {}
     for cell, entry in library.entries.items():
-        rows = local_curve_samples.__wrapped__(entry.params, ds)
-        cover = _cover(spec, rows[:, 0:1], rows[:, 1:2], np.cos(rows[:, 2:3]),
-                       np.sin(rows[:, 2:3])).reshape(-1, 2)
+        cover = footprint_circles_batch(
+            spec, local_curve_samples.__wrapped__(entry.params, ds)).reshape(-1, 2)
         cover.flags.writeable = False
         sweeps[cell] = cover
     return sweeps

@@ -233,16 +233,6 @@ def _pinv(jac: np.ndarray) -> np.ndarray:
     return vt.T @ (s[:, None] * u.T)
 
 
-def endpoint_jacobian(params: CurveParams) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint (dx, dy, dtheta) and its exact 3x4 Jacobian in (a, b, c, s_f).
-
-    The endpoint is ``integrate_endpoint(params)`` to the bit; see
-    ``_shot_jacobian`` for the derivative (Kelly & Nagy, IJRR 2003).
-    """
-    end, nodes = _shoot(params)
-    return end, _shot_jacobian(params, end, nodes)
-
-
 def integrate_endpoint(params: CurveParams) -> tuple[float, float, float]:
     """Endpoint offset (dx, dy, dtheta) of the full curve in its start frame."""
     return _offset_at(params, params.s_f)
@@ -385,7 +375,7 @@ def fit_curve(
     kappa0 is fixed to ``start_kappa`` (curvature continuity with the parent);
     the end curvature is left free.  Damped Gauss-Newton shooting with the
     pseudo-inverse step (minimum-norm in the underdetermined direction) on the
-    exact endpoint Jacobian of ``endpoint_jacobian`` (Kelly & Nagy, IJRR 2003).
+    exact endpoint Jacobian of ``_shot_jacobian`` (Kelly & Nagy, IJRR 2003).
     The line search compares endpoints only.  A Jacobian is formed only when a
     step needs one, from the accepted shot's node arrays, so the converged
     iterate's is never computed.  Returns None when the iteration fails to

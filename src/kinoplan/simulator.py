@@ -23,12 +23,12 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
 from .collision import (FootprintSpec, ObstacleShape, as_world, circle_gaps,
-                        footprint_circles, footprint_circles_batch, footprint_circles_each,
-                        min_clearance)
+                        footprint_circles, footprint_circles_batch, min_clearance)
 from .configfile import at_line, read_lines, write_lines
 from .geometry import CurveLibrary, Pose, build_curve_library, normalize_angle
 from .rrt import EndpointInCollision, Path, PlannerConfig, plan_path
@@ -152,9 +152,9 @@ def derive_trace(scenario: Scenario, trace: TraceLog) -> None:
 
     In one pass: the obstacle poses, replayed from the scripts at the logged
     times; v and a as finite differences over ``sim_dt`` (0 at tick 0); the
-    clearances, in one batched pass, the bits a per-tick ``min_clearance``
-    would give against the static obstacles plus the moving ones parked at
-    their poses; and ``success``, whether the last pose is at the goal.
+    clearances of the robot's covers at the logged poses, in one batched
+    pass, against the static obstacles plus the moving ones parked at their
+    poses; and ``success``, whether the last pose is at the goal.
     """
     dt = scenario.sim_dt
     for mob in scenario.moving:
@@ -165,10 +165,11 @@ def derive_trace(scenario: Scenario, trace: TraceLog) -> None:
     trace.velocities = v[:n]
     trace.accelerations = [0.0, *((v1 - v0) / dt for v0, v1 in zip(v, v[1:]))][:n]
     radius = scenario.robot.radius
-    robot = footprint_circles_each(scenario.robot, trace.poses)
+    robot = footprint_circles_batch(scenario.robot, np.reshape(trace.poses, (-1, 3)))
     clear = min_clearance(robot, radius, tuple(scenario.static_obstacles))
     for mob in scenario.moving:
-        other = footprint_circles_each(mob.footprint, trace.obstacle_poses[mob.id])
+        other = footprint_circles_batch(mob.footprint,
+                                        np.reshape(trace.obstacle_poses[mob.id], (-1, 3)))
         clear = np.minimum(clear, circle_gaps(robot, radius, other, mob.footprint.radius))
     trace.clearances = clear.tolist()
     trace.success = bool(trace.poses) and at_goal(scenario, Pose(*trace.poses[-1]))
@@ -381,6 +382,10 @@ def run_scenario(scenario: Scenario, planner_config: PlannerConfig | None = None
                  ground_truth_tracks: bool = False,
                  replan_timeout: float = 3.0) -> TraceLog:
     """Execute one scenario to completion; deterministic in (scenario, seed)."""
+    if not (isinstance(seed, Integral) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if not 0.0 < replan_timeout < math.inf:
+        raise ValueError(f"replan_timeout must be positive and finite, got {replan_timeout}")
     trace = _Runner(scenario, planner_config, seed, library,
                     ground_truth_tracks, replan_timeout).run()
     derive_trace(scenario, trace)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .collision import (SCREEN_SLACK, FootprintSpec, _cover, _pair_distances, circles_hit,
                         footprint_circles_batch)
-from .configfile import check_fields, write_lines
+from .configfile import check_fields
 from .rrt import Path
 from .tracking import track_heading
 
@@ -74,12 +74,10 @@ class TemporalConfig:
 
 @dataclass
 class Trajectory:
-    """A path with optimized node timestamps and the derived motion profile."""
+    """A path with optimized node timestamps."""
 
     path: Path
     timestamps: np.ndarray  # t_i, strictly increasing, t_1 = 0
-    velocities: np.ndarray  # v_i for i >= 2; v[0] is 0 by convention
-    accelerations: np.ndarray  # a_i for i >= 3; a[0:2] are 0 by convention
 
     @property
     def duration(self) -> float:
@@ -99,13 +97,10 @@ class Trajectory:
         grid, dense = self.path.dense_samples()
         return np.stack([np.interp(svals, grid, dense[:, j]) for j in range(3)], axis=-1)
 
-    def to_csv(self, path) -> None:
-        lines = ["i,x,y,theta,s,t,v,a"]
-        for i, pose in enumerate(self.path.poses):
-            lines.append("%d,%s" % (i + 1, ",".join("%.17g" % v for v in (
-                pose.x, pose.y, pose.theta, self.path.arc_lengths[i],
-                self.timestamps[i], self.velocities[i], self.accelerations[i]))))
-        write_lines(path, lines)
+
+def _min_edge_times(ds, v_max: float) -> np.ndarray:
+    """Each edge's minimum travel time: its length over v_max, at least ``DT_MIN``."""
+    return np.maximum(DT_MIN, np.asarray(ds, dtype=float) / v_max)
 
 
 def _effective_margin(path: Path) -> float:
@@ -267,7 +262,7 @@ def select_interval_sequence(node_intervals: list[NodeIntervals],
     """
     if any(len(ni.intervals) == 0 for ni in node_intervals):
         return None
-    travel = [max(float(d) / config.v_max, DT_MIN) for d in edge_lengths]
+    travel = _min_edge_times(edge_lengths, config.v_max).tolist()
     # best[j] = (narrowed_start, parent_choice_index) for interval j of this layer
     first = node_intervals[0].intervals
     layers: list[list[tuple[float, int] | None]] = [[(si.start, -1) for si in first]]
@@ -294,18 +289,10 @@ def select_interval_sequence(node_intervals: list[NodeIntervals],
         if all(state is None for state in row):
             return None
         layers.append(row)
-    # Pick the leaf with the smallest reachable start.
-    leaf_states = layers[-1]
-    best_j = None
-    for j, state in enumerate(leaf_states):
-        if state is None:
-            continue
-        if best_j is None or state[0] < leaf_states[best_j][0]:
-            best_j = j
-    if best_j is None:
-        return None
+    # The leaf with the smallest reachable start; min keeps the first of equals.
+    leaf = layers[-1]
+    j = min((j for j, state in enumerate(leaf) if state is not None), key=lambda j: leaf[j][0])
     chosen_idx = [0] * len(node_intervals)
-    j = best_j
     for layer in range(len(layers) - 1, -1, -1):
         chosen_idx[layer] = j
         j = layers[layer][j][1]
@@ -317,32 +304,16 @@ def select_interval_sequence(node_intervals: list[NodeIntervals],
     return IntervalSequence(chosen, chosen_idx)
 
 
-def velocity_profile(path: Path, timestamps) -> tuple[np.ndarray, np.ndarray]:
-    """Node velocities v_i = ds_i/dt_i (i>=2) and accelerations
-    a_i = (v_i - v_{i-1})/dt_i (i>=3); leading entries are zero."""
-    t = np.asarray(timestamps, dtype=float)
-    if np.any(np.diff(t) <= 0.0):
-        raise ValueError("timestamps must be strictly increasing")
-    ds = np.diff(path.arc_lengths)
-    dt = np.diff(t)
-    v = np.zeros(len(t))
-    v[1:] = ds / dt
-    a = np.zeros(len(t))
-    if len(t) >= 3:
-        a[2:] = np.diff(v[1:]) / dt[1:]
-    return v, a
-
-
 def _feasible_init(path: Path, seq: IntervalSequence, config: TemporalConfig) -> np.ndarray | None:
     """Earliest-arrival greedy timestamps; None when interval geometry and
     v_max are incompatible."""
-    ds = np.diff(path.arc_lengths)
+    travel = _min_edge_times(np.diff(path.arc_lengths), config.v_max)
     n = len(path.poses)
     t = np.zeros(n)
     if not (seq.chosen[0].start <= 0.0 <= seq.chosen[0].end):
         return None
     for i in range(1, n):
-        lo = max(seq.chosen[i].start, t[i - 1] + max(ds[i - 1] / config.v_max, DT_MIN))
+        lo = max(seq.chosen[i].start, t[i - 1] + travel[i - 1])
         if lo > seq.chosen[i].end:
             return None
         t[i] = lo
@@ -375,7 +346,7 @@ class TimingProblem:
         hi = np.array([si.end for si in seq.chosen[1:]])
         self.finite = np.flatnonzero(np.isfinite(hi))
         self.hi = hi[self.finite]
-        self.dt_lo = np.maximum(DT_MIN, self.ds / config.v_max)
+        self.dt_lo = _min_edge_times(self.ds, config.v_max)
         # Row r of ``linearize`` reads stamps cols[r] - 1, cols[r] and
         # cols[r] + 1: the dt rows, a_max - a, a_max + a, the starts and the
         # finite ends, then the residuals a and t_n.
@@ -658,9 +629,7 @@ def optimize_timestamps(path: Path, seq: IntervalSequence,
     x = minimize(problem, init[1:]).x
     if not problem.feasible(x):
         return None
-    best = np.concatenate([[0.0], x])
-    v, a = velocity_profile(path, best)
-    return Trajectory(path, best, v, a)
+    return Trajectory(path, np.concatenate([[0.0], x]))
 
 
 def validate_trajectory(traj: Trajectory, tracks, static_obstacles, dt: float,

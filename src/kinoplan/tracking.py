@@ -6,8 +6,9 @@ covariance is two identical per-axis blocks [[p, c], [c, v]]: each filter is
 the per-axis alpha-beta form (Kalata, IEEE TAES 1984; Bar-Shalom, Li &
 Kirubarajan, 2001), stepped over Python floats with no BLAS call.  Association
 is greedy nearest-neighbor under a gating distance, adequate for the handful of
-obstacles a scenario contains.  Forward prediction feeds the safe-interval
-estimation.
+obstacles a scenario contains.  The safe-interval estimation
+(``temporal._predicted_obstacle_circles``) extrapolates each track at its
+velocity, holding ``track_heading``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from operator import itemgetter
 import numpy as np
 
 from .collision import FootprintSpec
-from .geometry import Pose, normalize_angle
+from .geometry import normalize_angle
 
 GATE = 2.0  # association gate, m
 STALE_TIMEOUT = 1.0  # drop tracks unseen this long, s
@@ -88,10 +89,6 @@ class ObstacleTrack:
             raise ValueError(f"track covariance {fault}")
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "covariance", cov)
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.state[:2]
 
     @property
     def velocity(self) -> np.ndarray:
@@ -166,18 +163,8 @@ def associate(tracks: list[ObstacleTrack], observations: list[Observation], gate
     return pairs, sorted(free_t), sorted(free_o)
 
 
-def predict_pose(track: ObstacleTrack, t: float) -> tuple[Pose, FootprintSpec]:
-    """CV-extrapolated pose at absolute time t >= last_update."""
-    if t < track.last_update - 1e-9:
-        raise ValueError("prediction time precedes last update")
-    dt = t - track.last_update
-    x = track.state[0] + track.state[2] * dt
-    y = track.state[1] + track.state[3] * dt
-    return Pose(x, y, track_heading(track)), track.footprint
-
-
 def track_heading(track: ObstacleTrack) -> float:
-    """The heading ``predict_pose`` gives a track at any time: its velocity's
+    """The heading a track is predicted to hold at any time: its velocity's
     direction when it moves faster than 0.1 m/s, else its last heading,
     wrapped to (-pi, pi]."""
     if track.speed > 0.1:

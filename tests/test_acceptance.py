@@ -213,8 +213,10 @@ def _objective(path, traj, config):
     n = len(path.poses)
     w_t = 1.0 / (path.total_length / config.v_max) ** 2
     w_a = 1.0 / ((n - 2) * config.a_max**2) if n > 2 else 0.0
-    return w_t * traj.timestamps[-1] ** 2 + \
-        w_a * float(traj.accelerations @ traj.accelerations)
+    dt = np.diff(traj.timestamps)
+    v = np.diff(path.arc_lengths) / dt
+    a = np.diff(v) / dt[1:]
+    return w_t * traj.timestamps[-1] ** 2 + w_a * float(a @ a)
 
 
 def test_optimizer_matches_brute_force(monkeypatch):

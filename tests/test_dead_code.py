@@ -1,12 +1,18 @@
 """Dead code in ``src/kinoplan``: imports a module never uses, private
-module-level names that nothing in the package refers to, and config fields
-that no program sets.
+module-level names that nothing in the package refers to, public ones that no
+program refers to, and config fields that no program sets.
 
-Both checks read the source with ``ast``, so a name that only a docstring or a
+The checks read the source with ``ast``, so a name that only a docstring or a
 comment mentions counts as unused.  A name counts as used where the code loads
 it (``name``), reads it as an attribute (``module.name``) or imports it from
 another module.  The package's ``__init__`` only re-exports, and
 ``from __future__`` imports are directives, so neither is checked.
+
+A public module-level name is dead when no code in ``src/`` (outside the
+package's ``__init__``, whose re-export is not a use), ``perfbench/`` or
+``tools/`` refers to it: only the tests would run it, so it is a second path
+beside the one the program takes.  ``UNREFERENCED_BY_DESIGN`` names the
+exceptions, each with its reason.
 
 A field of ``PlannerConfig`` or ``TemporalConfig`` is a dead knob when no call
 in ``src/``, ``perfbench/`` or ``tools/`` passes it by keyword, to the class or
@@ -28,14 +34,22 @@ from kinoplan.configfile import FIELD_RULES
 
 SRC = Path(kinoplan.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
-PROGRAMS = [ast.parse(path.read_text(), str(path)) for folder in ("src", "perfbench", "tools")
-            for path in sorted((ROOT / folder).rglob("*.py"))]
+PROGRAM_FILES = {path: ast.parse(path.read_text(), str(path))
+                 for folder in ("src", "perfbench", "tools")
+                 for path in sorted((ROOT / folder).rglob("*.py"))}
+PROGRAMS = list(PROGRAM_FILES.values())
 KNOBS = {"rrt": "PlannerConfig", "temporal": "TemporalConfig"}  # module: config class
 CONFIGS = {**KNOBS, "geometry": "LibraryConfig", "scenarios": "Scenario"}
 CHECKED_BY_TYPE = {"name", "robot", "static_obstacles", "moving"}
 MODULES = {path.stem: ast.parse(path.read_text(), str(path))
            for path in sorted(SRC.glob("*.py"))}
 DUNDER = re.compile(r"^__\w+__$")
+UNREFERENCED_BY_DESIGN = {
+    "heading_change": "the quadrature tests compare the Simpson headings against "
+                      "its closed form",
+    "save_scenario": "it writes the scenario schema, and the tests round-trip every "
+                     "built-in world through it",
+}
 
 
 def _uses(tree: ast.AST) -> set[str]:
@@ -63,9 +77,9 @@ def _imported(tree: ast.Module) -> dict[str, int]:
     return bound
 
 
-def _private_definitions(tree: ast.Module) -> dict[str, int]:
-    """The module-level functions, classes and assigned names of ``tree``
-    that start with one underscore, with their line numbers."""
+def _definitions(tree: ast.Module) -> dict[str, int]:
+    """The module-level functions, classes and assigned names of ``tree``,
+    dunders aside, with their line numbers."""
     names = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -77,9 +91,25 @@ def _private_definitions(tree: ast.Module) -> dict[str, int]:
         else:
             continue
         for name in targets:
-            if name.startswith("_") and not DUNDER.match(name):
+            if not DUNDER.match(name):
                 names[name] = node.lineno
     return names
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """The names of ``_definitions`` that start with an underscore."""
+    return {name: line for name, line in _definitions(tree).items() if name.startswith("_")}
+
+
+def _dead_public(modules: dict[str, ast.Module], users) -> list[str]:
+    """``module.py:line: name`` of each public name that ``modules`` (but
+    ``__init__``) define and no tree of ``users`` refers to, bar
+    ``UNREFERENCED_BY_DESIGN``."""
+    used = set().union(*(_uses(tree) for tree in users))
+    return [f"{module}.py:{line}: {name}" for module, tree in modules.items()
+            if module != "__init__" for name, line in _definitions(tree).items()
+            if not name.startswith("_") and name not in used
+            and name not in UNREFERENCED_BY_DESIGN]
 
 
 def _fields(tree: ast.Module, cls: str) -> list[str]:
@@ -123,6 +153,13 @@ def test_every_private_name_is_referenced():
     assert not dead, "defined and never referenced in src/kinoplan:\n" + "\n".join(dead)
 
 
+def test_every_public_name_is_referenced_by_a_program():
+    users = [tree for path, tree in PROGRAM_FILES.items() if path != SRC / "__init__.py"]
+    dead = _dead_public(MODULES, users)
+    assert not dead, ("defined and never referenced in src/, perfbench/ or tools/ "
+                      "(delete it, or call the code the program runs):\n" + "\n".join(dead))
+
+
 def test_the_checks_see_dead_code():
     """Each check flags a planted case and passes its used twin."""
     tree = ast.parse("import os\nimport sys\nfrom math import pi, tau\n"
@@ -132,6 +169,18 @@ def test_the_checks_see_dead_code():
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert {n for n in _imported(tree) if n not in used} == {"os", "tau"}
     assert {n for n in _private_definitions(tree) if n not in _uses(tree)} == {"_DEAD", "_gone"}
+
+
+def test_the_public_check_sees_dead_code():
+    """Imported, called as an attribute, used only by its own module, kept by
+    design, re-exported only, and unreferenced: the last two are dead."""
+    module = ast.parse("def imported(): pass\ndef attribute(): pass\nHELPER = 1\n"
+                       "def own(): return HELPER\ndef heading_change(): pass\n"
+                       "class Exported: pass\nDEAD = 2\n_PRIVATE = 3\n")
+    init = ast.parse("from .m import Exported, imported\n")
+    user = ast.parse("from kinoplan.m import imported\nm.attribute()\nm.own()\n")
+    assert _dead_public({"m": module, "__init__": init}, [module, user]) == [
+        "m.py:6: Exported", "m.py:7: DEAD"]
 
 
 def test_every_config_field_is_set_by_a_program():

@@ -14,9 +14,8 @@ import kinoplan.geometry as geometry
 from kinoplan.collision import curve_in_collision, default_robot_footprint
 from kinoplan.geometry import (FIT_TOL, SIMPSON_STEP, CurveLibrary, CurveParams,
                                LibraryConfig, Pose, _offset_at, _pinv, _shoot,
-                               _shot_jacobian,
-                               build_curve_library, curvature_at, dubins_length,
-                               endpoint_jacobian, fit_curve, heading_change,
+                               _shot_jacobian, build_curve_library, curvature_at,
+                               dubins_length, fit_curve, heading_change,
                                integrate_endpoint, local_curve_samples,
                                max_abs_curvature, normalize_angle, reachable_within)
 
@@ -412,12 +411,14 @@ class TestEndpointJacobian:
     @pytest.mark.parametrize("k0,a,b,c,sf", CASES)
     def test_endpoint_is_integrate_endpoint(self, k0, a, b, c, sf):
         p = CurveParams(k0, a, b, c, sf)
-        end, _ = endpoint_jacobian(p)
+        end, _ = _shoot(p)
         assert tuple(end) == integrate_endpoint(p)
 
     @pytest.mark.parametrize("k0,a,b,c,sf", CASES)
     def test_matches_central_differences(self, k0, a, b, c, sf):
-        _, jac = endpoint_jacobian(CurveParams(k0, a, b, c, sf))
+        p = CurveParams(k0, a, b, c, sf)
+        end, nodes = _shoot(p)
+        jac = _shot_jacobian(p, end, nodes)
 
         def endpoint(u):
             return np.array(integrate_endpoint(CurveParams(k0, *u)))
@@ -526,7 +527,6 @@ class TestShot:
         assert tuple(end) == integrate_endpoint(p)
         assert end.tobytes() == ref_end.tobytes()
         assert _shot_jacobian(p, end, nodes).tobytes() == ref_jac.tobytes()
-        assert endpoint_jacobian(p)[1].tobytes() == ref_jac.tobytes()
 
     @given(curve_coefs, st.floats(0.0, 1.0))
     @settings(max_examples=300, deadline=None)

@@ -211,7 +211,7 @@ class TestTickTable:
         as the arange check does, with and without a track there."""
         path = Path([Pose(0.0, 0.0, 0.0), Pose(3.0, 0.0, 0.0)],
                     [CurveParams(0.0, 0.0, 0.0, 0.0, 3.0)])
-        traj = Trajectory(path, np.array([0.0, 2.0]), np.zeros(2), np.zeros(2))
+        traj = Trajectory(path, np.array([0.0, 2.0]))
         answers = []
         for x in (3.0, 40.0):  # a track parked at the end pose, and one far away
             runner = _Runner(empty_scenario(), None, 0, library, False, 3.0)
@@ -249,6 +249,20 @@ class TestFullRuns:
         assert trace.failure_reason == "time limit exceeded"
         assert trace.times[-1] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"replan_timeout": math.nan}, "replan_timeout must be positive and finite, got nan"),
+        ({"replan_timeout": -1.0}, "replan_timeout must be positive and finite, got -1.0"),
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+    ])
+    def test_bad_argument_is_refused(self, kwargs, message):
+        """Refused before any work, naming the parameter and its value: a nan
+        timeout used to never replan, a negative one to replan at every
+        perception tick, and a bad seed to fail inside numpy."""
+        with pytest.raises(ValueError) as err:
+            run_scenario(get_scenario("blocked"), **kwargs)
+        assert str(err.value) == message
+
     def test_planning_bug_is_not_a_failed_plan(self, library, monkeypatch):
         """Only start or goal in collision counts as a failed plan; any other
         ValueError raised while planning comes out of the run."""
@@ -264,7 +278,7 @@ class TestFullRuns:
         runner = _Runner(empty_scenario(), None, 0, library, False, 3.0)
         path = Path([Pose(0.0, 0.0, 0.0), Pose(3.0, 0.0, 0.0)],
                     [CurveParams(0.0, 0.0, 0.0, 0.0, 3.0)])
-        traj = Trajectory(path, np.array([0.0, 2.0]), np.zeros(2), np.zeros(2))
+        traj = Trajectory(path, np.array([0.0, 2.0]))
         assert runner._attempt(5.0, "retime", runner._retime, traj, 0.0, 5.0) is None
         [ev] = runner.trace.events
         assert (ev.time, ev.kind, ev.path, ev.trajectory, ev.node_intervals) == \

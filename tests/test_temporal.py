@@ -22,9 +22,8 @@ from kinoplan.temporal import (DT_MIN, OVERLAP_MIN, SI_DT, IntervalSequence, Nod
                                _effective_margin, _open_horizon,
                                _predicted_obstacle_circles, compute_safe_intervals,
                                free_runs, optimize_timestamps, predicted_hits,
-                               select_interval_sequence, validate_trajectory,
-                               velocity_profile)
-from kinoplan.tracking import ObstacleTrack, predict_pose
+                               select_interval_sequence, validate_trajectory)
+from kinoplan.tracking import ObstacleTrack, track_heading
 
 ROBOT = default_robot_footprint()
 CAR = FootprintSpec.from_dimensions(4.0, 2.0)
@@ -293,7 +292,7 @@ class TestBroadPhase:
         base = {"hit": limit, "aligned": limit + reaches, "random": limit + reaches,
                 "screen": limit + reaches + temporal.SCREEN_SLACK}[boundary]
         dist = base + ulps * np.spacing(base)
-        heading = predict_pose(tracks[0], tracks[0].last_update)[0].theta
+        heading = track_heading(tracks[0])
         n = len(times) if per_sample else int(rng.integers(1, 6))
         # Pose i is placed against the first track's anchor at sample at[i].
         at = np.arange(n) if per_sample else rng.integers(0, len(times), n)
@@ -719,32 +718,44 @@ class TestSelectSequence:
         assert seq.source_indices == seq2.source_indices
 
 
+def node_profile(path, timestamps):
+    """Edge speeds v_i = ds_i/dt_i and node accelerations a_i = (v_i -
+    v_{i-1})/dt_i, as finite differences of the stamps."""
+    dt = np.diff(np.asarray(timestamps, dtype=float))
+    v = np.diff(path.arc_lengths) / dt
+    return v, np.diff(v) / dt[1:]
+
+
 class TestVelocityProfile:
+    """``TimingProblem.profile``, the one node-level profile."""
+
+    @staticmethod
+    def _profile(path, timestamps):
+        n = len(path.poses)
+        seq = IntervalSequence([SafeInterval(0.0, math.inf)] * n, [0] * n)
+        _dt, v, a = TimingProblem(path, seq, TemporalConfig()).profile(
+            np.asarray(timestamps[1:], dtype=float))
+        return v, a
+
     def test_uniform(self):
-        path = straight_path(5)
-        v, a = velocity_profile(path, [0.0, 0.5, 1.0, 1.5, 2.0])
-        assert v[1:] == pytest.approx([2.0, 2.0, 2.0, 2.0])
-        assert a[2:] == pytest.approx([0.0, 0.0, 0.0])
+        v, a = self._profile(straight_path(5), [0.0, 0.5, 1.0, 1.5, 2.0])
+        assert v == pytest.approx([2.0, 2.0, 2.0, 2.0])
+        assert a == pytest.approx([0.0, 0.0, 0.0])
 
     def test_direct_evaluation(self):
-        path = straight_path(3)
-        v, a = velocity_profile(path, [0.0, 1.0, 1.5])
-        assert v[1] == pytest.approx(1.0)
-        assert v[2] == pytest.approx(2.0)
-        assert a[2] == pytest.approx(2.0)
-
-    def test_non_increasing_rejected(self):
-        with pytest.raises(ValueError):
-            velocity_profile(straight_path(3), [0.0, 1.0, 1.0])
+        v, a = self._profile(straight_path(3), [0.0, 1.0, 1.5])
+        assert v == pytest.approx([1.0, 2.0])
+        assert a == pytest.approx([2.0])
 
     def test_roundtrip_with_trajectory(self):
+        """The profile of optimized stamps is their finite differences, to the bit."""
         path = straight_path(4)
         cfg = TemporalConfig()
         traj = optimize_timestamps(path, select_interval_sequence(
             unconstrained(4), cfg, [0.0] * 3), cfg)
-        v, a = velocity_profile(traj.path, traj.timestamps)
-        assert np.array_equal(v, traj.velocities)
-        assert np.array_equal(a, traj.accelerations)
+        v, a = self._profile(traj.path, traj.timestamps)
+        want_v, want_a = node_profile(traj.path, traj.timestamps)
+        assert v.tobytes() == want_v.tobytes() and a.tobytes() == want_a.tobytes()
 
 
 class TestOptimizeTimestamps:
@@ -763,10 +774,11 @@ class TestOptimizeTimestamps:
         traj = optimize_timestamps(path, select_interval_sequence(
             unconstrained(10), cfg, [0.0] * 9), cfg)
         assert traj is not None
-        assert np.all(traj.velocities[1:] <= cfg.v_max + 1e-6)
-        assert np.all(np.abs(traj.accelerations[2:]) <= cfg.a_max + 1e-6)
+        v, a = node_profile(path, traj.timestamps)
+        assert np.all(v <= cfg.v_max + 1e-6)
+        assert np.all(np.abs(a) <= cfg.a_max + 1e-6)
         # Cruise: interior velocities cluster near v_max.
-        assert np.min(traj.velocities[3:]) > 0.8 * cfg.v_max
+        assert np.min(v[2:]) > 0.8 * cfg.v_max
 
     def test_delayed_interval_forces_slowdown(self):
         path = straight_path(7)
@@ -846,24 +858,10 @@ class TestOptimizeTimestamps:
         expected = problem.objective(ref.x)
         assert problem.objective(traj.timestamps[1:]) <= expected + 1e-6 * abs(expected)
 
-    def test_csv_export(self, tmp_path):
-        path = straight_path(4)
-        cfg = TemporalConfig()
-        traj = optimize_timestamps(path, select_interval_sequence(
-            unconstrained(4), cfg, [0.0] * 3), cfg)
-        out = tmp_path / "traj.csv"
-        traj.to_csv(out)
-        lines = out.read_text().strip().split("\n")
-        assert lines[0] == "i,x,y,theta,s,t,v,a"
-        assert len(lines) == 5
-
 
 class TestValidateTrajectory:
     def _trajectory(self, timestamps):
-        path = straight_path(len(timestamps))
-        t = np.asarray(timestamps, dtype=float)
-        v, a = velocity_profile(path, t)
-        return Trajectory(path, t, v, a)
+        return Trajectory(straight_path(len(timestamps)), np.asarray(timestamps, dtype=float))
 
     def test_empty_world(self):
         traj = self._trajectory([0.0, 1.0, 2.0])

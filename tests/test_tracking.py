@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kinoplan
-from kinoplan.collision import FootprintSpec
+from kinoplan.collision import FootprintSpec, footprint_circles
 from kinoplan.geometry import Pose
+from kinoplan.temporal import _predicted_obstacle_circles
 from kinoplan.tracking import (Observation, ObstacleTrack, TrackStore,
-                               associate, kf_predict, kf_update, predict_pose,
-                               track_heading)
+                               associate, kf_predict, kf_update, track_heading)
 
 FP = FootprintSpec.from_dimensions(4.0, 2.0)
 
@@ -257,22 +257,31 @@ class TestAssociate:
         assert sorted(pairs) == [(0, 1), (1, 0)]
 
 
+def predicted_positions(track, times):
+    """(T, 2): where the program predicts ``track`` at the absolute ``times``,
+    the center of its cover's anchor circle (offset 0)."""
+    cover, = _predicted_obstacle_circles([track], np.asarray(times, dtype=float), 0.0)
+    return cover.centers[:, cover.anchor]
+
+
 class TestPredictPose:
+    """Constant-velocity prediction as the safe intervals read it
+    (``temporal._predicted_obstacle_circles``)."""
+
     def test_stationary(self):
         t = make_track([2.0, 3.0, 0.0, 0.0])
-        for q in (0.0, 1.0, 5.0):
-            pose, fp = predict_pose(t, q)
-            assert (pose.x, pose.y) == pytest.approx((2.0, 3.0))
-            assert fp is FP
+        assert predicted_positions(t, [0.0, 1.0, 5.0]) == pytest.approx(
+            np.array([[2.0, 3.0]] * 3))
+        cover, = _predicted_obstacle_circles([t], np.zeros(1), 0.0)
+        assert (cover.radius, cover.reach) == (FP.radius, FP.reach)
 
     def test_cv_extrapolation(self):
-        pose, _ = predict_pose(make_track([0.0, 0.0, 2.0, 0.0]), 3.0)
-        assert (pose.x, pose.y, pose.theta) == pytest.approx((6.0, 0.0, 0.0))
+        t = make_track([0.0, 0.0, 2.0, 0.0])
+        assert predicted_positions(t, [3.0])[0] == pytest.approx([6.0, 0.0])
+        assert track_heading(t) == 0.0
 
     def test_collinear_predictions(self):
-        t = make_track([1.0, -1.0, 0.7, 0.3])
-        pts = np.array([predict_pose(t, q)[0].as_array()[:2]
-                        for q in np.linspace(0.0, 5.0, 11)])
+        pts = predicted_positions(make_track([1.0, -1.0, 0.7, 0.3]), np.linspace(0.0, 5.0, 11))
         d = np.diff(pts, axis=0)
         cross = d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0]
         assert np.allclose(cross, 0.0, atol=1e-12)
@@ -281,8 +290,10 @@ class TestPredictPose:
         t = ObstacleTrack(id=0, state=np.array([0.0, 0.0, 0.01, 0.0]),
                           covariance=np.eye(4), footprint=FP, last_update=0.0,
                           last_heading=1.2)
-        pose, _ = predict_pose(t, 4.0)
-        assert pose.theta == pytest.approx(1.2)
+        assert track_heading(t) == pytest.approx(1.2)
+        cover, = _predicted_obstacle_circles([t], np.array([4.0]), 0.0)
+        (x0, y0), (x1, y1) = cover.centers[0, 0], cover.centers[0, -1]
+        assert math.atan2(y1 - y0, x1 - x0) == pytest.approx(1.2)
 
     @pytest.mark.parametrize("state,heading", [
         ([0.0, 0.0, -2.0, -0.0], 0.0),  # atan2 gives -pi; the pose wraps it to pi
@@ -292,17 +303,16 @@ class TestPredictPose:
         ([1.0, 2.0, 0.0, 0.0], 7.0),
     ])
     def test_track_heading_is_the_predicted_heading(self, state, heading):
-        """The heading of the pose that ``predict_pose`` built before it called
-        ``track_heading``, bit for bit."""
+        """``track_heading`` wraps as a ``Pose`` does, and the cover predicted
+        at the last update is the cover at the track's pose with that
+        heading, bit for bit."""
         t = ObstacleTrack(id=0, state=np.array(state), covariance=np.eye(4), footprint=FP,
                           last_update=2.0, last_heading=heading)
         raw = math.atan2(state[3], state[2]) if t.speed > 0.1 else heading
         assert _bits(track_heading(t)) == _bits(Pose(0.0, 0.0, raw).theta)
-        assert _bits(predict_pose(t, 2.5)[0].theta) == _bits(track_heading(t))
-
-    def test_past_query_rejected(self):
-        with pytest.raises(ValueError):
-            predict_pose(make_track([0.0, 0.0, 0.0, 0.0], t=5.0), 4.0)
+        cover, = _predicted_obstacle_circles([t], np.zeros(1), 2.0)
+        at_pose = footprint_circles(FP, Pose(state[0], state[1], track_heading(t)))
+        assert _bits(cover.centers[0]) == _bits(at_pose)
 
 
 class TestTrackStore:
