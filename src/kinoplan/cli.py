@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from .collision import default_robot_footprint
-from .configfile import write_lines
+from .configfile import cast, check, write_lines
 from .geometry import CurveLibrary, LibraryConfig, Pose, build_curve_library
 from .rrt import EndpointInCollision, PlannerConfig, plan_path
 from .scenarios import (Scenario, builtin_scenarios, get_scenario,
@@ -58,45 +58,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _parse_pose(text: str) -> Pose:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("pose must be 'x,y,theta' (theta in radians)")
-    try:
-        x, y, th = (float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if not all(math.isfinite(v) for v in (x, y, th)):
-        raise argparse.ArgumentTypeError(f"pose values must be finite, got {text!r}")
-    return Pose(x, y, th)
-
-
-def _parse_int(text: str, least: int, what: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < least:
-        raise argparse.ArgumentTypeError(f"expected a {what} integer, got {value}")
-    return value
-
-
-def _seed(text: str) -> int:
-    return _parse_int(text, 0, "non-negative")
-
-
-def _positive(text: str) -> int:
-    return _parse_int(text, 1, "positive")
-
-
-def _positive_seconds(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
-    return value
+def _flag(name: str, tp):
+    """An argparse ``type`` for field ``name``: the text cast to ``tp``
+    (``configfile.cast``; a Pose from 'x,y,theta') and then checked by the
+    field's rule.  Text that does not cast reads ``invalid <tp> value``."""
+    def read(text: str):
+        value = cast(tp, text.split(","))
+        try:
+            check(name, value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return Pose(*value) if tp is Pose else value
+    read.__name__ = tp.__name__
+    return read
 
 
 def _resolve_scenario(name_or_path: str) -> Scenario:
@@ -289,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=_seed, default=_env_default("seed", 0),
+        p.add_argument("--seed", type=_flag("seed", int), default=_env_default("seed", 0),
                        help="RNG seed (default 0)")
         p.add_argument("--out", default=_env_default("out", "out"),
                        help="output directory (default ./out)")
@@ -301,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="library config file (key = value lines)")
     p.add_argument("--out", default=_env_default("out", "library.csv"),
                    help="output CSV path (default library.csv)")
-    p.add_argument("--seed", type=_seed, default=_env_default("seed", 0),
+    p.add_argument("--seed", type=_flag("seed", int), default=_env_default("seed", 0),
                    help="unused; accepted for interface uniformity")
     p.set_defaults(func=cmd_gen_library)
 
@@ -309,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--scenario", default=_env_default("scenario", None),
                    help="builtin scenario name or scenario file for the world")
-    p.add_argument("--start", type=_parse_pose, default=None,
+    p.add_argument("--start", type=_flag("start", Pose), default=None,
                    help="start pose 'x,y,theta' (radians)")
-    p.add_argument("--goal", type=_parse_pose, default=None,
+    p.add_argument("--goal", type=_flag("goal", Pose), default=None,
                    help="goal pose 'x,y,theta' (radians)")
     p.add_argument("--config", default=_env_default("config", None),
                    help=PLANNER_CONFIG_HELP)
@@ -327,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=PLANNER_CONFIG_HELP)
     p.add_argument("--ground-truth-tracks", action="store_true",
                    help="feed the tracker noise-free observations")
-    p.add_argument("--replan-timeout", type=_positive_seconds,
+    p.add_argument("--replan-timeout", type=_flag("replan_timeout", float),
                    default=_env_default("replan_timeout", 3.0),
                    help="seconds to wait before replanning the path (default 3)")
     p.set_defaults(func=cmd_simulate)
@@ -335,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench-sampling",
                        help="GMM vs random sampling benchmark over start headings")
     add_common(p)
-    p.add_argument("--runs", type=_positive, default=_env_default("runs", 30),
+    p.add_argument("--runs", type=_flag("runs", int), default=_env_default("runs", 30),
                    help="runs per heading (default 30)")
     p.add_argument("--mode", choices=SAMPLING_MODES,
                    default=_env_default("mode", "both"),
@@ -348,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scenario name or file, for world geometry in the plot "
                         "and for the metrics summary")
     p.add_argument("--out", default=_env_default("out", "out"))
-    p.add_argument("--seed", type=_seed, default=_env_default("seed", 0),
+    p.add_argument("--seed", type=_flag("seed", int), default=_env_default("seed", 0),
                    help="unused; accepted for interface uniformity")
     p.set_defaults(func=cmd_export_plots)
     return parser

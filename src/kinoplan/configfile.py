@@ -1,7 +1,9 @@
 """kinoplan's text files: each is read by ``read_lines`` and written by
 ``write_lines``; an error in parsing a line, wrapped by ``at_line``, reads
-``file:line: message``.  ``FIELD_RULES`` gives each config and scenario field
-name its one rule, which ``check`` applies in code and at a file's line."""
+``file:line: message``.  ``FIELD_RULES`` gives each name of a value that
+enters from outside (a config or scenario field, a CLI flag, a library or
+trace CSV cell) its one rule, which ``check`` applies in code, at a file's
+line and to a flag."""
 
 from __future__ import annotations
 
@@ -20,18 +22,20 @@ def _finite(value) -> bool:
     return len(nums) > 0 and all(math.isfinite(v) for v in nums)
 
 
-# What each field must be: (rule, its test, the fields it governs).  A field
-# name has one rule wherever it appears.
+# What each value must be: (rule, its test, the names it governs).  A name has
+# one rule wherever it appears: a config field, a flag or a CSV column.
 _RULES = (
     ("positive and finite", lambda v: 0.0 < v < math.inf,
      "v_max a_max horizon sim_dt perception_dt time_limit goal_pos_tol goal_heading_tol "
-     "kappa_max max_arc_length"),
+     "kappa_max max_arc_length replan_timeout"),
     ("finite and non-negative", lambda v: 0.0 <= v < math.inf, "obs_noise"),
     ("in [0, 1]", lambda v: 0.0 <= v <= 1.0, "p_th goal_bias"),
     ("an integer >= 1", lambda v: isinstance(v, Integral) and v >= 1,
-     "max_iterations n_r n_beta"),
-    ("a non-negative integer", lambda v: isinstance(v, Integral) and v >= 0, "rng_seed"),
-    ("finite", _finite, "start goal r_min r_max beta_min beta_max dtheta_factors"),
+     "max_iterations n_r n_beta runs"),
+    ("a non-negative integer", lambda v: isinstance(v, Integral) and v >= 0, "rng_seed seed"),
+    ("finite", _finite,
+     "start goal r_min r_max beta_min beta_max dtheta_factors r beta dx dy dtheta "
+     "t x y theta v a obs_x obs_y"),
     ("finite xmin ymin xmax ymax with xmin < xmax and ymin < ymax",
      lambda v: v is not None and len(v) == 4 and _finite(v) and v[0] < v[2] and v[1] < v[3],
      "bounds world_bounds"),

@@ -486,6 +486,8 @@ class CurveEntry:
     dy: float
     dtheta: float
 
+    __post_init__ = check_fields  # each number keeps its rule (configfile.FIELD_RULES)
+
 
 @dataclass(frozen=True)
 class LibraryConfig:
@@ -587,15 +589,16 @@ class CurveLibrary:
         """Read a library written by ``save_csv``.
 
         A wrong version line, a missing header, a header or row with the wrong
-        number of fields, a value that does not parse or a cell outside the
-        grid raises ValueError naming ``file:line``.
+        number of fields, a value that does not parse or breaks its rule, a
+        cell outside the grid or a cell already set on an earlier line raises
+        ValueError naming ``file:line``.
         """
         lines = read_lines(path, sep=",", comment=None)
         lineno, first = next(lines, (1, None))
         with at_line(path, lineno):
             if first != [_LIBRARY_VERSION]:
                 raise ValueError(f"expected {_LIBRARY_VERSION!r}")
-        config, entries = None, {}
+        config, entries, set_on = None, {}, {}
         for lineno, fields in lines:
             if fields[0].startswith("#"):
                 continue
@@ -612,12 +615,15 @@ class CurveLibrary:
                     i, j = int(fields[0]), int(fields[1])
                     if not (0 <= i < config.n_r and 0 <= j < config.n_beta):
                         raise ValueError(f"cell ({i}, {j}) is outside the grid")
+                    if (i, j) in set_on:
+                        raise ValueError(f"cell ({i}, {j}) already set on line {set_on[i, j]}")
                     r, a, b, c, sf, dx, dy, dth, beta = (float(v) for v in fields[2:])
-                    params = CurveParams(0.0, a, b, c, sf)
+                    entries[(i, j)] = CurveEntry(r=r, beta=beta,
+                                                 params=CurveParams(0.0, a, b, c, sf),
+                                                 dx=dx, dy=dy, dtheta=dth)
+                    set_on[(i, j)] = lineno
                 except ValueError as exc:
                     raise ValueError(f"{'bad row' if config else 'bad header'}: {exc}") from None
-            entries[(i, j)] = CurveEntry(r=r, beta=beta, params=params, dx=dx, dy=dy,
-                                         dtheta=dth)
         if config is None:
             raise ValueError(f"{path}:{lineno}: missing header")
         return cls(config, entries)

@@ -86,7 +86,6 @@ class PlannerConfig:
 @dataclass
 class TreeNode:
     pose: Pose
-    end_kappa: float
     parent: int | None
     incoming_curve: CurveParams | None
     visited_entries: set = field(default_factory=set)
@@ -106,7 +105,7 @@ class Tree:
         self.direction = direction
         self.nodes: list[TreeNode] = []
         self._pos = np.empty((64, 2))
-        self.add(TreeNode(root, 0.0, None, None))
+        self.add(TreeNode(root, None, None))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -307,26 +306,25 @@ def extend(tree: Tree, n_rst: int, x_rand, library: CurveLibrary, obstacles,
     if tree.direction == "forward":
         pose = base.transform(entry.dx, entry.dy, entry.dtheta)
         incoming = entry.params
-        end_kappa = curvature_at(entry.params, entry.params.s_f)
     else:
         pose = _flip(base.transform(entry.dx, entry.dy, entry.dtheta))
         incoming = entry.params.reversed()
-        end_kappa = incoming.kappa0
-    return tree.add(TreeNode(pose, end_kappa, n_rst, incoming))
+    return tree.add(TreeNode(pose, n_rst, incoming))
+
+
+def _chain(t_f: Tree, f_idx: int, t_b: Tree, b_idx: int):
+    """The nodes from the start root down to ``f_idx``, and from ``b_idx`` up
+    to the goal root; neither list is empty, since each holds its root."""
+    return ([t_f.nodes[i] for i in t_f.ancestors(f_idx)],
+            [t_b.nodes[i] for i in t_b.ancestors(b_idx)[::-1]])
 
 
 def _chain_path(t_f: Tree, f_idx: int, t_b: Tree, b_idx: int,
                 connect_curve: CurveParams) -> Path:
-    fwd = t_f.ancestors(f_idx)
-    poses: list[Pose] = [t_f.nodes[i].pose for i in fwd]
-    curves: list[CurveParams] = [t_f.nodes[i].incoming_curve for i in fwd[1:]]
-    curves.append(connect_curve)
-    back = t_b.ancestors(b_idx)[::-1]  # b_idx .. goal root
-    for k, i in enumerate(back):
-        poses.append(t_b.nodes[i].pose)
-        if k < len(back) - 1:
-            curves.append(t_b.nodes[i].incoming_curve)
-    return Path(poses, curves)
+    fwd, back = _chain(t_f, f_idx, t_b, b_idx)
+    curves = ([n.incoming_curve for n in fwd[1:]] + [connect_curve]
+              + [n.incoming_curve for n in back[:-1]])
+    return Path([n.pose for n in fwd + back], curves)
 
 
 def try_connect(tree_a: Tree, tree_b: Tree, new_idx: int, library: CurveLibrary,
@@ -362,7 +360,10 @@ def try_connect(tree_a: Tree, tree_b: Tree, new_idx: int, library: CurveLibrary,
             continue  # every curve that reaches it is at least as long as the robot
         seed_entry = library.lookup(math.hypot(offset[0], offset[1]),
                                     math.atan2(offset[1], offset[0]))
-        params = fit_curve(f_node.end_kappa, offset, library.config.kappa_max,
+        # The curvature the forward node ends with: its incoming curve's, 0 at the root.
+        inc = f_node.incoming_curve
+        kappa0 = 0.0 if inc is None else curvature_at(inc, inc.s_f)
+        params = fit_curve(kappa0, offset, library.config.kappa_max,
                            seed=seed_entry.params if seed_entry else None)
         if params is None or params.s_f >= footprint.length:
             continue
@@ -380,8 +381,8 @@ def _node_distances(tree_a: Tree, new_idx: int, tree_b: Tree) -> np.ndarray:
 
 class _NearestPair:
     """Incrementally maintained closest node pair between the two trees, and
-    the bridging path through it (``_bridge_nodes``), built when first asked
-    for after the pair changes."""
+    the positions of the nodes on the bridging path through it (``_chain``),
+    built when first asked for after the pair changes."""
 
     def __init__(self):
         self.dist = math.inf
@@ -404,21 +405,9 @@ class _NearestPair:
 
     def bridge(self, t_f: Tree, t_b: Tree) -> list[tuple[float, float]]:
         if self._bridge is None:
-            self._bridge = _bridge_nodes(t_f, t_b, self)
+            fwd, back = _chain(t_f, self.f_idx, t_b, self.b_idx)
+            self._bridge = [(n.pose.x, n.pose.y) for n in fwd + back]
         return self._bridge
-
-
-def _bridge_nodes(t_f: Tree, t_b: Tree, pair: _NearestPair) -> list[tuple[float, float]]:
-    """Node positions from the start root through the nearest pair to the goal
-    root; never empty, since each chain holds its root."""
-    nodes = []
-    for i in t_f.ancestors(pair.f_idx):
-        p = t_f.nodes[i].pose
-        nodes.append((p.x, p.y))
-    for i in t_b.ancestors(pair.b_idx)[::-1]:
-        p = t_b.nodes[i].pose
-        nodes.append((p.x, p.y))
-    return nodes
 
 
 def sample(t_f: Tree, t_b: Tree, pair: _NearestPair, start: Pose, goal: Pose,

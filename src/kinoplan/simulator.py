@@ -23,13 +23,12 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 
 import numpy as np
 
 from .collision import (FootprintSpec, ObstacleShape, as_world, circle_gaps,
                         footprint_circles, footprint_circles_batch, min_clearance)
-from .configfile import at_line, read_lines, write_lines
+from .configfile import at_line, check, read_lines, write_lines
 from .geometry import CurveLibrary, Pose, build_curve_library, normalize_angle
 from .rrt import EndpointInCollision, Path, PlannerConfig, plan_path
 from .scenarios import Scenario
@@ -85,7 +84,6 @@ class TraceLog:
     clearances: list[float] = field(default_factory=list)
     events: list[PlanningEvent] = field(default_factory=list)
     success: bool = False
-    failure_reason: str = ""
 
     def to_csv(self, path) -> None:
         lines = [",".join(_trace_header(len(self.obstacle_ids)))]
@@ -100,7 +98,8 @@ class TraceLog:
     @classmethod
     def from_csv(cls, path) -> "TraceLog":
         """Rebuild the tick record (not the planning events) from a trace CSV;
-        a bad header or row raises ValueError naming ``file:line``."""
+        a bad header or row, or a number that breaks its column's rule, raises
+        ValueError naming ``file:line``."""
         lines = read_lines(path, sep=",", comment=None)
         lineno, header = next(lines, (1, []))
         with at_line(path, lineno):
@@ -111,6 +110,9 @@ class TraceLog:
             with at_line(path, lineno):
                 if len(parts) != len(header):
                     raise ValueError(f"{len(parts)} fields, expected {len(header)}")
+                for name, text in zip(header, parts):
+                    if name not in ("flag", "obs_id"):
+                        check(name, float(text))
                 ids = [int(p) for p in parts[7::3]]
                 if not trace.times:
                     trace.obstacle_ids, trace.obstacle_poses = ids, {oid: [] for oid in ids}
@@ -382,15 +384,11 @@ def run_scenario(scenario: Scenario, planner_config: PlannerConfig | None = None
                  ground_truth_tracks: bool = False,
                  replan_timeout: float = 3.0) -> TraceLog:
     """Execute one scenario to completion; deterministic in (scenario, seed)."""
-    if not (isinstance(seed, Integral) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    if not 0.0 < replan_timeout < math.inf:
-        raise ValueError(f"replan_timeout must be positive and finite, got {replan_timeout}")
+    check("seed", seed)
+    check("replan_timeout", replan_timeout)
     trace = _Runner(scenario, planner_config, seed, library,
                     ground_truth_tracks, replan_timeout).run()
     derive_trace(scenario, trace)
-    if not trace.success:
-        trace.failure_reason = "time limit exceeded"
     return trace
 
 

@@ -27,7 +27,7 @@ class SvgCanvas:
         self.width = width
         self.height = int(math.ceil((ymax - ymin) * self.scale)) + 2 * pad
         self.pad = pad
-        self.xmin, self.ymin, self.ymax = xmin, ymin, ymax
+        self.xmin, self.ymax = xmin, ymax
         self.elements: list[str] = []
 
     def to_px(self, x: float, y: float) -> tuple[float, float]:

@@ -60,7 +60,6 @@ class IntervalSequence:
     """One (parent-narrowed) interval per node, in path order."""
 
     chosen: list[SafeInterval]
-    source_indices: list[int]  # which original SI of each node was narrowed
 
 
 @dataclass
@@ -292,16 +291,12 @@ def select_interval_sequence(node_intervals: list[NodeIntervals],
     # The leaf with the smallest reachable start; min keeps the first of equals.
     leaf = layers[-1]
     j = min((j for j, state in enumerate(leaf) if state is not None), key=lambda j: leaf[j][0])
-    chosen_idx = [0] * len(node_intervals)
-    for layer in range(len(layers) - 1, -1, -1):
-        chosen_idx[layer] = j
-        j = layers[layer][j][1]
     chosen = []
-    for layer, j in enumerate(chosen_idx):
-        orig = node_intervals[layer].intervals[j]
-        narrowed_start = layers[layer][j][0]
-        chosen.append(SafeInterval(narrowed_start, orig.end))
-    return IntervalSequence(chosen, chosen_idx)
+    for layer in range(len(layers) - 1, -1, -1):
+        narrowed_start, parent = layers[layer][j]
+        chosen.append(SafeInterval(narrowed_start, node_intervals[layer].intervals[j].end))
+        j = parent
+    return IntervalSequence(chosen[::-1])
 
 
 def _feasible_init(path: Path, seq: IntervalSequence, config: TemporalConfig) -> np.ndarray | None:

@@ -286,7 +286,7 @@ def test_constraint_feasibility(scenario_runs, blocked_run):
 
 def test_end_to_end_safety(scenario_runs):
     for (name, seed), trace in scenario_runs.items():
-        assert trace.success, f"{name} seed {seed}: {trace.failure_reason}"
+        assert trace.success, f"{name} seed {seed}: time limit exceeded"
         assert min(trace.clearances) > 0.0, f"{name} seed {seed} had contact"
         sc = get_scenario(name)
         for ev in trace.events:
@@ -348,7 +348,7 @@ def test_determinism(library, tmp_path):
 
 def test_blocked_corridor_replans(blocked_run):
     trace = blocked_run
-    assert trace.success, trace.failure_reason
+    assert trace.success, "time limit exceeded"
     assert any(ev.kind == "replan" for ev in trace.events), \
         "the timeout-then-replan branch never fired"
     assert "waiting" in trace.flags

@@ -129,6 +129,33 @@ class TestPlan:
         assert "bad.csv:6: 10 fields, expected 11" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [["plan", "--start", "0,0,0", "--goal", "20,5,0"],
+                                         ["simulate", "--scenario", "cross"]])
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_library_row_breaking_a_rule(self, tmp_path, library_csv, capsys, command, repeat):
+        """A nan in a library row, or a second row for a cell, fails at its
+        line; the nan used to reach the cell lookup as 'cannot convert float
+        NaN to integer', and the second row to replace the first."""
+        bad = tmp_path / "bad.csv"
+        lines = open(library_csv).read().splitlines()
+        row = lines[5].split(",")
+        row[6 if repeat else 7] = "9.5" if repeat else "nan"  # s_f or dx
+        if repeat:
+            lines.append(",".join(row))
+            message = (f"bad.csv:{len(lines)}: bad row: cell ({row[0]}, {row[1]}) "
+                       "already set on line 6")
+        else:
+            lines[5] = ",".join(row)
+            message = "bad.csv:6: bad row: dx must be finite, got nan"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        code = cli.main(command + ["--library", str(bad), "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["plan", "--start", "0,0,0", "--goal", "10,0,0"],
                                          ["simulate", "--scenario", "cross"]])
     @pytest.mark.parametrize("line", ["collision_ds = -0.5", "collision_ds = 0",
@@ -192,7 +219,7 @@ class TestPlan:
             cli.main(["plan", "--start", "1,2", "--goal", "3,4,0",
                       "--out", str(tmp_path)])
         assert exc.value.code == EXIT_ERROR
-        assert "pose must be 'x,y,theta'" in capsys.readouterr().err
+        assert "argument --start: invalid Pose value: '1,2'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,start,goal", [
         ("--start", "0,0,nan", "10,0,0"),
@@ -200,13 +227,14 @@ class TestPlan:
         ("--goal", "0,0,0", "1,-inf,0"),
     ])
     def test_non_finite_pose(self, tmp_path, capsys, flag, start, goal):
-        """A non-finite pose is a usage error naming its flag, before any
-        library is built."""
+        """A non-finite pose is a usage error naming its flag and the field's
+        rule, before any library is built."""
         with pytest.raises(SystemExit) as exc:
             cli.main(["plan", "--start", start, "--goal", goal, "--out", str(tmp_path)])
         assert exc.value.code == EXIT_ERROR
         err = capsys.readouterr().err
-        assert f"argument {flag}: pose values must be finite" in err
+        got = tuple(float(v) for v in (start if flag == "--start" else goal).split(","))
+        assert f"argument {flag}: {flag[2:]} must be finite, got {got}" in err
         assert not any(tmp_path.iterdir())
 
 
@@ -282,6 +310,14 @@ class TestBenchSampling:
             ET.parse(out / svg)
 
 
+def _trace_with_nan(column: str) -> str:
+    """A two-tick trace with one obstacle whose second row has nan in ``column``."""
+    header = "t,x,y,theta,v,a,flag,obs_id,obs_x,obs_y"
+    row = dict(zip(header.split(","), "0.1,0.2,0,0,2,0,executing,0,5,5".split(",")))
+    row[column] = "nan"
+    return f"{header}\n0,0,0,0,0,0,planning,0,5,5\n{','.join(row.values())}\n"
+
+
 class TestExportPlots:
     def test_roundtrip_from_trace(self, tmp_path, library_csv):
         run_dir = tmp_path / "run"
@@ -337,6 +373,8 @@ class TestExportPlots:
         ("", "t.csv:1: expected the header"),
         ("t,x,y,theta,v,a,flag\n0,0,0,0,0,0,planning\n0.1,0,zero,0,0,0,planning\n",
          "t.csv:3: could not convert"),
+        *((_trace_with_nan(column), f"t.csv:3: {column} must be finite, got nan")
+          for column in ("t", "x", "y", "theta", "v", "a", "obs_x", "obs_y")),
     ])
     def test_bad_trace(self, tmp_path, capsys, text, where):
         trace = tmp_path / "t.csv"
@@ -346,6 +384,21 @@ class TestExportPlots:
         err = capsys.readouterr().err
         assert where in err
         assert "Traceback" not in err
+        assert not (tmp_path / "p").exists()
+
+    def test_non_finite_trace_number_with_scenario(self, tmp_path, capsys):
+        """With a scenario, a nan pose used to give a metrics.txt with
+        'total_length nan' before the plot failed."""
+        trace = tmp_path / "t.csv"
+        trace.write_text("t,x,y,theta,v,a,flag\n0,0,0,0,0,0,planning\n"
+                         "0.05,nan,0,0,0,0,executing\n")
+        world = tmp_path / "empty.txt"
+        world.write_text("name empty\nbounds -5 -5 15 5\nstart 0 0 0\ngoal 10 0 0\n")
+        out = tmp_path / "p"
+        assert cli.main(["export-plots", "--trace", str(trace), "--scenario", str(world),
+                         "--out", str(out)]) == EXIT_ERROR
+        assert "t.csv:3: x must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEnvironmentDefaults:
@@ -368,9 +421,9 @@ class TestEnvironmentDefaults:
 
     @pytest.mark.parametrize("var,value,message", [
         ("KINOPLAN_SEED", "abc", "argument --seed: invalid int value: 'abc'"),
-        ("KINOPLAN_SEED", "-3", "argument --seed: expected a non-negative integer, got -3"),
+        ("KINOPLAN_SEED", "-3", "argument --seed: seed must be a non-negative integer, got -3"),
         ("KINOPLAN_RUNS", "2.5", "argument --runs: invalid int value: '2.5'"),
-        ("KINOPLAN_RUNS", "0", "argument --runs: expected a positive integer, got 0"),
+        ("KINOPLAN_RUNS", "0", "argument --runs: runs must be an integer >= 1, got 0"),
         ("KINOPLAN_MODE", "gauss", "--mode must be one of gmm, random, both"),
     ])
     def test_bad_env_value(self, tmp_path, monkeypatch, capsys, var, value, message):
@@ -384,11 +437,13 @@ class TestEnvironmentDefaults:
 
 class TestFlagValues:
     @pytest.mark.parametrize("argv,message", [
-        (["bench-sampling", "--runs", "0"], "argument --runs: expected a positive integer, got 0"),
-        (["bench-sampling", "--runs", "-2"], "argument --runs: expected a positive integer, got -2"),
+        (["bench-sampling", "--runs", "0"],
+         "argument --runs: runs must be an integer >= 1, got 0"),
+        (["bench-sampling", "--runs", "-2"],
+         "argument --runs: runs must be an integer >= 1, got -2"),
         (["simulate", "--scenario", "cross", "--seed", "-3"],
-         "argument --seed: expected a non-negative integer, got -3"),
-        (["plan", "--seed", "-1"], "argument --seed: expected a non-negative integer, got -1"),
+         "argument --seed: seed must be a non-negative integer, got -3"),
+        (["plan", "--seed", "-1"], "argument --seed: seed must be a non-negative integer, got -1"),
     ])
     def test_bad_count_flag(self, tmp_path, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -410,8 +465,8 @@ class TestFlagValues:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == EXIT_ERROR
-        assert (f"argument --replan-timeout: expected a positive finite number, got {value!r}"
-                in capsys.readouterr().err)
+        assert (f"argument --replan-timeout: replan_timeout must be positive and finite, "
+                f"got {float(value)}" in capsys.readouterr().err)
         assert not any(tmp_path.iterdir())
 
     def test_replan_timeout_from_env(self, monkeypatch):

@@ -21,8 +21,12 @@ belongs in a module constant.  ``LibraryConfig`` and ``Scenario`` are the
 schemas of saved files, so they are not checked.
 
 Every field of the four config classes has a rule in
-``configfile.FIELD_RULES``, so a new field cannot skip validation, and every
-rule governs a field; a field whose own type checks it is exempt.
+``configfile.FIELD_RULES``, so a new field cannot skip validation; a field
+whose own type checks it is exempt.  Every rule governs a name: a config
+field, a name that ``src/`` passes to ``check`` as a literal (directly, or
+to a function that passes its first parameter on to ``check``), a field of a
+class whose ``__post_init__`` is or calls ``check_fields``, or a number column
+of the trace CSV, which ``TraceLog.from_csv`` checks cell by cell.
 """
 
 import ast
@@ -31,6 +35,7 @@ from pathlib import Path
 
 import kinoplan
 from kinoplan.configfile import FIELD_RULES
+from kinoplan.simulator import _trace_header
 
 SRC = Path(kinoplan.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -135,6 +140,50 @@ def _keywords_set(trees, classes) -> set[str]:
     return set_
 
 
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _calls(tree: ast.AST, name: str) -> list[ast.Call]:
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _callee(node) == name]
+
+
+def _checks_its_fields(cls: ast.ClassDef) -> bool:
+    """Whether ``cls`` sets ``__post_init__ = check_fields`` or calls
+    ``check_fields`` in its ``__post_init__``."""
+    for item in cls.body:
+        if isinstance(item, ast.Assign) and any(
+                getattr(t, "id", None) == "__post_init__" for t in item.targets):
+            return getattr(item.value, "id", None) == "check_fields"
+        if isinstance(item, ast.FunctionDef) and item.name == "__post_init__":
+            return bool(_calls(item, "check_fields"))
+    return False
+
+
+def _checked_names(trees) -> set[str]:
+    """The names ``check`` governs in ``trees``: each string literal passed
+    first to ``check`` or to a function that passes its first parameter on to
+    ``check``, and each field of a class that ``_checks_its_fields``."""
+    trees = list(trees)
+    checkers = {"check"} | {
+        fn.name for tree in trees for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.args.args
+        and any(call.args and getattr(call.args[0], "id", None) == fn.args.args[0].arg
+                for call in _calls(fn, "check"))}
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _callee(node) in checkers and node.args \
+                    and isinstance(node.args[0], ast.Constant):
+                names.add(node.args[0].value)
+            elif isinstance(node, ast.ClassDef) and _checks_its_fields(node):
+                names.update(item.target.id for item in node.body
+                             if isinstance(item, ast.AnnAssign))
+    return names
+
+
 def test_every_import_is_used():
     unused = []
     for module, tree in MODULES.items():
@@ -205,4 +254,26 @@ def test_every_config_field_has_a_rule():
     unruled = [field for field, name in names.items() if name not in FIELD_RULES]
     assert not unruled, "config fields with no rule in configfile.FIELD_RULES:\n" + "\n".join(
         unruled)
-    assert not set(FIELD_RULES) - set(names.values()), "rules that govern no field"
+    columns = set(_trace_header(1)) - {"flag", "obs_id"}
+    governed = set(names.values()) | _checked_names(MODULES.values()) | columns
+    idle = sorted(set(FIELD_RULES) - governed)
+    assert not idle, "rules in configfile.FIELD_RULES that govern no name:\n" + "\n".join(idle)
+
+
+def test_the_rule_check_sees_an_idle_rule():
+    """Literals passed to ``check`` directly or through a function that
+    forwards its first parameter, and the fields of classes that check their
+    fields, are governed; a literal in another parameter, and the fields of a
+    class that does not check them, are not."""
+    tree = ast.parse(
+        "check('direct', 1)\n"
+        "def flag(name, tp):\n    def read(text):\n        check(name, tp(text))\n"
+        "    return read\n"
+        "flag('forwarded', int)\n"
+        "def other(value, name):\n    check(name, value)\n"
+        "other(3, 'missed')\n"
+        "class Row:\n    cell: float\n    __post_init__ = check_fields\n"
+        "class Cfg:\n    knob: float\n    def __post_init__(self):\n"
+        "        configfile.check_fields(self)\n"
+        "class Loose:\n    loose: float\n    def __post_init__(self):\n        pass\n")
+    assert _checked_names([tree]) == {"direct", "forwarded", "cell", "knob"}

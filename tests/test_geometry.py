@@ -742,12 +742,28 @@ class TestLibrary:
         (5, "0,99,1,0,0,0,1,1,0,0,0", r":5: bad row: cell \(0, 99\)"),
         (5, "0,0,1,0,0,0,-1,1,0,0,0", r":5: bad row: invalid curve"),
         (5, "0,0,1,0,0,0,nope,1,0,0,0", r":5: bad row"),
+        (5, "0,0,nan,0,0,0,1,1,0,0,0", r":5: bad row: r must be finite, got nan$"),
+        (5, "0,0,1,0,0,0,1,inf,0,0,0", r":5: bad row: dx must be finite, got inf$"),
+        (5, "0,0,1,0,0,0,1,1,-inf,0,0", r":5: bad row: dy must be finite, got -inf$"),
+        (5, "0,0,1,0,0,0,1,1,0,nan,0", r":5: bad row: dtheta must be finite, got nan$"),
+        (5, "0,0,1,0,0,0,1,1,0,0,nan", r":5: bad row: beta must be finite, got nan$"),
     ])
     def test_load_reports_file_and_line(self, library, tmp_path, line, text, message):
         path, lines = self.saved_lines(library, tmp_path)
         lines[line - 1] = text
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=message):
+            CurveLibrary.load_csv(path)
+
+    def test_load_rejects_repeated_cell(self, library, tmp_path):
+        """A second row for a cell used to replace the first without a word."""
+        path, lines = self.saved_lines(library, tmp_path)
+        k = next(n for n, line in enumerate(lines) if line.startswith("1,8,"))
+        row = lines[k].split(",")
+        row[6] = "9.5"  # s_f
+        path.write_text("\n".join(lines + [",".join(row)]) + "\n")
+        with pytest.raises(ValueError, match=rf"lib\.csv:{len(lines) + 1}: bad row: "
+                                             rf"cell \(1, 8\) already set on line {k + 1}$"):
             CurveLibrary.load_csv(path)
 
     def test_load_rejects_missing_header(self, tmp_path):

@@ -93,24 +93,27 @@ class TestExtend:
 
 class TestPlanPath:
     def test_bridge_rebuilt_only_when_the_pair_changes(self, library, monkeypatch):
-        """GMM draws reuse the bridging path until the nearest pair moves."""
-        builds, draws = [], []
-        bridge_nodes, gmm = rrt._bridge_nodes, rrt.gmm_sample
+        """GMM draws reuse the bridging path until the nearest pair moves.
+        Each bridge is one walk of ``_chain``; the last walk is the found
+        path's."""
+        walks, draws = [], []
+        chain, gmm = rrt._chain, rrt.gmm_sample
 
-        def counted(t_f, t_b, pair):
-            builds.append((pair.f_idx, pair.b_idx))
-            return bridge_nodes(t_f, t_b, pair)
+        def counted(t_f, f_idx, t_b, b_idx):
+            walks.append((f_idx, b_idx))
+            return chain(t_f, f_idx, t_b, b_idx)
 
         def checked(nodes, rng):
             draws.append(nodes)
             return gmm(nodes, rng)
 
-        monkeypatch.setattr(rrt, "_bridge_nodes", counted)
+        monkeypatch.setattr(rrt, "_chain", counted)
         monkeypatch.setattr(rrt, "gmm_sample", checked)
         obs = [ObstacleShape.disk(6.0, 0.0, 1.5), ObstacleShape.disk(12.0, 3.0, 1.5)]
         cfg = PlannerConfig(rng_seed=2, world_bounds=(-10.0, -10.0, 25.0, 15.0))
         assert plan_path(Pose(0.0, 0.0, 0.0), Pose(18.0, 0.0, 0.0), obs, cfg, library,
                          FOOTPRINT) is not None
+        *builds, _path = walks
         assert len(draws) > len(builds) > 0
         assert len(builds) == len(set(builds))
 

@@ -398,7 +398,7 @@ def timing_problem_case(ends):
     edges = rng.uniform(0.5, 3.0, len(ends) - 1)
     path = edge_path(edges)
     cfg = TemporalConfig(v_max=2.0, a_max=5.0)
-    seq = IntervalSequence([SafeInterval(0.0, end) for end in ends], [0] * len(ends))
+    seq = IntervalSequence([SafeInterval(0.0, end) for end in ends])
     problem = TimingProblem(path, seq, cfg)
     x = np.cumsum(edges / cfg.v_max * rng.uniform(1.2, 2.0, len(edges)))
     assert problem.feasible(x)
@@ -587,8 +587,8 @@ class TestSelectSequence:
         cfg = TemporalConfig()
         seq = select_interval_sequence(unconstrained(4), cfg, [0.0] * 3)
         assert seq is not None
+        assert len(seq.chosen) == 4
         assert all(si.end == math.inf for si in seq.chosen)
-        assert seq.source_indices == [0, 0, 0, 0]
 
     def test_dead_branch_terminates(self):
         cfg = TemporalConfig()
@@ -600,7 +600,7 @@ class TestSelectSequence:
         ]
         seq = select_interval_sequence(nis, cfg, [0.0, 0.0])
         assert seq is not None
-        assert seq.source_indices == [0, 1, 0]  # the [0, 10] branch dies
+        assert [si.end for si in seq.chosen] == [math.inf] * 3  # the [0, 10] branch dies
         assert seq.chosen[1].start == 15.0
         assert seq.chosen[2].start == 18.0
 
@@ -620,8 +620,8 @@ class TestSelectSequence:
         ]
         seq = select_interval_sequence(nis, cfg, edge_lengths=[10.0, 10.0])
         assert seq is not None
-        for chosen, idx, ni in zip(seq.chosen, seq.source_indices, nis):
-            orig = ni.intervals[idx]
+        for chosen, ni in zip(seq.chosen, nis):
+            (orig,) = ni.intervals
             assert orig.start <= chosen.start and chosen.end == orig.end
 
     def test_zero_length_window_unreachable(self):
@@ -642,7 +642,7 @@ class TestSelectSequence:
         nis = [NodeIntervals(0, [SafeInterval(0.0, math.inf)]),
                NodeIntervals(1, [SafeInterval(0.0, k), SafeInterval(1.5 * k, math.inf)])]
         seq = select_interval_sequence(nis, cfg, edge_lengths=[2.0 * k])
-        assert seq is not None and seq.source_indices == [0, 1]
+        assert seq is not None and seq.chosen[1].end == math.inf
 
     def _brute_force_final_start(self, nis, travel):
         """Independent enumeration of every interval combination."""
@@ -695,7 +695,7 @@ class TestSelectSequence:
 
     def test_scale_consistency(self):
         """Doubling speed limits while halving lengths and times keeps the
-        chosen interval indices identical, where every overlap clears
+        chosen intervals, their ends scaled, where every overlap clears
         ``OVERLAP_MIN`` at both scales (times in units of 1/64 s)."""
         cfg = TemporalConfig(v_max=2.0, a_max=1.0)
         k = 64.0
@@ -715,7 +715,7 @@ class TestSelectSequence:
         seq2 = select_interval_sequence(nis2, cfg2,
                                         edge_lengths=[e / 2.0 for e in edges])
         assert seq is not None and seq2 is not None
-        assert seq.source_indices == seq2.source_indices
+        assert [si.end * scale for si in seq.chosen] == [si.end for si in seq2.chosen]
 
 
 def node_profile(path, timestamps):
@@ -732,7 +732,7 @@ class TestVelocityProfile:
     @staticmethod
     def _profile(path, timestamps):
         n = len(path.poses)
-        seq = IntervalSequence([SafeInterval(0.0, math.inf)] * n, [0] * n)
+        seq = IntervalSequence([SafeInterval(0.0, math.inf)] * n)
         _dt, v, a = TimingProblem(path, seq, TemporalConfig()).profile(
             np.asarray(timestamps[1:], dtype=float))
         return v, a
@@ -810,7 +810,7 @@ class TestOptimizeTimestamps:
                           4.129])
         starts = [0.0, 1.554, 3.585, 5.649, 23.4, 28.9, 29.614, 31.679, 33.709, 35.739,
                   37.804]
-        seq = IntervalSequence([SafeInterval(a, math.inf) for a in starts], [0] * len(starts))
+        seq = IntervalSequence([SafeInterval(a, math.inf) for a in starts])
         cfg = TemporalConfig()
         problem = TimingProblem(path, seq, cfg)
         init = temporal._feasible_init(path, seq, cfg)
@@ -824,7 +824,7 @@ class TestOptimizeTimestamps:
         t = 2.6 s, then 0.1 m with the node reached within [2.7, 2.75] s."""
         path = edge_path([5.0, 0.1])
         seq = IntervalSequence([SafeInterval(0.0, math.inf), SafeInterval(0.0, 2.6),
-                                SafeInterval(2.7, 2.75)], [0, 0, 0])
+                                SafeInterval(2.7, 2.75)])
         cfg = TemporalConfig()
         assert temporal._feasible_init(path, seq, cfg) is not None
         with warnings.catch_warnings():
