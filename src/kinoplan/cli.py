@@ -153,10 +153,7 @@ def cmd_simulate(args) -> int:
     _print_config(args)
     pcfg = PlannerConfig.from_file(args.config) if args.config else None
     library = CurveLibrary.load_csv(args.library) if args.library else None
-    trace = run_scenario(scenario, planner_config=pcfg, seed=args.seed,
-                         library=library,
-                         ground_truth_tracks=args.ground_truth_tracks,
-                         replan_timeout=args.replan_timeout)
+    trace = run_scenario(scenario, planner_config=pcfg, seed=args.seed, library=library)
     if args.out:
         export_artifacts(trace, args.out, scenario)
     m = metrics(trace)
@@ -299,11 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
                         % "/".join(s.name for s in builtin_scenarios()))
     p.add_argument("--config", default=_env_default("config", None),
                    help=PLANNER_CONFIG_HELP)
-    p.add_argument("--ground-truth-tracks", action="store_true",
-                   help="feed the tracker noise-free observations")
-    p.add_argument("--replan-timeout", type=_flag("replan_timeout", float),
-                   default=_env_default("replan_timeout", 3.0),
-                   help="seconds to wait before replanning the path (default 3)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bench-sampling",

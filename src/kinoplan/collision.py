@@ -459,9 +459,9 @@ def clearance_to_obstacle(centers: np.ndarray, radius: float, obstacle: Obstacle
     return min_clearance(centers, radius, (obstacle,))
 
 
-def pose_in_collision(spec: FootprintSpec, pose: Pose, obstacles, margin: float = 0.0) -> bool:
+def pose_in_collision(spec: FootprintSpec, pose: Pose, obstacles) -> bool:
     """True iff any footprint circle intersects any obstacle in the snapshot."""
-    return bool(circles_hit(footprint_circles(spec, pose), spec.radius, obstacles, margin))
+    return bool(circles_hit(footprint_circles(spec, pose), spec.radius, obstacles))
 
 
 def curve_in_collision(spec: FootprintSpec, params: CurveParams, base: Pose, obstacles,

@@ -27,7 +27,7 @@ def _finite(value) -> bool:
 _RULES = (
     ("positive and finite", lambda v: 0.0 < v < math.inf,
      "v_max a_max horizon sim_dt perception_dt time_limit goal_pos_tol goal_heading_tol "
-     "kappa_max max_arc_length replan_timeout"),
+     "kappa_max max_arc_length"),
     ("finite and non-negative", lambda v: 0.0 <= v < math.inf, "obs_noise"),
     ("in [0, 1]", lambda v: 0.0 <= v <= 1.0, "p_th goal_bias"),
     ("an integer >= 1", lambda v: isinstance(v, Integral) and v >= 1,

@@ -23,6 +23,8 @@ SIMPSON_STEP = 0.01
 
 # Endpoint tolerance for curve fitting (m / rad).
 FIT_TOL = 1e-7
+# Gauss-Newton steps fit_curve takes before it gives up.
+FIT_MAX_ITERS = 80
 # fit_curve returns a fit whose squared endpoint error is below this: within
 # 1e-4 m and rad of the goal.
 _FIT_ACCEPT_COST = 1e-8
@@ -150,9 +152,9 @@ def heading_change(params: CurveParams, s) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def max_abs_curvature(params: CurveParams, step: float = SIMPSON_STEP) -> float:
+def max_abs_curvature(params: CurveParams) -> float:
     """Max |kappa| sampled at the quadrature resolution over [0, s_f]."""
-    n = max(2, int(math.ceil(params.s_f / step)))
+    n = max(2, int(math.ceil(params.s_f / SIMPSON_STEP)))
     grid = np.linspace(0.0, params.s_f, n + 1)
     return float(np.max(np.abs(curvature_at(params, grid))))
 
@@ -176,22 +178,9 @@ def _simpson_grid(params: CurveParams, s: float):
     return grid, th, w, (s / n) / 3.0
 
 
-def _offset_at(params: CurveParams, s: float) -> tuple[float, float, float]:
-    """(dx, dy, dtheta) of the curve frame at arc length s, composite Simpson."""
-    if s <= 0.0:
-        return 0.0, 0.0, 0.0
-    _, th, w, h3 = _simpson_grid(params, s)
-    dx = h3 * float(w @ np.cos(th))
-    dy = h3 * float(w @ np.sin(th))
-    return dx, dy, float(th[-1])
-
-
 def _shoot(params: CurveParams) -> tuple[np.ndarray, tuple]:
-    """Simpson endpoint (dx, dy, dtheta) of the full curve and its node arrays.
-
-    The endpoint is ``integrate_endpoint(params)`` to the bit; the node arrays
-    are what ``_shot_jacobian`` differentiates.
-    """
+    """Simpson endpoint (dx, dy, dtheta) of the full curve and its node arrays,
+    which ``_shot_jacobian`` differentiates."""
     grid, th, w, h3 = _simpson_grid(params, params.s_f)
     cos, sin = np.cos(th), np.sin(th)
     end = np.array([h3 * float(w @ cos), h3 * float(w @ sin), float(th[-1])])
@@ -234,13 +223,14 @@ def _pinv(jac: np.ndarray) -> np.ndarray:
 
 
 def integrate_endpoint(params: CurveParams) -> tuple[float, float, float]:
-    """Endpoint offset (dx, dy, dtheta) of the full curve in its start frame."""
-    return _offset_at(params, params.s_f)
+    """Endpoint offset (dx, dy, dtheta) of the full curve in its start frame,
+    composite Simpson (``_shoot``)."""
+    return tuple(_shoot(params)[0].tolist())
 
 
 def _simpson_offsets(params: CurveParams, s: np.ndarray) -> np.ndarray:
-    """``_offset_at(params, s_k)`` to the bit for each arc length s_k > 0, as
-    an (N, 3) array, in one pass.
+    """``integrate_endpoint`` of the curve cut at each arc length s_k > 0, to
+    the bit, as an (N, 3) array, in one pass.
 
     The Simpson grids of all the samples lie end to end in one ragged array,
     each with its own node count n, spacing s_k/n and last node set to s_k,
@@ -281,9 +271,10 @@ _PASS_NODES = 1 << 17
 def local_curve_samples(params: CurveParams, ds: float) -> np.ndarray:
     """Cached local-frame offsets (dx, dy, dtheta) at s = 0, ds, 2 ds, ... and s_f.
 
-    A read-only (N, 3) array whose row at s is ``_offset_at(params, s)`` to
-    the bit, so the last row is ``integrate_endpoint(params)``; a last step
-    within 1e-9 m of s_f is merged into it.  The rows come from
+    A read-only (N, 3) array whose row at s > 0 is ``integrate_endpoint`` of
+    the curve cut at s, to the bit, so the last row is
+    ``integrate_endpoint(params)``; a last step within 1e-9 m of s_f is
+    merged into it.  The rows come from
     ``_simpson_offsets``, in as few passes as ``_PASS_NODES`` allows (one
     for the planner's curves).  A step that is not positive and finite
     raises ValueError.
@@ -368,7 +359,6 @@ def fit_curve(
     goal_offset: tuple[float, float, float],
     kappa_max: float,
     seed: CurveParams | None = None,
-    max_iters: int = 80,
 ) -> CurveParams | None:
     """Solve for (a, b, c, s_f) so the curve endpoint hits ``goal_offset``.
 
@@ -399,7 +389,7 @@ def fit_curve(
     p, end, nodes = shoot(u)
     f = end - goal
     cost = float(f @ f)
-    for _ in range(max_iters):
+    for _ in range(FIT_MAX_ITERS):
         if cost < FIT_TOL**2:
             break
         step = _pinv(_shot_jacobian(p, end, nodes)) @ f

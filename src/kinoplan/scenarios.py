@@ -296,7 +296,20 @@ def _parked_args(obs: ObstacleShape) -> tuple:
     return (length, width, obs.pose.x, obs.pose.y, obs.pose.theta, *single)
 
 
-_POSE = (lambda args: Pose(*_floats(args, 3)), lambda pose: (pose.x, pose.y, pose.theta))
+def _read_pose(args) -> tuple[float, float, float]:
+    """X Y THETA, left as numbers: a Pose wraps its heading, which fails on
+    an infinite one, so a Pose is built only from numbers checked finite."""
+    return tuple(_floats(args, 3))
+
+
+def _read_parked(args) -> ObstacleShape:
+    pose = _read_pose(args[2:5])
+    if not all(math.isfinite(v) for v in pose):
+        raise ValueError(f"footprint pose must be finite, got {pose}")
+    return ObstacleShape.footprint_at(_read_footprint(args[:2] + args[5:]), Pose(*pose))
+
+
+_POSE = (_read_pose, lambda pose: (pose.x, pose.y, pose.theta))
 # The scenario file schema, keyword -> (read its arguments, write them back).
 # One "keyword args..." line each; '#' starts a comment.  A str or float field
 # of Scenario is written under its own name ("name cross", "v_max 2"); then
@@ -315,8 +328,7 @@ _KEYWORDS = {
              lambda obs: (*obs.center, obs.radius)),
     "polygon": (lambda args: ObstacleShape.polygon(np.reshape([float(a) for a in args], (-1, 2))),
                 lambda obs: [v for xy in obs.vertices for v in xy]),
-    "parked": (lambda args: ObstacleShape.footprint_at(_read_footprint(args[:2] + args[5:]),
-                                                       _POSE[0](args[2:5])), _parked_args),
+    "parked": (_read_parked, _parked_args),
     "obstacle": (lambda args: (int(args[0]), _read_footprint(args[1:])),
                  lambda mob: (mob.id, *_footprint_args(mob.footprint))),
     "waypoint": (lambda args: (int(args[0]), tuple(_floats(args[1:], 3))), lambda row: row),
@@ -366,7 +378,8 @@ def load_scenario(path) -> Scenario:
                     raise ValueError(f"waypoint before obstacle {oid}")
                 obstacles[oid][2].append(row)
             else:
-                kwargs[key] = value
+                # start and goal were read as numbers and checked by their rule.
+                kwargs[key] = Pose(*value) if key in ("start", "goal") else value
                 set_on[key] = lineno
     for oid in sorted(obstacles):
         lineno, footprint, rows = obstacles[oid]

@@ -8,7 +8,7 @@ trajectory is evaluated once, at every tick time it can be driven at
 (``TickTable``): the executor reads each tick's pose from that table, and
 revalidation its robot covers from the current tick on, so a perception
 tick builds only the obstacle predictions.  WAITING holds position when no
-safe timing exists and tries nothing until ``replan_timeout`` has passed,
+safe timing exists and tries nothing until ``REPLAN_TIMEOUT`` has passed,
 when the path itself is replanned (REPLANNING), treating obstacles that have
 stopped as static blockers.  The loop keeps no state beyond the trajectory it
 executes: after tick 0, none means waiting.  Every planning attempt is
@@ -47,6 +47,10 @@ STOP_SPEED = 0.1  # below this a track counts as stopped, m/s
 BLOCKER_INFLATION = 1.5  # extra radius for tracks frozen into the static map, m
 SLOW_FACTOR = 2.5  # accept a timing only if within this multiple of free flow
 REVALIDATE_MARGIN = 0.3  # predicted gap below this triggers a re-timing, m
+# Seconds a waiting robot holds still before it replans the path: a crossing
+# obstacle gets time to pass, and a blocker that has stopped (``blocked``) is
+# routed around well inside the time limit.
+REPLAN_TIMEOUT = 3.0
 
 
 @dataclass
@@ -71,9 +75,6 @@ def _trace_header(n_obs: int) -> list[str]:
 class TraceLog:
     """Per-tick record of one scenario run."""
 
-    scenario_name: str
-    seed: int
-    sim_dt: float
     times: list[float] = field(default_factory=list)
     poses: list[tuple[float, float, float]] = field(default_factory=list)
     velocities: list[float] = field(default_factory=list)
@@ -105,7 +106,7 @@ class TraceLog:
         with at_line(path, lineno):
             if header != _trace_header((len(header) - 7) // 3):
                 raise ValueError(f"expected the header {','.join(_trace_header(1))},...")
-        trace = cls(scenario_name="", seed=0, sim_dt=0.0)
+        trace = cls()
         for lineno, parts in lines:
             with at_line(path, lineno):
                 if len(parts) != len(header):
@@ -125,8 +126,6 @@ class TraceLog:
                 trace.flags.append(parts[6])
                 for oid, ox, oy in zip(ids, parts[8::3], parts[9::3]):
                     trace.obstacle_poses[oid].append((float(ox), float(oy), 0.0))
-        if len(trace.times) > 1:
-            trace.sim_dt = trace.times[1] - trace.times[0]
         return trace
 
 
@@ -215,8 +214,7 @@ class TickTable:
 
 class _Runner:
     def __init__(self, scenario: Scenario, planner_config: PlannerConfig | None, seed: int,
-                 library: CurveLibrary | None, ground_truth_tracks: bool,
-                 replan_timeout: float):
+                 library: CurveLibrary | None):
         self.sc = scenario
         self.world = as_world(scenario.static_obstacles)  # for the timing layer's checks
         self.pcfg = planner_config or PlannerConfig()
@@ -224,16 +222,13 @@ class _Runner:
         self.seed = seed
         self.noise_rng = np.random.default_rng(seed)
         self.obs_var = max(scenario.obs_noise, 0.01) ** 2
-        self.ground_truth = ground_truth_tracks
-        self.replan_timeout = replan_timeout
         self.tcfg = TemporalConfig(v_max=scenario.v_max, a_max=scenario.a_max,
                                    horizon=scenario.horizon)
         biggest = max((m.footprint for m in scenario.moving),
                       key=lambda f: f.radius, default=None)
         self.store = TrackStore(biggest)
         self.plan_count = 0
-        self.trace = TraceLog(scenario.name, seed, scenario.sim_dt,
-                              obstacle_ids=[m.id for m in scenario.moving])
+        self.trace = TraceLog(obstacle_ids=[m.id for m in scenario.moving])
 
     # -- perception ------------------------------------------------------
 
@@ -241,7 +236,7 @@ class _Runner:
         obs = []
         for mob in self.sc.moving:
             p = mob.position_at(t)
-            if not self.ground_truth and self.sc.obs_noise > 0.0:
+            if self.sc.obs_noise > 0.0:
                 p = p + self.noise_rng.normal(0.0, self.sc.obs_noise, 2)
             obs.append(Observation((float(p[0]), float(p[1])), t, self.obs_var))
         self.store.step(obs, t)
@@ -351,7 +346,7 @@ class _Runner:
                 table, since = self._adopt(tick, "retime", self._retime,
                                            table.trajectory, since, t), t
                 flag = REPLANNING if table is not None else WAITING
-            elif table is None and perceive and t - since >= self.replan_timeout:
+            elif table is None and perceive and t - since >= REPLAN_TIMEOUT:
                 table, since = self._adopt(tick, "replan", self._plan, pose, t), t
                 flag = REPLANNING
             if table is not None:
@@ -380,14 +375,10 @@ class _Runner:
 
 def run_scenario(scenario: Scenario, planner_config: PlannerConfig | None = None,
                  seed: int = 0,
-                 library: CurveLibrary | None = None,
-                 ground_truth_tracks: bool = False,
-                 replan_timeout: float = 3.0) -> TraceLog:
+                 library: CurveLibrary | None = None) -> TraceLog:
     """Execute one scenario to completion; deterministic in (scenario, seed)."""
     check("seed", seed)
-    check("replan_timeout", replan_timeout)
-    trace = _Runner(scenario, planner_config, seed, library,
-                    ground_truth_tracks, replan_timeout).run()
+    trace = _Runner(scenario, planner_config, seed, library).run()
     derive_trace(scenario, trace)
     return trace
 

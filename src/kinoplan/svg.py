@@ -12,6 +12,8 @@ import math
 
 from .configfile import write_lines
 
+PAD = 20  # canvas margin around the world window, px
+
 
 def _fmt(v: float) -> str:
     return "%.2f" % v
@@ -20,32 +22,29 @@ def _fmt(v: float) -> str:
 class SvgCanvas:
     """Fixed-size canvas mapping a world window onto pixel coordinates."""
 
-    def __init__(self, world_box: tuple[float, float, float, float],
-                 width: int = 800, pad: int = 20):
+    def __init__(self, world_box: tuple[float, float, float, float], width: int = 800):
         xmin, ymin, xmax, ymax = world_box
-        self.scale = (width - 2 * pad) / max(xmax - xmin, 1e-9)
+        self.scale = (width - 2 * PAD) / max(xmax - xmin, 1e-9)
         self.width = width
-        self.height = int(math.ceil((ymax - ymin) * self.scale)) + 2 * pad
-        self.pad = pad
+        self.height = int(math.ceil((ymax - ymin) * self.scale)) + 2 * PAD
         self.xmin, self.ymax = xmin, ymax
         self.elements: list[str] = []
 
     def to_px(self, x: float, y: float) -> tuple[float, float]:
-        return (self.pad + (x - self.xmin) * self.scale,
-                self.pad + (self.ymax - y) * self.scale)
+        return (PAD + (x - self.xmin) * self.scale, PAD + (self.ymax - y) * self.scale)
 
     def circle(self, x: float, y: float, r: float, fill: str = "none",
-               stroke: str = "black", opacity: float = 1.0, stroke_width: float = 1.0):
+               stroke: str = "black", opacity: float = 1.0):
         px, py = self.to_px(x, y)
         self.elements.append(
             f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{_fmt(r * self.scale)}" '
-            f'fill="{fill}" stroke="{stroke}" stroke-width="{_fmt(stroke_width)}" '
+            f'fill="{fill}" stroke="{stroke}" stroke-width="1.00" '
             f'opacity="{_fmt(opacity)}"/>')
 
-    def polygon(self, points, fill: str = "none", stroke: str = "black"):
+    def polygon(self, points, fill: str = "none"):
         pts = " ".join("%s,%s" % (_fmt(px), _fmt(py))
                        for px, py in (self.to_px(x, y) for x, y in points))
-        self.elements.append(f'<polygon points="{pts}" fill="{fill}" stroke="{stroke}"/>')
+        self.elements.append(f'<polygon points="{pts}" fill="{fill}" stroke="black"/>')
 
     def polyline(self, points, stroke: str = "black", stroke_width: float = 1.5):
         pts = " ".join("%s,%s" % (_fmt(px), _fmt(py))

@@ -370,11 +370,6 @@ class TimingProblem:
         _dt, _v, a = self.profile(x)
         return self.w_t * x[-1] ** 2 + self.w_a * float(a @ a)
 
-    def objective_grad(self, x) -> np.ndarray:
-        _g, res, bands = self.linearize(x)
-        k = self.n_constraints
-        return band_tmul(self.index[:, k:], bands[:, k:], 2.0 * self.weights * res, len(x))
-
     def linearize(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The constraint values g (g >= 0 wanted) and the objective residuals
         r (objective = sum(weights * r^2)) at x, with the (3, rows) derivative

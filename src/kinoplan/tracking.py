@@ -26,6 +26,7 @@ GATE = 2.0  # association gate, m
 STALE_TIMEOUT = 1.0  # drop tracks unseen this long, s
 INIT_POS_VAR = 0.25  # position variance of a new track, m^2
 INIT_VEL_VAR = 4.0  # velocity variance of a new track, m^2/s^2
+ACCEL_NOISE = 0.5  # white-acceleration process noise intensity q, m^2/s^3
 
 
 @dataclass(frozen=True)
@@ -107,15 +108,16 @@ def _per_axis(p: float, c: float, v: float) -> np.ndarray:
 # Both filters round as the 4x4 products they replace (F P F^T + Q; K = P H^T S^-1,
 # (I - K H) P; both symmetrised) do on a BLAS kernel without fused multiply-adds.
 
-def kf_predict(track: ObstacleTrack, dt: float, q: float = 0.5) -> ObstacleTrack:
+def kf_predict(track: ObstacleTrack, dt: float) -> ObstacleTrack:
     """Propagate the CV model forward by dt seconds under white-acceleration
-    process noise of intensity q: per axis, Q = q G G^T with G = (dt^2/2, dt)."""
+    process noise of intensity q = ``ACCEL_NOISE``: per axis, Q = q G G^T with
+    G = (dt^2/2, dt)."""
     if dt < 0.0:
         raise ValueError("dt must be non-negative")
     x, y, vx, vy = track.state.tolist()
     (p, _, c, _), _, (_, _, v, _), _ = track.covariance.tolist()
     h = dt * dt / 2.0
-    qh, qdt = q * h, q * dt
+    qh, qdt = ACCEL_NOISE * h, ACCEL_NOISE * dt
     f = c + dt * v
     cov = _per_axis((p + dt * c) + f * dt + qh * h, 0.5 * ((f + qh * dt) + (f + qdt * h)),
                     v + qdt * dt)

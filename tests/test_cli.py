@@ -452,27 +452,15 @@ class TestFlagValues:
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-    def test_bad_replan_timeout(self, tmp_path, monkeypatch, capsys, source, value):
-        # nan and inf never replan (blocked seed 0 would sit until its time
-        # limit); a negative timeout would replan at every perception tick.
-        argv = ["simulate", "--scenario", "blocked", "--out", str(tmp_path)]
-        if source == "flag":
-            argv += [f"--replan-timeout={value}"]
-        else:
-            monkeypatch.setenv("KINOPLAN_REPLAN_TIMEOUT", value)
+    @pytest.mark.parametrize("flags", [["--replan-timeout", "2"], ["--ground-truth-tracks"]])
+    def test_constant_is_not_a_flag(self, tmp_path, capsys, flags):
+        """The replan timeout is ``simulator.REPLAN_TIMEOUT`` and observations
+        carry the scenario's ``obs_noise``, so neither is a flag."""
         with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
+            cli.main(["simulate", "--scenario", "blocked", "--out", str(tmp_path), *flags])
         assert exc.value.code == EXIT_ERROR
-        assert (f"argument --replan-timeout: replan_timeout must be positive and finite, "
-                f"got {float(value)}" in capsys.readouterr().err)
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
-
-    def test_replan_timeout_from_env(self, monkeypatch):
-        monkeypatch.setenv("KINOPLAN_REPLAN_TIMEOUT", "2.5")
-        args = cli.build_parser().parse_args(["simulate", "--scenario", "blocked"])
-        assert args.replan_timeout == 2.5
 
 
 def _subprocess_env(**extra):

@@ -129,7 +129,7 @@ class TestPoseInCollision:
     def test_margin_expands_hits(self):
         small = FootprintSpec.from_dimensions(1.2, 1.2)
         obs = [ObstacleShape.disk(3.0, 0.0, 1.0)]
-        assert pose_in_collision(small, Pose(0.0, 0.0, 0.0), obs, margin=1.5)
+        assert circles_hit(footprint_circles(small, Pose(0.0, 0.0, 0.0)), small.radius, obs, 1.5)
 
     def test_polygon(self):
         obs = [ObstacleShape.polygon([(4.0, -1.0), (6.0, -1.0), (6.0, 1.0), (4.0, 1.0)])]
@@ -473,7 +473,7 @@ class TestCirclesHit:
         for pose in poses:
             one = footprint_circles(spec, Pose(*pose))[None]
             hit = any(reference_hits(one, spec.radius, obs, margin)[0] for obs in obstacles)
-            assert pose_in_collision(spec, Pose(*pose), obstacles, margin) == hit
+            assert bool(circles_hit(one[0], spec.radius, obstacles, margin)) == hit
 
 
 def curve_centers(spec, params, base, ds):

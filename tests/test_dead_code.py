@@ -14,6 +14,15 @@ package's ``__init__``, whose re-export is not a use), ``perfbench/`` or
 beside the one the program takes.  ``UNREFERENCED_BY_DESIGN`` names the
 exceptions, each with its reason.
 
+A public method is dead when no code in ``src/``, ``perfbench/`` or
+``tools/`` reads its name, bar ``METHODS_KEPT_BY_DESIGN``.
+
+A parameter with a default, of a function or method of ``src/kinoplan``, is a
+dead knob when no call in ``src/``, ``perfbench/`` or ``tools/`` to a name it
+goes by passes it, by position or by keyword: every program run takes the
+default, so it belongs in a module constant.  ``PARAMETERS_KEPT_BY_DESIGN``
+names the exceptions, each with its reason.
+
 A field of ``PlannerConfig`` or ``TemporalConfig`` is a dead knob when no call
 in ``src/``, ``perfbench/`` or ``tools/`` passes it by keyword, to the class or
 to ``dataclasses.replace``: only a config file or a test could set it, so it
@@ -30,6 +39,7 @@ of the trace CSV, which ``TraceLog.from_csv`` checks cell by cell.
 """
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -54,6 +64,14 @@ UNREFERENCED_BY_DESIGN = {
                       "its closed form",
     "save_scenario": "it writes the scenario schema, and the tests round-trip every "
                      "built-in world through it",
+}
+METHODS_KEPT_BY_DESIGN = {
+    "TimingProblem.objective": "the SLSQP comparison tests minimise it",
+}
+PARAMETERS_KEPT_BY_DESIGN = {
+    "main(argv)": "the console entry point calls it with no arguments",
+    "circles_hit_obstacle(margin)": "the function exists only for perfbench's span patch, "
+                                    "and ROADMAP item 3 deletes it",
 }
 
 
@@ -115,6 +133,67 @@ def _dead_public(modules: dict[str, ast.Module], users) -> list[str]:
             if module != "__init__" for name, line in _definitions(tree).items()
             if not name.startswith("_") and name not in used
             and name not in UNREFERENCED_BY_DESIGN]
+
+
+def _dead_methods(modules: dict[str, ast.Module], users) -> list[str]:
+    """``module.py:line: Class.method`` of each public method of the classes
+    of ``modules`` whose name no tree of ``users`` reads, bar
+    ``METHODS_KEPT_BY_DESIGN``."""
+    used = set().union(*(_uses(tree) for tree in users))
+    return [f"{module}.py:{item.lineno}: {node.name}.{item.name}"
+            for module, tree in modules.items() for node in tree.body
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+            and item.name not in used
+            and f"{node.name}.{item.name}" not in METHODS_KEPT_BY_DESIGN]
+
+
+def _defaulted(tree: ast.Module):
+    """``(name, parameter, position, line)`` of each parameter with a default
+    of the module-level functions and methods of ``tree``.  A method goes by
+    its own name, ``__init__`` by its class's; ``position`` counts the
+    arguments a call passes (``self`` and ``cls`` aside), and is None for a
+    keyword-only parameter."""
+    functions = [(node, node.name, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        functions += [(item, cls.name if item.name == "__init__" else item.name,
+                       0 if any(getattr(d, "id", None) == "staticmethod"
+                                for d in item.decorator_list) else 1)
+                      for item in cls.body if isinstance(item, ast.FunctionDef)]
+    found = []
+    for fn, name, skip in functions:
+        positional = (fn.args.posonlyargs + fn.args.args)[skip:]
+        first = len(positional) - len(fn.args.defaults)
+        found += [(name, arg.arg, i, fn.lineno)
+                  for i, arg in enumerate(positional) if i >= first]
+        found += [(name, arg.arg, None, fn.lineno)
+                  for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default]
+    return found
+
+
+def _dead_parameters(modules: dict[str, ast.Module], callers) -> list[str]:
+    """``module.py:line: name(parameter)`` of each parameter of
+    ``_defaulted`` that no call in ``callers`` passes, bar
+    ``PARAMETERS_KEPT_BY_DESIGN``.  A call passes the parameters at the
+    positions it fills (all of them after a ``*args``) and those it names (all
+    of them after a ``**kwargs``)."""
+    positions, keywords = {}, {}
+    for tree in callers:
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                name = _callee(call)
+                filled = math.inf if any(isinstance(a, ast.Starred) for a in call.args) \
+                    else len(call.args)
+                positions[name] = max(positions.get(name, 0), filled)
+                keywords.setdefault(name, set()).update(kw.arg for kw in call.keywords)
+    dead = []
+    for module, tree in modules.items():
+        for name, param, i, line in _defaulted(tree):
+            passed = keywords.get(name, set())
+            if not ((i is not None and positions.get(name, 0) > i) or param in passed
+                    or None in passed or f"{name}({param})" in PARAMETERS_KEPT_BY_DESIGN):
+                dead.append(f"{module}.py:{line}: {name}({param})")
+    return dead
 
 
 def _fields(tree: ast.Module, cls: str) -> list[str]:
@@ -230,6 +309,47 @@ def test_the_public_check_sees_dead_code():
     user = ast.parse("from kinoplan.m import imported\nm.attribute()\nm.own()\n")
     assert _dead_public({"m": module, "__init__": init}, [module, user]) == [
         "m.py:6: Exported", "m.py:7: DEAD"]
+
+
+def test_every_public_method_is_read_by_a_program():
+    users = [tree for path, tree in PROGRAM_FILES.items() if path != SRC / "__init__.py"]
+    dead = _dead_methods(MODULES, users)
+    assert not dead, ("methods whose name no code in src/, perfbench/ or tools/ reads "
+                      "(delete them):\n" + "\n".join(dead))
+
+
+def test_the_method_check_sees_a_dead_method():
+    """Called, read as a property, private, kept by design, and unread: the
+    last is dead."""
+    module = ast.parse("class TimingProblem:\n    def called(self): pass\n"
+                       "    def read(self): pass\n    def _private(self): pass\n"
+                       "    def objective(self): pass\n    def unread(self): pass\n")
+    user = ast.parse("p.called()\nx = p.read\n")
+    assert _dead_methods({"m": module}, [user]) == ["m.py:6: TimingProblem.unread"]
+
+
+def test_every_parameter_with_a_default_is_passed_by_a_program():
+    dead = _dead_parameters(MODULES, PROGRAMS)
+    assert not dead, ("parameters that no call in src/, perfbench/ or tools/ passes "
+                      "(make them module constants):\n" + "\n".join(dead))
+
+
+def test_the_parameter_check_sees_a_dead_knob():
+    """Passed by position (``b``, ``x``: ``self`` is not counted), by keyword
+    (``d``, ``z``), through ``*args`` (``g``) or ``**kwargs`` (``h``), and kept
+    by design (``main``); ``c``, ``e``, ``y`` and the staticmethod's ``w``,
+    which no call passes, are dead."""
+    module = ast.parse(
+        "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+        "def g(a=1): pass\n"
+        "def h(a=1): pass\n"
+        "def main(argv=None): pass\n"
+        "class C:\n    def __init__(self, x=0, y=0): pass\n"
+        "    def m(self, z=0): pass\n"
+        "    @staticmethod\n    def s(w=0): pass\n")
+    user = ast.parse("f(0, 1, d=2)\ng(*args)\nh(**kw)\nC(1)\nobj.m(z=1)\nC.s()\n")
+    assert _dead_parameters({"m": module}, [user]) == [
+        "m.py:1: f(c)", "m.py:1: f(e)", "m.py:6: C(y)", "m.py:9: s(w)"]
 
 
 def test_every_config_field_is_set_by_a_program():

@@ -1,7 +1,7 @@
 """Curve primitives, curve fitting, and the lookup-table library."""
 
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from scipy.optimize._numdiff import approx_derivative
 import kinoplan.geometry as geometry
 from kinoplan.collision import curve_in_collision, default_robot_footprint
 from kinoplan.geometry import (FIT_TOL, SIMPSON_STEP, CurveLibrary, CurveParams,
-                               LibraryConfig, Pose, _offset_at, _pinv, _shoot,
+                               LibraryConfig, Pose, _pinv, _shoot,
                                _shot_jacobian, build_curve_library, curvature_at,
                                dubins_length, fit_curve, heading_change,
                                integrate_endpoint, local_curve_samples,
@@ -132,15 +132,22 @@ class TestIntegrateEndpoint:
         assert dy == pytest.approx(ref_y, abs=1e-6)
 
 
+def cut(params, s):
+    """The first s metres of the curve ``params``."""
+    return replace(params, s_f=s)
+
+
 def reference_curve_samples(params, ds):
-    """The per-sample loop the one-pass ``local_curve_samples`` replaced: one
-    ``_offset_at`` call, on its own Simpson grid, per sampled arc length."""
+    """The per-sample loop the one-pass ``local_curve_samples`` replaced: the
+    endpoint of the curve cut at each sampled arc length, on its own Simpson
+    grid, and zero at s = 0."""
     svals = list(np.arange(0.0, params.s_f, ds))
     if not svals or params.s_f - svals[-1] > 1e-9:
         svals.append(params.s_f)
     else:
         svals[-1] = params.s_f
-    return np.array([_offset_at(params, s) for s in svals])
+    return np.array([integrate_endpoint(cut(params, s)) if s > 0.0 else (0.0, 0.0, 0.0)
+                     for s in svals])
 
 
 # Cubics with |kappa| <= 20 over [0, s_f]: kappa(s) = k0 + k1 u + k2 u^2 + k3 u^3
@@ -186,7 +193,7 @@ class TestSampleCurvePoses:
     @example((CurveParams(0.1, 0.02, -0.01, 0.001, 6.0), 0.02))  # two passes
     @settings(max_examples=300, deadline=None)
     def test_one_pass_matches_per_sample_reference(self, curve_and_step):
-        """Every row is the per-sample ``_offset_at`` to the bit, a last step
+        """Every row is the per-sample reference to the bit, a last step
         within 1e-9 m of s_f (merged into the endpoint) included."""
         params, ds = curve_and_step
         got = local_curve_samples(params, ds)
@@ -543,7 +550,7 @@ class TestShot:
         w[2:-1:2] = 2.0
         h3 = (s / n) / 3.0
         want = (h3 * float(w @ np.cos(th)), h3 * float(w @ np.sin(th)), float(th[-1]))
-        assert np.array(_offset_at(p, s)).tobytes() == np.array(want).tobytes()
+        assert np.array(integrate_endpoint(cut(p, s))).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("k0,goal,kappa_max,max_iters,ending", [
         (0.5, (2.0, 2.0, math.pi / 2.0), 0.7, 80, "converged"),
@@ -555,11 +562,12 @@ class TestShot:
         (0.5, (-3.0, 0.0, math.pi), 0.7, 80, "line search"),
         (0.0, (0.0, 0.0, 0.0), 0.7, 80, "degenerate"),
     ])
-    def test_fit_curve_matches_reference_on_each_ending(self, k0, goal, kappa_max,
-                                                       max_iters, ending):
+    def test_fit_curve_matches_reference_on_each_ending(self, monkeypatch, k0, goal,
+                                                       kappa_max, max_iters, ending):
         want, how = fit_curve_reference(k0, goal, kappa_max, max_iters=max_iters)
         assert how == ending
-        assert same_fit(fit_curve(k0, goal, kappa_max, max_iters=max_iters), want)
+        monkeypatch.setattr(geometry, "FIT_MAX_ITERS", max_iters)
+        assert same_fit(fit_curve(k0, goal, kappa_max), want)
 
     @given(st.floats(-0.7, 0.7), st.floats(0.05, 6.0), st.floats(-math.pi, math.pi),
            st.floats(-3.0, 3.0), st.floats(0.2, 2.0),

@@ -3,14 +3,16 @@
 A mutation deletes or duplicates a line, drops a field, or replaces a token
 with junk, ``nan`` or nothing.  The only allowed outcomes are success or a
 ValueError whose message begins with the file's path, followed by a line
-number of the file where one line is at fault.
+number of the file where one line is at fault, and says what is wrong in the
+file's terms: a message from deep inside the arithmetic, such as ``math
+domain error`` or ``cannot convert float NaN to integer``, fails.
 """
 
 import re
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinoplan.geometry import CurveLibrary, LibraryConfig, build_curve_library
@@ -20,6 +22,7 @@ from kinoplan.simulator import TraceLog
 
 JUNK = ["", "nan", "-nan", "inf", "-1", "0", "2.5", "1e999", "x", "#", ",", "="]
 SEPARATORS = re.compile(r"([\s,=]+)")
+INTERNAL = re.compile(r"(math domain error|cannot convert float .*)$")
 
 
 def _config_text(cfg) -> str:
@@ -53,7 +56,7 @@ def _library(tmp) -> None:
 
 
 def _trace(tmp) -> None:
-    trace = TraceLog("fuzz", 0, 0.1, obstacle_ids=[0, 4], obstacle_poses={0: [], 4: []})
+    trace = TraceLog(obstacle_ids=[0, 4], obstacle_poses={0: [], 4: []})
     for k in range(4):
         trace.times.append(0.1 * k)
         trace.poses.append((0.5 * k, 0.1, 0.0))
@@ -74,25 +77,29 @@ LOADERS = {
 }
 
 
-@st.composite
-def mutations(draw, lines):
+# One mutation: (what, line, token, junk); line and token wrap around the file.
+MUTATIONS = st.lists(st.tuples(st.sampled_from(["delete", "duplicate", "drop-field", "replace"]),
+                               st.integers(0, 99), st.integers(0, 99), st.sampled_from(JUNK)),
+                     min_size=1, max_size=3)
+
+
+def mutate(lines, mutations):
     lines = list(lines)
-    for _ in range(draw(st.integers(1, 3))):
+    for op, i, k, junk in mutations:
         if not lines:
             break
-        i = draw(st.integers(0, len(lines) - 1))
-        op = draw(st.sampled_from(["delete", "duplicate", "drop-field", "replace"]))
+        i %= len(lines)
         if op == "delete":
             del lines[i]
         elif op == "duplicate":
             lines.insert(i, lines[i])
         else:
             parts = SEPARATORS.split(lines[i])  # tokens at even indices
-            k = 2 * draw(st.integers(0, len(parts) // 2))
+            k = 2 * (k % (len(parts) // 2 + 1))
             if op == "drop-field":
                 del parts[max(k - 1, 0):k + 1]
             else:
-                parts[k] = draw(st.sampled_from(JUNK))
+                parts[k] = junk
             lines[i] = "".join(parts)
     return lines
 
@@ -106,16 +113,18 @@ def valid_file(request, tmp_path_factory):
     return path, path.read_text().splitlines(), load
 
 
-@given(data=st.data())
+@given(mutations=MUTATIONS)
+@example(mutations=[("replace", 1, 3, "inf")])  # the scenario's start heading
 @settings(max_examples=250, deadline=None, derandomize=True)
-def test_mutated_file_loads_or_names_file_and_line(valid_file, data):
+def test_mutated_file_loads_or_names_file_and_line(valid_file, mutations):
     path, lines, load = valid_file
-    mutated = data.draw(mutations(lines))
+    mutated = mutate(lines, mutations)
     path.write_text("\n".join(mutated) + "\n")
     try:
         load(path)
     except ValueError as exc:
         match = re.match(rf"{re.escape(str(path))}(?::(\d+))?: \S", str(exc))
         assert match, str(exc)
+        assert not INTERNAL.search(str(exc)), str(exc)
         if match.group(1):
             assert 1 <= int(match.group(1)) <= max(len(mutated), 1), str(exc)

@@ -176,6 +176,14 @@ class TestScenarioFiles:
         (["obs_noise nan"], r"s\.txt:5: obs_noise must be finite and non-negative, got nan"),
         (["obs_noise inf"], r"s\.txt:5: obs_noise must be finite and non-negative, got inf"),
         (["obs_noise -0.5"], r"s\.txt:5: obs_noise must be finite and non-negative, got -0.5"),
+        (["start 0 0 inf"], r"s\.txt:5: start must be finite, got \(0\.0, 0\.0, inf\)$"),
+        (["start 0 0 -inf"], r"s\.txt:5: start must be finite, got \(0\.0, 0\.0, -inf\)$"),
+        (["goal 10 0 inf"], r"s\.txt:5: goal must be finite, got \(10\.0, 0\.0, inf\)$"),
+        (["goal 10 0 -inf"], r"s\.txt:5: goal must be finite, got \(10\.0, 0\.0, -inf\)$"),
+        (["parked 4.2 1.9 14 0.8 inf"],
+         r"s\.txt:5: parked: footprint pose must be finite, got \(14\.0, 0\.8, inf\)$"),
+        (["parked 4.2 1.9 14 0.8 -inf"],
+         r"s\.txt:5: parked: footprint pose must be finite, got \(14\.0, 0\.8, -inf\)$"),
     ])
     def test_bad_value_names_its_line(self, tmp_path, lines, message):
         """Each case's own header leaves out the keys its lines set (as a

@@ -30,7 +30,7 @@ def empty_scenario():
 
 class TestMetrics:
     def test_stationary(self):
-        tr = TraceLog("x", 0, 0.1, times=[0.0, 0.1], poses=[(1.0, 1.0, 0.0)] * 2,
+        tr = TraceLog(times=[0.0, 0.1], poses=[(1.0, 1.0, 0.0)] * 2,
                       velocities=[0.0, 0.0], accelerations=[0.0, 0.0],
                       flags=["planning"] * 2, clearances=[2.0, 1.5])
         m = metrics(tr)
@@ -40,7 +40,7 @@ class TestMetrics:
 
     def test_straight_run(self):
         n = 11
-        tr = TraceLog("x", 0, 1.0, times=list(np.linspace(0.0, 10.0, n)),
+        tr = TraceLog(times=list(np.linspace(0.0, 10.0, n)),
                       poses=[(float(i), 0.0, 0.0) for i in range(n)],
                       velocities=[1.0] * n, accelerations=[0.0] * n,
                       flags=["executing"] * n, clearances=[1.0] * n,
@@ -116,8 +116,7 @@ class TestRunInvariants:
     def test_derive_trace_from_ticks(self, scenario_runs, key):
         """Times, poses and flags alone give back every derived field, bit for bit."""
         run = scenario_runs[key]
-        ticks = TraceLog(run.scenario_name, run.seed, run.sim_dt, times=list(run.times),
-                         poses=list(run.poses), flags=list(run.flags),
+        ticks = TraceLog(times=list(run.times), poses=list(run.poses), flags=list(run.flags),
                          obstacle_ids=list(run.obstacle_ids))
         derive_trace(get_scenario(key[0]), ticks)
         for name in ("velocities", "accelerations", "clearances", "obstacle_poses",
@@ -130,7 +129,7 @@ class TestRunInvariants:
         pts = np.asarray(trace.poses)
         d = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
         v = np.asarray(trace.velocities)
-        assert np.allclose(v[1:], d / trace.sim_dt, atol=1e-12)
+        assert np.allclose(v[1:], d / get_scenario("overtake").sim_dt, atol=1e-12)
 
 
 def _arange_future_safe(runner, traj, since, t_now):
@@ -185,7 +184,8 @@ class TestTickTable:
         """Each adopted trajectory is driven from its table until the next
         planning attempt (overtake seed 0 has failed retimes in between)."""
         trace = scenario_runs[("overtake", 0)]
-        sc, dt = get_scenario("overtake"), trace.sim_dt
+        sc = get_scenario("overtake")
+        dt = sc.sim_dt
         ticks = [round(ev.time / dt) for ev in trace.events] + [len(trace.times)]
         for ev, first, last in zip(trace.events, ticks, ticks[1:]):
             if ev.trajectory is None:
@@ -198,7 +198,7 @@ class TestTickTable:
     def test_revalidation_matches_arange_check(self, library, scenario_runs, name):
         """At every perception tick of a run, the table's check gives the answer
         of the per-call arange check, and the run keeps its trace."""
-        runner = _CheckedRunner(get_scenario(name), None, 0, library, False, 3.0)
+        runner = _CheckedRunner(get_scenario(name), None, 0, library)
         runner.answers = []
         trace = runner.run()
         assert runner.answers and all(got == want for got, want in runner.answers)
@@ -214,7 +214,7 @@ class TestTickTable:
         traj = Trajectory(path, np.array([0.0, 2.0]))
         answers = []
         for x in (3.0, 40.0):  # a track parked at the end pose, and one far away
-            runner = _Runner(empty_scenario(), None, 0, library, False, 3.0)
+            runner = _Runner(empty_scenario(), None, 0, library)
             runner.store.step([Observation((x, 0.0), 1.0, 0.01)], 1.0)
             dt = runner.sc.sim_dt
             table = TickTable(traj, 20, dt, runner.sc.robot)
@@ -249,15 +249,12 @@ class TestFullRuns:
         assert trace.times[-1] == pytest.approx(2.0)
 
     @pytest.mark.parametrize("kwargs,message", [
-        ({"replan_timeout": math.nan}, "replan_timeout must be positive and finite, got nan"),
-        ({"replan_timeout": -1.0}, "replan_timeout must be positive and finite, got -1.0"),
         ({"seed": -1}, "seed must be a non-negative integer, got -1"),
         ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
     ])
     def test_bad_argument_is_refused(self, kwargs, message):
-        """Refused before any work, naming the parameter and its value: a nan
-        timeout used to never replan, a negative one to replan at every
-        perception tick, and a bad seed to fail inside numpy."""
+        """Refused before any work, naming the parameter and its value: a bad
+        seed used to fail inside numpy."""
         with pytest.raises(ValueError) as err:
             run_scenario(get_scenario("blocked"), **kwargs)
         assert str(err.value) == message
@@ -274,7 +271,7 @@ class TestFullRuns:
 
     def test_short_remainder_retime_is_recorded(self, library):
         """A retime with less than one edge left is a failed attempt, and recorded."""
-        runner = _Runner(empty_scenario(), None, 0, library, False, 3.0)
+        runner = _Runner(empty_scenario(), None, 0, library)
         path = Path([Pose(0.0, 0.0, 0.0), Pose(3.0, 0.0, 0.0)],
                     [CurveParams(0.0, 0.0, 0.0, 0.0, 3.0)])
         traj = Trajectory(path, np.array([0.0, 2.0]))

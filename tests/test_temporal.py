@@ -13,13 +13,14 @@ from scipy.optimize import minimize as scipy_minimize
 from scipy.optimize._numdiff import approx_derivative
 
 from kinoplan import get_scenario, temporal
-from kinoplan.collision import (FootprintSpec, ObstacleShape, _pair_distances,
-                                default_robot_footprint, footprint_circles_batch)
+from kinoplan.collision import (FootprintSpec, ObstacleShape, _pair_distances, circles_hit,
+                                default_robot_footprint, footprint_circles,
+                                footprint_circles_batch)
 from kinoplan.geometry import CurveParams, Pose
 from kinoplan.rrt import Path
 from kinoplan.temporal import (DT_MIN, OVERLAP_MIN, SI_DT, IntervalSequence, NodeIntervals,
                                SafeInterval, TemporalConfig, TimingProblem, Trajectory,
-                               _effective_margin, _open_horizon,
+                               _effective_margin, band_tmul, _open_horizon,
                                _predicted_obstacle_circles, compute_safe_intervals,
                                free_runs, optimize_timestamps, predicted_hits,
                                select_interval_sequence, validate_trajectory)
@@ -100,8 +101,8 @@ class TestComputeSafeIntervals:
             obs_pose = Pose(track.state[0] + track.state[2] * dt,
                             track.state[1] + track.state[3] * dt, math.pi / 2.0)
             shape = ObstacleShape.footprint_at(CAR, obs_pose)
-            from kinoplan.collision import pose_in_collision
-            return pose_in_collision(ROBOT, node_pose, [shape], margin=margin)
+            return bool(circles_hit(footprint_circles(ROBOT, node_pose), ROBOT.radius,
+                                    [shape], margin))
 
         for i, ni in enumerate(nis):
             for t in np.arange(0.0, cfg.horizon, SI_DT / 10.0):
@@ -405,6 +406,14 @@ def timing_problem_case(ends):
     return problem, x
 
 
+def objective_grad(problem, x):
+    """The objective's gradient at x, from ``linearize``'s residual bands:
+    the gradient ``minimize`` builds."""
+    _g, res, bands = problem.linearize(x)
+    k = problem.n_constraints
+    return band_tmul(problem.index[:, k:], bands[:, k:], 2.0 * problem.weights * res, len(x))
+
+
 def dense_bands(problem, bands, rows=slice(None)):
     """The (rows, m) matrix that ``bands`` stand for, at the band index of
     ``problem``'s ``rows``."""
@@ -456,7 +465,7 @@ class TestTimingProblem:
         numeric = approx_derivative(problem.objective, x, method="3-point")
         # Entries near a cancellation carry the difference quotient's absolute
         # error, so the floor scales with the largest entry.
-        np.testing.assert_allclose(problem.objective_grad(x), numeric, rtol=1e-5,
+        np.testing.assert_allclose(objective_grad(problem, x), numeric, rtol=1e-5,
                                    atol=1e-7 * np.max(np.abs(numeric)))
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -849,7 +858,8 @@ class TestOptimizeTimestamps:
         init = temporal._feasible_init(path, seq, cfg)
         assume(init is not None)
         problem = TimingProblem(path, seq, cfg)
-        ref = scipy_minimize(problem.objective, init[1:], jac=problem.objective_grad,
+        ref = scipy_minimize(problem.objective, init[1:],
+                             jac=lambda x: objective_grad(problem, x),
                              method="SLSQP", options={"maxiter": 200, "ftol": 1e-8},
                              constraints=[{"type": "ineq", "fun": problem.constraints}])
         assume(problem.feasible(ref.x))

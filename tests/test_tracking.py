@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kinoplan
+from kinoplan import tracking
 from kinoplan.collision import FootprintSpec, footprint_circles
 from kinoplan.geometry import Pose
 from kinoplan.temporal import _predicted_obstacle_circles
@@ -122,7 +123,7 @@ class TestPredict:
 
     def test_covariance_grows(self):
         t0 = make_track([0.0, 0.0, 0.0, 0.0])
-        t1 = kf_predict(t0, 1.0, q=0.5)
+        t1 = kf_predict(t0, 1.0)
         assert np.trace(t1.covariance) > np.trace(t0.covariance)
 
     def test_negative_dt(self):
@@ -172,7 +173,9 @@ class TestMatrixReference:
     @settings(max_examples=100, deadline=None)
     @given(track=_per_axis_tracks, dt=st.floats(0.0, 5.0), q=st.floats(1e-3, 10.0))
     def test_predict_matches_matrix_form(self, track, dt, q):
-        got = kf_predict(track, dt, q)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(tracking, "ACCEL_NOISE", q)
+            got = kf_predict(track, dt)
         state, cov = _matrix_predict(track.state, track.covariance, dt, q)
         _assert_close(got.state, state)
         _assert_close(got.covariance, cov)
@@ -332,15 +335,16 @@ class TestTrackStore:
         store.step([], 2.0)  # beyond the 1 s staleness timeout
         assert len(store.tracks) == 0
 
-    def test_velocity_estimation_accuracy(self):
+    def test_velocity_estimation_accuracy(self, monkeypatch):
         """CV target, sigma = 0.1 m at 10 Hz: velocity error < 0.1 m/s after
         3 s in at least 95 of 100 seeds.
 
         The store spawns the track; the filter then runs with q = 0.05: the
         target really is constant-velocity here, so the filter gets a matched
-        process noise (the store's default q keeps the tracker responsive to
-        maneuvers at the cost of steady-state accuracy).
+        process noise (the store's q, ``ACCEL_NOISE``, keeps the tracker
+        responsive to maneuvers at the cost of steady-state accuracy).
         """
+        monkeypatch.setattr(tracking, "ACCEL_NOISE", 0.05)
         passed = 0
         for seed in range(100):
             rng = np.random.default_rng(seed)
@@ -354,8 +358,7 @@ class TestTrackStore:
                     store.step([observation], t)
                     track = store.tracks[0]
                 else:
-                    track = kf_update(kf_predict(track, t - track.last_update, q=0.05),
-                                      observation)
+                    track = kf_update(kf_predict(track, t - track.last_update), observation)
             est = track.velocity
             if math.hypot(est[0] - vx, est[1] - vy) < 0.1:
                 passed += 1
