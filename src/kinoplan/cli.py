@@ -23,7 +23,7 @@ import numpy as np
 
 from .collision import default_robot_footprint
 from .configfile import cast, check, write_lines
-from .geometry import CurveLibrary, LibraryConfig, Pose, build_curve_library
+from .geometry import CurveLibrary, LibraryConfig, Pose, build_curve_library, checked_pose
 from .rrt import EndpointInCollision, PlannerConfig, plan_path
 from .scenarios import (Scenario, builtin_scenarios, get_scenario,
                         load_scenario, random_disk_world)
@@ -60,15 +60,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _flag(name: str, tp):
     """An argparse ``type`` for field ``name``: the text cast to ``tp``
-    (``configfile.cast``; a Pose from 'x,y,theta') and then checked by the
-    field's rule.  Text that does not cast reads ``invalid <tp> value``."""
+    (``configfile.cast``) and then checked by the field's rule; a Pose is
+    built from 'x,y,theta' by ``checked_pose``.  Text that does not cast
+    reads ``invalid <tp> value``."""
     def read(text: str):
         value = cast(tp, text.split(","))
         try:
+            if tp is Pose:
+                return checked_pose(name, value)
             check(name, value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
-        return Pose(*value) if tp is Pose else value
+        return value
     read.__name__ = tp.__name__
     return read
 

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geometry import CurveLibrary, CurveParams, Pose, local_curve_samples
+from .geometry import CurveLibrary, CurveParams, Pose, checked_pose, local_curve_samples
 
 # Widening of the proven bounds (``World.proven``, ``ClearanceGrid`` and the
 # broad phase of ``temporal.predicted_hits``) past floating-point rounding, m.
@@ -122,10 +122,9 @@ class ObstacleShape:
         return cls(kind="polygon", vertices=verts)
 
     @classmethod
-    def footprint_at(cls, spec: FootprintSpec, pose: Pose) -> "ObstacleShape":
-        if not all(math.isfinite(v) for v in (pose.x, pose.y, pose.theta)):
-            raise ValueError(f"footprint pose must be finite, got {pose}")
-        return cls(kind="footprint", footprint=spec, pose=pose)
+    def footprint_at(cls, spec: FootprintSpec, pose) -> "ObstacleShape":
+        """``spec`` parked at ``pose``, a Pose or its numbers (``checked_pose``)."""
+        return cls(kind="footprint", footprint=spec, pose=checked_pose("footprint pose", pose))
 
 
 @lru_cache(maxsize=1024)

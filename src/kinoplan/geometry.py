@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .configfile import at_line, cast, check_fields, load_config, read_lines, write_lines
+from .configfile import _finite, at_line, cast, check_fields, load_config, read_lines, write_lines
 
 # Quadrature step for position integrals (m).
 SIMPSON_STEP = 0.01
@@ -88,6 +88,17 @@ class Pose:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.theta])
+
+
+def checked_pose(name: str, value) -> Pose:
+    """``value``, a Pose or its numbers (x, y, theta), as a Pose once they are
+    checked finite: ``Pose`` wraps its heading with ``math.fmod``, which
+    raises on an infinite one, so every reader builds its Pose here.  Raises
+    ValueError ``<name> must be finite, got <value>``, the message of
+    ``configfile.check``'s "finite" rule."""
+    if not _finite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value if isinstance(value, Pose) else Pose(*value)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import configfile
 from .collision import FootprintSpec, ObstacleShape, default_robot_footprint
-from .geometry import Pose, normalize_angle
+from .geometry import Pose, checked_pose, normalize_angle
 
 
 @dataclass
@@ -42,12 +42,11 @@ class ScriptedObstacle:
         if len(wp) > 1 and np.any(np.diff(wp[:, 0]) <= 0.0):
             raise ValueError("waypoint times must be strictly increasing")
         self._wp = wp
+        # Contiguous columns: np.interp would copy a column view at every call.
+        self._t, self._x, self._y = (wp[:, j].copy() for j in range(3))
 
     def position_at(self, t: float) -> np.ndarray:
-        wp = self._wp
-        x = np.interp(t, wp[:, 0], wp[:, 1])
-        y = np.interp(t, wp[:, 0], wp[:, 2])
-        return np.array([x, y])
+        return np.array([np.interp(t, self._t, self._x), np.interp(t, self._t, self._y)])
 
     def heading_at(self, t: float) -> float:
         """Direction of the active segment; earlier segments' heading is held
@@ -297,16 +296,12 @@ def _parked_args(obs: ObstacleShape) -> tuple:
 
 
 def _read_pose(args) -> tuple[float, float, float]:
-    """X Y THETA, left as numbers: a Pose wraps its heading, which fails on
-    an infinite one, so a Pose is built only from numbers checked finite."""
+    """X Y THETA, left as numbers: ``checked_pose`` builds the Pose."""
     return tuple(_floats(args, 3))
 
 
 def _read_parked(args) -> ObstacleShape:
-    pose = _read_pose(args[2:5])
-    if not all(math.isfinite(v) for v in pose):
-        raise ValueError(f"footprint pose must be finite, got {pose}")
-    return ObstacleShape.footprint_at(_read_footprint(args[:2] + args[5:]), Pose(*pose))
+    return ObstacleShape.footprint_at(_read_footprint(args[:2] + args[5:]), _read_pose(args[2:5]))
 
 
 _POSE = (_read_pose, lambda pose: (pose.x, pose.y, pose.theta))
@@ -378,8 +373,7 @@ def load_scenario(path) -> Scenario:
                     raise ValueError(f"waypoint before obstacle {oid}")
                 obstacles[oid][2].append(row)
             else:
-                # start and goal were read as numbers and checked by their rule.
-                kwargs[key] = Pose(*value) if key in ("start", "goal") else value
+                kwargs[key] = checked_pose(key, value) if key in ("start", "goal") else value
                 set_on[key] = lineno
     for oid in sorted(obstacles):
         lineno, footprint, rows = obstacles[oid]

@@ -6,8 +6,12 @@ the timed trajectory and revalidates it at every perception tick, re-timing
 the rest of the path when the fresh predictions make it unsafe.  An adopted
 trajectory is evaluated once, at every tick time it can be driven at
 (``TickTable``): the executor reads each tick's pose from that table, and
-revalidation its robot covers from the current tick on, so a perception
-tick builds only the obstacle predictions.  WAITING holds position when no
+revalidation its robot covers from the current tick on.  The tracker steps
+its filters in place, and revalidation reads them directly
+(``TrackStore.filters``) and screens the obstacles' anchor circles before
+it builds any other center, so a perception tick builds no track record
+and no full predicted cover; records (``TrackStore.snapshot``) are built
+only for planning and for the planning events.  WAITING holds position when no
 safe timing exists and tries nothing until ``REPLAN_TIMEOUT`` has passed,
 when the path itself is replanned (REPLANNING), treating obstacles that have
 stopped as static blockers.  The loop keeps no state beyond the trajectory it
@@ -360,17 +364,16 @@ class _Runner:
 
     def _future_safe(self, table: TickTable, tick: int) -> bool:
         """Check the not-yet-driven part of the trajectory against fresh tracks:
-        the robot covers of the table from this tick on, against the tracks'
-        predictions at the same instants.  Past those instants, the end pose
-        at the trajectory's duration."""
+        the robot covers of the table from this tick on, against the
+        predictions of the store's live filters at the same instants.  Past
+        those instants, the end pose at the trajectory's duration."""
         i = tick - table.first
         times, robot = table.times[i:], table.covers[i:len(table.times)]
         if len(times) == 0:
             times, robot = np.array([table.trajectory.duration]), table.covers[-1:]
-        obstacle_circles = _predicted_obstacle_circles(self.store.snapshot(), times,
-                                                       table.since)
-        return not np.any(predicted_hits(robot, self.sc.robot, obstacle_circles,
-                                         REVALIDATE_MARGIN))
+        obstacle_circles = _predicted_obstacle_circles(self.store.filters, times, table.since)
+        return not predicted_hits(robot, self.sc.robot, obstacle_circles,
+                                  REVALIDATE_MARGIN).any()
 
 
 def run_scenario(scenario: Scenario, planner_config: PlannerConfig | None = None,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +20,6 @@ from .collision import (SCREEN_SLACK, FootprintSpec, _cover, _pair_distances, ci
                         footprint_circles_batch)
 from .configfile import check_fields
 from .rrt import Path
-from .tracking import track_heading
 
 # Minimum timestamp gap; true stopping is a long dwell, never equal stamps.
 DT_MIN = 1e-3
@@ -114,28 +114,46 @@ def _effective_margin(path: Path) -> float:
     return min(0.5 * float(np.max(edges)), 1.0) if len(edges) else 0.0
 
 
-class PredictedCover(NamedTuple):
-    """One track's predicted cover circles over T time samples."""
+class PredictedCover:
+    """One track's cover predicted at T time samples: the cover's pose at
+    sample j is (px[j], py[j]) with heading cosine ``c`` and sine ``s``.
 
-    centers: np.ndarray  # (T, k, 2)
-    radius: float
-    velocity: np.ndarray  # (vx, vy)
-    anchor: int  # the circle the reach is measured from (``FootprintSpec.anchor``)
-    reach: float  # largest distance from the anchor's center to another center
+    ``anchor_x`` and ``anchor_y`` (T,) are the centers of its anchor circle
+    (``FootprintSpec.anchor``), built with ``collision._cover``'s formula, so
+    they have the bits of that column of ``centers``.  ``centers_at`` builds
+    the (len(index), k, 2) centers of the samples ``index`` picks, and
+    ``centers`` all (T, k, 2) of them, on first use.
+    """
+
+    def __init__(self, track, abs_times: np.ndarray):
+        x, y, vx, vy, since, heading = track.motion
+        fp = track.footprint
+        dt = abs_times - since
+        self.px, self.py = x + vx * dt, y + vy * dt
+        self.c, self.s = math.cos(heading), math.sin(heading)
+        self.footprint, self.vx, self.vy = fp, vx, vy
+        self.radius, self.anchor, self.reach = fp.radius, fp.anchor, fp.reach
+        offset = fp.center_offsets[fp.anchor]
+        self.anchor_x, self.anchor_y = self.px + self.c * offset, self.py + self.s * offset
+
+    @property
+    def velocity(self) -> np.ndarray:
+        return np.array([self.vx, self.vy])
+
+    def centers_at(self, index) -> np.ndarray:
+        return _cover(self.footprint, self.px[index, None], self.py[index, None], self.c, self.s)
+
+    @cached_property
+    def centers(self) -> np.ndarray:
+        return self.centers_at(slice(None))
 
 
 def _predicted_obstacle_circles(tracks, times: np.ndarray, t0: float) -> list[PredictedCover]:
-    """Per-track predicted cover circles at ``t0 + times``."""
-    out = []
-    for track in tracks:
-        dt = (t0 + times) - track.last_update
-        px = track.state[0] + track.state[2] * dt
-        py = track.state[1] + track.state[3] * dt
-        heading = track_heading(track)
-        fp = track.footprint
-        centers = _cover(fp, px[:, None], py[:, None], math.cos(heading), math.sin(heading))
-        out.append(PredictedCover(centers, fp.radius, track.velocity, fp.anchor, fp.reach))
-    return out
+    """Per-track predicted covers at ``t0 + times``; each track is an
+    ``ObstacleTrack`` record or a live filter of ``TrackStore.filters``, read
+    through its ``motion`` floats."""
+    abs_times = t0 + times
+    return [PredictedCover(track, abs_times) for track in tracks]
 
 
 def predicted_hits(robot_circles: np.ndarray, footprint: FootprintSpec,
@@ -158,25 +176,27 @@ def predicted_hits(robot_circles: np.ndarray, footprint: FootprintSpec,
     ``SCREEN_SLACK`` widens that bound past the rounding of the centers and
     the distances, a few ulps of the coordinates (below 1e-9 m while they stay
     under 1e6 m), so every pair the exact test calls a hit passes the screen.
-    The survivors go through the exact test (``_pair_distances`` and ``<=``)
-    on the same values as without the screen, so every decision has the same
-    bits.
+    The screen reads only the obstacle's anchor column (``anchor_x``,
+    ``anchor_y``); the survivors go through the exact test
+    (``_pair_distances`` and ``<=``) against the centers of their samples
+    alone (``centers_at``), on the same values as without the screen, so
+    every decision has the same bits.
     """
     anchor, reach = footprint.anchor, footprint.reach
-    robot_anchor = robot_circles[..., anchor, :]
-    hit = np.zeros(robot_circles.shape[:-2], dtype=bool)
+    robot_x, robot_y = robot_circles[..., anchor, 0], robot_circles[..., anchor, 1]
+    hit = None
     for cover in obstacle_circles:
         limit = footprint.radius + cover.radius + clearance
         screen = limit + reach + cover.reach + SCREEN_SLACK
-        gap = robot_anchor - cover.centers[:, cover.anchor]  # (..., T, 2)
-        near = gap[..., 0] * gap[..., 0] + gap[..., 1] * gap[..., 1] <= screen * screen
+        gap_x, gap_y = robot_x - cover.anchor_x, robot_y - cover.anchor_y  # (..., T)
+        near = gap_x * gap_x + gap_y * gap_y <= screen * screen
         pairs = np.nonzero(near)
         if len(pairs[0]):
             robot = np.broadcast_to(robot_circles, near.shape + robot_circles.shape[-2:])
-            d = _pair_distances(robot[pairs], cover.centers[pairs[-1]])  # (pairs, k, m)
+            d = _pair_distances(robot[pairs], cover.centers_at(pairs[-1]))  # (pairs, k, m)
             near[pairs] = np.any(d <= limit, axis=(-2, -1))
-        hit = hit | near
-    return hit
+        hit = near if hit is None else hit | near
+    return np.zeros(robot_circles.shape[:-2], dtype=bool) if hit is None else hit
 
 
 def free_runs(free: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -214,7 +234,8 @@ def compute_safe_intervals(path: Path, tracks, static_obstacles, config: Tempora
     free = np.broadcast_to(~static_hit[:, None] & ~hit, (n, len(times)))
     result = [NodeIntervals(i, []) for i in range(n)]
     node_centers = robot_circles.mean(axis=1)  # (n, 2)
-    last_centers = [cover.centers[-1].mean(axis=0) for cover in obstacle_circles]
+    last_centers = [cover.centers_at(slice(-1, None))[0].mean(axis=0)
+                    for cover in obstacle_circles]
     for i, first, last in zip(*free_runs(free)):
         start = times[first]
         if last == len(times) - 1 and _open_horizon(node_centers[i], footprint, obstacle_circles,

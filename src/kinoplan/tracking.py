@@ -4,10 +4,15 @@ One filter per obstacle with state (x, y, vx, vy), position-only measurements
 and one noise variance for both coordinates.  The axes never couple, so the
 covariance is two identical per-axis blocks [[p, c], [c, v]]: each filter is
 the per-axis alpha-beta form (Kalata, IEEE TAES 1984; Bar-Shalom, Li &
-Kirubarajan, 2001), stepped over Python floats with no BLAS call.  Association
-is greedy nearest-neighbor under a gating distance, adequate for the handful of
-obstacles a scenario contains.  The safe-interval estimation
-(``temporal._predicted_obstacle_circles``) extrapolates each track at its
+Kirubarajan, 2001).  ``TrackStore`` keeps each track's state, block, last
+update and heading as Python floats (``_Filter``) and filters them in place,
+with no BLAS call and no record built.  Association is greedy
+nearest-neighbor under a gating distance, adequate for the handful of
+obstacles a scenario contains.  ``ObstacleTrack`` is the read-only record of
+a track: ``TrackStore.snapshot`` builds them at most once per step, for
+planning and for the planning events.  The predictions
+(``temporal._predicted_obstacle_circles``) read each track's floats from a
+record or from the store's live filters, and extrapolate the track at its
 velocity, holding ``track_heading``.
 """
 
@@ -99,70 +104,16 @@ class ObstacleTrack:
     def speed(self) -> float:
         return float(np.hypot(*self.state[2:]))
 
+    @property
+    def motion(self) -> tuple[float, float, float, float, float, float]:
+        """(x, y, vx, vy, last update, ``track_heading``): the floats a
+        prediction extrapolates (``temporal._predicted_obstacle_circles``)."""
+        return (*self.state.tolist(), self.last_update, track_heading(self))
+
 
 def _per_axis(p: float, c: float, v: float) -> np.ndarray:
     """The 4x4 covariance of two blocks [[p, c], [c, v]], +0.0 elsewhere."""
     return np.array([[p, 0.0, c, 0.0], [0.0, p, 0.0, c], [c, 0.0, v, 0.0], [0.0, c, 0.0, v]])
-
-
-# Both filters round as the 4x4 products they replace (F P F^T + Q; K = P H^T S^-1,
-# (I - K H) P; both symmetrised) do on a BLAS kernel without fused multiply-adds.
-
-def kf_predict(track: ObstacleTrack, dt: float) -> ObstacleTrack:
-    """Propagate the CV model forward by dt seconds under white-acceleration
-    process noise of intensity q = ``ACCEL_NOISE``: per axis, Q = q G G^T with
-    G = (dt^2/2, dt)."""
-    if dt < 0.0:
-        raise ValueError("dt must be non-negative")
-    x, y, vx, vy = track.state.tolist()
-    (p, _, c, _), _, (_, _, v, _), _ = track.covariance.tolist()
-    h = dt * dt / 2.0
-    qh, qdt = ACCEL_NOISE * h, ACCEL_NOISE * dt
-    f = c + dt * v
-    cov = _per_axis((p + dt * c) + f * dt + qh * h, 0.5 * ((f + qh * dt) + (f + qdt * h)),
-                    v + qdt * dt)
-    return ObstacleTrack(track.id, np.array([x + dt * vx, y + dt * vy, vx, vy]), cov,
-                         track.footprint, track.last_update + dt, track.last_heading)
-
-
-def kf_update(track: ObstacleTrack, obs: Observation) -> ObstacleTrack:
-    """Standard Kalman position update; heading memory refreshed from velocity.
-    The innovation variance p + noise is positive, as both terms are."""
-    x, y, vx, vy = track.state.tolist()
-    (p, _, c, _), _, (_, _, v, _), _ = track.covariance.tolist()
-    i = 1.0 / (p + obs.noise)
-    kp, kv = p * i, c * i
-    ex, ey = obs.position[0] - x, obs.position[1] - y
-    vx, vy = vx + kv * ex, vy + kv * ey
-    heading = math.atan2(vy, vx) if np.hypot(vx, vy) > 0.1 else track.last_heading
-    cov = _per_axis((1.0 - kp) * p, 0.5 * ((1.0 - kp) * c + (-kv * p + c)), -kv * c + v)
-    return ObstacleTrack(track.id, np.array([x + kp * ex, y + kp * ey, vx, vy]), cov,
-                         track.footprint, obs.timestamp, heading)
-
-
-def associate(tracks: list[ObstacleTrack], observations: list[Observation], gate: float):
-    """Greedy nearest-neighbor matching.
-
-    Returns (pairs, unmatched_tracks, unmatched_observations) where pairs is a
-    list of (track_index, observation_index).
-    """
-    pairs = []
-    free_t = set(range(len(tracks)))
-    free_o = set(range(len(observations)))
-    cands = []
-    for ti in free_t:
-        x, y = tracks[ti].state[:2].tolist()
-        for oi in free_o:
-            ox, oy = observations[oi].position
-            d = float(np.hypot(x - ox, y - oy))
-            if d <= gate:
-                cands.append((d, ti, oi))
-    for _, ti, oi in sorted(cands):
-        if ti in free_t and oi in free_o:
-            pairs.append((ti, oi))
-            free_t.discard(ti)
-            free_o.discard(oi)
-    return pairs, sorted(free_t), sorted(free_o)
 
 
 def track_heading(track: ObstacleTrack) -> float:
@@ -174,32 +125,137 @@ def track_heading(track: ObstacleTrack) -> float:
     return normalize_angle(track.last_heading)
 
 
+class _Filter:
+    """One track's filter state as floats, stepped in place: (x, y, vx, vy),
+    the per-axis block [[p, c], [c, v]], the last update and the last heading.
+
+    ``predict`` and ``update`` round as the 4x4 products they replace
+    (F P F^T + Q; K = P H^T S^-1, (I - K H) P; both symmetrised) do on a BLAS
+    kernel without fused multiply-adds.  After ``update`` the heading a
+    prediction holds (``track_heading`` of the record) is the last heading,
+    wrapped: both follow the velocity exactly when it is faster than 0.1 m/s.
+    """
+
+    __slots__ = ("id", "footprint", "x", "y", "vx", "vy", "p", "c", "v", "last_update",
+                 "last_heading")
+
+    def __init__(self, id, footprint, x, y, vx, vy, p, c, v, last_update, last_heading):
+        self.id, self.footprint = id, footprint
+        self.x, self.y, self.vx, self.vy = x, y, vx, vy
+        self.p, self.c, self.v = p, c, v
+        self.last_update, self.last_heading = last_update, last_heading
+
+    @property
+    def motion(self) -> tuple[float, float, float, float, float, float]:
+        """(x, y, vx, vy, last update, heading), as ``ObstacleTrack.motion``."""
+        return (self.x, self.y, self.vx, self.vy, self.last_update,
+                normalize_angle(self.last_heading))
+
+    def predict(self, dt: float) -> None:
+        """Propagate the CV model forward by dt >= 0 seconds under
+        white-acceleration process noise of intensity q = ``ACCEL_NOISE``:
+        per axis, Q = q G G^T with G = (dt^2/2, dt)."""
+        if dt < 0.0:
+            raise ValueError("dt must be non-negative")
+        p, c, v = self.p, self.c, self.v
+        h = dt * dt / 2.0
+        qh, qdt = ACCEL_NOISE * h, ACCEL_NOISE * dt
+        f = c + dt * v
+        self.p = (p + dt * c) + f * dt + qh * h
+        self.c = 0.5 * ((f + qh * dt) + (f + qdt * h))
+        self.v = v + qdt * dt
+        self.x, self.y = self.x + dt * self.vx, self.y + dt * self.vy
+        self.last_update += dt
+
+    def update(self, obs: Observation) -> None:
+        """Standard Kalman position update; heading memory refreshed from
+        velocity.  The innovation variance p + noise is positive, as both
+        terms are."""
+        p, c, v = self.p, self.c, self.v
+        i = 1.0 / (p + obs.noise)
+        kp, kv = p * i, c * i
+        ex, ey = obs.position[0] - self.x, obs.position[1] - self.y
+        vx, vy = self.vx + kv * ex, self.vy + kv * ey
+        if np.hypot(vx, vy) > 0.1:
+            self.last_heading = math.atan2(vy, vx)
+        self.vx, self.vy = vx, vy
+        self.p, self.c, self.v = (1.0 - kp) * p, 0.5 * ((1.0 - kp) * c + (-kv * p + c)), \
+            -kv * c + v
+        self.x, self.y = self.x + kp * ex, self.y + kp * ey
+        self.last_update = obs.timestamp
+
+    def record(self) -> ObstacleTrack:
+        """This state as a read-only ``ObstacleTrack``."""
+        track = ObstacleTrack(self.id, np.array([self.x, self.y, self.vx, self.vy]),
+                              _per_axis(self.p, self.c, self.v), self.footprint,
+                              self.last_update, self.last_heading)
+        track.state.flags.writeable = track.covariance.flags.writeable = False
+        return track
+
+
+def _associate(positions: list[tuple[float, float]], observations: list[Observation]):
+    """Greedy nearest-neighbor matching of track ``positions`` to
+    observations within ``GATE``, nearest pair first (ties by track, then
+    observation index).
+
+    Returns (pairs, unmatched_tracks, unmatched_observations) where pairs is a
+    list of (track_index, observation_index).
+    """
+    cands = sorted((d, ti, oi) for ti, (x, y) in enumerate(positions)
+                   for oi, (ox, oy) in enumerate(obs.position for obs in observations)
+                   if (d := float(np.hypot(x - ox, y - oy))) <= GATE)
+    pairs, taken_t, taken_o = [], set(), set()
+    for _, ti, oi in cands:
+        if ti not in taken_t and oi not in taken_o:
+            pairs.append((ti, oi))
+            taken_t.add(ti)
+            taken_o.add(oi)
+    return (pairs, [ti for ti in range(len(positions)) if ti not in taken_t],
+            [oi for oi in range(len(observations)) if oi not in taken_o])
+
+
 class TrackStore:
     """Multi-object track bookkeeping: predict, associate, update, spawn, prune.
-    A spawned track gets ``default_footprint``, or a 0.8 m one-circle cover."""
+    A spawned track gets ``default_footprint``, or a 0.8 m one-circle cover.
+
+    ``filters`` holds the live state of each track, in id order, stepped in
+    place; predictions read it directly (``temporal._predicted_obstacle_circles``).
+    ``snapshot`` gives the tracks as read-only ``ObstacleTrack`` records,
+    built at most once per step.
+    """
 
     def __init__(self, default_footprint: FootprintSpec | None = None):
         self.default_footprint = (default_footprint
                                   or FootprintSpec.from_dimensions(0.8, 0.8, single_circle=True))
-        self.tracks: list[ObstacleTrack] = []
+        self.filters: list[_Filter] = []
+        self._records: list[ObstacleTrack] | None = []
         self._next_id = 0
 
     def step(self, observations: list[Observation], now: float) -> None:
-        predicted = [kf_predict(t, max(0.0, now - t.last_update)) for t in self.tracks]
-        pairs, unmatched_t, unmatched_o = associate(predicted, observations, GATE)
-        new_tracks = [kf_update(predicted[ti], observations[oi]) for ti, oi in pairs]
-        for ti in unmatched_t:
-            # Coast on the last filtered state until the track goes stale.
-            if now - self.tracks[ti].last_update <= STALE_TIMEOUT:
-                new_tracks.append(self.tracks[ti])
+        """Predict every track to ``now``, associate, and update the matched
+        ones; an unmatched track coasts on its last filtered state until it
+        goes stale, and an unmatched observation spawns a track."""
+        filters = self.filters
+        dts = [max(0.0, now - f.last_update) for f in filters]
+        positions = [(f.x + dt * f.vx, f.y + dt * f.vy) for f, dt in zip(filters, dts)]
+        pairs, unmatched_t, unmatched_o = _associate(positions, observations)
+        for ti, oi in pairs:
+            filters[ti].predict(dts[ti])
+            filters[ti].update(observations[oi])
+        coasting = set(unmatched_t)
+        kept = [f for ti, f in enumerate(filters)
+                if ti not in coasting or now - f.last_update <= STALE_TIMEOUT]
         for oi in unmatched_o:
             obs = observations[oi]
-            new_tracks.append(ObstacleTrack(
-                self._next_id, np.array([obs.position[0], obs.position[1], 0.0, 0.0]),
-                _per_axis(INIT_POS_VAR, 0.0, INIT_VEL_VAR), self.default_footprint,
-                obs.timestamp))
+            kept.append(_Filter(self._next_id, self.default_footprint, obs.position[0],
+                                obs.position[1], 0.0, 0.0, INIT_POS_VAR, 0.0, INIT_VEL_VAR,
+                                obs.timestamp, 0.0))
             self._next_id += 1
-        self.tracks = sorted(new_tracks, key=lambda t: t.id)
+        self.filters = kept
+        self._records = None
 
     def snapshot(self) -> list[ObstacleTrack]:
-        return list(self.tracks)
+        """The tracks as read-only records, built once per step and shared."""
+        if self._records is None:
+            self._records = [f.record() for f in self.filters]
+        return list(self._records)

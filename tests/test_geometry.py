@@ -1,6 +1,7 @@
 """Curve primitives, curve fitting, and the lookup-table library."""
 
 import math
+import re
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -11,10 +12,10 @@ from scipy.integrate import quad
 from scipy.optimize._numdiff import approx_derivative
 
 import kinoplan.geometry as geometry
-from kinoplan.collision import curve_in_collision, default_robot_footprint
+from kinoplan.collision import ObstacleShape, curve_in_collision, default_robot_footprint
 from kinoplan.geometry import (FIT_TOL, SIMPSON_STEP, CurveLibrary, CurveParams,
                                LibraryConfig, Pose, _pinv, _shoot,
-                               _shot_jacobian, build_curve_library, curvature_at,
+                               _shot_jacobian, build_curve_library, checked_pose, curvature_at,
                                dubins_length, fit_curve, heading_change,
                                integrate_endpoint, local_curve_samples,
                                max_abs_curvature, normalize_angle, reachable_within)
@@ -57,6 +58,31 @@ class TestPose:
         assert -math.pi < t <= math.pi
         assert math.isclose(math.sin(t), math.sin(theta), abs_tol=1e-9)
         assert math.isclose(math.cos(t), math.cos(theta), abs_tol=1e-9)
+
+
+class TestCheckedPose:
+    """The one place a pose's numbers are checked before a Pose is built:
+    the CLI's --start and --goal, a scenario file's start, goal and parked
+    lines, and ``ObstacleShape.footprint_at``."""
+
+    def test_builds_a_pose_or_keeps_one(self):
+        assert checked_pose("start", (1.0, 2.0, 3.5)) == Pose(1.0, 2.0, 3.5)
+        pose = Pose(1.0, 2.0, 0.5)
+        assert checked_pose("start", pose) is pose
+
+    @pytest.mark.parametrize("value", [(0.0, 0.0, math.inf), (0.0, 0.0, -math.inf),
+                                       (math.nan, 0.0, 0.0), Pose(0.0, math.inf, 0.0)])
+    def test_refuses_non_finite_numbers(self, value):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'goal must be finite, got {value}')}$"):
+            checked_pose("goal", value)
+
+    def test_footprint_at_takes_a_pose_or_its_numbers(self):
+        car = default_robot_footprint()
+        assert ObstacleShape.footprint_at(car, (14.0, 0.8, 0.15)) == \
+            ObstacleShape.footprint_at(car, Pose(14.0, 0.8, 0.15))
+        for bad in ((14.0, 0.8, math.inf), Pose(14.0, math.nan, 0.15)):
+            with pytest.raises(ValueError, match="^footprint pose must be finite, got "):
+                ObstacleShape.footprint_at(car, bad)
 
 
 class TestCurvature:

@@ -1,6 +1,7 @@
 """Trace logs, metrics, artifact export, and full runs."""
 
 import math
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -17,7 +18,7 @@ from kinoplan.simulator import (BLOCKER_INFLATION, EXECUTING, PLANNING, REPLANNI
                                 REVALIDATE_MARGIN, WAITING, TickTable, TraceLog, _Runner,
                                 derive_trace, export_artifacts, metrics, run_scenario)
 from kinoplan.temporal import Trajectory, _predicted_obstacle_circles, predicted_hits
-from kinoplan.tracking import Observation
+from kinoplan.tracking import Observation, ObstacleTrack, TrackStore
 
 FLAGS = {PLANNING, EXECUTING, WAITING, REPLANNING}
 
@@ -224,6 +225,37 @@ class TestTickTable:
                 assert answers[-1] == _arange_future_safe(runner, traj, table.since,
                                                           tick * dt)
         assert not all(answers) and any(answers)
+
+
+class TestRecordGuard:
+    def test_records_are_built_only_by_snapshot(self, library, scenario_runs, monkeypatch):
+        """In overtake seed 0 every ``ObstacleTrack`` is built inside
+        ``TrackStore.snapshot``, each track at most once per store step, so
+        the per-tick path (the filter step and revalidation) builds none; the
+        run keeps its trace."""
+        steps, built = [0], []  # (store step, track id, inside snapshot)
+        snapshot, step = TrackStore.snapshot.__code__, TrackStore.step
+        post_init = ObstacleTrack.__post_init__
+
+        def counted_step(store, *args):
+            steps[0] += 1
+            return step(store, *args)
+
+        def counted_post_init(track):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not snapshot:
+                frame = frame.f_back
+            built.append((steps[0], track.id, frame is not None))
+            post_init(track)
+
+        monkeypatch.setattr(TrackStore, "step", counted_step)
+        monkeypatch.setattr(ObstacleTrack, "__post_init__", counted_post_init)
+        trace = run_scenario(get_scenario("overtake"), seed=0, library=library)
+        assert trace.poses == scenario_runs[("overtake", 0)].poses
+        assert built and all(inside for _, _, inside in built)
+        per_step = [(s, i) for s, i, _ in built]
+        assert len(per_step) == len(set(per_step))
+        assert len({s for s, _ in per_step}) < steps[0] / 5  # most steps build none
 
 
 class TestFullRuns:

@@ -43,10 +43,10 @@ def edge_path(edges):
                 [CurveParams(0.0, 0.0, 0.0, 0.0, float(d)) for d in edges])
 
 
-def cv_track(x, y, vx, vy, footprint=CAR, t0=0.0):
+def cv_track(x, y, vx, vy, footprint=CAR, t0=0.0, heading=0.0):
     return ObstacleTrack(id=0, state=np.array([x, y, vx, vy]),
                          covariance=np.eye(4) * 0.01, footprint=footprint,
-                         last_update=t0)
+                         last_update=t0, last_heading=heading)
 
 
 def unconstrained(n):
@@ -258,13 +258,14 @@ def brute_force_hits(robot_circles, footprint, obstacle_circles, clearance):
     return hit
 
 
-ROBOT_COVERS = {"one-circle": FootprintSpec.from_dimensions(1.2, 1.0), "three-circle": ROBOT}
+# A cover whose anchor (the circle nearest the pose) is its last circle, 0.3 m
+# behind the pose, not circle 0 at offset 0; its other circles lie farther
+# from the pose (2.9 m) than from the anchor (2.6 m).
+OFF_CENTER = FootprintSpec(4.0, 2.0, "three-circle", CAR.radius, (-2.9, -1.6, -0.3))
+ROBOT_COVERS = {"one-circle": FootprintSpec.from_dimensions(1.2, 1.0), "three-circle": ROBOT,
+                "off-center": OFF_CENTER}
 OBSTACLE_COVERS = {"one-circle": FootprintSpec.from_dimensions(0.6, 0.6, single_circle=True),
-                   "three-circle": CAR}
-
-
-def max_offset(footprint):
-    return max(abs(o) for o in footprint.center_offsets)
+                   "three-circle": CAR, "off-center": OFF_CENTER}
 
 
 class TestBroadPhase:
@@ -275,35 +276,45 @@ class TestBroadPhase:
            per_sample=st.booleans(),
            boundary=st.sampled_from(["hit", "aligned", "screen", "random"]),
            ulps=st.integers(-4, 4),
+           slow=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     def test_screened_matches_brute_force(self, robot, obstacle, clearance, per_sample,
-                                          boundary, ulps, seed):
+                                          boundary, ulps, slow, seed):
         """Bit-equal decisions with pairs placed within a few ulps of the hit
         threshold (anchors at the threshold, or the nearest circles at it with
-        both covers aligned) and of the screen bound."""
+        both covers aligned) and of the screen bound, in the revalidation
+        shape (T, k, 2) and the safe-interval shape (n, 1, k, 2), for covers
+        anchored off circle 0 and for slow tracks, which hold their last
+        heading."""
         rng = np.random.default_rng(seed)
         footprint = ROBOT_COVERS[robot]
         times = np.arange(int(rng.integers(1, 40))) * 0.1
-        tracks = [cv_track(*rng.uniform([-5.0, -5.0, -2.0, -2.0], [5.0, 5.0, 2.0, 2.0]),
-                           footprint=OBSTACLE_COVERS[obstacle], t0=float(rng.uniform(0.0, 1.0)))
+        speed = 0.07 if slow else 2.0
+        tracks = [cv_track(*rng.uniform([-5.0, -5.0, -speed, -speed], [5.0, 5.0, speed, speed]),
+                           footprint=OBSTACLE_COVERS[obstacle], t0=float(rng.uniform(0.0, 1.0)),
+                           heading=float(rng.uniform(-4.0, 4.0)))
                   for _ in range(int(rng.integers(1, 3)))]
         covers = _predicted_obstacle_circles(tracks, times, 1.0)
         limit = footprint.radius + tracks[0].footprint.radius + clearance
-        reaches = max_offset(footprint) + max_offset(tracks[0].footprint)
+        reaches = footprint.reach + tracks[0].footprint.reach
         base = {"hit": limit, "aligned": limit + reaches, "random": limit + reaches,
                 "screen": limit + reaches + temporal.SCREEN_SLACK}[boundary]
         dist = base + ulps * np.spacing(base)
         heading = track_heading(tracks[0])
         n = len(times) if per_sample else int(rng.integers(1, 6))
-        # Pose i is placed against the first track's anchor at sample at[i].
+        # Pose i's anchor circle is placed against the first track's anchor at
+        # sample at[i], turned so that its farthest circle points at the track.
         at = np.arange(n) if per_sample else rng.integers(0, len(times), n)
         direction = np.where(rng.random(n) < 0.5, heading, heading + math.pi)
         if boundary == "random":
             direction = rng.uniform(-math.pi, math.pi, n)
+        offsets, a = footprint.center_offsets, footprint.anchor
+        far = max(offsets, key=lambda o: abs(o - offsets[a]))
+        theta = direction + (math.pi if far >= offsets[a] else 0.0)
         anchor = covers[0].centers[at, covers[0].anchor]
-        poses = np.stack([anchor[:, 0] + dist * np.cos(direction),
-                          anchor[:, 1] + dist * np.sin(direction),
-                          direction + math.pi], axis=-1)  # facing the obstacle
+        poses = np.stack([anchor[:, 0] + dist * np.cos(direction) - offsets[a] * np.cos(theta),
+                          anchor[:, 1] + dist * np.sin(direction) - offsets[a] * np.sin(theta),
+                          theta], axis=-1)
         free = rng.random(n) < 0.3
         poses[free] = rng.uniform([-8.0, -8.0, -math.pi], [8.0, 8.0, math.pi], (free.sum(), 3))
         circles = footprint_circles_batch(footprint, poses)
@@ -313,6 +324,31 @@ class TestBroadPhase:
         expected = brute_force_hits(circles, footprint, covers, clearance)
         assert got.shape == expected.shape == ((n, len(times)) if not per_sample else (n,))
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("obstacle", sorted(OBSTACLE_COVERS))
+    @pytest.mark.parametrize("slow", [False, True])
+    def test_lean_cover_matches_full_cover(self, obstacle, slow):
+        """The anchor columns are that column of the full cover, and the
+        centers of picked samples are those rows of it, to the bit; the full
+        cover is each track's cover at its predicted pose (a slow track's at
+        its last heading, wrapped)."""
+        rng = np.random.default_rng(11)
+        speed = 0.07 if slow else 2.0
+        times = np.arange(0.0, 4.0, 0.1)
+        track = cv_track(*rng.uniform([-5.0, -5.0, -speed, -speed], [5.0, 5.0, speed, speed]),
+                         footprint=OBSTACLE_COVERS[obstacle], t0=0.3, heading=3.5)
+        cover, = _predicted_obstacle_circles([track], times, 1.0)
+        heading = track_heading(track)
+        assert (heading == Pose(0.0, 0.0, 3.5).theta) == slow
+        at_poses = np.array([footprint_circles(track.footprint, Pose(x, y, heading)) for x, y in
+                             zip(cover.px.tolist(), cover.py.tolist())])
+        assert cover.centers.tobytes() == at_poses.tobytes()
+        a = track.footprint.anchor
+        assert cover.anchor_x.tobytes() == cover.centers[:, a, 0].tobytes()
+        assert cover.anchor_y.tobytes() == cover.centers[:, a, 1].tobytes()
+        picked = np.array([3, 0, 39, 3])
+        assert cover.centers_at(picked).tobytes() == cover.centers[picked].tobytes()
+        assert cover.centers_at(slice(-1, None)).tobytes() == cover.centers[-1:].tobytes()
 
     @pytest.mark.parametrize("clearance", [0.0, 0.3, 1.0])
     def test_exact_threshold_hits(self, clearance):

@@ -16,8 +16,8 @@ from kinoplan import tracking
 from kinoplan.collision import FootprintSpec, footprint_circles
 from kinoplan.geometry import Pose
 from kinoplan.temporal import _predicted_obstacle_circles
-from kinoplan.tracking import (Observation, ObstacleTrack, TrackStore,
-                               associate, kf_predict, kf_update, track_heading)
+from kinoplan.tracking import (GATE, INIT_POS_VAR, INIT_VEL_VAR, STALE_TIMEOUT, Observation,
+                               ObstacleTrack, TrackStore, _associate, _Filter, track_heading)
 
 FP = FootprintSpec.from_dimensions(4.0, 2.0)
 
@@ -36,6 +36,27 @@ def make_track(state, t=0.0, var=1.0):
 
 def obs(x, y, t, sigma=0.1):
     return Observation((x, y), t, sigma**2)
+
+
+def filter_of(track: ObstacleTrack) -> _Filter:
+    """The store's float state of a record."""
+    (p, _, c, _), _, (_, _, v, _), _ = track.covariance.tolist()
+    return _Filter(track.id, track.footprint, *track.state.tolist(), p, c, v, track.last_update,
+                   track.last_heading)
+
+
+def predicted(track: ObstacleTrack, dt: float) -> ObstacleTrack:
+    """``track`` after the store's ``_Filter.predict``."""
+    f = filter_of(track)
+    f.predict(dt)
+    return f.record()
+
+
+def updated(track: ObstacleTrack, observation: Observation) -> ObstacleTrack:
+    """``track`` after the store's ``_Filter.update``."""
+    f = filter_of(track)
+    f.update(observation)
+    return f.record()
 
 
 class TestObservation:
@@ -112,23 +133,23 @@ class TestTrackValidation:
 
 class TestPredict:
     def test_cv_translation(self):
-        t = kf_predict(make_track([0.0, 0.0, 1.0, 0.0]), 2.0)
+        t = predicted(make_track([0.0, 0.0, 1.0, 0.0]), 2.0)
         assert t.state == pytest.approx([2.0, 0.0, 1.0, 0.0])
 
     def test_zero_dt_identity(self):
         t0 = make_track([1.0, 2.0, 0.5, -0.5])
-        t1 = kf_predict(t0, 0.0)
+        t1 = predicted(t0, 0.0)
         assert t1.state == pytest.approx(t0.state)
         assert np.trace(t1.covariance) == pytest.approx(np.trace(t0.covariance))
 
     def test_covariance_grows(self):
         t0 = make_track([0.0, 0.0, 0.0, 0.0])
-        t1 = kf_predict(t0, 1.0)
+        t1 = predicted(t0, 1.0)
         assert np.trace(t1.covariance) > np.trace(t0.covariance)
 
     def test_negative_dt(self):
         with pytest.raises(ValueError):
-            kf_predict(make_track([0.0, 0.0, 0.0, 0.0]), -0.1)
+            predicted(make_track([0.0, 0.0, 0.0, 0.0]), -0.1)
 
 
 def _bits(*arrays) -> bytes:
@@ -175,7 +196,7 @@ class TestMatrixReference:
     def test_predict_matches_matrix_form(self, track, dt, q):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(tracking, "ACCEL_NOISE", q)
-            got = kf_predict(track, dt)
+            got = predicted(track, dt)
         state, cov = _matrix_predict(track.state, track.covariance, dt, q)
         _assert_close(got.state, state)
         _assert_close(got.covariance, cov)
@@ -187,7 +208,7 @@ class TestMatrixReference:
            dz=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
     def test_update_matches_matrix_form(self, track, noise, dz):
         z = (float(track.state[0]) + dz[0], float(track.state[1]) + dz[1])
-        got = kf_update(track, Observation(z, 9.0, noise))
+        got = updated(track, Observation(z, 9.0, noise))
         state, cov = _matrix_update(track.state, track.covariance, z, noise)
         _assert_close(got.state, state)
         _assert_close(got.covariance, cov)
@@ -200,17 +221,17 @@ class TestMatrixReference:
 class TestUpdate:
     def test_zero_innovation_keeps_position(self):
         t = make_track([3.0, 4.0, 1.0, 0.0])
-        t2 = kf_update(t, obs(3.0, 4.0, 0.0))
+        t2 = updated(t, obs(3.0, 4.0, 0.0))
         assert t2.state[:2] == pytest.approx([3.0, 4.0])
 
     def test_posterior_between_prior_and_measurement(self):
         t = make_track([0.0, 0.0, 0.0, 0.0])
-        t2 = kf_update(t, obs(1.0, 0.0, 0.0))
+        t2 = updated(t, obs(1.0, 0.0, 0.0))
         assert 0.0 < t2.state[0] < 1.0
 
     def test_covariance_shrinks(self):
-        t = kf_predict(make_track([0.0, 0.0, 0.0, 0.0]), 1.0)
-        t2 = kf_update(t, obs(0.0, 0.0, 1.0))
+        t = predicted(make_track([0.0, 0.0, 0.0, 0.0]), 1.0)
+        t2 = updated(t, obs(0.0, 0.0, 1.0))
         assert np.trace(t2.covariance[:2, :2]) < np.trace(t.covariance[:2, :2])
 
     def test_rejects_indefinite_innovation(self):
@@ -222,41 +243,42 @@ class TestUpdate:
             obs(0.0, 0.0, 0.0, sigma=0.0)
 
     def test_random_steps_keep_per_axis_form(self):
-        """200 predict/update steps at random gaps: every result passes the
-        per-axis check of the constructor, so the blocks stay equal and
-        symmetric with zero cross-axis terms."""
+        """200 predict/update steps at random gaps: every record of the
+        state passes the per-axis check of the constructor, so the blocks
+        stay equal and symmetric with zero cross-axis terms."""
         rng = np.random.default_rng(5)
-        t = make_track([0.0, 0.0, 1.0, 0.3], var=2.0)
+        f = filter_of(make_track([0.0, 0.0, 1.0, 0.3], var=2.0))
         for _ in range(200):
-            t = kf_predict(t, float(rng.uniform(0.01, 0.7)))
+            f.predict(float(rng.uniform(0.01, 0.7)))
+            t = f.record()
             assert np.array_equal(t.covariance, t.covariance.T)
             z = t.state[:2] + rng.normal(0.0, 0.2, 2)
-            t = kf_update(t, Observation((float(z[0]), float(z[1])), t.last_update, 0.03))
+            f.update(Observation((float(z[0]), float(z[1])), t.last_update, 0.03))
+            t = f.record()
             assert np.array_equal(t.covariance, t.covariance.T)
 
     def test_velocity_converges_for_stationary_target(self):
-        t = make_track([0.0, 0.0, 1.5, -1.0], var=4.0)
+        f = filter_of(make_track([0.0, 0.0, 1.5, -1.0], var=4.0))
         for k in range(50):
-            t = kf_predict(t, 0.1)
-            t = kf_update(t, obs(0.0, 0.0, t.last_update))
-        assert t.speed < 0.05
+            f.predict(0.1)
+            f.update(obs(0.0, 0.0, f.last_update))
+        assert f.record().speed < 0.05
 
 
 class TestAssociate:
+    """The store's association of predicted positions (gate ``GATE`` = 2 m)."""
+
     def test_single_match(self):
-        pairs, ut, uo = associate([make_track([0.0, 0.0, 0.0, 0.0])],
-                                  [obs(0.5, 0.0, 0.0)], gate=2.0)
+        pairs, ut, uo = _associate([(0.0, 0.0)], [obs(0.5, 0.0, 0.0)])
         assert pairs == [(0, 0)] and not ut and not uo
 
     def test_beyond_gate(self):
-        pairs, ut, uo = associate([make_track([0.0, 0.0, 0.0, 0.0])],
-                                  [obs(5.0, 0.0, 0.0)], gate=2.0)
+        pairs, ut, uo = _associate([(0.0, 0.0)], [obs(5.0, 0.0, 0.0)])
         assert not pairs and ut == [0] and uo == [0]
 
     def test_two_unambiguous(self):
-        tracks = [make_track([0.0, 0.0, 0.0, 0.0]), make_track([10.0, 0.0, 0.0, 0.0])]
         observations = [obs(9.8, 0.0, 0.0), obs(0.2, 0.0, 0.0)]
-        pairs, ut, uo = associate(tracks, observations, gate=2.0)
+        pairs, ut, uo = _associate([(0.0, 0.0), (10.0, 0.0)], observations)
         assert sorted(pairs) == [(0, 1), (1, 0)]
 
 
@@ -325,15 +347,33 @@ class TestTrackStore:
         for k in range(20):
             t = 0.1 * k
             store.step([obs(0.0 + 0.1 * t, 0.0, t), obs(20.0, 5.0, t)], t)
-        assert len(store.tracks) == 2
-        assert all(tr.footprint is FP for tr in store.tracks)
+        assert len(store.snapshot()) == 2
+        assert all(tr.footprint is FP for tr in store.snapshot())
 
     def test_stale_tracks_dropped(self):
         store = TrackStore()
         store.step([obs(0.0, 0.0, 0.0)], 0.0)
-        assert len(store.tracks) == 1
+        assert len(store.snapshot()) == 1
         store.step([], 2.0)  # beyond the 1 s staleness timeout
-        assert len(store.tracks) == 0
+        assert len(store.snapshot()) == 0
+
+    def test_snapshot_is_read_only(self):
+        """One record serves every reader of a step, so none may write to it."""
+        store = TrackStore(FP)
+        store.step([obs(1.0, 2.0, 0.0)], 0.0)
+        track, = store.snapshot()
+        with pytest.raises(ValueError, match="read-only"):
+            track.state[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            track.covariance[0, 0] = 5.0
+
+    def test_snapshot_is_built_once_per_step(self):
+        store = TrackStore(FP)
+        store.step([obs(1.0, 2.0, 0.0)], 0.0)
+        first, again = store.snapshot(), store.snapshot()
+        assert first is not again and first[0] is again[0]
+        store.step([obs(1.1, 2.0, 0.1)], 0.1)
+        assert store.snapshot()[0] is not first[0]
 
     def test_velocity_estimation_accuracy(self, monkeypatch):
         """CV target, sigma = 0.1 m at 10 Hz: velocity error < 0.1 m/s after
@@ -356,13 +396,148 @@ class TestTrackStore:
                 observation = Observation((p[0], p[1]), t, 0.01)
                 if k == 0:
                     store.step([observation], t)
-                    track = store.tracks[0]
+                    f, = store.filters
                 else:
-                    track = kf_update(kf_predict(track, t - track.last_update), observation)
-            est = track.velocity
+                    f.predict(t - f.last_update)
+                    f.update(observation)
+            est = f.record().velocity
             if math.hypot(est[0] - vx, est[1] - vy) < 0.1:
                 passed += 1
         assert passed >= 95
+
+
+# The record-based filter the store replaced, kept as its oracle: every step
+# builds a predicted and an updated ``ObstacleTrack`` per track.
+
+def oracle_predict(track: ObstacleTrack, dt: float) -> ObstacleTrack:
+    x, y, vx, vy = track.state.tolist()
+    (p, _, c, _), _, (_, _, v, _), _ = track.covariance.tolist()
+    h = dt * dt / 2.0
+    qh, qdt = tracking.ACCEL_NOISE * h, tracking.ACCEL_NOISE * dt
+    f = c + dt * v
+    cov = per_axis((p + dt * c) + f * dt + qh * h, 0.5 * ((f + qh * dt) + (f + qdt * h)),
+                        v + qdt * dt)
+    return ObstacleTrack(track.id, np.array([x + dt * vx, y + dt * vy, vx, vy]), cov,
+                         track.footprint, track.last_update + dt, track.last_heading)
+
+
+def oracle_update(track: ObstacleTrack, ob: Observation) -> ObstacleTrack:
+    x, y, vx, vy = track.state.tolist()
+    (p, _, c, _), _, (_, _, v, _), _ = track.covariance.tolist()
+    i = 1.0 / (p + ob.noise)
+    kp, kv = p * i, c * i
+    ex, ey = ob.position[0] - x, ob.position[1] - y
+    vx, vy = vx + kv * ex, vy + kv * ey
+    heading = math.atan2(vy, vx) if np.hypot(vx, vy) > 0.1 else track.last_heading
+    cov = per_axis((1.0 - kp) * p, 0.5 * ((1.0 - kp) * c + (-kv * p + c)), -kv * c + v)
+    return ObstacleTrack(track.id, np.array([x + kp * ex, y + kp * ey, vx, vy]), cov,
+                         track.footprint, ob.timestamp, heading)
+
+
+def oracle_associate(tracks, observations):
+    pairs = []
+    free_t, free_o = set(range(len(tracks))), set(range(len(observations)))
+    cands = []
+    for ti in free_t:
+        x, y = tracks[ti].state[:2].tolist()
+        for oi in free_o:
+            ox, oy = observations[oi].position
+            d = float(np.hypot(x - ox, y - oy))
+            if d <= GATE:
+                cands.append((d, ti, oi))
+    for _, ti, oi in sorted(cands):
+        if ti in free_t and oi in free_o:
+            pairs.append((ti, oi))
+            free_t.discard(ti)
+            free_o.discard(oi)
+    return pairs, sorted(free_t), sorted(free_o)
+
+
+class OracleStore:
+    """``TrackStore.step`` over records; counts the tracks it drops."""
+
+    def __init__(self, footprint):
+        self.footprint, self.tracks, self.next_id, self.dropped = footprint, [], 0, 0
+
+    def step(self, observations, now):
+        predicted = [oracle_predict(t, max(0.0, now - t.last_update)) for t in self.tracks]
+        pairs, unmatched_t, unmatched_o = oracle_associate(predicted, observations)
+        new_tracks = [oracle_update(predicted[ti], observations[oi]) for ti, oi in pairs]
+        for ti in unmatched_t:
+            if now - self.tracks[ti].last_update <= STALE_TIMEOUT:
+                new_tracks.append(self.tracks[ti])
+            else:
+                self.dropped += 1
+        for oi in unmatched_o:
+            ob = observations[oi]
+            new_tracks.append(ObstacleTrack(
+                self.next_id, np.array([ob.position[0], ob.position[1], 0.0, 0.0]),
+                per_axis(INIT_POS_VAR, 0.0, INIT_VEL_VAR), self.footprint, ob.timestamp))
+            self.next_id += 1
+        self.tracks = sorted(new_tracks, key=lambda t: t.id)
+
+
+def _record_bits(track: ObstacleTrack):
+    return (track.id, track.footprint, track.state.tobytes(), track.covariance.tobytes(),
+            _bits(track.last_update), _bits(track.last_heading))
+
+
+@st.composite
+def observation_streams(draw):
+    """Steps (time, observations) of three constant-velocity targets.  All
+    are seen first (spawns); A and B start within one gate of each other;
+    A is missed at the second step (a coast); C, 30 m from A and almost
+    still, so that A and B (at most 2 m/s for at most 11.2 s) never come
+    within a gate of it, is missed at a step that comes ``STALE_TIMEOUT`` +
+    0.2 s or more after the one before (a stale drop) and seen at the next
+    (a new spawn); any other observation may be missed."""
+    n = draw(st.integers(6, 25))
+    dts = draw(st.lists(st.floats(0.02, 0.4), min_size=n, max_size=n))
+    seen = draw(st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()),
+                         min_size=n, max_size=n))
+    gap = draw(st.integers(2, n - 2))
+    dts[gap] += STALE_TIMEOUT + 0.2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.uniform(-20.0, 20.0, 2)
+    angle, apart = rng.uniform(-math.pi, math.pi), rng.uniform(0.2, 0.95 * GATE)
+    away = rng.uniform(-math.pi, math.pi)
+    starts = [a, a + apart * np.array([math.cos(angle), math.sin(angle)]),
+              a + 30.0 * np.array([math.cos(away), math.sin(away)])]
+    velocities = rng.uniform(-2.0, 2.0, (3, 2)) * np.array([[rng.choice([0.01, 1.0])],
+                                                           [rng.choice([0.01, 1.0])], [0.01]])
+    steps, t = [], 0.0
+    for k in range(n):
+        t += dts[k]
+        visible = (True,) * 3 if k == 0 else seen[k]
+        visible = (visible[0] and k != 1, visible[1], (visible[2] or k == gap + 1) and k != gap)
+        observations = []
+        for target in (i for i in range(3) if visible[i]):
+            p = starts[target] + velocities[target] * t + rng.normal(0.0, 0.1, 2)
+            observations.append(Observation((float(p[0]), float(p[1])), t, 0.01))
+        steps.append((t, observations))
+    return steps
+
+
+class TestOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(steps=observation_streams())
+    def test_store_matches_record_filter(self, steps):
+        """Stepped side by side through the same observations, the store and
+        the record-based filter give bit-equal snapshots (id, footprint,
+        state, 4x4 covariance, last update, last heading), and the store's
+        live filters predict the covers of its records to the bit."""
+        store, oracle = TrackStore(FP), OracleStore(FP)
+        times = np.linspace(0.0, 3.0, 7)
+        for now, observations in steps:
+            store.step(observations, now)
+            oracle.step(observations, now)
+            records = store.snapshot()
+            assert [_record_bits(t) for t in records] == [_record_bits(t) for t in oracle.tracks]
+            for live, rec in zip(_predicted_obstacle_circles(store.filters, times, now),
+                                 _predicted_obstacle_circles(records, times, now)):
+                assert _bits(live.anchor_x, live.anchor_y, live.centers) == \
+                    _bits(rec.anchor_x, rec.anchor_y, rec.centers)
+        assert oracle.dropped >= 1 and oracle.next_id > 3
 
 
 def _dynamic_arch_openblas() -> bool:
@@ -389,9 +564,9 @@ for _ in range(200):
         p = np.array([10.0 * i + vx * t, vy * t]) + rng.normal(0.0, 0.05, 2)
         observations.append(Observation((float(p[0]), float(p[1])), t, 0.05**2))
     store.step(observations, t)
-    for track in store.tracks:
+    for track in store.snapshot():
         digest.update(track.state.tobytes() + track.covariance.tobytes())
-print(len(store.tracks), digest.hexdigest())
+print(len(store.filters), digest.hexdigest())
 """
 
 
