@@ -40,7 +40,6 @@ class FootprintSpec:
 
     length: float
     width: float
-    mode: str  # "one-circle" | "three-circle"
     radius: float
     center_offsets: tuple[float, ...]
 
@@ -52,8 +51,8 @@ class FootprintSpec:
         if single_circle or length / width < 1.3:
             if single_circle:
                 radius = math.sqrt(length**2 + width**2) / 2.0
-            return cls(length, width, "one-circle", radius, (0.0,))
-        return cls(length, width, "three-circle", radius, (-length / 3.0, 0.0, length / 3.0))
+            return cls(length, width, radius, (0.0,))
+        return cls(length, width, radius, (-length / 3.0, 0.0, length / 3.0))
 
     @cached_property
     def anchor(self) -> int:

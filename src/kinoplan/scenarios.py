@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import typing
+from bisect import bisect_right
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 
@@ -41,9 +42,20 @@ class ScriptedObstacle:
             raise ValueError("waypoints must be finite")
         if len(wp) > 1 and np.any(np.diff(wp[:, 0]) <= 0.0):
             raise ValueError("waypoint times must be strictly increasing")
-        self._wp = wp
         # Contiguous columns: np.interp would copy a column view at every call.
         self._t, self._x, self._y = (wp[:, j].copy() for j in range(3))
+        # Row k is the heading held from t[k] until t[k + 1] (row 0 also
+        # before, the last row also after): the direction of the last moving
+        # segment up to the one that starts at t[k], else 0.0.  A time's row
+        # is ``bisect_right`` of it into the times after the first.
+        rows, heading, held = wp.tolist(), 0.0, []
+        for (_, x0, y0), (_, x1, y1) in zip(rows, rows[1:]):
+            dx, dy = x1 - x0, y1 - y0
+            if dx * dx + dy * dy > 1e-12:
+                heading = math.atan2(dy, dx)
+            held.append(heading)
+        self._headings = [*held, heading]
+        self._wrapped = np.array([normalize_angle(h) for h in self._headings])
 
     def position_at(self, t: float) -> np.ndarray:
         return np.array([np.interp(t, self._t, self._x), np.interp(t, self._t, self._y)])
@@ -51,16 +63,7 @@ class ScriptedObstacle:
     def heading_at(self, t: float) -> float:
         """Direction of the active segment; earlier segments' heading is held
         across stationary stretches and past the last waypoint."""
-        wp = self._wp
-        heading = 0.0
-        for i in range(len(wp) - 1):
-            dx = wp[i + 1, 1] - wp[i, 1]
-            dy = wp[i + 1, 2] - wp[i, 2]
-            if dx * dx + dy * dy > 1e-12:
-                heading = math.atan2(dy, dx)
-            if t < wp[i + 1, 0]:
-                break
-        return heading
+        return self._headings[bisect_right(self._t, t, 1) - 1]
 
     def pose_at(self, t: float) -> Pose:
         p = self.position_at(t)
@@ -68,10 +71,12 @@ class ScriptedObstacle:
 
     def poses_at(self, times) -> list[tuple[float, float, float]]:
         """``pose_at`` of each time as an (x, y, theta) tuple, to the bit: one
-        ``np.interp`` per axis over all the times, the heading per time."""
-        xs, ys = (np.interp(times, self._wp[:, 0], self._wp[:, j]).tolist() for j in (1, 2))
-        return [(x, y, normalize_angle(self.heading_at(t)))
-                for x, y, t in zip(xs, ys, times)]
+        ``np.interp`` per axis and one lookup of the wrapped headings over all
+        the times."""
+        rows = np.searchsorted(self._t[1:], times, side="right")
+        return list(zip(np.interp(times, self._t, self._x).tolist(),
+                        np.interp(times, self._t, self._y).tolist(),
+                        self._wrapped[rows].tolist()))
 
 
 @dataclass

@@ -7,23 +7,24 @@ the rest of the path when the fresh predictions make it unsafe.  An adopted
 trajectory is evaluated once, at every tick time it can be driven at
 (``TickTable``): the executor reads each tick's pose from that table, and
 revalidation its robot covers from the current tick on.  The tracker steps
-its filters in place, and revalidation reads them directly
-(``TrackStore.filters``) and screens the obstacles' anchor circles before
-it builds any other center, so a perception tick builds no track record
-and no full predicted cover; records (``TrackStore.snapshot``) are built
-only for planning and for the planning events.  WAITING holds position when no
-safe timing exists and tries nothing until ``REPLAN_TIMEOUT`` has passed,
-when the path itself is replanned (REPLANNING), treating obstacles that have
-stopped as static blockers.  The loop keeps no state beyond the trajectory it
-executes: after tick 0, none means waiting.  Every planning attempt is
-recorded in one place (``_Runner._attempt``).  Each tick logs only what the
-loop decides: its time, the robot pose and the state flag; after the run,
-``derive_trace`` fills in the obstacle poses, speeds, clearances and success
-in one pass.  Everything is a pure function of (scenario, configs, seed).
+its filters in place (``TrackStore.filters``); planning, the frozen blockers
+and revalidation read them directly, and a planning event keeps copies.
+Revalidation screens the obstacles' anchor circles before it builds any
+other center, so a perception tick builds no full predicted cover.  WAITING
+holds position when no safe timing exists and tries nothing until
+``REPLAN_TIMEOUT`` has passed, when the path itself is replanned
+(REPLANNING), treating obstacles that have stopped as static blockers.  The
+loop keeps no state beyond the trajectory it executes: after tick 0, none
+means waiting.  Every planning attempt is recorded in one place
+(``_Runner._attempt``).  Each tick logs only what the loop decides: its
+time, the robot pose and the state flag; after the run, ``derive_trace``
+fills in the obstacle poses, speeds, clearances and success in one pass.
+Everything is a pure function of (scenario, configs, seed).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import time as _time
 from dataclasses import dataclass, field, replace
@@ -68,7 +69,7 @@ class PlanningEvent:
     trajectory: Trajectory | None
     node_intervals: list[NodeIntervals] | None
     latency: float  # wall-clock seconds; excluded from exported artifacts
-    tracks: list = None  # ObstacleTrack snapshot the plan was made against
+    tracks: list = None  # copies of the tracker's filters the plan was made against
 
 
 def _trace_header(n_obs: int) -> list[str]:
@@ -181,12 +182,14 @@ def derive_trace(scenario: Scenario, trace: TraceLog) -> None:
 
 
 def _track_blockers(tracks, t_now: float, only_stopped: bool):
-    """Freeze (some) tracks into static disks, ``BLOCKER_INFLATION`` wider
-    than their covers, for path planning."""
-    tracks = [tr for tr in tracks if not (only_stopped and tr.speed >= STOP_SPEED)]
+    """Freeze tracks into static disks, ``BLOCKER_INFLATION`` wider than
+    their covers, for path planning; with ``only_stopped``, only those
+    predicted slower than ``STOP_SPEED``."""
     circles = _predicted_obstacle_circles(tracks, np.zeros(1), t_now)
     return [ObstacleShape.disk(float(cx), float(cy), cover.radius + BLOCKER_INFLATION)
-            for cover in circles for cx, cy in cover.centers[0]]
+            for cover in circles
+            if not (only_stopped and np.hypot(cover.vx, cover.vy) >= STOP_SPEED)
+            for cx, cy in cover.centers[0]]
 
 
 class TickTable:
@@ -262,7 +265,7 @@ class _Runner:
 
     def _time_path(self, path: Path, t_now: float):
         """SIs + selection + SQP + independent validation; None when unsafe."""
-        tracks = self.store.snapshot()
+        tracks = self.store.filters
         nis = compute_safe_intervals(path, tracks, self.world, self.tcfg, self.sc.robot,
                                      t0=t_now)
         seq = select_interval_sequence(nis, self.tcfg, np.diff(path.arc_lengths))
@@ -288,7 +291,7 @@ class _Runner:
         """
         candidates = []
         for only_stopped in (True, False):
-            blockers = _track_blockers(self.store.snapshot(), t_now, only_stopped)
+            blockers = _track_blockers(self.store.filters, t_now, only_stopped)
             path = self._plan_geometric(start, blockers)
             if path is None:
                 continue
@@ -310,12 +313,12 @@ class _Runner:
 
     def _attempt(self, t: float, kind: str, fn, *args) -> Trajectory | None:
         """Run one planning attempt ``fn(*args)``, record it as a PlanningEvent
-        with its wall time and the tracks it saw, and return its trajectory."""
+        with its wall time and copies of the tracks it saw; its trajectory."""
         t_wall = _time.perf_counter()
         traj, nis, path = fn(*args) or (None, None, None)
         latency = _time.perf_counter() - t_wall
         self.trace.events.append(PlanningEvent(t, kind, path, traj, nis, latency,
-                                               self.store.snapshot()))
+                                               list(map(copy.copy, self.store.filters))))
         return traj
 
     def _adopt(self, tick: int, kind: str, fn, *args) -> TickTable | None:

@@ -150,8 +150,8 @@ class PredictedCover:
 
 def _predicted_obstacle_circles(tracks, times: np.ndarray, t0: float) -> list[PredictedCover]:
     """Per-track predicted covers at ``t0 + times``; each track is an
-    ``ObstacleTrack`` record or a live filter of ``TrackStore.filters``, read
-    through its ``motion`` floats."""
+    ``ObstacleTrack`` or a filter of ``TrackStore.filters`` (or a copy of
+    one), read through its ``motion`` floats."""
     abs_times = t0 + times
     return [PredictedCover(track, abs_times) for track in tracks]
 

@@ -6,13 +6,13 @@ covariance is two identical per-axis blocks [[p, c], [c, v]]: each filter is
 the per-axis alpha-beta form (Kalata, IEEE TAES 1984; Bar-Shalom, Li &
 Kirubarajan, 2001).  ``TrackStore`` keeps each track's state, block, last
 update and heading as Python floats (``_Filter``) and filters them in place,
-with no BLAS call and no record built.  Association is greedy
-nearest-neighbor under a gating distance, adequate for the handful of
-obstacles a scenario contains.  ``ObstacleTrack`` is the read-only record of
-a track: ``TrackStore.snapshot`` builds them at most once per step, for
-planning and for the planning events.  The predictions
-(``temporal._predicted_obstacle_circles``) read each track's floats from a
-record or from the store's live filters, and extrapolate the track at its
+with no BLAS call.  Association is greedy nearest-neighbor under a gating
+distance, adequate for the handful of obstacles a scenario contains.  The
+closed loop reads the store's filters alone: planning, revalidation and the
+planning events (which keep copies).  ``ObstacleTrack`` is the validated
+input form of a track, with a 4x4 covariance, for callers that build tracks
+themselves.  The predictions (``temporal._predicted_obstacle_circles``) read
+each track's floats from either form, and extrapolate the track at its
 velocity, holding ``track_heading``.
 """
 
@@ -97,10 +97,6 @@ class ObstacleTrack:
         object.__setattr__(self, "covariance", cov)
 
     @property
-    def velocity(self) -> np.ndarray:
-        return self.state[2:]
-
-    @property
     def speed(self) -> float:
         return float(np.hypot(*self.state[2:]))
 
@@ -109,11 +105,6 @@ class ObstacleTrack:
         """(x, y, vx, vy, last update, ``track_heading``): the floats a
         prediction extrapolates (``temporal._predicted_obstacle_circles``)."""
         return (*self.state.tolist(), self.last_update, track_heading(self))
-
-
-def _per_axis(p: float, c: float, v: float) -> np.ndarray:
-    """The 4x4 covariance of two blocks [[p, c], [c, v]], +0.0 elsewhere."""
-    return np.array([[p, 0.0, c, 0.0], [0.0, p, 0.0, c], [c, 0.0, v, 0.0], [0.0, c, 0.0, v]])
 
 
 def track_heading(track: ObstacleTrack) -> float:
@@ -131,9 +122,10 @@ class _Filter:
 
     ``predict`` and ``update`` round as the 4x4 products they replace
     (F P F^T + Q; K = P H^T S^-1, (I - K H) P; both symmetrised) do on a BLAS
-    kernel without fused multiply-adds.  After ``update`` the heading a
-    prediction holds (``track_heading`` of the record) is the last heading,
-    wrapped: both follow the velocity exactly when it is faster than 0.1 m/s.
+    kernel without fused multiply-adds.  A prediction holds the last
+    heading, wrapped (``motion``).  The store keeps only filters spawned at
+    rest or just updated, and ``update`` takes the heading from a velocity
+    faster than 0.1 m/s, so that is ``track_heading`` of the same floats.
     """
 
     __slots__ = ("id", "footprint", "x", "y", "vx", "vy", "p", "c", "v", "last_update",
@@ -184,14 +176,6 @@ class _Filter:
         self.x, self.y = self.x + kp * ex, self.y + kp * ey
         self.last_update = obs.timestamp
 
-    def record(self) -> ObstacleTrack:
-        """This state as a read-only ``ObstacleTrack``."""
-        track = ObstacleTrack(self.id, np.array([self.x, self.y, self.vx, self.vy]),
-                              _per_axis(self.p, self.c, self.v), self.footprint,
-                              self.last_update, self.last_heading)
-        track.state.flags.writeable = track.covariance.flags.writeable = False
-        return track
-
 
 def _associate(positions: list[tuple[float, float]], observations: list[Observation]):
     """Greedy nearest-neighbor matching of track ``positions`` to
@@ -220,15 +204,13 @@ class TrackStore:
 
     ``filters`` holds the live state of each track, in id order, stepped in
     place; predictions read it directly (``temporal._predicted_obstacle_circles``).
-    ``snapshot`` gives the tracks as read-only ``ObstacleTrack`` records,
-    built at most once per step.
+    A reader that keeps a track past the next ``step`` keeps a copy.
     """
 
     def __init__(self, default_footprint: FootprintSpec | None = None):
         self.default_footprint = (default_footprint
                                   or FootprintSpec.from_dimensions(0.8, 0.8, single_circle=True))
         self.filters: list[_Filter] = []
-        self._records: list[ObstacleTrack] | None = []
         self._next_id = 0
 
     def step(self, observations: list[Observation], now: float) -> None:
@@ -252,10 +234,3 @@ class TrackStore:
                                 obs.timestamp, 0.0))
             self._next_id += 1
         self.filters = kept
-        self._records = None
-
-    def snapshot(self) -> list[ObstacleTrack]:
-        """The tracks as read-only records, built once per step and shared."""
-        if self._records is None:
-            self._records = [f.record() for f in self.filters]
-        return list(self._records)

@@ -50,8 +50,8 @@ def test_disc_radius_hand_values():
     assert abs(disc_radius(1.3, 1.0) - math.sqrt(10.69) / 6.0) < 1e-12
     one_circle_value = math.sqrt(1.3**2 + 1.0) / 2.0
     assert abs(disc_radius(1.3, 1.0) - one_circle_value) > 1e-3
-    assert FootprintSpec.from_dimensions(1.3, 1.0).mode == "three-circle"
-    assert FootprintSpec.from_dimensions(1.29, 1.0).mode == "one-circle"
+    assert len(FootprintSpec.from_dimensions(1.3, 1.0).center_offsets) == 3
+    assert len(FootprintSpec.from_dimensions(1.29, 1.0).center_offsets) == 1
 
 
 # -- 3: library entries re-solve and the file round-trips ------------------

@@ -97,7 +97,7 @@ class TestFootprintCircles:
 
     def test_pedestrian_forced_single_circle(self):
         spec = FootprintSpec.from_dimensions(0.6, 0.6, single_circle=True)
-        assert spec.mode == "one-circle"
+        assert footprint_circles(spec, Pose(1.0, 2.0, 0.5)).shape == (1, 2)
         assert spec.center_offsets == (0.0,)
 
     @pytest.mark.parametrize("spec,anchor,reach", [

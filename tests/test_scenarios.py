@@ -5,9 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinoplan.collision import FootprintSpec, ObstacleShape, disc_radius
-from kinoplan.geometry import Pose
+from kinoplan.geometry import Pose, normalize_angle
 from kinoplan.scenarios import (Scenario, ScriptedObstacle, builtin_scenarios,
                                 follow_scenario, get_scenario, load_scenario,
                                 random_disk_world, save_scenario,
@@ -15,6 +17,37 @@ from kinoplan.scenarios import (Scenario, ScriptedObstacle, builtin_scenarios,
 
 CAR = FootprintSpec.from_dimensions(4.0, 2.0)
 HEADER = ["name x", "bounds -5 -5 15 5", "start 0 0 0", "goal 10 0 0"]
+
+
+def _heading_walk(waypoints, t: float) -> float:
+    """``ScriptedObstacle.heading_at`` as a walk over the waypoint rows at
+    every call, the oracle of its lookup table."""
+    wp = np.asarray(waypoints, dtype=float)
+    heading = 0.0
+    for i in range(len(wp) - 1):
+        dx = wp[i + 1, 1] - wp[i, 1]
+        dy = wp[i + 1, 2] - wp[i, 2]
+        if dx * dx + dy * dy > 1e-12:
+            heading = math.atan2(dy, dx)
+        if t < wp[i + 1, 0]:
+            break
+    return heading
+
+
+def _script(t0, steps):
+    """Waypoints from t0 at (0, 0), then one row per (gap, kind, dx, dy)
+    step: a move, no move, or a move of 1e-6 times (dx, dy) around the
+    stationary threshold."""
+    rows = [(t0, 0.0, 0.0)]
+    for gap, kind, dx, dy in steps:
+        scale = {"move": 1.0, "still": 0.0, "tiny": 1e-7}[kind]
+        t, x, y = rows[-1]
+        rows.append((t + gap, x + scale * dx, y + scale * dy))
+    return rows
+
+
+def _float_bits(values) -> bytes:
+    return np.array(list(values), dtype=float).tobytes()
 
 
 class TestScriptedObstacle:
@@ -36,6 +69,29 @@ class TestScriptedObstacle:
         ob = ScriptedObstacle(0, CAR, [(0.0, 0.0, 0.0), (1.0, 0.0, 2.0),
                                        (5.0, 0.0, 2.0)])
         assert ob.heading_at(3.0) == pytest.approx(math.pi / 2.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(waypoints=st.builds(lambda *a: _script(*a), st.floats(-5.0, 5.0),
+                               st.lists(st.tuples(st.floats(0.01, 5.0),
+                                                  st.sampled_from(["move", "still", "tiny"]),
+                                                  st.floats(-10.0, 10.0),
+                                                  st.floats(-10.0, 10.0)), max_size=6)),
+           extra=st.lists(st.floats(-20.0, 50.0), max_size=10))
+    def test_heading_table_matches_row_walk(self, waypoints, extra):
+        """``heading_at`` and ``poses_at`` give the bits of the per-call walk
+        over the waypoint rows: before the first waypoint, on each one,
+        between them, across stationary stretches and steps at the 1e-6 m
+        threshold, past the last one, and for a one-waypoint script."""
+        ob = ScriptedObstacle(0, CAR, waypoints)
+        t = [row[0] for row in waypoints]
+        times = [t[0] - 1.0, *t, *((a + b) / 2.0 for a, b in zip(t, t[1:])), t[-1] + 1.0,
+                 *extra]
+        walk = [_heading_walk(waypoints, u) for u in times]
+        assert _float_bits(map(ob.heading_at, times)) == _float_bits(walk)
+        xs, ys = (np.interp(times, t, [row[j] for row in waypoints]).tolist() for j in (1, 2))
+        want = [(x, y, normalize_angle(h)) for x, y, h in zip(xs, ys, walk)]
+        assert _float_bits(v for pose in ob.poses_at(times) for v in pose) == \
+            _float_bits(v for pose in want for v in pose)
 
     def test_bad_waypoints(self):
         with pytest.raises(ValueError):
@@ -115,8 +171,8 @@ class TestScenarioFiles:
         assert len(loaded.moving) == len(sc.moving)
         for ma, mb in zip(loaded.moving, sc.moving):
             assert ma.id == mb.id
-            assert ma.footprint.mode == mb.footprint.mode
-            assert np.array_equal(ma._wp, mb._wp)
+            assert ma.footprint == mb.footprint
+            assert np.array_equal(ma.waypoints, mb.waypoints)
 
     def test_roundtrip_keeps_bounds_and_covers(self, tmp_path):
         """Full-precision bounds, and one-circle covers the aspect ratio would
@@ -147,7 +203,7 @@ class TestScenarioFiles:
                      "waypoint 0 0 1 1\nwaypoint 1 0 2 2\n")
         sc = load_scenario(p)
         assert sc.robot == FootprintSpec.from_dimensions(2.0, 1.0)
-        assert sc.static_obstacles[0].footprint.mode == "one-circle"
+        assert len(sc.static_obstacles[0].footprint.center_offsets) == 1
         assert [m.footprint for m in sc.moving] == [
             CAR, FootprintSpec.from_dimensions(2.0, 1.0, single_circle=True)]
 

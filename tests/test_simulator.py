@@ -1,7 +1,6 @@
 """Trace logs, metrics, artifact export, and full runs."""
 
 import math
-import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -18,7 +17,7 @@ from kinoplan.simulator import (BLOCKER_INFLATION, EXECUTING, PLANNING, REPLANNI
                                 REVALIDATE_MARGIN, WAITING, TickTable, TraceLog, _Runner,
                                 derive_trace, export_artifacts, metrics, run_scenario)
 from kinoplan.temporal import Trajectory, _predicted_obstacle_circles, predicted_hits
-from kinoplan.tracking import Observation, ObstacleTrack, TrackStore
+from kinoplan.tracking import Observation, ObstacleTrack
 
 FLAGS = {PLANNING, EXECUTING, WAITING, REPLANNING}
 
@@ -141,7 +140,7 @@ def _arange_future_safe(runner, traj, since, t_now):
     if len(times) == 0:
         times = np.array([traj.duration])
     robot = footprint_circles_batch(runner.sc.robot, traj.poses_at(times))
-    obstacle_circles = _predicted_obstacle_circles(runner.store.snapshot(), times, since)
+    obstacle_circles = _predicted_obstacle_circles(runner.store.filters, times, since)
     return not np.any(predicted_hits(robot, runner.sc.robot, obstacle_circles,
                                      REVALIDATE_MARGIN))
 
@@ -228,34 +227,26 @@ class TestTickTable:
 
 
 class TestRecordGuard:
-    def test_records_are_built_only_by_snapshot(self, library, scenario_runs, monkeypatch):
-        """In overtake seed 0 every ``ObstacleTrack`` is built inside
-        ``TrackStore.snapshot``, each track at most once per store step, so
-        the per-tick path (the filter step and revalidation) builds none; the
-        run keeps its trace."""
-        steps, built = [0], []  # (store step, track id, inside snapshot)
-        snapshot, step = TrackStore.snapshot.__code__, TrackStore.step
+    def test_closed_loop_builds_no_records(self, library, scenario_runs, monkeypatch):
+        """Overtake seed 0 (retimes, a replan, frozen blockers) constructs no
+        ``ObstacleTrack``: planning, revalidation and the events read the
+        tracker's filters.  The run keeps its trace, and each event keeps the
+        tracks as they were at its time, not the filters stepped since."""
+        built = []
         post_init = ObstacleTrack.__post_init__
 
-        def counted_step(store, *args):
-            steps[0] += 1
-            return step(store, *args)
-
         def counted_post_init(track):
-            frame = sys._getframe(1)
-            while frame is not None and frame.f_code is not snapshot:
-                frame = frame.f_back
-            built.append((steps[0], track.id, frame is not None))
+            built.append(track.id)
             post_init(track)
 
-        monkeypatch.setattr(TrackStore, "step", counted_step)
         monkeypatch.setattr(ObstacleTrack, "__post_init__", counted_post_init)
         trace = run_scenario(get_scenario("overtake"), seed=0, library=library)
-        assert trace.poses == scenario_runs[("overtake", 0)].poses
-        assert built and all(inside for _, _, inside in built)
-        per_step = [(s, i) for s, i, _ in built]
-        assert len(per_step) == len(set(per_step))
-        assert len({s for s, _ in per_step}) < steps[0] / 5  # most steps build none
+        want = scenario_runs[("overtake", 0)]
+        assert (trace.poses, trace.flags) == (want.poses, want.flags)
+        assert {ev.kind for ev in trace.events} == {"initial", "retime", "replan"}
+        assert built == []
+        assert all(ev.time - 0.1 <= tr.last_update <= ev.time for ev in trace.events
+                   for tr in ev.tracks)
 
 
 class TestFullRuns:

@@ -261,7 +261,7 @@ def brute_force_hits(robot_circles, footprint, obstacle_circles, clearance):
 # A cover whose anchor (the circle nearest the pose) is its last circle, 0.3 m
 # behind the pose, not circle 0 at offset 0; its other circles lie farther
 # from the pose (2.9 m) than from the anchor (2.6 m).
-OFF_CENTER = FootprintSpec(4.0, 2.0, "three-circle", CAR.radius, (-2.9, -1.6, -0.3))
+OFF_CENTER = FootprintSpec(4.0, 2.0, CAR.radius, (-2.9, -1.6, -0.3))
 ROBOT_COVERS = {"one-circle": FootprintSpec.from_dimensions(1.2, 1.0), "three-circle": ROBOT,
                 "off-center": OFF_CENTER}
 OBSTACLE_COVERS = {"one-circle": FootprintSpec.from_dimensions(0.6, 0.6, single_circle=True),

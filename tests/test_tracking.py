@@ -1,9 +1,11 @@
 """Constant-velocity Kalman tracking and multi-object bookkeeping."""
 
+import importlib.util
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -45,18 +47,24 @@ def filter_of(track: ObstacleTrack) -> _Filter:
                    track.last_heading)
 
 
+def record_of(f: _Filter) -> ObstacleTrack:
+    """A filter's floats as a record, the inverse of ``filter_of``."""
+    return ObstacleTrack(f.id, np.array([f.x, f.y, f.vx, f.vy]), per_axis(f.p, f.c, f.v),
+                         f.footprint, f.last_update, f.last_heading)
+
+
 def predicted(track: ObstacleTrack, dt: float) -> ObstacleTrack:
     """``track`` after the store's ``_Filter.predict``."""
     f = filter_of(track)
     f.predict(dt)
-    return f.record()
+    return record_of(f)
 
 
 def updated(track: ObstacleTrack, observation: Observation) -> ObstacleTrack:
     """``track`` after the store's ``_Filter.update``."""
     f = filter_of(track)
     f.update(observation)
-    return f.record()
+    return record_of(f)
 
 
 class TestObservation:
@@ -250,11 +258,11 @@ class TestUpdate:
         f = filter_of(make_track([0.0, 0.0, 1.0, 0.3], var=2.0))
         for _ in range(200):
             f.predict(float(rng.uniform(0.01, 0.7)))
-            t = f.record()
+            t = record_of(f)
             assert np.array_equal(t.covariance, t.covariance.T)
             z = t.state[:2] + rng.normal(0.0, 0.2, 2)
             f.update(Observation((float(z[0]), float(z[1])), t.last_update, 0.03))
-            t = f.record()
+            t = record_of(f)
             assert np.array_equal(t.covariance, t.covariance.T)
 
     def test_velocity_converges_for_stationary_target(self):
@@ -262,7 +270,7 @@ class TestUpdate:
         for k in range(50):
             f.predict(0.1)
             f.update(obs(0.0, 0.0, f.last_update))
-        assert f.record().speed < 0.05
+        assert math.hypot(f.vx, f.vy) < 0.05
 
 
 class TestAssociate:
@@ -347,33 +355,15 @@ class TestTrackStore:
         for k in range(20):
             t = 0.1 * k
             store.step([obs(0.0 + 0.1 * t, 0.0, t), obs(20.0, 5.0, t)], t)
-        assert len(store.snapshot()) == 2
-        assert all(tr.footprint is FP for tr in store.snapshot())
+        assert len(store.filters) == 2
+        assert all(f.footprint is FP for f in store.filters)
 
     def test_stale_tracks_dropped(self):
         store = TrackStore()
         store.step([obs(0.0, 0.0, 0.0)], 0.0)
-        assert len(store.snapshot()) == 1
+        assert len(store.filters) == 1
         store.step([], 2.0)  # beyond the 1 s staleness timeout
-        assert len(store.snapshot()) == 0
-
-    def test_snapshot_is_read_only(self):
-        """One record serves every reader of a step, so none may write to it."""
-        store = TrackStore(FP)
-        store.step([obs(1.0, 2.0, 0.0)], 0.0)
-        track, = store.snapshot()
-        with pytest.raises(ValueError, match="read-only"):
-            track.state[0] = 5.0
-        with pytest.raises(ValueError, match="read-only"):
-            track.covariance[0, 0] = 5.0
-
-    def test_snapshot_is_built_once_per_step(self):
-        store = TrackStore(FP)
-        store.step([obs(1.0, 2.0, 0.0)], 0.0)
-        first, again = store.snapshot(), store.snapshot()
-        assert first is not again and first[0] is again[0]
-        store.step([obs(1.1, 2.0, 0.1)], 0.1)
-        assert store.snapshot()[0] is not first[0]
+        assert len(store.filters) == 0
 
     def test_velocity_estimation_accuracy(self, monkeypatch):
         """CV target, sigma = 0.1 m at 10 Hz: velocity error < 0.1 m/s after
@@ -400,8 +390,7 @@ class TestTrackStore:
                 else:
                     f.predict(t - f.last_update)
                     f.update(observation)
-            est = f.record().velocity
-            if math.hypot(est[0] - vx, est[1] - vy) < 0.1:
+            if math.hypot(f.vx - vx, f.vy - vy) < 0.1:
                 passed += 1
         assert passed >= 95
 
@@ -478,8 +467,15 @@ class OracleStore:
 
 
 def _record_bits(track: ObstacleTrack):
-    return (track.id, track.footprint, track.state.tobytes(), track.covariance.tobytes(),
+    """A record's id, footprint and floats, its per-axis block as (p, c, v)."""
+    (p, _, c, _), _, (_, _, v, _), _ = track.covariance.tolist()
+    return (track.id, track.footprint, track.state.tobytes(), _bits(p, c, v),
             _bits(track.last_update), _bits(track.last_heading))
+
+
+def _filter_bits(f: _Filter):
+    return (f.id, f.footprint, _bits(f.x, f.y, f.vx, f.vy), _bits(f.p, f.c, f.v),
+            _bits(f.last_update), _bits(f.last_heading))
 
 
 @st.composite
@@ -522,19 +518,21 @@ class TestOracle:
     @settings(max_examples=150, deadline=None)
     @given(steps=observation_streams())
     def test_store_matches_record_filter(self, steps):
-        """Stepped side by side through the same observations, the store and
-        the record-based filter give bit-equal snapshots (id, footprint,
-        state, 4x4 covariance, last update, last heading), and the store's
-        live filters predict the covers of its records to the bit."""
+        """Stepped side by side through the same observations, the store's
+        filters and the record-based filter's records hold bit-equal tracks
+        (id, footprint, state, per-axis block, last update, last heading),
+        and the covers predicted from the filters and from the records are
+        bit-equal."""
         store, oracle = TrackStore(FP), OracleStore(FP)
         times = np.linspace(0.0, 3.0, 7)
         for now, observations in steps:
             store.step(observations, now)
             oracle.step(observations, now)
-            records = store.snapshot()
-            assert [_record_bits(t) for t in records] == [_record_bits(t) for t in oracle.tracks]
+            assert [_filter_bits(f) for f in store.filters] == \
+                [_record_bits(t) for t in oracle.tracks]
             for live, rec in zip(_predicted_obstacle_circles(store.filters, times, now),
-                                 _predicted_obstacle_circles(records, times, now)):
+                                 _predicted_obstacle_circles(oracle.tracks, times, now),
+                                 strict=True):
                 assert _bits(live.anchor_x, live.anchor_y, live.centers) == \
                     _bits(rec.anchor_x, rec.anchor_y, rec.centers)
         assert oracle.dropped >= 1 and oracle.next_id > 3
@@ -564,8 +562,8 @@ for _ in range(200):
         p = np.array([10.0 * i + vx * t, vy * t]) + rng.normal(0.0, 0.05, 2)
         observations.append(Observation((float(p[0]), float(p[1])), t, 0.05**2))
     store.step(observations, t)
-    for track in store.snapshot():
-        digest.update(track.state.tobytes() + track.covariance.tobytes())
+    for f in store.filters:
+        digest.update(np.array([f.x, f.y, f.vx, f.vy, f.p, f.c, f.v]).tobytes())
 print(len(store.filters), digest.hexdigest())
 """
 
@@ -587,3 +585,26 @@ class TestBlasKernel:
             assert run.returncode == 0, run.stderr
             outputs.append(run.stdout)
         assert outputs[0].startswith("2 ") and outputs[0] == outputs[1]
+
+
+def _golden_traces_tool():
+    path = Path(__file__).resolve().parent.parent / "tools" / "golden_traces.py"
+    spec = importlib.util.spec_from_file_location("golden_traces", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestGoldenTool:
+    def test_event_lines_read_filters_as_records(self, scenario_runs):
+        """``tools/golden_traces.py`` writes the same event text for the
+        closed loop's events, which hold filter copies, and for the same
+        events holding the records built from them, as a tree from before
+        the copies produced."""
+        event_lines = _golden_traces_tool()._event_lines
+        events = scenario_runs[("overtake", 0)].events
+        assert events and all(isinstance(tr, _Filter) for ev in events for tr in ev.tracks)
+        as_records = [replace(ev, tracks=list(map(record_of, ev.tracks))) for ev in events]
+        lines = list(event_lines(events))
+        assert any(line.startswith("track ") for line in lines)
+        assert lines == list(event_lines(as_records))

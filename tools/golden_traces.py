@@ -12,8 +12,8 @@ runs the six worlds (the five built-in scenarios and ``blocked``) at seeds
 clearances (which ``trace.csv`` does not hold) written with ``%.17g``, of its
 planning events, and of the saved library CSV: 55 hashes.  The events hash
 covers each event's time, kind, path poses and curves, node timestamps, safe
-intervals, and the id, state, covariance, last update and last heading of
-every track it saw, all written with ``%.17g``; the wall-clock latency is
+intervals, and the id, state, 4x4 covariance, last update and last heading
+of every track it saw, all written with ``%.17g``; the wall-clock latency is
 left out.  So an event that changes while the trace stays the same still
 shows.  It exits 1 and names every hash that differs.  Each run's wall time
 is printed on stderr as it finishes, after the time of the library build,
@@ -76,8 +76,18 @@ def _event_lines(events):
             yield f"node {ni.node_index} " + _g(*(v for si in ni.intervals
                                                   for v in (si.start, si.end)))
         for tr in ev.tracks or ():
-            yield f"track {tr.id} " + _g(*tr.state, *tr.covariance.ravel(), tr.last_update,
-                                         tr.last_heading)
+            yield f"track {tr.id} " + _g(*_track_numbers(tr), tr.last_update, tr.last_heading)
+
+
+def _track_numbers(tr) -> tuple:
+    """A track's state and its 4x4 covariance, row by row.  An event holds
+    copies of the tracker's filters, whose covariance is the per-axis block
+    (p, c, v); one from a tree before that holds ``ObstacleTrack`` records."""
+    if hasattr(tr, "covariance"):
+        return (*tr.state, *tr.covariance.ravel())
+    p, c, v = tr.p, tr.c, tr.v
+    return (tr.x, tr.y, tr.vx, tr.vy, p, 0.0, c, 0.0, 0.0, p, 0.0, c, c, 0.0, v, 0.0,
+            0.0, c, 0.0, v)
 
 
 def compute_hashes(src: str) -> dict[str, str]:
