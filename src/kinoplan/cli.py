@@ -1,10 +1,9 @@
 """Command-line entry point.
 
 Subcommands: gen-library, plan, simulate, bench-sampling, export-plots.
-Every subcommand honors --seed and is bitwise reproducible; the resolved
-configuration and seed are printed before any work happens.  Defaults can be
-overridden through environment variables prefixed KINOPLAN_ (for example
-KINOPLAN_SEED=7 sets --seed); explicit flags always win.
+Every value comes from its flag or the flag's literal default, so a run is
+bitwise reproducible from its command line; plan, simulate and bench-sampling
+take --seed.  The resolved configuration is printed before any work happens.
 
 Exit codes: 0 success, 1 bad input or I/O failure, 2 planning failure,
 3 scenario run failure (time limit).
@@ -35,19 +34,12 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_PATH = 2
 EXIT_SCENARIO_FAILED = 3
-SAMPLING_MODES = ("gmm", "random", "both")
 PLANNER_CONFIG_HELP = (
     "planner config file: 'key = value' lines setting p_th, goal_bias, max_iterations, "
     "rng_seed or world_bounds; --seed and the world's bounds replace the last two.  The "
     "constants D_TH, GMM_SIGMA, ECCENTRICITY, ELLIPSE_MARGIN, CONNECT_RADIUS, "
     "CONNECT_DIST_MIN, CONNECT_DIST_MAX, CONNECT_HEADING_TOL, COLLISION_DS, STATIC_MARGIN "
     "and EXTEND_CANDIDATES of kinoplan.rrt fix the rest")
-
-
-def _env_default(name: str, fallback):
-    """``$KINOPLAN_<NAME>`` if set, else ``fallback``.  argparse casts a string
-    default with the flag's ``type``, so a bad value fails as a bad flag does."""
-    return os.environ.get("KINOPLAN_" + name.upper().replace("-", "_"), fallback)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,7 +97,6 @@ def cmd_gen_library(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    _print_config(args)
     if args.scenario:
         scenario = _resolve_scenario(args.scenario)
         obstacles = scenario.static_obstacles
@@ -122,6 +113,7 @@ def cmd_plan(args) -> int:
         bounds = (min(start.x, goal.x) - pad, min(start.y, goal.y) - pad,
                   max(start.x, goal.x) + pad, max(start.y, goal.y) + pad)
         footprint = default_robot_footprint()
+    _print_config(args, {"start": start, "goal": goal})
     pcfg = PlannerConfig.from_file(args.config) if args.config else PlannerConfig()
     pcfg = replace(pcfg, rng_seed=args.seed, world_bounds=bounds)
     library = CurveLibrary.load_csv(args.library) if args.library else build_curve_library()
@@ -174,7 +166,7 @@ def cmd_bench_sampling(args) -> int:
     library = CurveLibrary.load_csv(args.library) if args.library else build_curve_library()
     footprint = default_robot_footprint()
     headings = list(range(0, 91, 10))
-    modes = ["gmm", "random"] if args.mode == "both" else [args.mode]
+    modes = ("gmm", "random")
     rows = []
     for heading in headings:
         per_mode = {m: {"nodes": [], "time": [], "length": []} for m in modes}
@@ -257,80 +249,57 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="kinoplan",
         description="Kinodynamic planning toolkit: curve-library bi-RRT plus "
-                    "safe-interval temporal optimization.",
-        epilog="Environment overrides: KINOPLAN_<FLAG> (e.g. KINOPLAN_SEED) "
-               "supplies a default for the matching flag.")
+                    "safe-interval temporal optimization.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=_flag("seed", int), default=_env_default("seed", 0),
+        p.add_argument("--seed", type=_flag("seed", int), default=0,
                        help="RNG seed (default 0)")
-        p.add_argument("--out", default=_env_default("out", "out"),
-                       help="output directory (default ./out)")
-        p.add_argument("--library", default=_env_default("library", None),
+        p.add_argument("--out", default="out", help="output directory (default ./out)")
+        p.add_argument("--library",
                        help="curve library CSV; regenerated in-process when omitted")
 
     p = sub.add_parser("gen-library", help="fit the offline curve library")
-    p.add_argument("--config", default=_env_default("config", None),
-                   help="library config file (key = value lines)")
-    p.add_argument("--out", default=_env_default("out", "library.csv"),
+    p.add_argument("--config", help="library config file (key = value lines)")
+    p.add_argument("--out", default="library.csv",
                    help="output CSV path (default library.csv)")
-    p.add_argument("--seed", type=_flag("seed", int), default=_env_default("seed", 0),
-                   help="unused; accepted for interface uniformity")
     p.set_defaults(func=cmd_gen_library)
 
     p = sub.add_parser("plan", help="run one geometric planning query")
     add_common(p)
-    p.add_argument("--scenario", default=_env_default("scenario", None),
-                   help="builtin scenario name or scenario file for the world")
-    p.add_argument("--start", type=_flag("start", Pose), default=None,
-                   help="start pose 'x,y,theta' (radians)")
-    p.add_argument("--goal", type=_flag("goal", Pose), default=None,
-                   help="goal pose 'x,y,theta' (radians)")
-    p.add_argument("--config", default=_env_default("config", None),
-                   help=PLANNER_CONFIG_HELP)
+    p.add_argument("--scenario", help="builtin scenario name or scenario file for the world")
+    p.add_argument("--start", type=_flag("start", Pose), help="start pose 'x,y,theta' (radians)")
+    p.add_argument("--goal", type=_flag("goal", Pose), help="goal pose 'x,y,theta' (radians)")
+    p.add_argument("--config", help=PLANNER_CONFIG_HELP)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("simulate", help="execute a scenario with the full loop")
     add_common(p)
-    p.add_argument("--scenario", required=False,
-                   default=_env_default("scenario", None),
+    p.add_argument("--scenario", required=True,
                    help="builtin name (%s) or scenario file"
                         % "/".join(s.name for s in builtin_scenarios()))
-    p.add_argument("--config", default=_env_default("config", None),
-                   help=PLANNER_CONFIG_HELP)
+    p.add_argument("--config", help=PLANNER_CONFIG_HELP)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bench-sampling",
                        help="GMM vs random sampling benchmark over start headings")
     add_common(p)
-    p.add_argument("--runs", type=_flag("runs", int), default=_env_default("runs", 30),
+    p.add_argument("--runs", type=_flag("runs", int), default=30,
                    help="runs per heading (default 30)")
-    p.add_argument("--mode", choices=SAMPLING_MODES,
-                   default=_env_default("mode", "both"),
-                   help="sampling mode(s) to benchmark (default both)")
     p.set_defaults(func=cmd_bench_sampling)
 
     p = sub.add_parser("export-plots", help="re-render plots from a trace CSV")
     p.add_argument("--trace", required=True, help="trace CSV from simulate")
-    p.add_argument("--scenario", default=_env_default("scenario", None),
+    p.add_argument("--scenario",
                    help="scenario name or file, for world geometry in the plot "
                         "and for the metrics summary")
-    p.add_argument("--out", default=_env_default("out", "out"))
-    p.add_argument("--seed", type=_flag("seed", int), default=_env_default("seed", 0),
-                   help="unused; accepted for interface uniformity")
+    p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_export_plots)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "simulate" and not args.scenario:
-        parser.error("simulate requires --scenario")
-    if args.command == "bench-sampling" and args.mode not in SAMPLING_MODES:
-        # argparse checks choices on flags only, not on a KINOPLAN_MODE default.
-        parser.error(f"--mode must be one of {', '.join(SAMPLING_MODES)}, got {args.mode!r}")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import typing
-from bisect import bisect_right
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 
@@ -47,30 +46,26 @@ class ScriptedObstacle:
         # Row k is the heading held from t[k] until t[k + 1] (row 0 also
         # before, the last row also after): the direction of the last moving
         # segment up to the one that starts at t[k], else 0.0.  A time's row
-        # is ``bisect_right`` of it into the times after the first.
+        # is its right-side ``searchsorted`` into the times after the first.
         rows, heading, held = wp.tolist(), 0.0, []
         for (_, x0, y0), (_, x1, y1) in zip(rows, rows[1:]):
             dx, dy = x1 - x0, y1 - y0
             if dx * dx + dy * dy > 1e-12:
                 heading = math.atan2(dy, dx)
             held.append(heading)
-        self._headings = [*held, heading]
-        self._wrapped = np.array([normalize_angle(h) for h in self._headings])
+        self._wrapped = np.array([normalize_angle(h) for h in (*held, heading)])
 
     def position_at(self, t: float) -> np.ndarray:
         return np.array([np.interp(t, self._t, self._x), np.interp(t, self._t, self._y)])
 
-    def heading_at(self, t: float) -> float:
-        """Direction of the active segment; earlier segments' heading is held
-        across stationary stretches and past the last waypoint."""
-        return self._headings[bisect_right(self._t, t, 1) - 1]
-
     def pose_at(self, t: float) -> Pose:
-        p = self.position_at(t)
-        return Pose(float(p[0]), float(p[1]), self.heading_at(t))
+        """The position at ``t`` and the direction of the active segment; an
+        earlier segment's heading is held across stationary stretches and past
+        the last waypoint."""
+        return Pose(*self.poses_at([t])[0])
 
     def poses_at(self, times) -> list[tuple[float, float, float]]:
-        """``pose_at`` of each time as an (x, y, theta) tuple, to the bit: one
+        """``pose_at`` of each time as an (x, y, theta) tuple: one
         ``np.interp`` per axis and one lookup of the wrapped headings over all
         the times."""
         rows = np.searchsorted(self._t[1:], times, side="right")

@@ -442,6 +442,4 @@ def export_artifacts(trace: TraceLog, out_dir, scenario: Scenario | None = None)
     for k, ev in enumerate(e for e in trace.events if e.node_intervals is not None):
         intervals = [[(si.start, si.end) for si in ni.intervals]
                      for ni in ev.node_intervals]
-        positions = list(range(len(intervals)))
-        plot_intervals(positions, intervals, 60.0,
-                       os.path.join(out_dir, "intervals_%02d.svg" % k))
+        plot_intervals(intervals, os.path.join(out_dir, "intervals_%02d.svg" % k))

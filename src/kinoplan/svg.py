@@ -78,22 +78,27 @@ def speed_color(v: float, v_max: float) -> str:
     return f"#{r:02x}30{b:02x}"
 
 
-def plot_intervals(node_positions, intervals_per_node, horizon: float, path) -> None:
-    """Node-index vs time chart of safe intervals (green) on a dark timeline."""
-    n = max(len(node_positions), 1)
-    cv = SvgCanvas((0.0, 0.0, float(n), min(horizon, 60.0)), width=600)
+def plot_intervals(intervals_per_node, path) -> None:
+    """Node-index vs time chart of safe intervals (green) on a dark timeline,
+    over the first 60 s."""
+    t_max = 60.0
+    cv = SvgCanvas((0.0, 0.0, float(max(len(intervals_per_node), 1)), t_max), width=600)
     for i, intervals in enumerate(intervals_per_node):
-        cv.line(i + 0.5, 0.0, i + 0.5, min(horizon, 60.0), stroke="#cccccc")
+        cv.line(i + 0.5, 0.0, i + 0.5, t_max, stroke="#cccccc")
         for (start, end) in intervals:
-            top = min(end, horizon, 60.0)
+            top = min(end, t_max)
             if top > start:
                 cv.line(i + 0.5, start, i + 0.5, top, stroke="#2a8f2a", stroke_width=6.0)
-    cv.text(0.2, min(horizon, 60.0) - 1.0, "safe intervals per path node", size=14)
+    cv.text(0.2, t_max - 1.0, "safe intervals per path node", size=14)
     cv.write(path)
 
 
 def plot_errorbars(series, labels, path, title: str = "") -> None:
-    """Grouped error-bar chart: series is {name: [(x, mean, half_width), ...]}."""
+    """Grouped error-bar chart: series is {name: [(x, mean, half_width), ...]}.
+    A point whose mean or half-width is not finite (a mode that solved no run)
+    is left out."""
+    series = {name: [pt for pt in pts if math.isfinite(pt[1]) and math.isfinite(pt[2])]
+              for name, pts in series.items()}
     xs = [pt[0] for pts in series.values() for pt in pts]
     ys = [pt[1] + pt[2] for pts in series.values() for pt in pts]
     ylo = min((pt[1] - pt[2] for pts in series.values() for pt in pts), default=0.0)

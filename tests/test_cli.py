@@ -1,4 +1,4 @@
-"""CLI subcommands, exit codes, and environment-variable defaults."""
+"""CLI subcommands, exit codes, and flag values."""
 
 import os
 import subprocess
@@ -13,7 +13,7 @@ import kinoplan
 from kinoplan import cli
 from kinoplan.cli import EXIT_ERROR, EXIT_NO_PATH, EXIT_OK, EXIT_SCENARIO_FAILED
 from kinoplan.collision import footprint_circles
-from kinoplan.geometry import CurveLibrary
+from kinoplan.geometry import CurveLibrary, Pose
 from kinoplan.rrt import PlannerConfig
 from kinoplan.scenarios import get_scenario, save_scenario
 from kinoplan.svg import SvgCanvas
@@ -115,6 +115,19 @@ class TestPlan:
                 expected.circle(cx, cy, car.footprint.radius, fill="#888888")
         for element in expected.elements:
             assert element in svg
+
+    def test_prints_the_endpoints_it_plans_between(self, tmp_path, library_csv, capsys):
+        """With --scenario, the printed start and goal are the scenario's
+        poses unless a flag replaces one; they used to print as None."""
+        scenario = get_scenario("cross")
+        assert cli.main(["plan", "--scenario", "cross", "--goal", "20,1,0",
+                         "--library", library_csv, "--out", str(tmp_path)]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert f"start = {scenario.start}" in out
+        assert f"goal = {Pose(20.0, 1.0, 0.0)}" in out
+        path = (tmp_path / "path.csv").read_text().splitlines()
+        assert [float(v) for v in path[1].split(",")[1:4]] == [
+            scenario.start.x, scenario.start.y, scenario.start.theta]
 
     @pytest.mark.parametrize("command", [["plan", "--start", "0,0,0", "--goal", "10,0,0"],
                                          ["simulate", "--scenario", "cross"]])
@@ -239,10 +252,11 @@ class TestPlan:
 
 
 class TestSimulate:
-    def test_requires_scenario(self):
+    def test_requires_scenario(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate"])
         assert exc.value.code == EXIT_ERROR
+        assert "the following arguments are required: --scenario" in capsys.readouterr().err
 
     def test_unknown_scenario(self, capsys):
         assert cli.main(["simulate", "--scenario", "nonesuch"]) == EXIT_ERROR
@@ -308,6 +322,32 @@ class TestBenchSampling:
         assert len(lines) == 1 + 10 * 2  # headings 0..90 by 10, two modes
         for svg in ("bench_length.svg", "bench_nodes.svg"):
             ET.parse(out / svg)
+
+
+    @pytest.mark.parametrize("failing", ["gmm", "random"])
+    def test_mode_solving_no_run(self, tmp_path, library_csv, monkeypatch, failing):
+        """A mode that solves no run at a heading keeps ``runs 0`` and nan in
+        stats.csv, and the plots leave its points out: a nan used to reach
+        the SVG as a coordinate, or as 'cannot convert float NaN to integer'
+        when it set the plot's box."""
+        plan_path = cli.plan_path
+
+        def plan_or_fail(start, goal, disks, pcfg, *rest):
+            mode = "random" if pcfg.p_th == 0.0 else "gmm"
+            return None if mode == failing else plan_path(start, goal, disks, pcfg, *rest)
+
+        monkeypatch.setattr(cli, "plan_path", plan_or_fail)
+        out = tmp_path / "bench"
+        assert cli.main(["bench-sampling", "--runs", "1", "--library", library_csv,
+                         "--out", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in
+                (out / "stats.csv").read_text().strip().splitlines()[1:]]
+        failed = [row for row in rows if row[1] == failing]
+        assert len(failed) == 10
+        assert all(row[2] == "0" and row[3] == "nan" for row in failed)
+        for svg in ("bench_length.svg", "bench_nodes.svg"):
+            ET.parse(out / svg)
+            assert "nan" not in (out / svg).read_text()
 
 
 def _trace_with_nan(column: str) -> str:
@@ -401,40 +441,6 @@ class TestExportPlots:
         assert not out.exists()
 
 
-class TestEnvironmentDefaults:
-    def test_seed_env_override(self, tmp_path, library_csv, monkeypatch, capsys):
-        monkeypatch.setenv("KINOPLAN_SEED", "9")
-        out = tmp_path / "env"
-        assert cli.main(["plan", "--start", "0,0,0", "--goal", "10,0,0",
-                         "--library", str(library_csv),
-                         "--out", str(out)]) == EXIT_OK
-        assert "seed = 9" in capsys.readouterr().out
-
-    def test_explicit_flag_beats_env(self, tmp_path, library_csv, monkeypatch,
-                                     capsys):
-        monkeypatch.setenv("KINOPLAN_SEED", "9")
-        out = tmp_path / "env2"
-        assert cli.main(["plan", "--start", "0,0,0", "--goal", "10,0,0",
-                         "--seed", "3", "--library", str(library_csv),
-                         "--out", str(out)]) == EXIT_OK
-        assert "seed = 3" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("var,value,message", [
-        ("KINOPLAN_SEED", "abc", "argument --seed: invalid int value: 'abc'"),
-        ("KINOPLAN_SEED", "-3", "argument --seed: seed must be a non-negative integer, got -3"),
-        ("KINOPLAN_RUNS", "2.5", "argument --runs: invalid int value: '2.5'"),
-        ("KINOPLAN_RUNS", "0", "argument --runs: runs must be an integer >= 1, got 0"),
-        ("KINOPLAN_MODE", "gauss", "--mode must be one of gmm, random, both"),
-    ])
-    def test_bad_env_value(self, tmp_path, monkeypatch, capsys, var, value, message):
-        monkeypatch.setenv(var, value)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["bench-sampling", "--out", str(tmp_path)])
-        assert exc.value.code == EXIT_ERROR
-        assert message in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
-
-
 class TestFlagValues:
     @pytest.mark.parametrize("argv,message", [
         (["bench-sampling", "--runs", "0"],
@@ -444,6 +450,8 @@ class TestFlagValues:
         (["simulate", "--scenario", "cross", "--seed", "-3"],
          "argument --seed: seed must be a non-negative integer, got -3"),
         (["plan", "--seed", "-1"], "argument --seed: seed must be a non-negative integer, got -1"),
+        (["plan", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        (["bench-sampling", "--runs", "2.5"], "argument --runs: invalid int value: '2.5'"),
     ])
     def test_bad_count_flag(self, tmp_path, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -461,6 +469,28 @@ class TestFlagValues:
         assert exc.value.code == EXIT_ERROR
         assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-library", "--seed", "1"],
+        ["export-plots", "--trace", "t.csv", "--seed", "1"],
+        ["bench-sampling", "--mode", "gmm"],
+    ])
+    def test_removed_flag(self, tmp_path, capsys, argv):
+        """Neither gen-library nor export-plots draws a random number, and
+        bench-sampling always runs both modes, so none takes these flags."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == EXIT_ERROR
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_environment_sets_no_default(self, tmp_path, library_csv, monkeypatch, capsys):
+        """A value comes from its flag alone: ``KINOPLAN_SEED`` is not read."""
+        monkeypatch.setenv("KINOPLAN_SEED", "9")
+        assert cli.main(["plan", "--start", "0,0,0", "--goal", "10,0,0",
+                         "--library", str(library_csv), "--out", str(tmp_path)]) == EXIT_OK
+        assert "seed = 0\n" in capsys.readouterr().out
 
 
 def _subprocess_env(**extra):

@@ -15,7 +15,9 @@ beside the one the program takes.  ``UNREFERENCED_BY_DESIGN`` names the
 exceptions, each with its reason.
 
 A public method is dead when no code in ``src/``, ``perfbench/`` or
-``tools/`` reads its name, bar ``METHODS_KEPT_BY_DESIGN``.
+``tools/`` reads its name, bar ``METHODS_KEPT_BY_DESIGN``.  A method that
+overrides one of a base class from outside the package counts as read: that
+class's own code calls it (argparse calls ``ArgumentParser.error``).
 
 A parameter with a default, of a function or method of ``src/kinoplan``, is a
 dead knob when no call in ``src/``, ``perfbench/`` or ``tools/`` to a name it
@@ -29,6 +31,12 @@ to ``dataclasses.replace``: only a config file or a test could set it, so it
 belongs in a module constant.  ``LibraryConfig`` and ``Scenario`` are the
 schemas of saved files, so they are not checked.
 
+Each flag a CLI subcommand adds is a dead knob when the command function that
+``set_defaults(func=...)`` names never reads it as ``args.<dest>``; printing
+the whole namespace does not count as a read.  No code in ``src/kinoplan``
+reads the environment (``os.environ``, ``os.getenv``): a value the program
+uses comes from its flag, config file or scenario file.
+
 Every field of the four config classes has a rule in
 ``configfile.FIELD_RULES``, so a new field cannot skip validation; a field
 whose own type checks it is exempt.  Every rule governs a name: a config
@@ -40,6 +48,7 @@ of the trace CSV, which ``TraceLog.from_csv`` checks cell by cell.
 
 import ast
 import math
+import pydoc
 import re
 from pathlib import Path
 
@@ -135,16 +144,34 @@ def _dead_public(modules: dict[str, ast.Module], users) -> list[str]:
             and name not in UNREFERENCED_BY_DESIGN]
 
 
+def _outside_base_names(tree: ast.Module, cls: ast.ClassDef) -> set[str]:
+    """The attribute names of the bases of ``cls`` that come from outside the
+    package: a builtin, or a name an absolute import of ``tree`` binds."""
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.update((a.asname or a.name, f"{node.module}.{a.name}") for a in node.names)
+    names = set()
+    for base in cls.bases:
+        head, dot, rest = ast.unparse(base).partition(".")
+        found = pydoc.locate(imported.get(head, head) + dot + rest)
+        if isinstance(found, type):
+            names.update(dir(found))
+    return names
+
+
 def _dead_methods(modules: dict[str, ast.Module], users) -> list[str]:
     """``module.py:line: Class.method`` of each public method of the classes
-    of ``modules`` whose name no tree of ``users`` reads, bar
-    ``METHODS_KEPT_BY_DESIGN``."""
+    of ``modules`` whose name no tree of ``users`` reads and that overrides no
+    method of a base from outside the package, bar ``METHODS_KEPT_BY_DESIGN``."""
     used = set().union(*(_uses(tree) for tree in users))
     return [f"{module}.py:{item.lineno}: {node.name}.{item.name}"
             for module, tree in modules.items() for node in tree.body
             if isinstance(node, ast.ClassDef) for item in node.body
             if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
-            and item.name not in used
+            and item.name not in used | _outside_base_names(tree, node)
             and f"{node.name}.{item.name}" not in METHODS_KEPT_BY_DESIGN]
 
 
@@ -194,6 +221,56 @@ def _dead_parameters(modules: dict[str, ast.Module], callers) -> list[str]:
                     or None in passed or f"{name}({param})" in PARAMETERS_KEPT_BY_DESIGN):
                 dead.append(f"{module}.py:{line}: {name}({param})")
     return dead
+
+
+def _unread_flags(tree: ast.Module) -> list[str]:
+    """``subcommand --flag`` of each flag that ``build_parser`` in ``tree``
+    adds to a subcommand, directly or through a helper it defines and calls,
+    and that the command function ``set_defaults(func=...)`` names never
+    reads as an attribute of its first parameter."""
+    build = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "build_parser")
+    helpers = {fn.name: _calls(fn, "add_argument")
+               for fn in build.body if isinstance(fn, ast.FunctionDef)}
+    added, funcs, command = {}, {}, None
+    for stmt in build.body:
+        if isinstance(stmt, ast.FunctionDef):
+            continue
+        for call in (node for node in ast.walk(stmt) if isinstance(node, ast.Call)):
+            name = _callee(call)
+            if name == "add_parser":
+                command = call.args[0].value
+                added[command] = []
+            elif name == "set_defaults":
+                funcs[command] = next(kw.value.id for kw in call.keywords if kw.arg == "func")
+            elif command is not None and (name == "add_argument" or name in helpers):
+                added[command] += [call] if name == "add_argument" else helpers[name]
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    unread = []
+    for command, calls in added.items():
+        fn = functions[funcs[command]]
+        param = fn.args.args[0].arg
+        read = {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == param}
+        for call in calls:
+            flag = call.args[0].value
+            dest = next((kw.value.value for kw in call.keywords if kw.arg == "dest"),
+                        flag.lstrip("-").replace("-", "_"))
+            if dest not in read:
+                unread.append(f"{command} {flag}")
+    return unread
+
+
+def _environment_reads(modules: dict[str, ast.Module]) -> list[str]:
+    """``module.py:line: name`` of each ``environ`` or ``getenv`` that
+    ``modules`` read, as an attribute or as an imported name."""
+    reads = []
+    for module, tree in modules.items():
+        found = {(node.lineno, node.attr if isinstance(node, ast.Attribute) else node.id)
+                 for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
+        reads += [f"{module}.py:{line}: {name}" for line, name in sorted(found)
+                  if name in ("environ", "getenv")]
+    return reads
 
 
 def _fields(tree: ast.Module, cls: str) -> list[str]:
@@ -326,6 +403,64 @@ def test_the_method_check_sees_a_dead_method():
                        "    def objective(self): pass\n    def unread(self): pass\n")
     user = ast.parse("p.called()\nx = p.read\n")
     assert _dead_methods({"m": module}, [user]) == ["m.py:6: TimingProblem.unread"]
+
+
+def test_the_method_check_counts_an_outside_override():
+    """A method that overrides one of a base from outside the package, named
+    by module or imported by name, is read by that base; the same name on a
+    class with no such base, or on one whose base is in the package, is not."""
+    module = ast.parse("import argparse\nfrom argparse import ArgumentParser as AP\n"
+                       "from .m import Base\n"
+                       "class P(argparse.ArgumentParser):\n    def error(self, m): pass\n"
+                       "    def unread(self): pass\n"
+                       "class Q(AP):\n    def error(self, m): pass\n"
+                       "class R(Base):\n    def error(self, m): pass\n"
+                       "class E(ValueError):\n    def with_traceback(self, tb): pass\n"
+                       "class S:\n    def error(self): pass\n")
+    assert _dead_methods({"m": module}, []) == [
+        "m.py:6: P.unread", "m.py:10: R.error", "m.py:14: S.error"]
+
+
+def test_every_flag_is_read_by_its_command():
+    unread = _unread_flags(MODULES["cli"])
+    assert not unread, ("flags that their command function never reads "
+                        "(delete them):\n" + "\n".join(unread))
+
+
+def test_the_flag_check_sees_an_unread_flag():
+    """Flags added directly, through a helper and with ``dest``, read by the
+    command or only printed: the printed one and the one no function reads
+    are dead, and a read in another command does not count."""
+    tree = ast.parse(
+        "def show(args):\n    print(args.quiet)\n"
+        "def cmd_a(args):\n    show(args)\n    return args.out, args.seed\n"
+        "def cmd_b(ns):\n    return ns.level, ns.out\n"
+        "def build_parser():\n"
+        "    sub = Parser().add_subparsers()\n"
+        "    def common(p):\n        p.add_argument('--out')\n"
+        "    p = sub.add_parser('a')\n    common(p)\n"
+        "    p.add_argument('--seed')\n    p.add_argument('--quiet')\n"
+        "    p.set_defaults(func=cmd_a)\n"
+        "    p = sub.add_parser('b')\n    common(p)\n"
+        "    p.add_argument('--log-level', dest='level')\n    p.add_argument('--seed')\n"
+        "    p.set_defaults(func=cmd_b)\n"
+        "    return sub\n")
+    assert _unread_flags(tree) == ["a --quiet", "b --seed"]
+
+
+def test_no_code_reads_the_environment():
+    reads = _environment_reads(MODULES)
+    assert not reads, ("environment reads in src/kinoplan (take the value from a flag "
+                       "or a file):\n" + "\n".join(reads))
+
+
+def test_the_environment_check_sees_a_read():
+    """``os.environ``, ``os.getenv`` and an imported ``environ`` are reads;
+    ``os.path`` and the import itself are not."""
+    tree = ast.parse("import os\nfrom os import environ\nos.path.join('a')\n"
+                     "a = os.environ.get('A')\nb = os.getenv('B')\nc = environ['C']\n")
+    assert _environment_reads({"m": tree}) == [
+        "m.py:4: environ", "m.py:5: getenv", "m.py:6: environ"]
 
 
 def test_every_parameter_with_a_default_is_passed_by_a_program():

@@ -1,7 +1,7 @@
 """Scenario definitions, scripted obstacles, and the scenario file format."""
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -20,8 +20,8 @@ HEADER = ["name x", "bounds -5 -5 15 5", "start 0 0 0", "goal 10 0 0"]
 
 
 def _heading_walk(waypoints, t: float) -> float:
-    """``ScriptedObstacle.heading_at`` as a walk over the waypoint rows at
-    every call, the oracle of its lookup table."""
+    """The heading of ``ScriptedObstacle.pose_at`` before wrapping, as a walk
+    over the waypoint rows at every call: the oracle of its lookup table."""
     wp = np.asarray(waypoints, dtype=float)
     heading = 0.0
     for i in range(len(wp) - 1):
@@ -60,15 +60,15 @@ class TestScriptedObstacle:
     def test_heading_follows_segment(self):
         ob = ScriptedObstacle(0, CAR, [(0.0, 0.0, 0.0), (1.0, 0.0, 2.0),
                                        (2.0, 3.0, 2.0)])
-        assert ob.heading_at(0.5) == pytest.approx(math.pi / 2.0)
-        assert ob.heading_at(1.5) == pytest.approx(0.0)
+        assert ob.pose_at(0.5).theta == pytest.approx(math.pi / 2.0)
+        assert ob.pose_at(1.5).theta == pytest.approx(0.0)
         # Held past the last waypoint.
-        assert ob.heading_at(50.0) == pytest.approx(0.0)
+        assert ob.pose_at(50.0).theta == pytest.approx(0.0)
 
     def test_heading_held_while_stationary(self):
         ob = ScriptedObstacle(0, CAR, [(0.0, 0.0, 0.0), (1.0, 0.0, 2.0),
                                        (5.0, 0.0, 2.0)])
-        assert ob.heading_at(3.0) == pytest.approx(math.pi / 2.0)
+        assert ob.pose_at(3.0).theta == pytest.approx(math.pi / 2.0)
 
     @settings(max_examples=300, deadline=None)
     @given(waypoints=st.builds(lambda *a: _script(*a), st.floats(-5.0, 5.0),
@@ -78,8 +78,8 @@ class TestScriptedObstacle:
                                                   st.floats(-10.0, 10.0)), max_size=6)),
            extra=st.lists(st.floats(-20.0, 50.0), max_size=10))
     def test_heading_table_matches_row_walk(self, waypoints, extra):
-        """``heading_at`` and ``poses_at`` give the bits of the per-call walk
-        over the waypoint rows: before the first waypoint, on each one,
+        """``pose_at`` and ``poses_at`` give the bits of the per-call walk
+        over the waypoint rows, wrapped: before the first waypoint, on each one,
         between them, across stationary stretches and steps at the 1e-6 m
         threshold, past the last one, and for a one-waypoint script."""
         ob = ScriptedObstacle(0, CAR, waypoints)
@@ -87,11 +87,10 @@ class TestScriptedObstacle:
         times = [t[0] - 1.0, *t, *((a + b) / 2.0 for a, b in zip(t, t[1:])), t[-1] + 1.0,
                  *extra]
         walk = [_heading_walk(waypoints, u) for u in times]
-        assert _float_bits(map(ob.heading_at, times)) == _float_bits(walk)
         xs, ys = (np.interp(times, t, [row[j] for row in waypoints]).tolist() for j in (1, 2))
-        want = [(x, y, normalize_angle(h)) for x, y, h in zip(xs, ys, walk)]
-        assert _float_bits(v for pose in ob.poses_at(times) for v in pose) == \
-            _float_bits(v for pose in want for v in pose)
+        want = _float_bits(v for x, y, h in zip(xs, ys, walk) for v in (x, y, normalize_angle(h)))
+        assert _float_bits(v for u in times for v in astuple(ob.pose_at(u))) == want
+        assert _float_bits(v for pose in ob.poses_at(times) for v in pose) == want
 
     def test_bad_waypoints(self):
         with pytest.raises(ValueError):

@@ -385,7 +385,7 @@ class TestBroadPhase:
         velocity = (car.position_at(1.0) - car.position_at(0.0)) / 1.0
         track = ObstacleTrack(id=0, state=np.concatenate([car.position_at(0.0), velocity]),
                               covariance=np.eye(4) * 1e-4, footprint=car.footprint,
-                              last_update=0.0, last_heading=car.heading_at(0.0))
+                              last_update=0.0, last_heading=car.pose_at(0.0).theta)
         seen = []
 
         def counting(a, b):

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -597,14 +596,15 @@ def _golden_traces_tool():
 
 class TestGoldenTool:
     def test_event_lines_read_filters_as_records(self, scenario_runs):
-        """``tools/golden_traces.py`` writes the same event text for the
-        closed loop's events, which hold filter copies, and for the same
-        events holding the records built from them, as a tree from before
-        the copies produced."""
+        """``tools/golden_traces.py`` writes each track of the closed loop's
+        events, which hold filter copies, as the record built from it: id,
+        state, the 4x4 covariance row by row, last update and last heading.
+        That layout keeps the event hashes comparable across trees."""
         event_lines = _golden_traces_tool()._event_lines
         events = scenario_runs[("overtake", 0)].events
         assert events and all(isinstance(tr, _Filter) for ev in events for tr in ev.tracks)
-        as_records = [replace(ev, tracks=list(map(record_of, ev.tracks))) for ev in events]
-        lines = list(event_lines(events))
-        assert any(line.startswith("track ") for line in lines)
-        assert lines == list(event_lines(as_records))
+        want = [f"track {rec.id} " + " ".join("%.17g" % v for v in (
+                    *rec.state, *rec.covariance.ravel(), rec.last_update, rec.last_heading))
+                for rec in (record_of(tr) for ev in events for tr in ev.tracks)]
+        assert want
+        assert [line for line in event_lines(events) if line.startswith("track ")] == want

@@ -15,11 +15,13 @@ covers each event's time, kind, path poses and curves, node timestamps, safe
 intervals, and the id, state, 4x4 covariance, last update and last heading
 of every track it saw, all written with ``%.17g``; the wall-clock latency is
 left out.  So an event that changes while the trace stays the same still
-shows.  It exits 1 and names every hash that differs.  Each run's wall time
-is printed on stderr as it finishes, after the time of the library build,
-next to the run's planning time: the summed latency of its initial and
-replan events, the quantity the benchmark's closed-loop ``queries_per_s`` is
-built from.  The two trees run side by side, so the times are comparable
+shows.  The tool reads each track as a copy of a tracker filter, so a
+``--base`` whose events hold ``ObstacleTrack`` records instead fails to
+hash.  It exits 1 and names every hash that differs.  Each run's wall time is
+printed on stderr as it finishes, after the time of the library build, next
+to the run's planning time: the summed latency of its initial and replan
+events, the quantity the benchmark's closed-loop ``queries_per_s`` is built
+from.  The two trees run side by side, so the times are comparable
 only as pairs.
 
 The BLAS and OpenMP pools are pinned to one thread in both subprocesses, as
@@ -80,11 +82,8 @@ def _event_lines(events):
 
 
 def _track_numbers(tr) -> tuple:
-    """A track's state and its 4x4 covariance, row by row.  An event holds
-    copies of the tracker's filters, whose covariance is the per-axis block
-    (p, c, v); one from a tree before that holds ``ObstacleTrack`` records."""
-    if hasattr(tr, "covariance"):
-        return (*tr.state, *tr.covariance.ravel())
+    """A track's state and its 4x4 covariance, row by row, built from the
+    per-axis block (p, c, v) of the tracker filter an event holds a copy of."""
     p, c, v = tr.p, tr.c, tr.v
     return (tr.x, tr.y, tr.vx, tr.vy, p, 0.0, c, 0.0, 0.0, p, 0.0, c, c, 0.0, v, 0.0,
             0.0, c, 0.0, v)
