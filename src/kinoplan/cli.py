@@ -52,11 +52,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _flag(name: str, tp):
     """An argparse ``type`` for field ``name``: the text cast to ``tp``
-    (``configfile.cast``) and then checked by the field's rule; a Pose is
-    built from 'x,y,theta' by ``checked_pose``.  Text that does not cast
-    reads ``invalid <tp> value``."""
+    (``configfile.cast``; split on commas unless ``tp`` is str, so a path
+    stays whole) and then checked by the field's rule; a Pose is built from
+    'x,y,theta' by ``checked_pose``.  Text that does not cast reads
+    ``invalid <tp> value``."""
     def read(text: str):
-        value = cast(tp, text.split(","))
+        value = cast(tp, [text] if tp is str else text.split(","))
         try:
             if tp is Pose:
                 return checked_pose(name, value)
@@ -149,8 +150,7 @@ def cmd_simulate(args) -> int:
     pcfg = PlannerConfig.from_file(args.config) if args.config else None
     library = CurveLibrary.load_csv(args.library) if args.library else None
     trace = run_scenario(scenario, planner_config=pcfg, seed=args.seed, library=library)
-    if args.out:
-        export_artifacts(trace, args.out, scenario)
+    export_artifacts(trace, args.out, scenario)
     m = metrics(trace)
     lat = [e.latency for e in trace.events]
     print("metrics success=%s total_time=%.2f total_length=%.3f min_clearance=%.3f"
@@ -255,13 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--seed", type=_flag("seed", int), default=0,
                        help="RNG seed (default 0)")
-        p.add_argument("--out", default="out", help="output directory (default ./out)")
+        p.add_argument("--out", type=_flag("out", str), default="out",
+                       help="output directory (default ./out)")
         p.add_argument("--library",
                        help="curve library CSV; regenerated in-process when omitted")
 
     p = sub.add_parser("gen-library", help="fit the offline curve library")
     p.add_argument("--config", help="library config file (key = value lines)")
-    p.add_argument("--out", default="library.csv",
+    p.add_argument("--out", type=_flag("out", str), default="library.csv",
                    help="output CSV path (default library.csv)")
     p.set_defaults(func=cmd_gen_library)
 
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario",
                    help="scenario name or file, for world geometry in the plot "
                         "and for the metrics summary")
-    p.add_argument("--out", default="out")
+    p.add_argument("--out", type=_flag("out", str), default="out")
     p.set_defaults(func=cmd_export_plots)
     return parser
 

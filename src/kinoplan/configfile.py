@@ -39,6 +39,7 @@ _RULES = (
     ("finite xmin ymin xmax ymax with xmin < xmax and ymin < ymax",
      lambda v: v is not None and len(v) == 4 and _finite(v) and v[0] < v[2] and v[1] < v[3],
      "bounds world_bounds"),
+    ("a non-empty path", bool, "out"),
 )
 FIELD_RULES = {name: (rule, test) for rule, test, names in _RULES for name in names.split()}
 

@@ -13,7 +13,7 @@ longer (``geometry.reachable_within``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .geometry import (
     Pose,
     curvature_at,
     fit_curve,
+    integrate_endpoint,
     local_curve_samples,
     normalize_angle,
     reachable_within,
@@ -201,18 +202,20 @@ class Path:
         return len(self.poses)
 
     def dense_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """(s_grid, poses) arrays sampled every <= ``DENSE_DS`` along the whole
-        path; built on the first call."""
+        """(s_grid, poses) arrays along the whole path, built on the first call:
+        curve i adds the rows of ``local_curve_samples(curve, DENSE_DS)``
+        placed at node i, each at the arc length it was computed at, row k at
+        arc_lengths[i] + k ``DENSE_DS`` and the last at arc_lengths[i + 1]."""
         if self._dense is not None:
             return self._dense
         s_list = [0.0]
         p_list = [self.poses[0].as_array()]
         for i, curve in enumerate(self.curves):
-            base = self.poses[i]
             offs = local_curve_samples(curve, DENSE_DS)
-            svals = np.linspace(0.0, curve.s_f, len(offs))[1:] + self.arc_lengths[i]
-            s_list.extend(svals.tolist())
-            p_list.extend(base.place(offs[1:]).tolist())
+            svals = self.arc_lengths[i] + DENSE_DS * np.arange(len(offs))
+            svals[-1] = self.arc_lengths[i + 1]
+            s_list.extend(svals[1:].tolist())
+            p_list.extend(self.poses[i].place(offs[1:]).tolist())
         self._dense = (np.asarray(s_list), np.asarray(p_list))
         return self._dense
 
@@ -226,27 +229,21 @@ class Path:
         return Pose(float(x), float(y), float(th))
 
     def subpath_from(self, s0: float) -> "Path":
-        """The remainder of the path starting at arc length ``s0``.
+        """The rest of the path from arc length ``s0`` in [0, total_length].
 
-        The first pose is the interpolated pose at s0; the first edge is
-        approximated by refitting a curve from there to the next node.
+        An ``s0`` within 1e-6 m of a node gives that node's suffix.  Otherwise
+        the first pose is the exact pose at local arc length u on the curve
+        that holds ``s0`` (the row ``local_curve_samples`` gives at u), and
+        the first edge is that curve's own tail, kappa(u + s) for s in
+        [0, s_f - u]: the curve reversed, cut and reversed back.
         """
-        if s0 <= 1e-9:
-            return self
-        idx = int(np.searchsorted(self.arc_lengths, s0, side="right")) - 1
-        idx = min(idx, len(self.curves) - 1)
-        if s0 >= self.arc_lengths[idx + 1] - 1e-6:
-            idx += 1
-            return Path(self.poses[idx:], self.curves[idx:])
-        start_pose = self.pose_at(s0)
-        nxt = self.poses[idx + 1]
-        offset = start_pose.local_offset(nxt)
-        stub = fit_curve(curvature_at(self.curves[idx], s0 - self.arc_lengths[idx]),
-                         offset, kappa_max=10.0)
-        if stub is None:
-            # Fall back to dropping the partial edge.
-            return Path(self.poses[idx + 1:], self.curves[idx + 1:])
-        return Path([start_pose] + self.poses[idx + 1:], [stub] + self.curves[idx + 1:])
+        i = int(np.searchsorted(self.arc_lengths, s0 - 1e-6))
+        if self.arc_lengths[i] <= s0 + 1e-6:
+            return Path(self.poses[i:], self.curves[i:])
+        curve, u = self.curves[i - 1], s0 - self.arc_lengths[i - 1]
+        start = self.poses[i - 1].transform(*integrate_endpoint(replace(curve, s_f=u)))
+        tail = replace(curve.reversed(), s_f=curve.s_f - u).reversed()
+        return Path([start] + self.poses[i:], [tail] + self.curves[i:])
 
     def to_csv(self, path) -> None:
         """Rows [i, x, y, theta, a, b, c, s_f]; the last row has no outgoing curve."""

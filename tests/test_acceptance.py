@@ -282,6 +282,29 @@ def test_constraint_feasibility(scenario_runs, blocked_run):
     assert checked >= 50
 
 
+def test_executed_speed_keeps_v_max(scenario_runs, blocked_run):
+    """The speed of every tick keeps ``v_max``: the executed poses lie on the
+    planned curves, at the arc lengths s(t) gives."""
+    runs = [(name, trace) for (name, _seed), trace in scenario_runs.items()]
+    for name, trace in runs + [("blocked", blocked_run)]:
+        assert max(trace.velocities) <= get_scenario(name).v_max + 1e-6, name
+
+
+def test_pose_speed_follows_s_of_t(scenario_runs, blocked_run):
+    """Inside every adopted trajectory, the speed from ``poses_at`` in 5 ms
+    steps is the speed from s(t) within 5e-3 m/s.  Not closer: ``poses_at``
+    interpolates along the dense table's 0.1 m chords, each shorter than its
+    arc by up to kappa^2 ds^3 / 24."""
+    dt = 0.005
+    for name, ev in _adopted_events(scenario_runs, blocked_run):
+        traj = ev.trajectory
+        t = np.arange(0.0, traj.duration, dt)
+        poses = traj.poses_at(t)
+        v_pose = np.hypot(np.diff(poses[:, 0]), np.diff(poses[:, 1])) / dt
+        v_s = np.diff(np.interp(t, traj.timestamps, traj.path.arc_lengths)) / dt
+        assert np.max(np.abs(v_pose - v_s)) <= 5e-3, f"{name} at t = {ev.time}"
+
+
 # -- 7: all five scenarios succeed safely across ten seeds -----------------
 
 def test_end_to_end_safety(scenario_runs):

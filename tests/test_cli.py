@@ -485,6 +485,32 @@ class TestFlagValues:
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["gen-library"],
+        ["plan", "--start", "0,0,0", "--goal", "10,0,0"],
+        ["simulate", "--scenario", "cross"],
+        ["bench-sampling", "--runs", "1"],
+        ["export-plots", "--trace", "t.csv"],
+    ])
+    def test_empty_out(self, tmp_path, monkeypatch, capsys, argv):
+        """An empty --out is a usage error before any work: no configuration
+        is printed and nothing is written."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", ""])
+        assert exc.value.code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "argument --out: out must be a non-empty path" in captured.err
+        assert captured.out == ""
+        assert not any(tmp_path.iterdir())
+
+    def test_out_path_keeps_its_commas(self, tmp_path):
+        cfg = tmp_path / "lib.cfg"
+        cfg.write_text(TINY_CONFIG)
+        out = tmp_path / "a,b.csv"
+        assert cli.main(["gen-library", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert len(CurveLibrary.load_csv(out).entries) == 1
+
     def test_environment_sets_no_default(self, tmp_path, library_csv, monkeypatch, capsys):
         """A value comes from its flag alone: ``KINOPLAN_SEED`` is not read."""
         monkeypatch.setenv("KINOPLAN_SEED", "9")

@@ -1,16 +1,19 @@
 """Bidirectional RRT planning: sampling, extension, connection, determinism."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinoplan.collision import FootprintSpec, ObstacleShape, default_robot_footprint
-from kinoplan.geometry import CurveParams, Pose, normalize_angle
+from kinoplan.geometry import (CurveParams, Pose, curvature_at, integrate_endpoint,
+                               local_curve_samples, max_abs_curvature, normalize_angle)
 from kinoplan import rrt
-from kinoplan.rrt import (EXTEND_CANDIDATES, GMM_SIGMA, Path, PlannerConfig, Tree, TreeNode,
-                          extend, gmm_sample, plan_path, random_sample)
+from kinoplan.rrt import (DENSE_DS, EXTEND_CANDIDATES, GMM_SIGMA, Path, PlannerConfig, Tree,
+                          TreeNode, extend, gmm_sample, plan_path, random_sample)
 
 FOOTPRINT = default_robot_footprint()
 
@@ -228,15 +231,77 @@ class TestPath:
         table = path.dense_samples()
         assert path.dense_samples() is table
 
+    @pytest.mark.parametrize("s_f", [3.05, 3.95])
+    def test_pose_at_is_exact_on_straight_curves(self, s_f):
+        """A straight curve whose length is no multiple of ``DENSE_DS`` (the
+        last step is short) places every sample at its own arc length."""
+        path = Path([Pose(0.0, 0.0, 0.0), Pose(s_f, 0.0, 0.0)],
+                    [CurveParams(0.0, 0.0, 0.0, 0.0, s_f)])
+        grid, _ = path.dense_samples()
+        assert grid[-1] == s_f
+        for s in np.concatenate([grid, np.linspace(0.0, s_f, 97)]):
+            pose = path.pose_at(s)
+            assert abs(pose.x - s) <= 1e-9 and pose.y == 0.0
+
+    @given(st.lists(st.tuples(st.floats(-0.7, 0.7), st.floats(-0.1, 0.1),
+                              st.floats(-0.02, 0.02), st.floats(-0.004, 0.004),
+                              st.floats(0.05, 4.5)), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_dense_rows_lie_on_the_curves(self, coeffs):
+        """Each dense row is the pose of the curve cut at the row's arc
+        length; between rows, ``pose_at`` stays within the chord bound
+        kappa_max ds^2 / 8 of the curve."""
+        curves = [CurveParams(*c) for c in coeffs]
+        poses = [Pose(1.0, -2.0, 0.5)]
+        for c in curves:
+            poses.append(poses[-1].transform(*integrate_endpoint(c)))
+        path = Path(poses, curves)
+        grid, dense = path.dense_samples()
+
+        def exact(s):
+            i = min(int(np.searchsorted(path.arc_lengths, s, side="right")) - 1,
+                    len(curves) - 1)
+            u = s - path.arc_lengths[i]
+            return poses[i] if u <= 0.0 else \
+                poses[i].transform(*integrate_endpoint(replace(curves[i], s_f=u)))
+
+        for s, row in zip(grid, dense):
+            want = exact(s)
+            assert math.hypot(row[0] - want.x, row[1] - want.y) <= 1e-9
+            assert abs(normalize_angle(row[2] - want.theta)) <= 1e-9
+        kappa_max = max(max_abs_curvature(c) for c in curves)
+        for s in (grid[1:] + grid[:-1]) / 2.0:
+            got, want = path.pose_at(s), exact(s)
+            assert math.hypot(got.x - want.x, got.y - want.y) <= \
+                1.01 * kappa_max * DENSE_DS ** 2 / 8.0 + 1e-9
+
     def test_subpath_from(self, library):
+        """The remainder drives the rest of the planned curve: its first edge
+        is the current curve's tail, whose samples, placed at the exact start
+        pose, are the original curve's from s0 on."""
         path = plan_empty(library, 1).path
         s0 = path.total_length * 0.4
         sub = path.subpath_from(s0)
-        assert sub.total_length == pytest.approx(path.total_length - s0, abs=0.2)
-        start = path.pose_at(s0)
-        assert (sub.poses[0].x, sub.poses[0].y) == \
-            pytest.approx((start.x, start.y), abs=0.2)
+        assert abs(sub.total_length - (path.total_length - s0)) <= 1e-9
+        i = int(np.searchsorted(path.arc_lengths, s0)) - 1
+        curve, tail, u = path.curves[i], sub.curves[0], s0 - path.arc_lengths[i]
+        assert sub.poses[1:] == path.poses[i + 1:] and sub.curves[1:] == path.curves[i + 1:]
+        got = sub.poses[0].place(local_curve_samples(tail, DENSE_DS))
+        for k, row in enumerate(got):
+            want = path.poses[i].transform(*integrate_endpoint(
+                replace(curve, s_f=min(u + k * DENSE_DS, curve.s_f))))
+            assert math.hypot(row[0] - want.x, row[1] - want.y) <= 1e-6
+        g = np.linspace(0.0, tail.s_f, 201)
+        assert np.max(np.abs(curvature_at(tail, g))) <= \
+            np.max(np.abs(curvature_at(curve, np.minimum(u + g, curve.s_f)))) + 1e-12
         assert sub.poses[-1] == path.poses[-1]
+        # At an interior node, or within 1e-6 m of it on either side, the
+        # remainder is that node's suffix.
+        assert len(path.curves) >= 3
+        for s0 in (path.arc_lengths[2], path.arc_lengths[2] - 5e-7,
+                   path.arc_lengths[2] + 5e-7):
+            sub = path.subpath_from(s0)
+            assert sub.poses == path.poses[2:] and sub.curves == path.curves[2:]
 
     def test_to_csv(self, library, tmp_path):
         path = plan_empty(library, 1).path
@@ -317,6 +382,5 @@ class TestPlannerConfig:
 
 
 def sample_end(base, curve):
-    from kinoplan.geometry import integrate_endpoint
     dx, dy, dth = integrate_endpoint(curve)
     return base.transform(dx, dy, dth)

@@ -608,3 +608,21 @@ class TestGoldenTool:
                 for rec in (record_of(tr) for ev in events for tr in ev.tracks)]
         assert want
         assert [line for line in event_lines(events) if line.startswith("track ")] == want
+
+    def test_behaviour_reads_the_trace(self, scenario_runs):
+        """The tool's behaviour summary of ``overtake`` seed 0 holds the
+        trace's own figures."""
+        trace = scenario_runs[("overtake", 0)]
+        got = _golden_traces_tool().behaviour(trace)
+        kinds = [ev.kind for ev in trace.events]
+        failed = [ev.kind for ev in trace.events if ev.trajectory is None]
+        assert got == {
+            "success": trace.success,
+            "ticks": len(trace.times),
+            "events": {k: kinds.count(k) for k in sorted(set(kinds))},
+            "failed": {k: failed.count(k) for k in sorted(set(kinds))},
+            "max_speed": round(max(trace.velocities), 6),
+            "max_abs_a": round(max(abs(a) for a in trace.accelerations), 6),
+            "min_clearance": round(min(trace.clearances), 3),
+        }
+        assert got["success"] and got["events"]["retime"] > got["failed"]["retime"] > 0

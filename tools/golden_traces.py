@@ -17,7 +17,10 @@ of every track it saw, all written with ``%.17g``; the wall-clock latency is
 left out.  So an event that changes while the trace stays the same still
 shows.  The tool reads each track as a copy of a tracker filter, so a
 ``--base`` whose events hold ``ObstacleTrack`` records instead fails to
-hash.  It exits 1 and names every hash that differs.  Each run's wall time is
+hash.  It exits 1 and names every hash that differs.  For every run whose
+behaviour differs, it also prints one line with both trees' figures: success,
+ticks, events and failed events per kind, the largest tick speed and |a|, and
+the smallest clearance to 1e-3 (``behaviour``).  Each run's wall time is
 printed on stderr as it finishes, after the time of the library build, next
 to the run's planning time: the summed latency of its initial and replan
 events, the quantity the benchmark's closed-loop ``queries_per_s`` is built
@@ -89,16 +92,41 @@ def _track_numbers(tr) -> tuple:
             0.0, c, 0.0, v)
 
 
-def compute_hashes(src: str) -> dict[str, str]:
+def behaviour(trace) -> dict:
+    """What a run did: success, ticks, events and failed events (no
+    trajectory) per kind, the largest tick speed and |a| rounded to 1e-6, and
+    the smallest clearance rounded to 1e-3."""
+    kinds = sorted({ev.kind for ev in trace.events})
+    return {
+        "success": trace.success,
+        "ticks": len(trace.times),
+        "events": {k: sum(ev.kind == k for ev in trace.events) for k in kinds},
+        "failed": {k: sum(ev.kind == k and ev.trajectory is None for ev in trace.events)
+                   for k in kinds},
+        "max_speed": round(max(trace.velocities), 6),
+        "max_abs_a": round(max(map(abs, trace.accelerations)), 6),
+        "min_clearance": round(min(trace.clearances), 3),
+    }
+
+
+def _describe(b: dict) -> str:
+    events = " ".join(f"{k}={n}/{b['failed'][k]}" for k, n in b["events"].items())
+    return (f"success={b['success']} ticks={b['ticks']} {events} "
+            f"max_speed={b['max_speed']:.6f} max_abs_a={b['max_abs_a']:.3f} "
+            f"min_clearance={b['min_clearance']:.3f}")
+
+
+def compute_hashes(src: str) -> tuple[dict[str, str], dict[str, dict]]:
     """sha1 of the library CSV and of every world/seed ``trace.csv``,
-    clearance log and event log, with kinoplan imported from ``src``."""
+    clearance log and event log, and the ``behaviour`` of every run, with
+    kinoplan imported from ``src``."""
     sys.path.insert(0, src)
     import kinoplan
     from kinoplan import build_curve_library, get_scenario, run_scenario
 
     if not kinoplan.__file__.startswith(os.path.abspath(src)):
         raise SystemExit(f"imported kinoplan from {kinoplan.__file__}, not from {src}")
-    hashes = {}
+    hashes, runs = {}, {}
     t0 = time.perf_counter()
     library = build_curve_library()
     print(f"{src}: library build {time.perf_counter() - t0:.2f} s", file=sys.stderr, flush=True)
@@ -121,9 +149,10 @@ def compute_hashes(src: str) -> dict[str, str]:
                 hashes[f"{name}/{seed}/clearances"] = _sha1(clear.encode())
                 events = "".join(line + "\n" for line in _event_lines(trace.events))
                 hashes[f"{name}/{seed}/events"] = _sha1(events.encode())
+                runs[f"{name}/{seed}"] = behaviour(trace)
                 print(f"{src}: {name} seed {seed} {wall:.2f} s, planning {planning:.3f} s",
                       file=sys.stderr, flush=True)
-    return hashes
+    return hashes, runs
 
 
 def _start(src: str) -> subprocess.Popen:
@@ -153,10 +182,14 @@ def main(argv=None) -> int:
     if any(proc.returncode for proc in procs):
         print("hashing failed", file=sys.stderr)
         return 1
-    base, head = (json.loads(out) for out in outs)
+    (base, base_runs), (head, head_runs) = (json.loads(out) for out in outs)
     bad = sorted(k for k in base.keys() | head.keys() if base.get(k) != head.get(k))
     for key in bad:
         print(f"MISMATCH {key}: {args.base} {base.get(key)} now {head.get(key)}")
+    for run in base_runs:
+        if base_runs[run] != head_runs[run]:
+            print(f"BEHAVIOUR {run}: {args.base} {_describe(base_runs[run])}; "
+                  f"now {_describe(head_runs[run])}")
     print(f"{len(head) - len(bad)} of {len(base)} hashes equal")
     return 1 if bad else 0
 
